@@ -13,7 +13,7 @@ and computes the cusp volume with a certified truncation bound.
 from .certify import (
     CertificationReport,
     CurvatureBounds,
-    PlaneChart,
+    WitnessPlane,
     certify,
     extremize_k,
     extremize_point,
@@ -69,12 +69,12 @@ __all__ = [
     "InterpolationError",
     "MatchReport",
     "MetricPoint",
-    "PlaneChart",
     "PureExp",
     "RiemannTensor",
     "ShiftedExp",
     "SolLattice",
     "VolumeResult",
+    "WitnessPlane",
     "adaptive_quad",
     "build_interpolation",
     "build_sol_lattice",

@@ -1,26 +1,31 @@
 """Certify negative and pinched sectional curvature over all 2-planes.
 
-At a point, sectional curvature is the Rayleigh quotient of the curvature
-form Q on the 2-form basis of the orthonormal frame, restricted to simple
-(decomposable) unit bivectors -- a 4-dimensional compact search space.
+At a point, the sectional curvature of the plane spanned by a
+frame-orthonormal pair (u, v) is K = w^T Q w with w = u ^ v, where Q is the
+6x6 curvature form on the 2-form basis of the orthonormal frame.  Such a w
+is a unit vector, so
+
+    lambda_min(Q) <= K <= lambda_max(Q)   on every 2-plane
+
+(Thorpe's bound at mu = 0: J. A. Thorpe, "Some remarks on the Gauss-Bonnet
+integral", 1969).  The bounds are attained exactly when the extremal
+eigenspace holds a simple bivector, one on which the Plucker quadric Pf
+vanishes.  For the cusp ansatz Q is block-diagonal over {xy}, {xz, xt},
+{yz, yt} and {zt}, and every block mixes only 2-forms that share a vector,
+so it always does.
+
 Per grid t (z fixed at 0 by the separately tested z-homogeneity of the
-ansatz) the extremes are bracketed three ways and cross-checked:
-
-* seeded random planes (orthonormalized Gaussian pairs),
-* deterministic candidates: the six frame planes plus every eigenvector
-  of Q that happens to be a simple bivector (for this metric family the
-  true extremes sit there),
-* derivative-free compass refinement in a 4-angle chart started from the
-  best samples and candidates.
-
-The gap between the sampled and refined extremes is reported per point as
-``method_agreement`` and flagged when it exceeds the configured bound --
-never silently accepted.
+ansatz) ``extremize_point`` reports the extreme eigenvalues of Q as k_min
+and k_max, and a witness plane for each: an extremal eigenvector with
+Pf = 0, else a zero of Pf on the extremal eigenspace (the two 2x2 blocks
+share their spectrum at z = 0, so ``eigh`` returns mixtures of them), else
+the best of the six frame planes.  The gap between the witness's curvature
+and the eigenvalue is reported per point as ``method_agreement`` and
+flagged when it exceeds the configured bound -- never silently accepted.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,44 +35,30 @@ from .volume import cusp_volume
 from .warp import Interpolated, PureExp, ShiftedExp, condition_margins
 
 __all__ = [
-    "PlaneChart",
+    "WitnessPlane",
     "CurvatureBounds",
     "CertificationReport",
     "extremize_k",
     "extremize_point",
     "certify",
     "rescale_to_pinching",
+    "tail_k_bound",
 ]
 
-_ANGLE_TOL = 1e-6
-_MAX_COMPASS_ITER = 260
+# |Pf| below which a unit bivector counts as simple
+_PF_TOL = 1e-9
+# eigenvalues within this (relative to max(1, |lambda|)) share an eigenspace
+_EIGENSPACE_TOL = 1e-9
+# Plucker quadric Pf(w) = w0 w5 - w1 w4 + w2 w3 = w^T P w on the pair basis;
+# it vanishes exactly on simple bivectors
+_PF_FORM = np.zeros((6, 6))
+_PF_FORM[[0, 5, 1, 4, 2, 3], [5, 0, 4, 1, 3, 2]] = [0.5, 0.5, -0.5, -0.5, 0.5, 0.5]
 
 
-def _plucker(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Pair components of u ^ v; u, v of shape (..., 4) -> (..., 6)."""
-    comps = [
-        u[..., i] * v[..., j] - u[..., j] * v[..., i]
-        for (i, j) in PAIRS
-    ]
-    return np.stack(comps, axis=-1)
-
-
-def _pfaffian(w: np.ndarray) -> np.ndarray:
-    """Plucker quadric; zero exactly on simple bivectors."""
-    return w[..., 0] * w[..., 5] - w[..., 1] * w[..., 4] + w[..., 2] * w[..., 3]
-
-
-def _k_of_pairs(Q: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Sectional curvature of span(u, v) for frame-orthonormal input pairs.
-
-    Degenerate pairs yield nan (callers mask them); the 0/0 is silenced
-    rather than warned since it is an expected probe outcome.
-    """
-    w = _plucker(u, v)
-    num = np.einsum("...p,pq,...q->...", w, Q, w)
-    den = np.einsum("...p,...p->...", w, w)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return num / den
+def _k_of_plane(Q: np.ndarray, u: np.ndarray, v: np.ndarray) -> float:
+    """Sectional curvature of span(u, v) for a frame-orthonormal pair."""
+    w = np.array([u[i] * v[j] - u[j] * v[i] for (i, j) in PAIRS])
+    return float(w @ Q @ w / (w @ w))
 
 
 def _plane_from_bivector(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -80,52 +71,64 @@ def _plane_from_bivector(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return U[:, 0], U[:, 1]
 
 
-def _complement(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    U, _, _ = np.linalg.svd(np.column_stack([u, v]), full_matrices=True)
-    return U[:, 2], U[:, 3]
+def _simple_in_span(W: np.ndarray) -> np.ndarray | None:
+    """A unit simple bivector in the span of W's orthonormal columns, if any.
+
+    Prefers a column on which Pf vanishes; otherwise takes a zero of Pf
+    restricted to the span, the quadric M = W^T P W, which exists exactly
+    when M is indefinite or singular.
+    """
+    M = W.T @ _PF_FORM @ W
+    simple = np.flatnonzero(np.abs(np.diag(M)) <= _PF_TOL)
+    if simple.size:
+        return W[:, simple[0]]
+    mu, E = np.linalg.eigh(M)
+    if not mu[0] <= 0.0 <= mu[-1]:
+        return None
+    # c = sqrt(mu_max) e_min + sqrt(-mu_min) e_max has c^T M c = 0
+    c = np.sqrt(mu[-1]) * E[:, 0] + np.sqrt(-mu[0]) * E[:, -1]
+    return W @ (c / np.linalg.norm(c))
+
+
+def _witness(Q: np.ndarray, vals: np.ndarray, vecs: np.ndarray):
+    """Witness (u, v, K) for the eigenvalue vals[0], vals ordered from it."""
+    lam = vals[0]
+    near = np.abs(vals - lam) <= _EIGENSPACE_TOL * max(1.0, abs(lam))
+    w = _simple_in_span(vecs[:, near])
+    if w is not None:
+        u, v = _plane_from_bivector(w)
+    else:
+        a = int(np.argmin(np.abs(np.diag(Q) - lam)))
+        i, j = PAIRS[a]
+        u, v = np.eye(4)[i], np.eye(4)[j]
+    return u, v, _k_of_plane(Q, u, v)
 
 
 @dataclass(frozen=True)
-class PlaneChart:
-    """4-angle chart on the 2-planes around a base plane.
+class WitnessPlane:
+    """A 2-plane as a frame-orthonormal pair (u, v).
 
-    ``basis`` columns are (u0, v0, w0, w1), an orthonormal frame-component
-    basis; the chart point is
-
-        u  = cos(a0) u0 + sin(a0) (cos(a1) w0 + sin(a1) w1)
-        v' = cos(a2) v0 + sin(a2) (cos(a3) w0 + sin(a3) w1)
-
-    with v the normalization of v' against u.  ``frame_to_coord`` holds
-    the 1/sqrt(g_ii) scales turning frame components into coordinate
-    components.
+    ``frame_to_coord`` holds the 1/sqrt(g_ii) scales turning frame
+    components into coordinate components.
     """
 
-    angles: np.ndarray          # (4,)
-    basis: np.ndarray           # (4, 4) columns u0, v0, w0, w1
+    u: np.ndarray               # (4,)
+    v: np.ndarray               # (4,)
     frame_to_coord: np.ndarray  # (4,)
 
     def __post_init__(self) -> None:
-        for name in ("angles", "basis", "frame_to_coord"):
-            arr = np.asarray(getattr(self, name), dtype=float)
+        for name in ("u", "v", "frame_to_coord"):
+            arr = np.array(getattr(self, name), dtype=float)
             object.__setattr__(self, name, arr)
             arr.setflags(write=False)
 
     def plane_frame(self) -> tuple[np.ndarray, np.ndarray]:
         """The g-orthonormal pair (u, v) in frame components."""
-        a = self.angles
-        u0, v0, w0, w1 = self.basis.T
-        u = np.cos(a[0]) * u0 + np.sin(a[0]) * (np.cos(a[1]) * w0 + np.sin(a[1]) * w1)
-        vr = np.cos(a[2]) * v0 + np.sin(a[2]) * (np.cos(a[3]) * w0 + np.sin(a[3]) * w1)
-        vr = vr - (vr @ u) * u
-        n = np.linalg.norm(vr)
-        if n < 1e-12:
-            raise ValueError("degenerate chart point")
-        return u, vr / n
+        return self.u, self.v
 
     def plane_coord(self) -> tuple[np.ndarray, np.ndarray]:
         """The pair in coordinate components (for sectional_curvature)."""
-        u, v = self.plane_frame()
-        return u * self.frame_to_coord, v * self.frame_to_coord
+        return self.u * self.frame_to_coord, self.v * self.frame_to_coord
 
 
 @dataclass(frozen=True)
@@ -135,202 +138,71 @@ class CurvatureBounds:
     t: float
     k_min: float
     k_max: float
-    argmin_plane: PlaneChart
-    argmax_plane: PlaneChart
-    method_agreement: float
+    argmin_plane: WitnessPlane
+    argmax_plane: WitnessPlane
+    method_agreement: float     # max |K(witness) - extreme eigenvalue|
     frame_plane_k: dict[str, float] = field(default_factory=dict)
-    resampled: int = 0
+    resampled: int = 0          # always 0: nothing is sampled
 
 
-def _batched_compass(Q: np.ndarray, starts_u: np.ndarray, starts_v: np.ndarray,
-                     sign: float):
-    """Minimize sign*K from every start, all starts stepping in lockstep.
+def extremize_point(p: MetricPoint) -> CurvatureBounds:
+    """Extremal K over all 2-planes at a MetricPoint.
 
-    Returns (k, u, v, angles, bases) per start, with k the true curvature
-    value (sign removed).
+    k_min and k_max are the extreme eigenvalues of the frame curvature
+    form, each with a witness plane; ``method_agreement`` is the larger gap
+    between a witness's K and the eigenvalue it stands for.
     """
-    S = starts_u.shape[0]
-    bases = np.empty((S, 4, 4))
-    for s in range(S):
-        w0, w1 = _complement(starts_u[s], starts_v[s])
-        bases[s] = np.column_stack([starts_u[s], starts_v[s], w0, w1])
-
-    angles = np.zeros((S, 4))
-    step = np.full(S, 0.2)
-    active = np.ones(S, dtype=bool)
-
-    def planes_of(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        # a: (S, V, 4) angle variants; returns u, v (S, V, 4) + validity
-        u0 = bases[:, None, :, 0]
-        v0 = bases[:, None, :, 1]
-        w0 = bases[:, None, :, 2]
-        w1 = bases[:, None, :, 3]
-        ca = np.cos(a)
-        sa = np.sin(a)
-        u = ca[..., 0:1] * u0 + sa[..., 0:1] * (ca[..., 1:2] * w0 + sa[..., 1:2] * w1)
-        vr = ca[..., 2:3] * v0 + sa[..., 2:3] * (ca[..., 3:4] * w0 + sa[..., 3:4] * w1)
-        vr = vr - np.sum(vr * u, axis=-1, keepdims=True) * u
-        n = np.linalg.norm(vr, axis=-1, keepdims=True)
-        ok = n[..., 0] > 1e-9
-        v = np.where(ok[..., None], vr / np.where(ok[..., None], n, 1.0), 0.0)
-        return u, v, ok
-
-    def value(a: np.ndarray) -> np.ndarray:
-        u, v, ok = planes_of(a)
-        k = _k_of_pairs(Q, u, v)
-        return np.where(ok, sign * k, np.inf)
-
-    current = value(angles[:, None, :])[:, 0]
-    for _ in range(_MAX_COMPASS_ITER):
-        if not np.any(active):
-            break
-        variants = np.repeat(angles[:, None, :], 8, axis=1)
-        for d in range(4):
-            variants[:, 2 * d, d] += step
-            variants[:, 2 * d + 1, d] -= step
-        vals = value(variants)
-        best_idx = np.argmin(vals, axis=1)
-        best_val = vals[np.arange(len(vals)), best_idx]
-        improved = active & (best_val < current - 1e-15)
-        angles[improved] = variants[improved, best_idx[improved]]
-        current[improved] = best_val[improved]
-        shrink = active & ~improved
-        step[shrink] *= 0.5
-        active &= step >= _ANGLE_TOL
-
-    u, v, ok = planes_of(angles[:, None, :])
-    return sign * current, u[:, 0], v[:, 0], angles, bases
-
-
-def extremize_point(
-    p: MetricPoint,
-    n_samples: int = 100_000,
-    n_refine: int = 32,
-    seed=0,
-) -> CurvatureBounds:
-    """Extremal K over 2-planes at a MetricPoint (sampler + refiner)."""
-    if n_samples < 1000:
-        raise ValueError("n_samples must be at least 1000")
-    if n_refine < 1:
-        raise ValueError("n_refine must be at least 1")
-
-    R = riemann_closed(p)
-    Q = R.pair_matrix(frame=True)
+    Q = riemann_closed(p).pair_matrix(frame=True)
     scales = p.frame_scales()
-    eye = np.eye(4)
-
-    # deterministic candidates: frame planes + simple eigen-bivectors
-    cand_u = [eye[i] for (i, j) in PAIRS]
-    cand_v = [eye[j] for (i, j) in PAIRS]
-    frame_k = {
-        f"{AXIS_NAMES[i]}{AXIS_NAMES[j]}": float(Q[a, a])
-        for a, (i, j) in enumerate(PAIRS)
-    }
-    _, vecs = np.linalg.eigh(Q)
-    for col in range(6):
-        w = vecs[:, col]
-        if abs(_pfaffian(w)) <= 1e-9:
-            u, v = _plane_from_bivector(w)
-            cand_u.append(u)
-            cand_v.append(v)
-    cand_u = np.array(cand_u)
-    cand_v = np.array(cand_v)
-    cand_k = _k_of_pairs(Q, cand_u, cand_v)
-
-    # seeded random planes, redrawing degenerate pairs
-    rng = np.random.default_rng(seed)
-    resampled = 0
-    u = rng.standard_normal((n_samples, 4))
-    v = rng.standard_normal((n_samples, 4))
-    for _ in range(100):
-        u /= np.linalg.norm(u, axis=1, keepdims=True)
-        v -= np.sum(v * u, axis=1, keepdims=True) * u
-        norms = np.linalg.norm(v, axis=1)
-        bad = norms < 1e-8
-        if not np.any(bad):
-            v /= norms[:, None]
-            break
-        resampled += int(np.sum(bad))
-        u[bad] = rng.standard_normal((int(np.sum(bad)), 4))
-        v[bad] = rng.standard_normal((int(np.sum(bad)), 4))
-    else:
-        raise RuntimeError("could not draw nondegenerate sample planes")
-    sample_k = _k_of_pairs(Q, u, v)
-
-    pool_k = np.concatenate([sample_k, cand_k])
-    pool_u = np.vstack([u, cand_u])
-    pool_v = np.vstack([v, cand_v])
-    i_min = int(np.argmin(pool_k))
-    i_max = int(np.argmax(pool_k))
-    k_min_s = float(pool_k[i_min])
-    k_max_s = float(pool_k[i_max])
-
-    # refinement starts: best samples per side plus all candidates
-    order = np.argsort(sample_k)
-    lo_idx = order[:n_refine]
-    hi_idx = order[-n_refine:]
-
-    def refine(idx: np.ndarray, sign: float):
-        su = np.vstack([u[idx], cand_u])
-        sv = np.vstack([v[idx], cand_v])
-        k, _, _, angles, bases = _batched_compass(Q, su, sv, sign)
-        best = int(np.argmin(sign * k))
-        chart = PlaneChart(
-            angles=angles[best].copy(),
-            basis=bases[best].copy(),
-            frame_to_coord=scales.copy(),
-        )
-        return float(k[best]), chart
-
-    k_min_r, chart_min = refine(lo_idx, +1.0)
-    k_max_r, chart_max = refine(hi_idx, -1.0)
-
-    agreement = max(abs(k_min_s - k_min_r), abs(k_max_s - k_max_r))
-    k_min = min(k_min_s, k_min_r)
-    k_max = max(k_max_s, k_max_r)
-
-    if k_min != k_min_r:
-        chart_min = PlaneChart(
-            angles=np.zeros(4),
-            basis=np.column_stack([pool_u[i_min], pool_v[i_min],
-                                   *_complement(pool_u[i_min], pool_v[i_min])]),
-            frame_to_coord=scales.copy(),
-        )
-    if k_max != k_max_r:
-        chart_max = PlaneChart(
-            angles=np.zeros(4),
-            basis=np.column_stack([pool_u[i_max], pool_v[i_max],
-                                   *_complement(pool_u[i_max], pool_v[i_max])]),
-            frame_to_coord=scales.copy(),
-        )
-
+    vals, vecs = np.linalg.eigh(Q)
+    u_min, v_min, k_at_min = _witness(Q, vals, vecs)
+    u_max, v_max, k_at_max = _witness(Q, vals[::-1], vecs[:, ::-1])
+    k_min, k_max = float(vals[0]), float(vals[-1])
     return CurvatureBounds(
         t=p.t,
         k_min=k_min,
         k_max=k_max,
-        argmin_plane=chart_min,
-        argmax_plane=chart_max,
-        method_agreement=float(agreement),
-        frame_plane_k=frame_k,
-        resampled=resampled,
+        argmin_plane=WitnessPlane(u_min, v_min, scales),
+        argmax_plane=WitnessPlane(u_max, v_max, scales),
+        method_agreement=max(abs(k_at_min - k_min), abs(k_at_max - k_max)),
+        frame_plane_k={
+            f"{AXIS_NAMES[i]}{AXIS_NAMES[j]}": float(Q[a, a])
+            for a, (i, j) in enumerate(PAIRS)
+        },
     )
 
 
-def extremize_k(warp, t: float, n_samples: int = 100_000, n_refine: int = 32,
-                seed=0) -> CurvatureBounds:
+def extremize_k(warp, t: float) -> CurvatureBounds:
     """Extremal K at (t, z=0); z is a symmetry direction of the frame K."""
-    return extremize_point(metric_at(warp, float(t), 0.0), n_samples, n_refine, seed)
+    return extremize_point(metric_at(warp, float(t), 0.0))
 
 
-def rescale_to_pinching(bounds_curve, floor: float = 1e-9) -> tuple[float, float]:
+def tail_k_bound(warp, t_last: float) -> float | None:
+    """A proved lower bound on K over every plane at every t > t_last.
+
+    Where f = 1 + e^-t (ShiftedExp everywhere, Interpolated from t_hi on)
+    -2 < K < 0 on every plane; the symbolic proof is in the tests.  None
+    for any other warp or range: nothing is known past the grid.
+    """
+    if isinstance(warp, ShiftedExp) or (
+        isinstance(warp, Interpolated) and t_last >= warp.t_hi
+    ):
+        return -2.0
+    return None
+
+
+def rescale_to_pinching(bounds_curve, floor: float = 1e-9,
+                        tail_k_min: float | None = None) -> tuple[float, float]:
     """Rescale factor lambda (g -> lambda^2 g) and start of the pinched range.
 
-    lambda^2 is (1 + floor) times the smallest suffix-sup of |k_min| (never
-    below 1), taken over the largest suffix attaining it, so that on the
-    pinched suffix k_min / lambda^2 stays strictly above -1.  pinched_from
-    is then the smallest grid t from which every later grid point has
-    k_min / lambda^2 > -1 and k_max / lambda^2 < 0; +inf if no suffix
-    qualifies.
+    ``tail_k_min`` bounds K from below past the last grid point, where K
+    must be proved negative too; None when no such bound is known.
+    lambda^2 is (1 + floor) times the largest of 1, |k_min| at the last
+    grid point and |tail_k_min|, so that k_min / lambda^2 stays strictly
+    above -1 there and on the tail.  pinched_from is then the smallest grid
+    t from which every later grid point has k_min / lambda^2 > -1 and
+    k_max / lambda^2 < 0; +inf if no suffix qualifies or no tail bound is
+    given, since the claim reaches to t = inf.
     """
     bounds = list(bounds_curve)
     if not bounds:
@@ -340,9 +212,11 @@ def rescale_to_pinching(bounds_curve, floor: float = 1e-9) -> tuple[float, float
     if np.any(k_max >= 0.0):
         raise ValueError("rescaling requires a globally negative curve")
 
-    suffix_sup = np.maximum.accumulate(np.abs(k_min)[::-1])[::-1]
-    lam2 = (1.0 + floor) * max(1.0, float(np.min(suffix_sup)))
+    tail_sup = 0.0 if tail_k_min is None else abs(tail_k_min)
+    lam2 = (1.0 + floor) * max(1.0, float(abs(k_min[-1])), tail_sup)
     lam = float(np.sqrt(lam2))
+    if tail_k_min is None:
+        return lam, float("inf")
 
     ok = (k_min / lam2 > -1.0) & (k_max / lam2 < 0.0)
     pinched_from = np.inf
@@ -367,7 +241,6 @@ class CertificationReport:
     pinched_from: float
     scale: float
     volume: float
-    seed: int
     floor: float
     agreement_tol: float
     flagged_points: list[float]
@@ -404,31 +277,22 @@ def _tail_notes(warp) -> list[str]:
     return notes
 
 
-def _point_task(args):
-    family, t, n_samples, n_refine, seed_pair = args
-    return extremize_k(family, t, n_samples, n_refine, seed_pair)
-
-
 def certify(
     warp,
     t_range: tuple[float, float],
     t_step: float,
-    n_samples: int = 100_000,
-    n_refine: int = 32,
-    seed: int = 0,
     floor: float = 1e-9,
     agreement_tol: float = 1e-4,
     vol_c: float = 1.0,
     volume_tol: float = 1e-9,
-    jobs: int = 1,
 ) -> CertificationReport:
     """Certify K < 0 on a t-grid and locate the pinched suffix.
 
-    Refuses before any sampling when a condition margin is nonpositive
-    somewhere on the grid; the negativity implication is only claimed
-    where all four margins hold, and the empirical cross-check of that
-    implication is exactly this run.  Per-point RNG streams derive from
-    (seed, grid index), so results do not depend on the number of workers.
+    Refuses before any curvature work when a condition margin is
+    nonpositive somewhere on the grid; the negativity implication is only
+    claimed where all four margins hold, and the cross-check of that
+    implication is exactly this run.  The pinched suffix reaches past the
+    grid only where ``tail_k_bound`` proves a bound there.
     """
     t0, t1 = float(t_range[0]), float(t_range[1])
     if not (np.isfinite(t0) and np.isfinite(t1) and t0 < t1):
@@ -439,9 +303,8 @@ def certify(
 
     config = {
         "t_min": t0, "t_max": t1, "t_step": float(t_step),
-        "n_samples": int(n_samples), "n_refine": int(n_refine),
-        "seed": int(seed), "floor": float(floor),
-        "agreement_tol": float(agreement_tol), "vol_c": float(vol_c),
+        "floor": float(floor), "agreement_tol": float(agreement_tol),
+        "vol_c": float(vol_c),
     }
     margins = condition_margins(warp, grid)
     notes = _tail_notes(warp)
@@ -458,20 +321,12 @@ def certify(
             status="refused_conditions", grid=grid, bounds_curve=[],
             margins=margins, global_negative=False, max_k=np.nan,
             pinched_from=np.inf, scale=np.nan, volume=np.nan,
-            seed=seed, floor=floor, agreement_tol=agreement_tol,
+            floor=floor, agreement_tol=agreement_tol,
             flagged_points=[], witness=witness, tail_notes=notes,
             config=config,
         )
 
-    tasks = [
-        (warp, float(t), n_samples, n_refine, [int(seed), i])
-        for i, t in enumerate(grid)
-    ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            curve = list(pool.map(_point_task, tasks, chunksize=8))
-    else:
-        curve = [_point_task(task) for task in tasks]
+    curve = [extremize_k(warp, float(t)) for t in grid]
 
     k_max_arr = np.array([b.k_max for b in curve])
     max_k = float(np.max(k_max_arr))
@@ -480,11 +335,12 @@ def certify(
     witness = None
     if max_k >= 0.0:
         i = int(np.argmax(k_max_arr))
+        u, v = curve[i].argmax_plane.plane_frame()
         witness = {
             "kind": "positive_curvature",
             "t": float(curve[i].t),
             "k_max": float(curve[i].k_max),
-            "plane_basis": curve[i].argmax_plane.basis.tolist(),
+            "plane_basis": [u.tolist(), v.tolist()],
         }
         status = "violation"
     elif max_k >= -floor:
@@ -495,7 +351,8 @@ def certify(
     global_negative = status == "certified"
     scale, pinched_from = (np.nan, np.inf)
     if global_negative:
-        scale, pinched_from = rescale_to_pinching(curve, floor)
+        scale, pinched_from = rescale_to_pinching(
+            curve, floor, tail_k_bound(warp, float(grid[-1])))
 
     vol_tol_eff = volume_tol * max(1.0, float(np.exp(-3.0 * t0)))
     volume = cusp_volume(warp, vol_c, t0, vol_tol_eff).total
@@ -504,7 +361,7 @@ def certify(
         status=status, grid=grid, bounds_curve=curve, margins=margins,
         global_negative=global_negative, max_k=max_k,
         pinched_from=pinched_from, scale=scale, volume=volume,
-        seed=seed, floor=floor, agreement_tol=agreement_tol,
+        floor=floor, agreement_tol=agreement_tol,
         flagged_points=flagged, witness=witness, tail_notes=notes,
         config=config,
     )

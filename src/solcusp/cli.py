@@ -5,7 +5,7 @@ Subcommands mirror the library stages:
     lattice        build a Sol cross section and verify its deck isometries
     build-warp     construct and validate the interpolated warping function
     verify-riemann match both curvature pipelines against the component table
-    certify        extremize sectional curvature over a t-grid
+    certify        bound sectional curvature over all planes on a t-grid
     volume         cusp volume with certified truncation bound
     run            full pipeline writing lattice/warp/riemann/certify/volume
                    reports plus a summary verdict
@@ -52,7 +52,6 @@ _DEFAULT_CONFIG = {
     "riemann": {"t_grid": [-2.0, -1.0, 0.0, 1.0, 2.0],
                 "z_grid": [-1.0, -0.5, 0.0, 0.5, 1.0], "h": 1e-4},
     "certify": {"t_min": -6.0, "t_max": 10.0, "t_step": 0.05,
-                "n_samples": 100000, "n_refine": 32, "seed": 0,
                 "floor": 1e-9, "agreement_tol": 1e-4},
     "volume": {"t0": 0.0, "tol": 1e-10},
     "output": {"directory": ".", "formats": ["json", "csv"]},
@@ -197,7 +196,6 @@ def _certify_payload(report: CertificationReport) -> dict:
         "pinched_from": report.pinched_from,
         "scale": report.scale,
         "volume": report.volume,
-        "seed": report.seed,
         "floor": report.floor,
         "agreement_tol": report.agreement_tol,
         "flagged_points": report.flagged_points,
@@ -220,9 +218,7 @@ def cmd_certify(args) -> int:
     warp = _warp_from_args(args)
     report = certify(
         warp, (args.t_min, args.t_max), args.step,
-        n_samples=args.samples, n_refine=args.refine, seed=args.seed,
         floor=args.floor, agreement_tol=args.agreement_tol,
-        jobs=args.jobs,
     )
     _emit(args, _certify_payload(report), "certify.json")
     if args.csv:
@@ -247,8 +243,6 @@ def cmd_run(args) -> int:
     if args.config:
         file_cfg = json.loads(Path(args.config).read_text())
         config = _merge_config(_DEFAULT_CONFIG, file_cfg)
-    if args.seed is not None:
-        config["certify"]["seed"] = args.seed
     outdir = Path(args.output or config["output"]["directory"])
     outdir.mkdir(parents=True, exist_ok=True)
 
@@ -272,10 +266,7 @@ def cmd_run(args) -> int:
         cc = config["certify"]
         report = certify(
             warp, (cc["t_min"], cc["t_max"]), cc["t_step"],
-            n_samples=cc["n_samples"], n_refine=cc["n_refine"],
-            seed=cc["seed"], floor=cc["floor"],
-            agreement_tol=cc["agreement_tol"], vol_c=vol_c,
-            jobs=args.jobs,
+            floor=cc["floor"], agreement_tol=cc["agreement_tol"], vol_c=vol_c,
         )
         write("certify.json", _certify_payload(report))
         if "csv" in config["output"]["formats"]:
@@ -332,9 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", default=None, help="JSON config file (run)")
     parser.add_argument("--output", default=None, help="directory for report files")
-    parser.add_argument("--jobs", type=int, default=1, help="max parallel workers")
-    parser.add_argument("--seed", dest="seed_global", type=int, default=None,
-                        help="override RNG seed")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("lattice", help="Sol cross-section from an Anosov matrix")
@@ -356,14 +344,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h", type=float, default=1e-4)
     p.set_defaults(fn=cmd_verify_riemann)
 
-    p = sub.add_parser("certify", help="extremize sectional curvature over a grid")
+    p = sub.add_parser("certify", help="bound sectional curvature over a grid")
     _add_warp_flags(p, default="interpolated")
     p.add_argument("--t-min", type=float, default=-6.0)
     p.add_argument("--t-max", type=float, default=10.0)
     p.add_argument("--step", type=float, default=0.05)
-    p.add_argument("--samples", type=int, default=100000)
-    p.add_argument("--refine", type=int, default=32)
-    p.add_argument("--seed", dest="seed_local", type=int, default=None)
     p.add_argument("--floor", type=float, default=1e-9)
     p.add_argument("--agreement-tol", type=float, default=1e-4)
     p.add_argument("--csv", default=None, help="write the bounds curve CSV here")
@@ -385,10 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    local = getattr(args, "seed_local", None)
-    args.seed = local if local is not None else args.seed_global
-    if args.command != "run" and args.seed is None:
-        args.seed = 0
     try:
         return args.fn(args)
     except (ValueError, OSError) as exc:

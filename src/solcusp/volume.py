@@ -62,16 +62,20 @@ def _gk15(fn, a: float, b: float) -> tuple[float, float]:
     return k, err
 
 
-def adaptive_quad(fn, a: float, b: float, tol: float, max_intervals: int = 2000) -> tuple[float, float]:
+def adaptive_quad(fn, a: float, b: float, tol: float, max_intervals: int = 2000,
+                  *, breakpoints=()) -> tuple[float, float]:
     """Adaptive Gauss-Kronrod on [a, b] to absolute tolerance tol.
 
-    ``fn`` must accept an array of abscissae.  Returns (integral,
-    error_estimate); raises QuadratureError if the interval budget is
-    exhausted first.
+    ``fn`` must accept an array of abscissae.  The initial partition is
+    split at the ``breakpoints`` inside (a, b): a panel spanning a point
+    where fn is not analytic is where the Gauss and Kronrod sums can agree
+    by chance, both wrong.  Returns (integral, error_estimate); raises
+    QuadratureError if the interval budget is exhausted first.
     """
     if b <= a:
         raise ValueError("need a < b")
-    intervals = [(a, b, *_gk15(fn, a, b))]
+    edges = [a, *sorted(float(p) for p in breakpoints if a < p < b), b]
+    intervals = [(lo, hi, *_gk15(fn, lo, hi)) for lo, hi in zip(edges, edges[1:])]
     while True:
         total = sum(iv[2] for iv in intervals)
         errs = [iv[3] for iv in intervals]
@@ -159,7 +163,10 @@ def cusp_volume(warp, vol_c: float, t0: float, tol: float) -> VolumeResult:
     tail_bound = float(_tail_sup(warp, cutoff) * np.exp(-2.0 * cutoff) / 2.0)
 
     _assert_density_form(warp, t0, cutoff)
-    integral, quad_err = adaptive_quad(_density(warp), float(t0), cutoff, tol / 2.0)
+    # the step is not analytic at the window ends
+    breaks = (warp.t_lo, warp.t_hi) if isinstance(warp, Interpolated) else ()
+    integral, quad_err = adaptive_quad(_density(warp), float(t0), cutoff, tol / 2.0,
+                                       breakpoints=breaks)
     return VolumeResult(
         integral=integral,
         tail_bound=tail_bound,

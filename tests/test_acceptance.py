@@ -1,9 +1,8 @@
 """Acceptance gate: one test per criterion, each printing a verdict line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines.  Criterion 5 runs at the CI sampling budget (1e4 planes per grid
-point, agreement bound 1e-3); the desk-scale budget (1e5 / 1e-4) is a CLI
-flag away and uses the same code path.
+lines.  Criterion 5 runs the default 321-point certification grid; every
+witness plane must attain its extreme eigenvalue to 1e-12.
 """
 
 import filecmp
@@ -128,8 +127,7 @@ def test_criterion_4_interpolation_exists():
 def test_criterion_5_negativity_certificate():
     start = time.monotonic()
     w = build_interpolation(-4.0, -1.0, 1e-3, 1e-6)
-    rep = certify(w, (-6.0, 10.0), 0.05, n_samples=10_000, n_refine=32,
-                  seed=0, floor=1e-9, agreement_tol=1e-3)
+    rep = certify(w, (-6.0, 10.0), 0.05, floor=1e-9, agreement_tol=1e-12)
     elapsed = time.monotonic() - start
     worst_agreement = max(b.method_agreement for b in rep.bounds_curve)
     ok = (
@@ -137,8 +135,8 @@ def test_criterion_5_negativity_certificate():
         and rep.max_k < -1e-9
         and np.isfinite(rep.pinched_from)
         and rep.flagged_points == []
-        and worst_agreement <= 1e-3
-        and elapsed < 600.0
+        and worst_agreement <= 1e-12
+        and elapsed < 10.0
     )
     report(5, "negativity certified", ok,
            f"max_k={rep.max_k:.3e}, scale={rep.scale:.6f}, "
@@ -154,7 +152,7 @@ def test_criterion_6_known_value_spot_checks():
         f, fp, fpp = w.eval(float(t))
         k_zt = frame_plane_curvatures(w, float(t))["zt"]
         worst = max(worst, abs(k_zt - (-fpp / f)))
-    b = extremize_k(PureExp(), -1.0, n_samples=5000, n_refine=8, seed=0)
+    b = extremize_k(PureExp(), -1.0)
     k = b.frame_plane_k
     e2 = np.exp(-2.0)
     frame_ok = (
@@ -203,8 +201,7 @@ def test_criterion_9_run_determinism(tmp_path, capsys):
     cfg.write_text(json.dumps({
         "warp": {"step": 5e-3},
         "riemann": {"t_grid": [-1.0, 0.0, 1.0], "z_grid": [-0.5, 0.0, 0.5]},
-        "certify": {"t_min": -2.0, "t_max": 2.0, "t_step": 0.25,
-                    "n_samples": 2000, "n_refine": 4},
+        "certify": {"t_min": -2.0, "t_max": 2.0, "t_step": 0.25},
     }))
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"

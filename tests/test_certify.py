@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from solcusp.certify import (
-    PlaneChart,
+    WitnessPlane,
     certify,
     extremize_k,
     extremize_point,
     rescale_to_pinching,
+    tail_k_bound,
 )
 from solcusp.curvature import hyperbolic_metric_point, metric_at, riemann_closed, sectional_curvature
 from solcusp.warp import Interpolated, PureExp, ShiftedExp
@@ -26,13 +27,13 @@ class ConstantWarp:
 
 
 def test_hyperbolic_diagnostic_is_constant_curvature():
-    b = extremize_point(hyperbolic_metric_point(0.3), n_samples=5000, n_refine=8, seed=11)
+    b = extremize_point(hyperbolic_metric_point(0.3))
     assert b.k_min == pytest.approx(-1.0, abs=1e-6)
     assert b.k_max == pytest.approx(-1.0, abs=1e-6)
 
 
 def test_pure_exp_extremes_bracket_frame_planes():
-    b = extremize_k(PureExp(), -1.0, n_samples=20000, n_refine=16, seed=5)
+    b = extremize_k(PureExp(), -1.0)
     lo = -np.exp(-2.0) - 1.0
     hi = np.exp(-2.0) - 1.0
     assert b.k_min <= lo + 1e-12
@@ -43,7 +44,7 @@ def test_pure_exp_extremes_bracket_frame_planes():
 
 
 def test_shifted_exp_far_tail_k_max():
-    b = extremize_k(ShiftedExp(), 10.0, n_samples=5000, n_refine=8, seed=5)
+    b = extremize_k(ShiftedExp(), 10.0)
     f, fp, fpp = ShiftedExp().eval(10.0)
     assert b.k_max >= -fpp / f - 1e-12
     assert b.k_max < 0.0
@@ -51,7 +52,7 @@ def test_shifted_exp_far_tail_k_max():
 
 @pytest.mark.parametrize("t", [-2.0, 0.0, 3.0])
 def test_feasible_point_soundness(t):
-    b = extremize_k(ShiftedExp(), t, n_samples=2000, n_refine=4, seed=1)
+    b = extremize_k(ShiftedExp(), t)
     for k in b.frame_plane_k.values():
         assert b.k_min <= k + 1e-12
         assert b.k_max >= k - 1e-12
@@ -59,13 +60,13 @@ def test_feasible_point_soundness(t):
 
 def test_monotone_tail_tracks_zt_plane():
     for t in (5.0, 6.5, 8.0, 10.0):
-        b = extremize_k(ShiftedExp(), t, n_samples=2000, n_refine=4, seed=2)
+        b = extremize_k(ShiftedExp(), t)
         f, fp, fpp = ShiftedExp().eval(t)
         assert abs(b.k_max - (-fpp / f)) <= 1e-6
 
 
 def test_plane_charts_produce_orthonormal_pairs():
-    b = extremize_k(ShiftedExp(), 0.0, n_samples=2000, n_refine=4, seed=3)
+    b = extremize_k(ShiftedExp(), 0.0)
     p = metric_at(ShiftedExp(), 0.0, 0.0)
     for chart in (b.argmin_plane, b.argmax_plane):
         u, v = chart.plane_frame()
@@ -79,7 +80,7 @@ def test_plane_charts_produce_orthonormal_pairs():
 
 
 def test_argmin_plane_reproduces_k_min():
-    b = extremize_k(ShiftedExp(), 0.0, n_samples=5000, n_refine=8, seed=4)
+    b = extremize_k(ShiftedExp(), 0.0)
     p = metric_at(ShiftedExp(), 0.0, 0.0)
     R = riemann_closed(p)
     uc, vc = b.argmin_plane.plane_coord()
@@ -89,21 +90,17 @@ def test_argmin_plane_reproduces_k_min():
 
 
 def test_extremize_is_deterministic():
-    a = extremize_k(ShiftedExp(), 1.0, n_samples=3000, n_refine=8, seed=9)
-    b = extremize_k(ShiftedExp(), 1.0, n_samples=3000, n_refine=8, seed=9)
+    a = extremize_k(ShiftedExp(), 1.0)
+    b = extremize_k(ShiftedExp(), 1.0)
     assert a.k_min == b.k_min
     assert a.k_max == b.k_max
     assert a.method_agreement == b.method_agreement
-    assert np.array_equal(a.argmin_plane.basis, b.argmin_plane.basis)
-
-
-def test_extremize_rejects_tiny_sample_budget():
-    with pytest.raises(ValueError):
-        extremize_k(ShiftedExp(), 0.0, n_samples=10)
+    assert np.array_equal(a.argmin_plane.u, b.argmin_plane.u)
+    assert np.array_equal(a.argmin_plane.v, b.argmin_plane.v)
 
 
 def test_certify_small_grid_is_certified():
-    rep = certify(ShiftedExp(), (-2.0, 2.0), 0.5, n_samples=2000, n_refine=4, seed=0)
+    rep = certify(ShiftedExp(), (-2.0, 2.0), 0.5)
     assert rep.status == "certified"
     assert rep.global_negative
     assert rep.max_k < -1e-9
@@ -116,7 +113,7 @@ def test_certify_small_grid_is_certified():
 
 
 def test_certify_shifted_exp_full_range():
-    rep = certify(ShiftedExp(), (-6.0, 10.0), 0.25, n_samples=2000, n_refine=4, seed=0)
+    rep = certify(ShiftedExp(), (-6.0, 10.0), 0.25)
     assert rep.status == "certified"
     assert rep.global_negative
     assert np.isfinite(rep.pinched_from)
@@ -125,7 +122,7 @@ def test_certify_shifted_exp_full_range():
 
 
 def test_certify_refuses_broken_warp_before_sampling():
-    rep = certify(ConstantWarp(), (-1.0, 1.0), 0.5, n_samples=2000, seed=0)
+    rep = certify(ConstantWarp(), (-1.0, 1.0), 0.5)
     assert rep.status == "refused_conditions"
     assert rep.bounds_curve == []
     assert rep.witness["kind"] == "condition"
@@ -134,35 +131,30 @@ def test_certify_refuses_broken_warp_before_sampling():
 
 
 def test_certify_refuses_pure_exp_on_positive_range():
-    rep = certify(PureExp(), (0.1, 5.0), 0.5, n_samples=2000, seed=0)
+    rep = certify(PureExp(), (0.1, 5.0), 0.5)
     assert rep.status == "refused_conditions"
     assert rep.witness["condition"] == "a"
 
 
-def test_certify_deterministic_and_parallel_invariant():
-    kw = dict(n_samples=2000, n_refine=4, seed=21)
-    a = certify(ShiftedExp(), (-1.0, 1.0), 0.5, **kw)
-    b = certify(ShiftedExp(), (-1.0, 1.0), 0.5, **kw)
-    c = certify(ShiftedExp(), (-1.0, 1.0), 0.5, jobs=2, **kw)
-    for other in (b, c):
-        assert [x.k_min for x in a.bounds_curve] == [x.k_min for x in other.bounds_curve]
-        assert [x.k_max for x in a.bounds_curve] == [x.k_max for x in other.bounds_curve]
-    assert a.scale == b.scale == c.scale
+def test_certify_is_deterministic():
+    a = certify(ShiftedExp(), (-1.0, 1.0), 0.5)
+    b = certify(ShiftedExp(), (-1.0, 1.0), 0.5)
+    assert [x.k_min for x in a.bounds_curve] == [x.k_min for x in b.bounds_curve]
+    assert [x.k_max for x in a.bounds_curve] == [x.k_max for x in b.bounds_curve]
+    assert a.scale == b.scale
 
 
 def test_certify_inconclusive_when_margin_underflows_floor():
     # far down the cusp k_max ~ -e^(-t) sinks below the certification floor
     # while every condition margin stays positive
-    rep = certify(ShiftedExp(), (24.0, 26.0), 0.5, n_samples=2000, n_refine=4,
-                  seed=0, floor=1e-9)
+    rep = certify(ShiftedExp(), (24.0, 26.0), 0.5, floor=1e-9)
     assert np.all(rep.margins > 0.0)
     assert rep.status == "inconclusive"
     assert -1e-9 <= rep.max_k < 0.0
 
 
 def test_certify_reports_regime_tail_notes():
-    rep = certify(Interpolated(-4.0, -1.0), (-1.0, 1.0), 0.5,
-                  n_samples=2000, n_refine=4, seed=0)
+    rep = certify(Interpolated(-4.0, -1.0), (-1.0, 1.0), 0.5)
     joined = " ".join(rep.tail_notes)
     assert "e^-t regime" in joined
     assert "1 + e^-t regime" in joined
@@ -181,10 +173,18 @@ def test_rescale_boundary_curve():
             self.t, self.k_min, self.k_max = t, k_min, k_max
 
     curve = [Stub(t, -1.0, -0.25) for t in np.linspace(0.0, 2.0, 5)]
-    lam, pinched = rescale_to_pinching(curve, floor=1e-9)
+    lam, pinched = rescale_to_pinching(curve, floor=1e-9, tail_k_min=-1.0)
     # k_min = -1 exactly sits on the open bound, so lambda^2 must exceed 1
     assert lam**2 == pytest.approx(1.0 + 1e-9, rel=1e-12)
     assert pinched == 0.0
+    # a steeper tail raises the scale; without a tail bound nothing past
+    # the grid is known, so no suffix reaches infinity
+    lam, pinched = rescale_to_pinching(curve, floor=1e-9, tail_k_min=-2.0)
+    assert lam**2 == pytest.approx(2.0 * (1.0 + 1e-9), rel=1e-12)
+    assert pinched == 0.0
+    lam, pinched = rescale_to_pinching(curve, floor=1e-9)
+    assert lam**2 == pytest.approx(1.0 + 1e-9, rel=1e-12)
+    assert pinched == np.inf
 
 
 def test_rescale_requires_negative_curve():
@@ -199,10 +199,12 @@ def test_rescale_requires_negative_curve():
 
 
 def test_rescale_of_certified_curve_pins_the_suffix():
-    rep = certify(Interpolated(-4.0, -1.0), (-4.5, 4.0), 0.5,
-                  n_samples=2000, n_refine=4, seed=0)
+    w = Interpolated(-4.0, -1.0)
+    rep = certify(w, (-4.5, 4.0), 0.5)
     assert rep.status == "certified"
-    lam, pinched = rescale_to_pinching(rep.bounds_curve, rep.floor)
+    tail = tail_k_bound(w, rep.grid[-1])
+    assert tail == -2.0
+    lam, pinched = rescale_to_pinching(rep.bounds_curve, rep.floor, tail)
     assert lam == rep.scale
     assert pinched == rep.pinched_from
     assert np.isfinite(pinched)
@@ -213,11 +215,53 @@ def test_rescale_of_certified_curve_pins_the_suffix():
             assert b.k_max / lam2 < 0.0
 
 
-def test_plane_chart_rejects_mutation():
-    chart = PlaneChart(
-        angles=np.zeros(4),
-        basis=np.eye(4),
+def test_witness_plane_rejects_mutation():
+    plane = WitnessPlane(
+        u=np.eye(4)[0],
+        v=np.eye(4)[1],
         frame_to_coord=np.ones(4),
     )
-    with pytest.raises(ValueError):
-        chart.angles[0] = 1.0
+    for arr in (plane.u, plane.v, plane.frame_to_coord):
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+
+
+def test_tail_bound_only_where_the_shifted_regime_is_proved():
+    assert tail_k_bound(ShiftedExp(), -3.0) == -2.0
+    assert tail_k_bound(Interpolated(-4.0, -1.0), -1.0) == -2.0
+    assert tail_k_bound(Interpolated(-4.0, -1.0), -1.5) is None
+    assert tail_k_bound(PureExp(), -1.0) is None
+    assert tail_k_bound(ConstantWarp(), 5.0) is None
+
+
+def test_certify_without_tail_bound_claims_no_suffix():
+    # the grid stops inside the transition window: nothing past it is known
+    rep = certify(Interpolated(-4.0, -1.0), (-5.0, -2.0), 0.5)
+    assert rep.status == "certified"
+    assert rep.pinched_from == np.inf
+    rep = certify(PureExp(), (-5.0, -1.0), 0.5)
+    assert rep.status == "certified"
+    assert rep.pinched_from == np.inf
+
+
+@pytest.mark.parametrize("warp", [ShiftedExp(), Interpolated(-4.0, -1.0)])
+def test_pinching_scale_covers_the_analytic_tail(warp):
+    # k_min -> -2 as t -> inf, so a scale fitted to the grid alone
+    # (lambda^2 = 1.99989 on [-6, 10]) puts k_min / lambda^2 below -1
+    rep = certify(warp, (-6.0, 10.0), 0.5)
+    assert rep.status == "certified"
+    assert np.isfinite(rep.pinched_from)
+    lam2 = rep.scale**2
+    for t in (12.0, 20.0, 40.0):
+        assert extremize_k(warp, t).k_min / lam2 > -1.0, t
+
+
+def test_extremes_are_the_form_eigenvalues_with_exact_witnesses():
+    for warp in (PureExp(), ShiftedExp(), Interpolated(-4.0, -1.0)):
+        for t in (-3.0, -2.5, -1.5, -0.5):
+            b = extremize_k(warp, t)
+            Q = riemann_closed(metric_at(warp, t, 0.0)).pair_matrix(frame=True)
+            eig = np.linalg.eigvalsh(Q)
+            assert b.k_min == eig[0] and b.k_max == eig[-1]
+            assert b.method_agreement <= 1e-14
+            assert b.resampled == 0

@@ -9,8 +9,7 @@ from solcusp.serialize import format_float, to_json_text, write_csv_text
 REDUCED_RUN = {
     "warp": {"step": 5e-3},
     "riemann": {"t_grid": [-1.0, 0.0, 1.0], "z_grid": [-0.5, 0.0, 0.5]},
-    "certify": {"t_min": -2.0, "t_max": 2.0, "t_step": 0.5,
-                "n_samples": 2000, "n_refine": 4},
+    "certify": {"t_min": -2.0, "t_max": 2.0, "t_step": 0.5},
     "volume": {"tol": 1e-10},
 }
 
@@ -80,7 +79,6 @@ def test_certify_command_certified(tmp_path, capsys):
     code, out = run_cli(
         capsys, "certify", "--warp", "shifted-exp",
         "--t-min", "-1", "--t-max", "1", "--step", "0.5",
-        "--samples", "2000", "--refine", "4", "--seed", "0",
         "--csv", str(csv_path),
     )
     assert code == 0
@@ -92,11 +90,32 @@ def test_certify_command_certified(tmp_path, capsys):
     assert len(lines) == 6
 
 
+@pytest.mark.parametrize("argv", [
+    ["certify", "--samples", "2000"],
+    ["certify", "--refine", "4"],
+    ["certify", "--seed", "0"],
+    ["--seed", "0", "run"],
+    ["--jobs", "2", "run"],
+])
+def test_sampling_flags_are_gone(argv, capsys):
+    # nothing is sampled, so there is no budget, seed or worker count
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    capsys.readouterr()
+
+
+def test_run_pipeline_rejects_removed_sampling_fields(tmp_path, capsys):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"certify": {"n_samples": 2000}}))
+    code, _ = run_cli(capsys, "--config", str(cfg), "--output", str(tmp_path / "o"), "run")
+    assert code == 1
+
+
 def test_certify_command_refuses_pure_exp_on_positive_range(capsys):
     code, out = run_cli(
         capsys, "certify", "--warp", "pure-exp",
         "--t-min", "0.1", "--t-max", "2.0", "--step", "0.5",
-        "--samples", "2000",
     )
     assert code == 2
     payload = json.loads(out)
@@ -135,15 +154,14 @@ def test_run_pipeline_writes_all_reports(tmp_path, capsys):
     assert verdict["scale"] > 1.0
     assert verdict["total_volume"] > 0.0
     # the embedded config reproduces the run
-    assert summary["config"]["certify"]["n_samples"] == 2000
+    assert summary["config"]["certify"]["t_step"] == 0.5
 
 
 def test_run_pipeline_with_pure_exp_reports_failed_conditions(tmp_path, capsys):
     cfg = tmp_path / "config.json"
     body = json.loads(json.dumps(REDUCED_RUN))
     body["warp"] = {"family": "pure-exp"}
-    body["certify"] = {"t_min": 0.1, "t_max": 2.0, "t_step": 0.5,
-                       "n_samples": 2000, "n_refine": 4}
+    body["certify"] = {"t_min": 0.1, "t_max": 2.0, "t_step": 0.5}
     cfg.write_text(json.dumps(body))
     outdir = tmp_path / "out"
     code, _ = run_cli(capsys, "--config", str(cfg), "--output", str(outdir), "run")

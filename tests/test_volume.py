@@ -94,3 +94,40 @@ def test_rejects_family_without_tail_bound():
 
     with pytest.raises(ValueError, match="tail"):
         cusp_volume(NoTail(), 1.0, 0.0, 1e-8)
+
+
+def reference_integral(w, t0):
+    """Integral of f e^(-2t) over [t0, inf): QUADPACK up to t_hi, closed form after."""
+    integrate = pytest.importorskip("scipy.integrate")
+    inside, _ = integrate.quad(
+        lambda t: w.eval(t)[0] * np.exp(-2.0 * t), t0, w.t_hi,
+        points=[w.t_lo] if t0 < w.t_lo else None,
+        epsabs=0.0, epsrel=1e-13, limit=200,
+    )
+    return inside + np.exp(-2.0 * w.t_hi) / 2.0 + np.exp(-3.0 * w.t_hi) / 3.0
+
+
+# windows, starts and tolerances on which GK15 panels spanning t_hi once
+# had Gauss and Kronrod agree by chance (true error 3.2e-4 and 8.7e-8)
+@pytest.mark.parametrize("t_lo,t_hi,t0,tol", [
+    (-3.171801019069117, -0.724065591872438, -2.283112903688778, 9.432569350088145e-08),
+    (-3.318170964235922, -1.3923186819671716, -1.8045776765975863, 2.244679712109924e-08),
+])
+def test_transition_window_ends_start_the_partition(t_lo, t_hi, t0, tol):
+    w = Interpolated(t_lo, t_hi)
+    res = cusp_volume(w, 1.0, t0, tol)
+    assert abs(res.integral - reference_integral(w, t0)) <= tol
+
+
+def test_breakpoints_split_the_initial_partition():
+    calls = []
+
+    def fn(x):
+        calls.append((float(x.min()), float(x.max())))
+        return np.abs(x)
+
+    val, _ = adaptive_quad(fn, -1.0, 2.0, 1e-12, breakpoints=(0.0, 5.0, -1.0))
+    assert abs(val - 2.5) <= 1e-12
+    # |x| is a polynomial on each side of 0, so the two panels suffice
+    assert len(calls) == 2
+    assert calls[0][1] < 0.0 < calls[1][0]
