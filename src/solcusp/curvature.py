@@ -53,6 +53,9 @@ __all__ = [
 DIM = 4
 # index pairs spanning the 2-form basis, lexicographic
 PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+# first and second index of each pair, for gathering pair matrices
+_PAIR_I = np.array([i for i, _ in PAIRS])
+_PAIR_J = np.array([j for _, j in PAIRS])
 AXIS_NAMES = ("x", "y", "z", "t")
 
 
@@ -239,11 +242,7 @@ class RiemannTensor:
         if frame:
             s = 1.0 / np.sqrt(np.diag(self.g))
             R = R * np.einsum("i,j,k,l->ijkl", s, s, s, s)
-        Q = np.empty((6, 6))
-        for a, (i, j) in enumerate(PAIRS):
-            for b, (k, l) in enumerate(PAIRS):
-                Q[a, b] = R[i, j, k, l]
-        return Q
+        return R[_PAIR_I[:, None], _PAIR_J[:, None], _PAIR_I[None, :], _PAIR_J[None, :]]
 
     def antisymmetry_residual(self) -> float:
         r1 = np.max(np.abs(self.full + np.einsum("ijkl->jikl", self.full)))
@@ -406,9 +405,13 @@ class MatchReport:
     all_assignments: dict[str, float]   # score of every (map, sign) tried
 
 
-def _canonical_pair_slots(assign: tuple[int, ...]):
-    """Map each tabulated component to its (pair, pair) slot and sign."""
-    slots = {}
+def _pair_slots(assign: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pair-matrix slot (row, col) and swap sign of each tabulated component.
+
+    Arrays are in ``_TABLE_LABELS`` order; row <= col, so every slot lies
+    in the upper triangle.
+    """
+    rows, cols, sgns = [], [], []
     for labels in _TABLE_LABELS:
         i, j, k, l = (assign[a] for a in labels)
         sgn = 1.0
@@ -420,8 +423,14 @@ def _canonical_pair_slots(assign: tuple[int, ...]):
             sgn = -sgn
         a = PAIRS.index((i, j))
         b = PAIRS.index((k, l))
-        slots[labels] = (min(a, b), max(a, b), sgn)
-    return slots
+        rows.append(min(a, b))
+        cols.append(max(a, b))
+        sgns.append(sgn)
+    return np.array(rows), np.array(cols), np.array(sgns)
+
+
+# every assignment of labels to coordinates, with its table slots
+_LABELLINGS = tuple((assign, *_pair_slots(assign)) for assign in permutations(range(DIM)))
 
 
 def match_component_table(warp, points, h: float = 1e-4) -> MatchReport:
@@ -434,12 +443,19 @@ def match_component_table(warp, points, h: float = 1e-4) -> MatchReport:
     and the overall tensor magnitude at the point, so exact zeros in the
     table are compared at the tensor's own scale.  Also reports any
     independent component the pipelines find that the table does not list.
+
+    The point-dependent data are built once: the (N, 6, 6) stack of
+    finite-difference pair matrices, the (N, 8) table of expected values
+    and their residual denominators.  Each (assignment, sign) then gathers
+    its eight slots from the stack with index arrays and reduces the
+    scaled residuals over the points.
     """
     points = list(points)
     if not points:
         raise ValueError("points must be nonempty")
 
-    computed = []
+    pair_fd = []
+    expect = []
     agreement = 0.0
     bianchi = 0.0
     for (t, z) in points:
@@ -447,62 +463,51 @@ def match_component_table(warp, points, h: float = 1e-4) -> MatchReport:
         R_cl = riemann_closed(metric_at(warp, t, z))
         agreement = max(agreement, float(np.max(np.abs(R_fd.full - R_cl.full))))
         bianchi = max(bianchi, R_fd.bianchi_residual())
-        computed.append((t, z, R_fd))
+        pair_fd.append(R_fd.pair_matrix())
+        table = component_table(warp, t, z)
+        expect.append([table[labels] for labels in _TABLE_LABELS])
+    Q = np.array(pair_fd)                                      # (N, 6, 6)
+    expect = np.array(expect)                                  # (N, 8)
+    scale = np.max(np.abs(expect), axis=1, keepdims=True)      # (N, 1)
+    denom = np.maximum(np.maximum(np.abs(expect), scale), 1e-12)
 
     best = None
     scores = {}
-    for assign in permutations(range(DIM)):
-        slots = _canonical_pair_slots(assign)
+    for assign, rows, cols, sgns in _LABELLINGS:
+        got = sgns * Q[:, rows, cols]
         for sign in (1, -1):
-            per = {lab: 0.0 for lab in _TABLE_LABELS.values()}
-            for (t, z, R) in computed:
-                Q = sign * R.pair_matrix()
-                table = component_table(warp, t, z)
-                scale = max(abs(v) for v in table.values())
-                for labels, expect in table.items():
-                    a, b, sgn = slots[labels]
-                    got = sgn * Q[a, b]
-                    res = abs(got - expect) / max(abs(expect), scale, 1e-12)
-                    key = _TABLE_LABELS[labels]
-                    per[key] = max(per[key], res)
-            score = max(per.values())
+            per = np.max(np.abs(sign * got - expect) / denom, axis=0)
+            score = np.max(per)
             name = "".join(AXIS_NAMES[assign[a]] for a in range(DIM)) + ("+" if sign > 0 else "-")
             scores[name] = score
             if best is None or score < best[0]:
-                best = (score, assign, sign, per)
+                best = (score, assign, sign, per, rows, cols)
 
-    score, assign, sign, per = best
+    score, assign, sign, per, rows, cols = best
     index_map = {a + 1: AXIS_NAMES[assign[a]] for a in range(DIM)}
 
     # independent slots carrying signal but absent from the table
-    listed = {
-        (min(a, b), max(a, b))
-        for (a, b, _) in _canonical_pair_slots(assign).values()
-    }
+    unlisted = np.triu(np.ones((6, 6), dtype=bool))
+    unlisted[rows, cols] = False
     extras = []
-    for (t, z, R) in computed:
-        Q = R.pair_matrix()
-        for a in range(6):
-            for b in range(a, 6):
-                if (a, b) in listed:
-                    continue
-                if abs(Q[a, b]) > 1e-7:
-                    pa, pb = PAIRS[a], PAIRS[b]
-                    extras.append({
-                        "pairs": (
-                            AXIS_NAMES[pa[0]] + AXIS_NAMES[pa[1]],
-                            AXIS_NAMES[pb[0]] + AXIS_NAMES[pb[1]],
-                        ),
-                        "t": float(t),
-                        "z": float(z),
-                        "value": float(Q[a, b]),
-                    })
+    for n, a, b in zip(*np.nonzero(unlisted & (np.abs(Q) > 1e-7))):
+        t, z = points[n]
+        pa, pb = PAIRS[a], PAIRS[b]
+        extras.append({
+            "pairs": (
+                AXIS_NAMES[pa[0]] + AXIS_NAMES[pa[1]],
+                AXIS_NAMES[pb[0]] + AXIS_NAMES[pb[1]],
+            ),
+            "t": float(t),
+            "z": float(z),
+            "value": float(Q[n, a, b]),
+        })
 
     return MatchReport(
         index_map=index_map,
         sign=sign,
         max_residual=float(score),
-        per_component={k: float(v) for k, v in per.items()},
+        per_component={key: float(v) for key, v in zip(_TABLE_LABELS.values(), per)},
         extra_components=extras,
         pipeline_agreement=float(agreement),
         bianchi_residual=float(bianchi),

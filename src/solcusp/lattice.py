@@ -120,9 +120,16 @@ class SolLattice:
 
 
 def sol_metric_3d(p) -> np.ndarray:
-    """g_Sol at (x, y, z): diag(e^(-2z), e^(2z), 1)."""
-    z = float(np.asarray(p, dtype=float)[2])
-    return np.diag([np.exp(-2.0 * z), np.exp(2.0 * z), 1.0])
+    """g_Sol at (x, y, z): diag(e^(-2z), e^(2z), 1).
+
+    For an (n, 3) array of points, the (n, 3, 3) stack of their metrics.
+    """
+    z = np.asarray(p, dtype=float)[..., 2]
+    g = np.zeros(z.shape + (3, 3))
+    g[..., 0, 0] = np.exp(-2.0 * z)
+    g[..., 1, 1] = np.exp(2.0 * z)
+    g[..., 2, 2] = 1.0
+    return g
 
 
 def default_samples() -> list[np.ndarray]:
@@ -143,11 +150,10 @@ def build_sol_lattice(A: AnosovMatrix) -> SolLattice:
     lam, lam_inv = A.eigenvalues()
     L = A.stretch
 
-    # eigenvector for an eigenvalue mu: (b, mu - a), or (mu - d, c) if b = 0
+    # eigenvector for an eigenvalue mu: (b, mu - a).  b != 0 always: with
+    # b = 0, det = ad = 1 forces a = d = +-1 and |trace| = 2.
     def eigvec(mu: float) -> np.ndarray:
-        if A.b != 0:
-            return np.array([float(A.b), mu - A.a])
-        return np.array([mu - A.d, float(A.c)])
+        return np.array([float(A.b), mu - A.a])
 
     vp = eigvec(lam)
     vm = eigvec(lam_inv)
@@ -186,17 +192,23 @@ def verify_isometry(m: AffineMap3, samples) -> float:
     Pure algebra: (m* g)(p) = J^T g(m(p)) J with J the constant linear
     part, compared against g(p).  For a genuine deck map the deviation is
     rounding noise (<= 1e-12); no differencing enters.
+
+    ``samples`` is an iterable of points or an (n, 3) array.  All samples
+    are mapped through m at once, the n pullbacks are formed as one
+    (n, 3, 3) stack and the deviation is the largest of their spectral
+    norms.
     """
-    samples = list(samples)
-    if not samples:
+    p = np.asarray(samples if isinstance(samples, np.ndarray) else list(samples), dtype=float)
+    if p.size == 0:
         raise ValueError("samples must be nonempty")
+    if p.ndim != 2 or p.shape[1] != 3:
+        raise ValueError(f"samples must be points of R^3, got shape {p.shape}")
     J = m.linear
-    worst = 0.0
-    for p in samples:
-        pulled = J.T @ sol_metric_3d(m.apply(p)) @ J
-        dev = np.linalg.norm(pulled - sol_metric_3d(p), 2)
-        worst = max(worst, float(dev))
-    return worst
+    # one matrix-vector product per sample: the arithmetic of J @ q
+    mapped = np.matmul(J, p[:, :, None])[:, :, 0] + m.offset
+    pulled = J.T @ sol_metric_3d(mapped) @ J
+    dev = np.linalg.norm(pulled - sol_metric_3d(p), 2, axis=(1, 2))
+    return float(np.max(dev))
 
 
 def cross_section_volume(lat: SolLattice) -> float:

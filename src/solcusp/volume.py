@@ -1,7 +1,8 @@
 """Cusp volume: vol(C) x integral of the metric volume density over t.
 
 The density sqrt(det g) is computed from the metric diagonal (not hard
-coded) and equals f(t) e^(-2t); the improper integral over [t0, inf) is
+coded) and equals f(t) e^(-2t), an identity the test suite checks for
+every warp family; the improper integral over [t0, inf) is
 split into an adaptive Gauss-Kronrod part on [t0, cutoff] plus an
 analytic exponential tail bound
 
@@ -112,19 +113,6 @@ def _density(warp):
     return fn
 
 
-def _assert_density_form(warp, t0: float, cutoff: float) -> None:
-    # the density must reduce to f e^(-2t); guards the integrand against
-    # silent ansatz changes
-    rng = np.random.default_rng(12345)
-    t = rng.uniform(t0, cutoff, size=8)
-    f, _, _ = warp.eval_array(t)
-    expect = f * np.exp(-2.0 * t)
-    got = _density(warp)(t)
-    scale = np.maximum(np.abs(expect), 1.0)
-    if np.any(np.abs(got - expect) > 1e-12 * scale):
-        raise AssertionError("volume density does not match f e^(-2t)")
-
-
 def _tail_sup(warp, c: float) -> float:
     """Closed-form bound on sup of f over [c, inf)."""
     if isinstance(warp, (PureExp, ShiftedExp)):
@@ -162,7 +150,6 @@ def cusp_volume(warp, vol_c: float, t0: float, tol: float) -> VolumeResult:
         raise ValueError("tail bound did not reach tolerance")
     tail_bound = float(_tail_sup(warp, cutoff) * np.exp(-2.0 * cutoff) / 2.0)
 
-    _assert_density_form(warp, t0, cutoff)
     # the step is not analytic at the window ends
     breaks = (warp.t_lo, warp.t_hi) if isinstance(warp, Interpolated) else ()
     integral, quad_err = adaptive_quad(_density(warp), float(t0), cutoff, tol / 2.0,

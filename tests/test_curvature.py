@@ -4,6 +4,7 @@ import pytest
 from solcusp.curvature import (
     PAIRS,
     DegeneratePlaneError,
+    RiemannTensor,
     christoffel,
     flat_metric_point,
     frame_plane_curvatures,
@@ -241,3 +242,21 @@ def test_pure_exp_kills_the_mixed_components():
 def test_match_requires_points():
     with pytest.raises(ValueError):
         match_component_table(ShiftedExp(), [])
+
+
+@pytest.mark.parametrize("frame", [False, True])
+def test_pair_matrix_gather_equals_double_loop(frame):
+    # pair_matrix is a pure gather: bit-identical to filling Q slot by slot
+    rng = np.random.default_rng(3)
+    for _ in range(50):
+        full = rng.standard_normal((4, 4, 4, 4)) * 10.0 ** rng.uniform(-8, 8)
+        g = np.diag(10.0 ** rng.uniform(-4, 4, 4))
+        src = full
+        if frame:
+            s = 1.0 / np.sqrt(np.diag(g))
+            src = full * np.einsum("i,j,k,l->ijkl", s, s, s, s)
+        loop = np.empty((6, 6))
+        for a, (i, j) in enumerate(PAIRS):
+            for b, (k, l) in enumerate(PAIRS):
+                loop[a, b] = src[i, j, k, l]
+        assert np.array_equal(RiemannTensor(full=full, g=g).pair_matrix(frame=frame), loop)

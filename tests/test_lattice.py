@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from solcusp.lattice import (
     AffineMap3,
@@ -128,3 +132,54 @@ def test_negative_trace_monodromy_is_still_isometric():
 def test_affine_map_requires_invertible_linear_part():
     with pytest.raises(ValueError):
         AffineMap3(np.zeros((3, 3)), np.zeros(3))
+
+
+ENTRY_MAX = 10**6
+
+
+@st.composite
+def hyperbolic_sl2z(draw):
+    """(a, b, c, d) with ad - bc = 1, |a + d| >= 3 and entries up to 1e6.
+
+    b > 0 and a coprime to it are drawn, d runs over the residue class of
+    a^-1 mod b inside the entry bound, and c = (ad - 1)/b.  Transposing,
+    conjugating by diag(1, -1) and negating reach every sign pattern and
+    both signs of the trace.
+    """
+    b = draw(st.integers(1, ENTRY_MAX))
+    a = draw(st.integers(-ENTRY_MAX, ENTRY_MAX))
+    assume(math.gcd(a, b) == 1)
+    d0 = pow(a, -1, b)
+    d = d0 + b * draw(st.integers(-((ENTRY_MAX + d0) // b), (ENTRY_MAX - d0) // b))
+    c = (a * d - 1) // b
+    assume(abs(c) <= ENTRY_MAX and abs(a + d) >= 3)
+    if draw(st.booleans()):
+        b, c = c, b
+    if draw(st.booleans()):
+        b, c = -b, -c
+    if draw(st.booleans()):
+        a, b, c, d = -a, -b, -c, -d
+    return a, b, c, d
+
+
+@settings(max_examples=200, deadline=None)
+@given(entries=hyperbolic_sl2z())
+def test_random_anosov_lattices_keep_their_deck_isometries(entries):
+    A = AnosovMatrix(*entries)
+    lat = build_sol_lattice(A)
+    samples = default_samples()
+    for g1 in lat.generators:
+        assert verify_isometry(g1, samples) <= 1e-12
+        for g2 in lat.generators:
+            assert verify_isometry(g1.compose(g2), samples) <= 1e-12
+    assert abs(cross_section_volume(lat) - A.stretch) <= 1e-12
+
+
+@pytest.mark.xfail(strict=True, reason="the eigenbasis of a matrix with |trace| << |a| = |d| "
+                   "is nearly parallel, so its stored cell area is off by ~eps * cond")
+def test_near_parallel_eigenbasis_keeps_unit_cell_area():
+    # eigenvectors (b, lam - a) and (b, 1/lam - a) differ by sqrt(tr^2 - 4)
+    # in one of two components of size ~5e5: rounding the basis entries
+    # moves the cell area by ~4e-11
+    A = AnosovMatrix(500000, 258347, -967683, -499996)
+    assert abs(cross_section_volume(build_sol_lattice(A)) - A.stretch) <= 1e-12

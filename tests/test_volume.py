@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from solcusp.lattice import AnosovMatrix, build_sol_lattice, cross_section_volume
-from solcusp.volume import QuadratureError, adaptive_quad, cusp_volume
+from solcusp.volume import QuadratureError, _density, adaptive_quad, cusp_volume
 from solcusp.warp import Interpolated, PureExp, ShiftedExp
 
 
@@ -131,3 +133,21 @@ def test_breakpoints_split_the_initial_partition():
     # |x| is a polynomial on each side of 0, so the two panels suffice
     assert len(calls) == 2
     assert calls[0][1] < 0.0 < calls[1][0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    family=st.sampled_from(["pure-exp", "shifted-exp", "interpolated"]),
+    t_hi=st.floats(min_value=-3.0, max_value=0.0),
+    width=st.floats(min_value=0.1, max_value=5.0),
+    t=st.lists(st.floats(min_value=-10.0, max_value=30.0), min_size=1, max_size=16),
+)
+def test_density_is_f_times_exp_minus_2t(family, t_hi, width, t):
+    # the integrand cusp_volume builds from the metric diagonal is
+    # sqrt(det g) = f e^(-2t), to rounding
+    warp = {"pure-exp": PureExp(), "shifted-exp": ShiftedExp()}.get(family)
+    warp = warp or Interpolated(t_hi - width, t_hi)
+    t = np.array(t)
+    f, _, _ = warp.eval_array(t)
+    expect = f * np.exp(-2.0 * t)
+    assert np.all(np.abs(_density(warp)(t) - expect) <= 1e-14 * np.abs(expect))
