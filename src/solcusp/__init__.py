@@ -7,7 +7,8 @@ The library builds the cusp metric
 over a Sol mapping-torus cross section, verifies its curvature tensor by
 two independent pipelines, validates the four warping-function conditions,
 certifies pinched negative sectional curvature over all tangent 2-planes,
-and computes the cusp volume with a certified truncation bound.
+and computes the cusp volume: closed forms outside the transition window,
+adaptive quadrature inside it.
 """
 
 from .certify import (
@@ -46,13 +47,11 @@ from .lattice import (
 )
 from .volume import VolumeResult, adaptive_quad, cusp_volume
 from .warp import (
-    ConditionMargins,
     Interpolated,
     InterpolationError,
     PureExp,
     ShiftedExp,
     build_interpolation,
-    check_conditions,
     condition_margins,
 )
 
@@ -62,7 +61,6 @@ __all__ = [
     "AffineMap3",
     "AnosovMatrix",
     "CertificationReport",
-    "ConditionMargins",
     "CurvatureBounds",
     "DegeneratePlaneError",
     "Interpolated",
@@ -79,7 +77,6 @@ __all__ = [
     "build_interpolation",
     "build_sol_lattice",
     "certify",
-    "check_conditions",
     "christoffel",
     "condition_margins",
     "cross_section_volume",

@@ -31,8 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .curvature import PAIRS, AXIS_NAMES, MetricPoint, metric_at, riemann_closed
-from .volume import cusp_volume
-from .warp import Interpolated, PureExp, ShiftedExp, condition_margins
+from .warp import Interpolated, PureExp, ShiftedExp, condition_margins, regimes
 
 __all__ = [
     "WitnessPlane",
@@ -180,15 +179,12 @@ def extremize_k(warp, t: float) -> CurvatureBounds:
 def tail_k_bound(warp, t_last: float) -> float | None:
     """A proved lower bound on K over every plane at every t > t_last.
 
-    Where f = 1 + e^-t (ShiftedExp everywhere, Interpolated from t_hi on)
-    -2 < K < 0 on every plane; the symbolic proof is in the tests.  None
-    for any other warp or range: nothing is known past the grid.
+    Where f = 1 + e^-t (from the upper end of ``regimes`` on) -2 < K < 0
+    on every plane; the symbolic proof is in the tests.  None for any
+    other warp or range: nothing is known past the grid.
     """
-    if isinstance(warp, ShiftedExp) or (
-        isinstance(warp, Interpolated) and t_last >= warp.t_hi
-    ):
-        return -2.0
-    return None
+    ends = regimes(warp)
+    return -2.0 if ends and t_last >= ends[1] else None
 
 
 def rescale_to_pinching(bounds_curve, floor: float = 1e-9,
@@ -240,7 +236,6 @@ class CertificationReport:
     max_k: float
     pinched_from: float
     scale: float
-    volume: float
     floor: float
     agreement_tol: float
     flagged_points: list[float]
@@ -283,8 +278,6 @@ def certify(
     t_step: float,
     floor: float = 1e-9,
     agreement_tol: float = 1e-4,
-    vol_c: float = 1.0,
-    volume_tol: float = 1e-9,
 ) -> CertificationReport:
     """Certify K < 0 on a t-grid and locate the pinched suffix.
 
@@ -304,7 +297,6 @@ def certify(
     config = {
         "t_min": t0, "t_max": t1, "t_step": float(t_step),
         "floor": float(floor), "agreement_tol": float(agreement_tol),
-        "vol_c": float(vol_c),
     }
     margins = condition_margins(warp, grid)
     notes = _tail_notes(warp)
@@ -320,7 +312,7 @@ def certify(
         return CertificationReport(
             status="refused_conditions", grid=grid, bounds_curve=[],
             margins=margins, global_negative=False, max_k=np.nan,
-            pinched_from=np.inf, scale=np.nan, volume=np.nan,
+            pinched_from=np.inf, scale=np.nan,
             floor=floor, agreement_tol=agreement_tol,
             flagged_points=[], witness=witness, tail_notes=notes,
             config=config,
@@ -354,13 +346,10 @@ def certify(
         scale, pinched_from = rescale_to_pinching(
             curve, floor, tail_k_bound(warp, float(grid[-1])))
 
-    vol_tol_eff = volume_tol * max(1.0, float(np.exp(-3.0 * t0)))
-    volume = cusp_volume(warp, vol_c, t0, vol_tol_eff).total
-
     return CertificationReport(
         status=status, grid=grid, bounds_curve=curve, margins=margins,
         global_negative=global_negative, max_k=max_k,
-        pinched_from=pinched_from, scale=scale, volume=volume,
+        pinched_from=pinched_from, scale=scale,
         floor=floor, agreement_tol=agreement_tol,
         flagged_points=flagged, witness=witness, tail_notes=notes,
         config=config,

@@ -6,7 +6,8 @@ Subcommands mirror the library stages:
     build-warp     construct and validate the interpolated warping function
     verify-riemann match both curvature pipelines against the component table
     certify        bound sectional curvature over all planes on a t-grid
-    volume         cusp volume with certified truncation bound
+    volume         cusp volume: closed forms outside the transition
+                   window, adaptive Gauss-Kronrod inside it
     run            full pipeline writing lattice/warp/riemann/certify/volume
                    reports plus a summary verdict
 
@@ -36,7 +37,13 @@ from .lattice import (
 )
 from .serialize import to_json_text, write_csv_text
 from .volume import cusp_volume
-from .warp import Interpolated, build_interpolation, condition_margins, warp_from_name
+from .warp import (
+    Interpolated,
+    build_interpolation,
+    condition_margins,
+    validation_grid,
+    warp_from_name,
+)
 
 _STATUS_CODES = {
     "certified": 0,
@@ -115,13 +122,8 @@ def cmd_lattice(args) -> int:
     return 0
 
 
-def _validation_grid(warp, grid_step: float) -> np.ndarray:
-    lo = getattr(warp, "t_lo", -6.0) - 2.0
-    return np.arange(lo, 1.0 + grid_step / 2, grid_step)
-
-
 def _warp_payload(warp, grid_step: float) -> dict:
-    margins = condition_margins(warp, _validation_grid(warp, grid_step))
+    margins = condition_margins(warp, validation_grid(warp, grid_step))
     payload = {
         "family": warp.family,
         "min_margins": {
@@ -139,7 +141,7 @@ def _warp_payload(warp, grid_step: float) -> dict:
 
 
 def _warp_csv(warp, grid_step: float) -> str:
-    grid = _validation_grid(warp, grid_step)
+    grid = validation_grid(warp, grid_step)
     f, fp, fpp = warp.eval_array(grid)
     margins = condition_margins(warp, grid)
     rows = [
@@ -195,7 +197,6 @@ def _certify_payload(report: CertificationReport) -> dict:
         "max_k": report.max_k,
         "pinched_from": report.pinched_from,
         "scale": report.scale,
-        "volume": report.volume,
         "floor": report.floor,
         "agreement_tol": report.agreement_tol,
         "flagged_points": report.flagged_points,
@@ -226,15 +227,14 @@ def cmd_certify(args) -> int:
     return _STATUS_CODES[report.status]
 
 
+def _volume_payload(warp, vol_c: float, t0: float, tol: float) -> dict:
+    res = cusp_volume(warp, vol_c, t0, tol)
+    return {"integral": res.integral, "total": res.total}
+
+
 def cmd_volume(args) -> int:
-    warp = _warp_from_args(args)
-    res = cusp_volume(warp, args.vol_c, args.t0, args.tol)
-    _emit(args, {
-        "integral": res.integral,
-        "tail_bound": res.tail_bound,
-        "cutoff": res.cutoff,
-        "total": res.total,
-    }, "volume.json")
+    payload = _volume_payload(_warp_from_args(args), args.vol_c, args.t0, args.tol)
+    _emit(args, payload, "volume.json")
     return 0
 
 
@@ -266,34 +266,27 @@ def cmd_run(args) -> int:
         cc = config["certify"]
         report = certify(
             warp, (cc["t_min"], cc["t_max"]), cc["t_step"],
-            floor=cc["floor"], agreement_tol=cc["agreement_tol"], vol_c=vol_c,
+            floor=cc["floor"], agreement_tol=cc["agreement_tol"],
         )
         write("certify.json", _certify_payload(report))
         if "csv" in config["output"]["formats"]:
             (outdir / "certify.csv").write_text(_certify_csv(report))
 
         vc = config["volume"]
-        vol = cusp_volume(warp, vol_c, vc["t0"], vc["tol"])
-        write("volume.json", {
-            "integral": vol.integral,
-            "tail_bound": vol.tail_bound,
-            "cutoff": vol.cutoff,
-            "total": vol.total,
-        })
+        vol = _volume_payload(warp, vol_c, vc["t0"], vc["tol"])
+        write("volume.json", vol)
 
-        grid = np.arange(cc["t_min"], cc["t_max"] + cc["t_step"] / 2, cc["t_step"])
-        conditions_hold = bool(np.all(condition_margins(warp, grid) > 0.0))
         summary = {
             "config": config,
             "status": report.status,
             "verdict": {
                 "riemann_table_matched": riemann_payload["max_residual"] <= 1e-5
                 and not riemann_payload["extra_nonzero_components"],
-                "conditions_hold": conditions_hold,
+                "conditions_hold": bool(np.all(report.margins > 0.0)),
                 "globally_negative": report.global_negative,
                 "pinched_from": report.pinched_from,
                 "scale": report.scale,
-                "total_volume": vol.total,
+                "total_volume": vol["total"],
             },
         }
         write("summary.json", summary)
@@ -354,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", default=None, help="write the bounds curve CSV here")
     p.set_defaults(fn=cmd_certify)
 
-    p = sub.add_parser("volume", help="cusp volume with tail bound")
+    p = sub.add_parser("volume", help="cusp volume, closed form outside the window")
     _add_warp_flags(p)
     p.add_argument("--vol-c", type=float, default=1.0)
     p.add_argument("--t0", type=float, default=0.0)

@@ -83,10 +83,6 @@ class MetricPoint:
         for arr in (self.g, self.g_inv, self.dg, self.d2g):
             arr.setflags(write=False)
 
-    @property
-    def sqrt_det(self) -> float:
-        return float(np.sqrt(np.prod(np.diag(self.g))))
-
     def frame_scales(self) -> np.ndarray:
         """1/sqrt(g_ii): coordinate components of the orthonormal frame."""
         return 1.0 / np.sqrt(np.diag(self.g))

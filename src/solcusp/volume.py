@@ -2,14 +2,12 @@
 
 The density sqrt(det g) is computed from the metric diagonal (not hard
 coded) and equals f(t) e^(-2t), an identity the test suite checks for
-every warp family; the improper integral over [t0, inf) is
-split into an adaptive Gauss-Kronrod part on [t0, cutoff] plus an
-analytic exponential tail bound
+every warp family.  f is exactly e^(-t) for t <= lo and exactly
+1 + e^(-t) for t >= hi, with (lo, hi) = ``warp.regimes``, so with
+a = max(t0, lo) and b = max(t0, hi) the improper integral over [t0, inf)
+splits into closed forms and one quadrature over the transition window:
 
-    integral over [cutoff, inf) of f e^(-2t) <= sup f * e^(-2 cutoff) / 2,
-
-with sup f on the tail taken from the family's closed form (all families
-are decreasing there, so the sup is f(cutoff)).
+    (e^(-3 t0) - e^(-3a))/3 + e^(-2b)/2 + e^(-3b)/3 + GK15 over [a, b].
 """
 
 from __future__ import annotations
@@ -19,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curvature import metric_diag
-from .warp import Interpolated, PureExp, ShiftedExp
+from .warp import regimes
 
 __all__ = ["VolumeResult", "QuadratureError", "cusp_volume", "adaptive_quad"]
 
@@ -63,20 +61,17 @@ def _gk15(fn, a: float, b: float) -> tuple[float, float]:
     return k, err
 
 
-def adaptive_quad(fn, a: float, b: float, tol: float, max_intervals: int = 2000,
-                  *, breakpoints=()) -> tuple[float, float]:
+def adaptive_quad(fn, a: float, b: float, tol: float,
+                  max_intervals: int = 2000) -> tuple[float, float]:
     """Adaptive Gauss-Kronrod on [a, b] to absolute tolerance tol.
 
-    ``fn`` must accept an array of abscissae.  The initial partition is
-    split at the ``breakpoints`` inside (a, b): a panel spanning a point
-    where fn is not analytic is where the Gauss and Kronrod sums can agree
-    by chance, both wrong.  Returns (integral, error_estimate); raises
-    QuadratureError if the interval budget is exhausted first.
+    ``fn`` must accept an array of abscissae.  Returns (integral,
+    error_estimate); raises QuadratureError if the interval budget is
+    exhausted first.
     """
     if b <= a:
         raise ValueError("need a < b")
-    edges = [a, *sorted(float(p) for p in breakpoints if a < p < b), b]
-    intervals = [(lo, hi, *_gk15(fn, lo, hi)) for lo, hi in zip(edges, edges[1:])]
+    intervals = [(a, b, *_gk15(fn, a, b))]
     while True:
         total = sum(iv[2] for iv in intervals)
         errs = [iv[3] for iv in intervals]
@@ -97,13 +92,11 @@ def adaptive_quad(fn, a: float, b: float, tol: float, max_intervals: int = 2000,
 
 @dataclass(frozen=True)
 class VolumeResult:
-    """Truncated cusp integral with its certified truncation bound."""
+    """Cusp integral over [t0, inf) and its scaling by vol(C)."""
 
-    integral: float      # integral over [t0, inf) of f e^(-2t), via cutoff
-    tail_bound: float    # analytic bound on the dropped [cutoff, inf) part
-    cutoff: float
+    integral: float      # integral over [t0, inf) of f e^(-2t)
     total: float         # vol(C) x integral
-    quad_error: float    # error estimate of the adaptive part
+    quad_error: float    # error estimate of the window quadrature (0 if none)
 
 
 def _density(warp):
@@ -113,51 +106,30 @@ def _density(warp):
     return fn
 
 
-def _tail_sup(warp, c: float) -> float:
-    """Closed-form bound on sup of f over [c, inf)."""
-    if isinstance(warp, (PureExp, ShiftedExp)):
-        return warp.eval(c)[0]
-    if isinstance(warp, Interpolated):
-        if c < warp.t_hi:
-            raise ValueError("cutoff below the transition end")
-        return warp.eval(c)[0]
-    raise ValueError(
-        f"no closed-form tail bound for warp family {getattr(warp, 'family', warp)!r}"
-    )
-
-
 def cusp_volume(warp, vol_c: float, t0: float, tol: float) -> VolumeResult:
     """Integral of the volume density over [t0, inf), scaled by vol(C).
 
-    The cutoff is pushed out until the analytic tail bound drops below
-    tol/2; the finite part is then integrated adaptively to tol/2, so the
-    reported integral differs from the improper one by at most tol.
+    Only the part of the transition window above t0 is integrated
+    numerically, to the whole tol; the rest is in closed form, so the
+    reported integral differs from the improper one by at most tol plus
+    rounding.
     """
     if vol_c <= 0.0:
         raise ValueError("vol_c must be positive")
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-
-    cutoff = float(t0)
-    if isinstance(warp, Interpolated):
-        cutoff = max(cutoff, float(warp.t_hi))
-    cutoff = max(cutoff, 0.0) + 1.0
-    for _ in range(400):
-        if _tail_sup(warp, cutoff) * np.exp(-2.0 * cutoff) / 2.0 <= tol / 2.0:
-            break
-        cutoff += 1.0
-    else:
-        raise ValueError("tail bound did not reach tolerance")
-    tail_bound = float(_tail_sup(warp, cutoff) * np.exp(-2.0 * cutoff) / 2.0)
-
-    # the step is not analytic at the window ends
-    breaks = (warp.t_lo, warp.t_hi) if isinstance(warp, Interpolated) else ()
-    integral, quad_err = adaptive_quad(_density(warp), float(t0), cutoff, tol / 2.0,
-                                       breakpoints=breaks)
-    return VolumeResult(
-        integral=integral,
-        tail_bound=tail_bound,
-        cutoff=cutoff,
-        total=float(vol_c) * integral,
-        quad_error=quad_err,
-    )
+    ends = regimes(warp)
+    if ends is None:
+        raise ValueError(
+            f"no closed-form tail for warp family {getattr(warp, 'family', warp)!r}"
+        )
+    t0 = float(t0)
+    a, b = max(t0, ends[0]), max(t0, ends[1])
+    integral = float((np.exp(-3.0 * t0) - np.exp(-3.0 * a)) / 3.0
+                     + np.exp(-2.0 * b) / 2.0 + np.exp(-3.0 * b) / 3.0)
+    quad_err = 0.0
+    if a < b:  # f is not analytic at a or b: no GK15 panel may span them
+        window, quad_err = adaptive_quad(_density(warp), a, b, tol)
+        integral += window
+    return VolumeResult(integral=integral, total=float(vol_c) * integral,
+                        quad_error=quad_err)

@@ -28,10 +28,10 @@ __all__ = [
     "PureExp",
     "ShiftedExp",
     "Interpolated",
-    "ConditionMargins",
     "InterpolationError",
-    "check_conditions",
+    "regimes",
     "condition_margins",
+    "validation_grid",
     "build_interpolation",
     "warp_from_name",
 ]
@@ -151,22 +151,19 @@ class Interpolated:
         return f, fp, fpp
 
 
-@dataclass(frozen=True)
-class ConditionMargins:
-    """Pointwise margins of the four negativity conditions at t.
+def regimes(warp) -> tuple[float, float] | None:
+    """Ends (lo, hi) of the closed-form regimes of a warp family.
 
-    All four conditions hold at t iff every margin is strictly positive.
+    f = e^(-t) exactly for t <= lo and f = 1 + e^(-t) exactly for t >= hi;
+    None for a family with no such closed form.
     """
-
-    t: float
-    a: float  # f - 1
-    b: float  # -f'
-    c: float  # f''
-    d: float  # 1 - f*f' - (1 + f'/f)^2
-
-    @property
-    def min(self) -> float:
-        return min(self.a, self.b, self.c, self.d)
+    if isinstance(warp, PureExp):
+        return np.inf, np.inf
+    if isinstance(warp, ShiftedExp):
+        return -np.inf, -np.inf
+    if isinstance(warp, Interpolated):
+        return warp.t_lo, warp.t_hi
+    return None
 
 
 def condition_margins(warp, t: np.ndarray) -> np.ndarray:
@@ -189,24 +186,18 @@ def condition_margins(warp, t: np.ndarray) -> np.ndarray:
     return np.stack([a, b, c, d], axis=1)
 
 
-def check_conditions(warp, grid) -> list[ConditionMargins]:
-    """Margins of conditions a-d at every grid point, in grid order."""
-    grid = np.asarray(grid, dtype=float)
-    m = condition_margins(warp, grid)
-    return [
-        ConditionMargins(float(t), float(a), float(b), float(c), float(d))
-        for t, (a, b, c, d) in zip(grid, m)
-    ]
+def validation_grid(warp, grid_step: float) -> np.ndarray:
+    """The dense margin grid [t_lo - 2, 1]; t_lo = -6 without a window."""
+    lo = getattr(warp, "t_lo", -6.0) - 2.0
+    return np.arange(lo, 1.0 + grid_step / 2, grid_step)
 
 
 def _validate(warp: Interpolated, grid_step: float, margin_floor: float):
-    grid = np.arange(warp.t_lo - 2.0, 1.0 + grid_step / 2, grid_step)
+    grid = validation_grid(warp, grid_step)
     m = condition_margins(warp, grid)
-    mins = m.min(axis=0)
     ok = bool(np.all(m > margin_floor))
     i, j = np.unravel_index(np.argmin(m), m.shape)
-    worst = (float(grid[i]), "abcd"[j], float(m[i, j]))
-    return ok, mins, worst
+    return ok, (float(grid[i]), "abcd"[j], float(m[i, j]))
 
 
 def build_interpolation(
@@ -236,7 +227,7 @@ def build_interpolation(
     worst_seen = None
     for _ in range(max_widenings + 1):
         warp = Interpolated(lo, float(t_hi))
-        ok, _, worst = _validate(warp, grid_step, margin_floor)
+        ok, worst = _validate(warp, grid_step, margin_floor)
         if ok:
             return warp
         worst_seen = worst

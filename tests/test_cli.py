@@ -130,8 +130,8 @@ def test_volume_command(capsys):
     )
     assert code == 0
     payload = json.loads(out)
-    assert set(payload) == {"integral", "tail_bound", "cutoff", "total"}
-    assert payload["integral"] == pytest.approx(5.0 / 6.0, abs=1e-10)
+    assert set(payload) == {"integral", "total"}
+    assert abs(payload["integral"] - 5.0 / 6.0) <= 1e-15
 
 
 def test_run_pipeline_writes_all_reports(tmp_path, capsys):
@@ -153,6 +153,10 @@ def test_run_pipeline_writes_all_reports(tmp_path, capsys):
     assert np.isfinite(verdict["pinched_from"])
     assert verdict["scale"] > 1.0
     assert verdict["total_volume"] > 0.0
+    # the one volume of a run is volume.json's; certify reports none
+    cert = json.loads((outdir / "certify.json").read_text())
+    assert "volume" not in cert and "vol_c" not in cert["config"]
+    assert verdict["total_volume"] == json.loads((outdir / "volume.json").read_text())["total"]
     # the embedded config reproduces the run
     assert summary["config"]["certify"]["t_step"] == 0.5
 

@@ -28,8 +28,7 @@ def test_adaptive_quad_reports_nonconvergence():
 
 def test_pure_exp_integral_closed_form():
     res = cusp_volume(PureExp(), 1.0, 0.0, 1e-10)
-    assert abs(res.integral - 1.0 / 3.0) <= 1e-10
-    assert res.tail_bound <= 0.5e-10
+    assert abs(res.integral - 1.0 / 3.0) <= 1e-15 / 3.0
     assert res.total == res.integral
 
 
@@ -52,10 +51,11 @@ def test_interpolated_matches_shifted_beyond_transition():
 
 
 def test_interpolated_start_below_transition():
-    res = cusp_volume(Interpolated(-4.0, -1.0), 1.0, -5.0, 1e-6)
+    w = Interpolated(-4.0, -1.0)
+    res = cusp_volume(w, 1.0, -5.0, 1e-6)
     # integrand is e^(-3t) far below the transition; sanity lower bound
     assert res.integral > np.exp(15.0) / 3.0
-    assert res.cutoff >= -1.0
+    assert abs(res.integral - reference_integral(w, -5.0)) <= 1e-6
 
 
 def test_additivity_of_the_split_integral():
@@ -69,10 +69,12 @@ def test_additivity_of_the_split_integral():
 
 
 def test_reported_bound_monotone_under_tightening():
+    # from t0 = -5 the whole window [-4, -1] goes to the quadrature
     bounds = []
     for tol in (1e-6, 1e-8, 1e-10, 1e-12):
-        res = cusp_volume(ShiftedExp(), 1.0, 0.0, tol)
-        bounds.append(res.quad_error + res.tail_bound)
+        res = cusp_volume(Interpolated(-4.0, -1.0), 1.0, -5.0, tol)
+        assert 0.0 < res.quad_error <= tol
+        bounds.append(res.quad_error)
     assert all(b1 >= b2 for b1, b2 in zip(bounds, bounds[1:]))
 
 
@@ -121,18 +123,33 @@ def test_transition_window_ends_start_the_partition(t_lo, t_hi, t0, tol):
     assert abs(res.integral - reference_integral(w, t0)) <= tol
 
 
-def test_breakpoints_split_the_initial_partition():
-    calls = []
+@settings(max_examples=200, deadline=None)
+@given(
+    t_hi=st.floats(min_value=-3.0, max_value=0.0),
+    width=st.floats(min_value=0.1, max_value=5.0),
+    where=st.sampled_from(["below", "inside", "above"]),
+    u=st.floats(min_value=0.0, max_value=1.0),
+    log_tol=st.floats(min_value=-10.0, max_value=-5.0),
+)
+def test_interpolated_matches_quadpack(t_hi, width, where, u, log_tol):
+    w = Interpolated(t_hi - width, t_hi)
+    t0 = {"below": w.t_lo - 2.0 * u, "inside": w.t_lo + width * u,
+          "above": t_hi + 2.0 * u}[where]
+    # absolute tolerance scaled with the integral's size, e^(-3 t0) / 3
+    tol = 10.0**log_tol * max(1.0, float(np.exp(-3.0 * t0)))
+    res = cusp_volume(w, 1.0, t0, tol)
+    assert abs(res.integral - reference_integral(w, t0)) <= tol
 
-    def fn(x):
-        calls.append((float(x.min()), float(x.max())))
-        return np.abs(x)
 
-    val, _ = adaptive_quad(fn, -1.0, 2.0, 1e-12, breakpoints=(0.0, 5.0, -1.0))
-    assert abs(val - 2.5) <= 1e-12
-    # |x| is a polynomial on each side of 0, so the two panels suffice
-    assert len(calls) == 2
-    assert calls[0][1] < 0.0 < calls[1][0]
+@settings(max_examples=200, deadline=None)
+@given(t0=st.floats(min_value=-20.0, max_value=20.0))
+def test_closed_form_families_are_exact(t0):
+    pure = cusp_volume(PureExp(), 1.0, t0, 1e-10).integral
+    shifted = cusp_volume(ShiftedExp(), 1.0, t0, 1e-10).integral
+    expect_pure = np.exp(-3.0 * t0) / 3.0
+    expect_shifted = np.exp(-2.0 * t0) / 2.0 + np.exp(-3.0 * t0) / 3.0
+    assert abs(pure - expect_pure) <= 1e-15 * expect_pure
+    assert abs(shifted - expect_shifted) <= 1e-15 * expect_shifted
 
 
 @settings(max_examples=100, deadline=None)

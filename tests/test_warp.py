@@ -9,7 +9,6 @@ from solcusp.warp import (
     PureExp,
     ShiftedExp,
     build_interpolation,
-    check_conditions,
     condition_margins,
 )
 
@@ -67,27 +66,26 @@ def test_derivative_consistency(warp):
 
 
 def test_margins_shifted_exp_at_zero():
-    (m,) = check_conditions(ShiftedExp(), [0.0])
-    assert m.t == 0.0
-    assert m.a == pytest.approx(1.0, abs=1e-15)
-    assert m.b == pytest.approx(1.0, abs=1e-15)
-    assert m.c == pytest.approx(1.0, abs=1e-15)
-    assert m.d == pytest.approx(2.75, abs=1e-15)
-    assert m.min == pytest.approx(1.0, abs=1e-15)
+    ((a, b, c, d),) = condition_margins(ShiftedExp(), [0.0])
+    assert a == pytest.approx(1.0, abs=1e-15)
+    assert b == pytest.approx(1.0, abs=1e-15)
+    assert c == pytest.approx(1.0, abs=1e-15)
+    assert d == pytest.approx(2.75, abs=1e-15)
+    assert min(a, b, c, d) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_margin_a_fails_for_pure_exp_at_positive_t():
-    (m,) = check_conditions(PureExp(), [0.5])
-    assert m.a == pytest.approx(np.exp(-0.5) - 1.0, abs=1e-15)
-    assert m.a < 0.0
+    ((a, _, _, _),) = condition_margins(PureExp(), [0.5])
+    assert a == pytest.approx(np.exp(-0.5) - 1.0, abs=1e-15)
+    assert a < 0.0
 
 
 def test_margins_pure_exp_negative_t():
-    (m,) = check_conditions(PureExp(), [-1.0])
-    assert m.a == pytest.approx(E - 1.0, rel=1e-15)
-    assert m.b == pytest.approx(E, rel=1e-15)
-    assert m.c == pytest.approx(E, rel=1e-15)
-    assert m.d == pytest.approx(1.0 + E * E, rel=1e-15)
+    ((a, b, c, d),) = condition_margins(PureExp(), [-1.0])
+    assert a == pytest.approx(E - 1.0, rel=1e-15)
+    assert b == pytest.approx(E, rel=1e-15)
+    assert c == pytest.approx(E, rel=1e-15)
+    assert d == pytest.approx(1.0 + E * E, rel=1e-15)
 
 
 def test_pure_exp_margin_d_has_no_quadratic_term():
@@ -99,7 +97,7 @@ def test_pure_exp_margin_d_has_no_quadratic_term():
 
 def test_check_conditions_rejects_empty_grid():
     with pytest.raises(ValueError):
-        check_conditions(ShiftedExp(), [])
+        condition_margins(ShiftedExp(), [])
 
 
 def test_check_conditions_rejects_nonpositive_f():
@@ -109,7 +107,7 @@ def test_check_conditions_rejects_nonpositive_f():
             return -np.ones_like(t), np.zeros_like(t), np.zeros_like(t)
 
     with pytest.raises(ValueError, match="f\\(t\\) <= 0"):
-        check_conditions(Sinking(), [0.0])
+        condition_margins(Sinking(), [0.0])
 
 
 def test_build_interpolation_default_window_validates():
