@@ -27,7 +27,6 @@ from .curvature import (
     RiemannTensor,
     christoffel,
     flat_metric_point,
-    frame_plane_curvatures,
     hyperbolic_metric_point,
     match_component_table,
     metric_at,
@@ -84,7 +83,6 @@ __all__ = [
     "extremize_k",
     "extremize_point",
     "flat_metric_point",
-    "frame_plane_curvatures",
     "hyperbolic_metric_point",
     "match_component_table",
     "metric_at",

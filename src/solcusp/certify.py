@@ -21,7 +21,8 @@ Pf = 0, else a zero of Pf on the extremal eigenspace (the two 2x2 blocks
 share their spectrum at z = 0, so ``eigh`` returns mixtures of them), else
 the best of the six frame planes.  The gap between the witness's curvature
 and the eigenvalue is reported per point as ``method_agreement`` and
-flagged when it exceeds the configured bound -- never silently accepted.
+flagged when it exceeds the fixed bound ``_AGREEMENT_TOL`` = 1e-12 --
+never silently accepted.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curvature import PAIRS, AXIS_NAMES, MetricPoint, metric_at, riemann_closed
-from .warp import Interpolated, PureExp, ShiftedExp, condition_margins, regimes
+from .curvature import PAIRS, PAIR_NAMES, MetricPoint, metric_at, riemann_closed
+from .warp import condition_margins, regimes, worst_margin
 
 __all__ = [
     "WitnessPlane",
@@ -48,6 +49,8 @@ __all__ = [
 _PF_TOL = 1e-9
 # eigenvalues within this (relative to max(1, |lambda|)) share an eigenspace
 _EIGENSPACE_TOL = 1e-9
+# witness gaps above this are flagged; every gap observed is <= 7e-16
+_AGREEMENT_TOL = 1e-12
 # Plucker quadric Pf(w) = w0 w5 - w1 w4 + w2 w3 = w^T P w on the pair basis;
 # it vanishes exactly on simple bivectors
 _PF_FORM = np.zeros((6, 6))
@@ -63,9 +66,8 @@ def _k_of_plane(Q: np.ndarray, u: np.ndarray, v: np.ndarray) -> float:
 def _plane_from_bivector(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal (u, v) spanning the plane of a simple unit bivector."""
     W = np.zeros((4, 4))
-    for a, (i, j) in enumerate(PAIRS):
-        W[i, j] = w[a]
-        W[j, i] = -w[a]
+    i, j = np.transpose(PAIRS)
+    W[i, j], W[j, i] = w, -w
     U, _, _ = np.linalg.svd(W)
     return U[:, 0], U[:, 1]
 
@@ -121,10 +123,6 @@ class WitnessPlane:
             object.__setattr__(self, name, arr)
             arr.setflags(write=False)
 
-    def plane_frame(self) -> tuple[np.ndarray, np.ndarray]:
-        """The g-orthonormal pair (u, v) in frame components."""
-        return self.u, self.v
-
     def plane_coord(self) -> tuple[np.ndarray, np.ndarray]:
         """The pair in coordinate components (for sectional_curvature)."""
         return self.u * self.frame_to_coord, self.v * self.frame_to_coord
@@ -164,10 +162,7 @@ def extremize_point(p: MetricPoint) -> CurvatureBounds:
         argmin_plane=WitnessPlane(u_min, v_min, scales),
         argmax_plane=WitnessPlane(u_max, v_max, scales),
         method_agreement=max(abs(k_at_min - k_min), abs(k_at_max - k_max)),
-        frame_plane_k={
-            f"{AXIS_NAMES[i]}{AXIS_NAMES[j]}": float(Q[a, a])
-            for a, (i, j) in enumerate(PAIRS)
-        },
+        frame_plane_k={name: float(Q[a, a]) for a, name in enumerate(PAIR_NAMES)},
     )
 
 
@@ -237,7 +232,6 @@ class CertificationReport:
     pinched_from: float
     scale: float
     floor: float
-    agreement_tol: float
     flagged_points: list[float]
     witness: dict | None
     tail_notes: list[str]
@@ -245,26 +239,23 @@ class CertificationReport:
 
     def curve_rows(self):
         """(t, k_min, k_max, margin_a..d, method_agreement) per grid point."""
-        rows = []
-        for i, b in enumerate(self.bounds_curve):
-            a, bb, c, d = self.margins[i]
-            rows.append((b.t, b.k_min, b.k_max, a, bb, c, d, b.method_agreement))
-        return rows
+        return [(b.t, b.k_min, b.k_max, *m, b.method_agreement)
+                for b, m in zip(self.bounds_curve, self.margins)]
 
 
 def _tail_notes(warp) -> list[str]:
+    lo, hi = regimes(warp) or (-np.inf, np.inf)
     notes = []
-    if isinstance(warp, (PureExp, Interpolated)):
-        lo = getattr(warp, "t_lo", None)
-        span = f"t <= {lo:g}" if lo is not None else "all t < 0"
+    if lo > -np.inf:
+        # lo = inf only for pure-exp, whose conditions hold for t < 0 alone
+        span = f"t <= {lo:g}" if np.isfinite(lo) else "all t < 0"
         notes.append(
             f"{span}: f = e^-t regime; frame planes give K(Et,.) = -1, "
             "K(Ex,Ey) = e^2t - 1, K(Ex,Ez) = K(Ey,Ez) = -e^2t - 1; "
             "all limits -> -1 as t -> -inf"
         )
-    if isinstance(warp, (ShiftedExp, Interpolated)):
-        hi = getattr(warp, "t_hi", None)
-        span = f"t >= {hi:g}" if hi is not None else "all t"
+    if hi < np.inf:
+        span = f"t >= {hi:g}" if np.isfinite(hi) else "all t"
         notes.append(
             f"{span}: f = 1 + e^-t regime; k_max -> 0- like -f''/f = "
             "-e^-t/(1+e^-t) and k_min -> -2 as t -> +inf"
@@ -277,7 +268,6 @@ def certify(
     t_range: tuple[float, float],
     t_step: float,
     floor: float = 1e-9,
-    agreement_tol: float = 1e-4,
 ) -> CertificationReport:
     """Certify K < 0 on a t-grid and locate the pinched suffix.
 
@@ -295,62 +285,44 @@ def certify(
     grid = np.arange(t0, t1 + t_step / 2.0, t_step)
 
     config = {
-        "t_min": t0, "t_max": t1, "t_step": float(t_step),
-        "floor": float(floor), "agreement_tol": float(agreement_tol),
+        "t_min": t0, "t_max": t1, "t_step": float(t_step), "floor": float(floor),
     }
     margins = condition_margins(warp, grid)
-    notes = _tail_notes(warp)
+    curve, max_k, flagged = [], np.nan, []
+    scale, pinched_from = np.nan, np.inf
 
-    if np.any(margins.min(axis=1) <= 0.0):
-        i, j = np.unravel_index(np.argmin(margins), margins.shape)
-        witness = {
-            "kind": "condition",
-            "t": float(grid[i]),
-            "condition": "abcd"[j],
-            "margin": float(margins[i, j]),
-        }
-        return CertificationReport(
-            status="refused_conditions", grid=grid, bounds_curve=[],
-            margins=margins, global_negative=False, max_k=np.nan,
-            pinched_from=np.inf, scale=np.nan,
-            floor=floor, agreement_tol=agreement_tol,
-            flagged_points=[], witness=witness, tail_notes=notes,
-            config=config,
-        )
-
-    curve = [extremize_k(warp, float(t)) for t in grid]
-
-    k_max_arr = np.array([b.k_max for b in curve])
-    max_k = float(np.max(k_max_arr))
-    flagged = [b.t for b in curve if b.method_agreement > agreement_tol]
-
-    witness = None
-    if max_k >= 0.0:
-        i = int(np.argmax(k_max_arr))
-        u, v = curve[i].argmax_plane.plane_frame()
-        witness = {
-            "kind": "positive_curvature",
-            "t": float(curve[i].t),
-            "k_max": float(curve[i].k_max),
-            "plane_basis": [u.tolist(), v.tolist()],
-        }
-        status = "violation"
-    elif max_k >= -floor:
-        status = "inconclusive"
+    t_w, cond, val = worst_margin(grid, margins)
+    if val <= 0.0:
+        status = "refused_conditions"
+        witness = {"kind": "condition", "t": t_w, "condition": cond,
+                   "margin": val}
     else:
-        status = "certified"
-
-    global_negative = status == "certified"
-    scale, pinched_from = (np.nan, np.inf)
-    if global_negative:
-        scale, pinched_from = rescale_to_pinching(
-            curve, floor, tail_k_bound(warp, float(grid[-1])))
+        curve = [extremize_k(warp, float(t)) for t in grid]
+        k_max_arr = np.array([b.k_max for b in curve])
+        max_k = float(np.max(k_max_arr))
+        flagged = [b.t for b in curve if b.method_agreement > _AGREEMENT_TOL]
+        witness = None
+        if max_k >= 0.0:
+            worst = curve[int(np.argmax(k_max_arr))]
+            plane = worst.argmax_plane
+            witness = {
+                "kind": "positive_curvature",
+                "t": float(worst.t),
+                "k_max": float(worst.k_max),
+                "plane_basis": [plane.u.tolist(), plane.v.tolist()],
+            }
+            status = "violation"
+        elif max_k >= -floor:
+            status = "inconclusive"
+        else:
+            status = "certified"
+            scale, pinched_from = rescale_to_pinching(
+                curve, floor, tail_k_bound(warp, float(grid[-1])))
 
     return CertificationReport(
         status=status, grid=grid, bounds_curve=curve, margins=margins,
-        global_negative=global_negative, max_k=max_k,
-        pinched_from=pinched_from, scale=scale,
-        floor=floor, agreement_tol=agreement_tol,
-        flagged_points=flagged, witness=witness, tail_notes=notes,
+        global_negative=status == "certified", max_k=max_k,
+        pinched_from=pinched_from, scale=scale, floor=floor,
+        flagged_points=flagged, witness=witness, tail_notes=_tail_notes(warp),
         config=config,
     )

@@ -38,9 +38,9 @@ from .lattice import (
 from .serialize import to_json_text, write_csv_text
 from .volume import cusp_volume
 from .warp import (
-    Interpolated,
     build_interpolation,
     condition_margins,
+    regimes,
     validation_grid,
     warp_from_name,
 )
@@ -57,11 +57,10 @@ _DEFAULT_CONFIG = {
     "warp": {"family": "interpolated", "t0": -4.0, "t1": -1.0,
              "step": 1e-3, "margin": 1e-6},
     "riemann": {"t_grid": [-2.0, -1.0, 0.0, 1.0, 2.0],
-                "z_grid": [-1.0, -0.5, 0.0, 0.5, 1.0], "h": 1e-4},
-    "certify": {"t_min": -6.0, "t_max": 10.0, "t_step": 0.05,
-                "floor": 1e-9, "agreement_tol": 1e-4},
+                "z_grid": [-1.0, -0.5, 0.0, 0.5, 1.0]},
+    "certify": {"t_min": -6.0, "t_max": 10.0, "t_step": 0.05, "floor": 1e-9},
     "volume": {"t0": 0.0, "tol": 1e-10},
-    "output": {"directory": ".", "formats": ["json", "csv"]},
+    "output": {"directory": "."},
 }
 
 
@@ -126,17 +125,13 @@ def _warp_payload(warp, grid_step: float) -> dict:
     margins = condition_margins(warp, validation_grid(warp, grid_step))
     payload = {
         "family": warp.family,
-        "min_margins": {
-            "a": float(margins[:, 0].min()),
-            "b": float(margins[:, 1].min()),
-            "c": float(margins[:, 2].min()),
-            "d": float(margins[:, 3].min()),
-        },
+        "min_margins": dict(zip("abcd", map(float, margins.min(axis=0)))),
         "grid_step": grid_step,
     }
-    if isinstance(warp, Interpolated):
-        payload["T0"] = warp.t_lo
-        payload["T1"] = warp.t_hi
+    lo, hi = regimes(warp)
+    if np.isfinite(lo):
+        payload["T0"] = lo
+        payload["T1"] = hi
     return payload
 
 
@@ -167,9 +162,9 @@ def _parse_grid(spec: str) -> list[float]:
     return list(np.linspace(float(lo), float(hi), int(count)))
 
 
-def _riemann_payload(warp, t_grid, z_grid, h: float) -> dict:
+def _riemann_payload(warp, t_grid, z_grid) -> dict:
     points = [(t, z) for t in t_grid for z in z_grid]
-    report = match_component_table(warp, points, h=h)
+    report = match_component_table(warp, points)
     return {
         "index_map": {str(k): v for k, v in report.index_map.items()},
         "sign": report.sign,
@@ -184,7 +179,7 @@ def _riemann_payload(warp, t_grid, z_grid, h: float) -> dict:
 def cmd_verify_riemann(args) -> int:
     warp = _warp_from_args(args)
     payload = _riemann_payload(
-        warp, _parse_grid(args.t_grid), _parse_grid(args.z_grid), args.h
+        warp, _parse_grid(args.t_grid), _parse_grid(args.z_grid)
     )
     _emit(args, payload, "riemann.json")
     return 0
@@ -198,7 +193,6 @@ def _certify_payload(report: CertificationReport) -> dict:
         "pinched_from": report.pinched_from,
         "scale": report.scale,
         "floor": report.floor,
-        "agreement_tol": report.agreement_tol,
         "flagged_points": report.flagged_points,
         "witness": report.witness,
         "tail_notes": report.tail_notes,
@@ -217,10 +211,7 @@ def _certify_csv(report: CertificationReport) -> str:
 
 def cmd_certify(args) -> int:
     warp = _warp_from_args(args)
-    report = certify(
-        warp, (args.t_min, args.t_max), args.step,
-        floor=args.floor, agreement_tol=args.agreement_tol,
-    )
+    report = certify(warp, (args.t_min, args.t_max), args.step, floor=args.floor)
     _emit(args, _certify_payload(report), "certify.json")
     if args.csv:
         Path(args.csv).write_text(_certify_csv(report))
@@ -260,17 +251,15 @@ def cmd_run(args) -> int:
         write("warp.json", _warp_payload(warp, config["warp"]["step"]))
 
         rc = config["riemann"]
-        riemann_payload = _riemann_payload(warp, rc["t_grid"], rc["z_grid"], rc["h"])
+        riemann_payload = _riemann_payload(warp, rc["t_grid"], rc["z_grid"])
         write("riemann.json", riemann_payload)
 
         cc = config["certify"]
         report = certify(
-            warp, (cc["t_min"], cc["t_max"]), cc["t_step"],
-            floor=cc["floor"], agreement_tol=cc["agreement_tol"],
+            warp, (cc["t_min"], cc["t_max"]), cc["t_step"], floor=cc["floor"],
         )
         write("certify.json", _certify_payload(report))
-        if "csv" in config["output"]["formats"]:
-            (outdir / "certify.csv").write_text(_certify_csv(report))
+        (outdir / "certify.csv").write_text(_certify_csv(report))
 
         vc = config["volume"]
         vol = _volume_payload(warp, vol_c, vc["t0"], vc["tol"])
@@ -334,7 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_warp_flags(p)
     p.add_argument("--t-grid", default="-2:2:5", help="lo:hi:count")
     p.add_argument("--z-grid", default="-1:1:5", help="lo:hi:count")
-    p.add_argument("--h", type=float, default=1e-4)
     p.set_defaults(fn=cmd_verify_riemann)
 
     p = sub.add_parser("certify", help="bound sectional curvature over a grid")
@@ -343,7 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-max", type=float, default=10.0)
     p.add_argument("--step", type=float, default=0.05)
     p.add_argument("--floor", type=float, default=1e-9)
-    p.add_argument("--agreement-tol", type=float, default=1e-4)
     p.add_argument("--csv", default=None, help="write the bounds curve CSV here")
     p.set_defaults(fn=cmd_certify)
 
@@ -357,6 +344,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="full pipeline with report files")
     p.set_defaults(fn=cmd_run)
 
+    # no prefix matching: a removed flag such as --h must fail, not parse as --help
+    for p in (parser, *sub.choices.values()):
+        p.allow_abbrev = False
     return parser
 
 

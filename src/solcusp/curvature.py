@@ -9,8 +9,8 @@ Two pipelines compute the lowered Riemann tensor:
 
 * ``riemann_closed``   -- analytic metric derivatives (needs f, f', f'' only);
 * ``riemann_fd``       -- central finite differences of the Christoffel
-  symbols in z and t, with one Richardson level by default.  This is the
-  independent oracle every closed-form result is checked against.
+  symbols in z and t at step ``_FD_STEP``, with one Richardson level.  This
+  is the independent oracle every closed-form result is checked against.
 
 Sign convention: R_ijkl = g_im (d_k Gamma^m_lj - d_l Gamma^m_kj + ...),
 contracted as R(u,v,u,v) = R_ijkl u^i v^j u^k v^l in sectional curvature.
@@ -29,6 +29,7 @@ import numpy as np
 __all__ = [
     "DIM",
     "PAIRS",
+    "PAIR_NAMES",
     "MetricPoint",
     "RiemannTensor",
     "MatchReport",
@@ -44,8 +45,6 @@ __all__ = [
     "riemann_fd",
     "riemann_fd_general",
     "sectional_curvature",
-    "frame_pair_matrix",
-    "frame_plane_curvatures",
     "component_table",
     "match_component_table",
 ]
@@ -57,6 +56,9 @@ PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 _PAIR_I = np.array([i for i, _ in PAIRS])
 _PAIR_J = np.array([j for _, j in PAIRS])
 AXIS_NAMES = ("x", "y", "z", "t")
+PAIR_NAMES = tuple(AXIS_NAMES[i] + AXIS_NAMES[j] for i, j in PAIRS)
+# finite-difference step of riemann_fd; Richardson adds the step _FD_STEP / 2
+_FD_STEP = 1e-4
 
 
 class DegeneratePlaneError(ValueError):
@@ -77,7 +79,6 @@ class MetricPoint:
     g_inv: np.ndarray    # (4, 4) diagonal
     dg: np.ndarray       # (4, 4, 4)
     d2g: np.ndarray      # (4, 4, 4, 4)
-    warp: object | None = None
 
     def __post_init__(self) -> None:
         for arr in (self.g, self.g_inv, self.dg, self.d2g):
@@ -129,7 +130,7 @@ def metric_at(warp, t: float, z: float) -> MetricPoint:
     d2g[T, Z, Y, Y] = d2g[Z, T, Y, Y] = -4.0 * B
     d2g[T, T, Z, Z] = 2.0 * (fp * fp + f * fpp)
 
-    return MetricPoint(t=t, z=z, g=g, g_inv=g_inv, dg=dg, d2g=d2g, warp=warp)
+    return MetricPoint(t=t, z=z, g=g, g_inv=g_inv, dg=dg, d2g=d2g)
 
 
 def flat_metric_point() -> MetricPoint:
@@ -175,30 +176,20 @@ def sol_product_metric_point(z: float, t: float = 0.0) -> MetricPoint:
     return MetricPoint(t=float(t), z=z, g=g, g_inv=g_inv, dg=dg, d2g=d2g)
 
 
+def _first_kind(dg: np.ndarray) -> np.ndarray:
+    """T[..., m, j, k] = d_j g_mk + d_k g_mj - d_m g_jk; leading axes pass through."""
+    return np.einsum("...jmk->...mjk", dg) + np.einsum("...kmj->...mjk", dg) - dg
+
+
 def christoffel(p: MetricPoint) -> np.ndarray:
     """Levi-Civita symbols Gamma^i_jk, shape (4, 4, 4), symmetric in (j, k)."""
-    # T[m,j,k] = d_j g_mk + d_k g_mj - d_m g_jk
-    T = (
-        np.einsum("jmk->mjk", p.dg)
-        + np.einsum("kmj->mjk", p.dg)
-        - p.dg
-    )
-    return 0.5 * np.einsum("im,mjk->ijk", p.g_inv, T)
+    return 0.5 * np.einsum("im,mjk->ijk", p.g_inv, _first_kind(p.dg))
 
 
 def christoffel_derivatives(p: MetricPoint) -> np.ndarray:
     """Analytic d_l Gamma^i_jk, shape (4, 4, 4, 4) indexed [l, i, j, k]."""
-    T = (
-        np.einsum("jmk->mjk", p.dg)
-        + np.einsum("kmj->mjk", p.dg)
-        - p.dg
-    )
-    # d_l T from second partials
-    dT = (
-        np.einsum("ljmk->lmjk", p.d2g)
-        + np.einsum("lkmj->lmjk", p.d2g)
-        - np.einsum("lmjk->lmjk", p.d2g)
-    )
+    T = _first_kind(p.dg)
+    dT = _first_kind(p.d2g)
     # d_l g^im = -g^ia (d_l g_ab) g^bm
     dginv = -np.einsum("ia,lab,bm->lim", p.g_inv, p.dg, p.g_inv)
     return 0.5 * (
@@ -276,23 +267,15 @@ def riemann_closed(p: MetricPoint) -> RiemannTensor:
     return _riemann_from_gamma(christoffel(p), christoffel_derivatives(p), p.g)
 
 
-def riemann_fd_general(
-    metric_fn,
-    t: float,
-    z: float,
-    h: float = 1e-4,
-    richardson: bool = True,
-) -> RiemannTensor:
+def riemann_fd_general(metric_fn, t: float, z: float) -> RiemannTensor:
     """FD pipeline for any (t, z) |-> MetricPoint family.
 
     Central differences of the Christoffel symbols in the z and t
-    directions (the ansatz coefficients depend on nothing else); one
-    Richardson extrapolation level (h and h/2) is applied by default,
-    which is what keeps the agreement with the closed form at the 1e-6
-    level even where the metric coefficients reach e^8.
+    directions (the ansatz coefficients depend on nothing else) at steps
+    h = ``_FD_STEP`` and h/2, combined by one Richardson extrapolation
+    level, which is what keeps the agreement with the closed form at the
+    1e-6 level even where the metric coefficients reach e^8.
     """
-    if not (1e-6 <= h <= 1e-2):
-        raise ValueError(f"h must lie in [1e-6, 1e-2], got {h}")
     p = metric_fn(t, z)
     Gam = christoffel(p)
 
@@ -306,15 +289,13 @@ def riemann_fd_general(
         ) / (2.0 * step)
         return d
 
-    dGam = dgamma(h)
-    if richardson:
-        dGam = (4.0 * dgamma(h / 2.0) - dGam) / 3.0
+    dGam = (4.0 * dgamma(_FD_STEP / 2.0) - dgamma(_FD_STEP)) / 3.0
     return _riemann_from_gamma(Gam, dGam, p.g)
 
 
-def riemann_fd(warp, t: float, z: float, h: float = 1e-4, richardson: bool = True) -> RiemannTensor:
+def riemann_fd(warp, t: float, z: float) -> RiemannTensor:
     """Finite-difference Riemann tensor of the cusp ansatz (oracle pipeline)."""
-    return riemann_fd_general(lambda tt, zz: metric_at(warp, tt, zz), t, z, h, richardson)
+    return riemann_fd_general(lambda tt, zz: metric_at(warp, tt, zz), t, z)
 
 
 def sectional_curvature(R: RiemannTensor, p: MetricPoint, u, v) -> float:
@@ -334,20 +315,6 @@ def sectional_curvature(R: RiemannTensor, p: MetricPoint, u, v) -> float:
         raise DegeneratePlaneError("vectors do not span a nondegenerate 2-plane")
     num = np.einsum("ijkl,i,j,k,l->", R.full, u, v, u, v)
     return float(num / gram)
-
-
-def frame_pair_matrix(warp, t: float, z: float = 0.0) -> np.ndarray:
-    """6x6 curvature form over the 2-form basis of the orthonormal frame."""
-    return riemann_closed(metric_at(warp, t, z)).pair_matrix(frame=True)
-
-
-def frame_plane_curvatures(warp, t: float, z: float = 0.0) -> dict[str, float]:
-    """Sectional curvatures of the six coordinate frame planes."""
-    Q = frame_pair_matrix(warp, t, z)
-    return {
-        f"{AXIS_NAMES[i]}{AXIS_NAMES[j]}": float(Q[a, a])
-        for a, (i, j) in enumerate(PAIRS)
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +396,7 @@ def _pair_slots(assign: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.nda
 _LABELLINGS = tuple((assign, *_pair_slots(assign)) for assign in permutations(range(DIM)))
 
 
-def match_component_table(warp, points, h: float = 1e-4) -> MatchReport:
+def match_component_table(warp, points) -> MatchReport:
     """Search label assignments and signs for the component table.
 
     For every one of the 24 assignments of labels {1,2,3,4} to coordinates
@@ -455,7 +422,7 @@ def match_component_table(warp, points, h: float = 1e-4) -> MatchReport:
     agreement = 0.0
     bianchi = 0.0
     for (t, z) in points:
-        R_fd = riemann_fd(warp, t, z, h=h)
+        R_fd = riemann_fd(warp, t, z)
         R_cl = riemann_closed(metric_at(warp, t, z))
         agreement = max(agreement, float(np.max(np.abs(R_fd.full - R_cl.full))))
         bianchi = max(bianchi, R_fd.bianchi_residual())
@@ -488,12 +455,8 @@ def match_component_table(warp, points, h: float = 1e-4) -> MatchReport:
     extras = []
     for n, a, b in zip(*np.nonzero(unlisted & (np.abs(Q) > 1e-7))):
         t, z = points[n]
-        pa, pb = PAIRS[a], PAIRS[b]
         extras.append({
-            "pairs": (
-                AXIS_NAMES[pa[0]] + AXIS_NAMES[pa[1]],
-                AXIS_NAMES[pb[0]] + AXIS_NAMES[pb[1]],
-            ),
+            "pairs": (PAIR_NAMES[a], PAIR_NAMES[b]),
             "t": float(t),
             "z": float(z),
             "value": float(Q[n, a, b]),

@@ -60,9 +60,6 @@ class AnosovMatrix:
     def trace(self) -> int:
         return self.a + self.d
 
-    def as_array(self) -> np.ndarray:
-        return np.array([[self.a, self.b], [self.c, self.d]], dtype=float)
-
     def eigenvalues(self) -> tuple[float, float]:
         """(lam, 1/lam) with |lam| > 1, by the quadratic formula."""
         tr = float(self.trace)

@@ -23,7 +23,7 @@ __all__ = ["VolumeResult", "QuadratureError", "cusp_volume", "adaptive_quad"]
 
 
 class QuadratureError(RuntimeError):
-    """Adaptive subdivision failed to reach the requested tolerance."""
+    """Adaptive subdivision cannot reach the requested tolerance."""
 
 
 # 15-point Kronrod nodes with Gauss-7 and Kronrod-15 weights
@@ -51,14 +51,15 @@ _W_GAUSS = np.array([
 ])
 
 
-def _gk15(fn, a: float, b: float) -> tuple[float, float]:
+def _gk15(fn, a: float, b: float) -> tuple[float, float, float]:
+    """Kronrod sum, error estimate and Kronrod sum of |fn| on [a, b]."""
     half = 0.5 * (b - a)
     x = 0.5 * (a + b) + half * _GK_NODES
     y = fn(x)
     k = half * float(_W_KRONROD @ y)
     g = half * float(_W_GAUSS @ y)
     err = (200.0 * abs(k - g)) ** 1.5
-    return k, err
+    return k, err, half * float(_W_KRONROD @ np.abs(y))
 
 
 def adaptive_quad(fn, a: float, b: float, tol: float,
@@ -66,25 +67,32 @@ def adaptive_quad(fn, a: float, b: float, tol: float,
     """Adaptive Gauss-Kronrod on [a, b] to absolute tolerance tol.
 
     ``fn`` must accept an array of abscissae.  Returns (integral,
-    error_estimate); raises QuadratureError if the interval budget is
-    exhausted first.
+    error_estimate).  The estimate is never below the rounding level
+    50 eps * integral of |fn| on the first panel (QUADPACK's QK15 rule);
+    a tol below that level raises QuadratureError before any
+    subdivision, as does exhausting the interval budget.
     """
     if b <= a:
         raise ValueError("need a < b")
     intervals = [(a, b, *_gk15(fn, a, b))]
+    rounding = float(50.0 * np.finfo(float).eps * intervals[0][4])
+    if tol < rounding:
+        raise QuadratureError(
+            f"tol {tol:g} is below the rounding level {rounding:g} of the integral"
+        )
     while True:
         total = sum(iv[2] for iv in intervals)
         errs = [iv[3] for iv in intervals]
         err_sum = float(np.sqrt(np.sum(np.square(errs))))
         if err_sum <= tol:
-            return float(total), err_sum
+            return float(total), max(err_sum, rounding)
         if len(intervals) >= max_intervals:
             raise QuadratureError(
                 f"no convergence to {tol:g} within {max_intervals} intervals "
                 f"(reached {err_sum:g})"
             )
         worst = int(np.argmax(errs))
-        lo, hi, _, _ = intervals[worst]
+        lo, hi = intervals[worst][:2]
         mid = 0.5 * (lo + hi)
         intervals[worst] = (lo, mid, *_gk15(fn, lo, mid))
         intervals.append((mid, hi, *_gk15(fn, mid, hi)))

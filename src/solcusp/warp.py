@@ -15,7 +15,8 @@ are all positive:
 
 ``build_interpolation`` searches for a transition window wide enough that
 all four margins stay above a requested floor on a dense validation grid,
-widening the window geometrically until validation passes.
+widening the window geometrically (at most ``_MAX_WIDENINGS`` times) until
+validation passes.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ __all__ = [
     "InterpolationError",
     "regimes",
     "condition_margins",
+    "worst_margin",
     "validation_grid",
     "build_interpolation",
     "warp_from_name",
@@ -38,6 +40,8 @@ __all__ = [
 
 # exp(g) with |g| beyond this is numerically 0 or 1 in the step quotient
 _STEP_CLIP = 500.0
+# window doublings build_interpolation tries before giving up
+_MAX_WIDENINGS = 20
 
 
 class InterpolationError(RuntimeError):
@@ -186,18 +190,17 @@ def condition_margins(warp, t: np.ndarray) -> np.ndarray:
     return np.stack([a, b, c, d], axis=1)
 
 
+def worst_margin(t: np.ndarray, margins: np.ndarray) -> tuple[float, str, float]:
+    """(t, condition letter, margin) of the smallest margin on the grid t."""
+    i, j = np.unravel_index(np.argmin(margins), margins.shape)
+    return float(t[i]), "abcd"[j], float(margins[i, j])
+
+
 def validation_grid(warp, grid_step: float) -> np.ndarray:
-    """The dense margin grid [t_lo - 2, 1]; t_lo = -6 without a window."""
-    lo = getattr(warp, "t_lo", -6.0) - 2.0
-    return np.arange(lo, 1.0 + grid_step / 2, grid_step)
-
-
-def _validate(warp: Interpolated, grid_step: float, margin_floor: float):
-    grid = validation_grid(warp, grid_step)
-    m = condition_margins(warp, grid)
-    ok = bool(np.all(m > margin_floor))
-    i, j = np.unravel_index(np.argmin(m), m.shape)
-    return ok, (float(grid[i]), "abcd"[j], float(m[i, j]))
+    """The dense margin grid [t_lo - 2, 1]; t_lo = -6 without a finite window."""
+    ends = regimes(warp)
+    lo = ends[0] if ends is not None and np.isfinite(ends[0]) else -6.0
+    return np.arange(lo - 2.0, 1.0 + grid_step / 2, grid_step)
 
 
 def build_interpolation(
@@ -205,34 +208,29 @@ def build_interpolation(
     t_hi: float,
     grid_step: float = 1e-3,
     margin_floor: float = 1e-6,
-    max_widenings: int = 20,
 ) -> Interpolated:
     """Construct a validated interpolation between e^(-t) and 1 + e^(-t).
 
     Starting from the window (t_lo, t_hi), checks all four margins on the
     dense grid [t_lo - 2, 1] with the given step.  If any margin falls at
     or below ``margin_floor`` the window is widened, t_lo <- t_hi -
-    2*(t_hi - t_lo), up to ``max_widenings`` times.  Raises
+    2*(t_hi - t_lo), up to ``_MAX_WIDENINGS`` times.  Raises
     InterpolationError with the worst (t, condition, margin) if no window
     validates.
     """
-    if not (t_lo < t_hi <= 0.0):
-        raise ValueError(f"need t_lo < t_hi <= 0, got ({t_lo}, {t_hi})")
     if grid_step <= 0.0:
         raise ValueError("grid_step must be positive")
     if margin_floor < 0.0:
         raise ValueError("margin_floor must be nonnegative")
 
     lo = float(t_lo)
-    worst_seen = None
-    for _ in range(max_widenings + 1):
+    for _ in range(_MAX_WIDENINGS + 1):
         warp = Interpolated(lo, float(t_hi))
-        ok, worst = _validate(warp, grid_step, margin_floor)
-        if ok:
+        grid = validation_grid(warp, grid_step)
+        t_w, cond, val = worst_margin(grid, condition_margins(warp, grid))
+        if val > margin_floor:
             return warp
-        worst_seen = worst
         lo = t_hi - 2.0 * (t_hi - lo)
-    t_w, cond, val = worst_seen
     raise InterpolationError(
         f"no valid transition window down to t_lo={lo}: worst margin "
         f"({cond}) = {val:.3e} at t = {t_w:.6f}"

@@ -1,3 +1,6 @@
+import dataclasses
+import sys
+
 import numpy as np
 import pytest
 
@@ -69,7 +72,7 @@ def test_plane_charts_produce_orthonormal_pairs():
     b = extremize_k(ShiftedExp(), 0.0)
     p = metric_at(ShiftedExp(), 0.0, 0.0)
     for chart in (b.argmin_plane, b.argmax_plane):
-        u, v = chart.plane_frame()
+        u, v = chart.u, chart.v
         assert abs(u @ u - 1.0) <= 1e-12
         assert abs(v @ v - 1.0) <= 1e-12
         assert abs(u @ v) <= 1e-12
@@ -158,6 +161,41 @@ def test_certify_reports_regime_tail_notes():
     joined = " ".join(rep.tail_notes)
     assert "e^-t regime" in joined
     assert "1 + e^-t regime" in joined
+
+
+E_T_NOTE = ("f = e^-t regime; frame planes give K(Et,.) = -1, "
+            "K(Ex,Ey) = e^2t - 1, K(Ex,Ez) = K(Ey,Ez) = -e^2t - 1; "
+            "all limits -> -1 as t -> -inf")
+SHIFTED_NOTE = ("f = 1 + e^-t regime; k_max -> 0- like -f''/f = "
+                "-e^-t/(1+e^-t) and k_min -> -2 as t -> +inf")
+
+
+@pytest.mark.parametrize("warp,t_range,notes", [
+    (PureExp(), (-2.0, -1.0), [f"all t < 0: {E_T_NOTE}"]),
+    (ShiftedExp(), (-1.0, 1.0), [f"all t: {SHIFTED_NOTE}"]),
+    (Interpolated(-4.0, -1.0), (-1.0, 1.0),
+     [f"t <= -4: {E_T_NOTE}", f"t >= -1: {SHIFTED_NOTE}"]),
+], ids=lambda v: getattr(v, "family", None))
+def test_certify_tail_notes_are_exact_per_family(warp, t_range, notes):
+    # the strings are report bytes: certify.json must not change with them
+    assert certify(warp, t_range, 0.5).tail_notes == notes
+
+
+def test_certify_flags_witness_gaps_above_the_fixed_bound(monkeypatch):
+    # the flag bound is 1e-12: a gap of 2e-12 is flagged, 1e-12 is not,
+    # and neither changes the verdict
+    certify_module = sys.modules["solcusp.certify"]
+    exact = certify_module.extremize_k
+    gaps = {-1.0: 2e-12, 0.0: 1e-12}
+
+    def widened(warp, t):
+        b = exact(warp, t)
+        return dataclasses.replace(b, method_agreement=gaps.get(t, b.method_agreement))
+
+    monkeypatch.setattr(certify_module, "extremize_k", widened)
+    rep = certify(ShiftedExp(), (-1.0, 1.0), 0.5)
+    assert rep.status == "certified"
+    assert rep.flagged_points == [-1.0]
 
 
 def test_certify_validates_arguments():

@@ -96,9 +96,12 @@ def test_certify_command_certified(tmp_path, capsys):
     ["certify", "--seed", "0"],
     ["--seed", "0", "run"],
     ["--jobs", "2", "run"],
+    ["certify", "--agreement-tol", "1e-4"],
+    ["verify-riemann", "--h", "1e-4"],
 ])
 def test_sampling_flags_are_gone(argv, capsys):
-    # nothing is sampled, so there is no budget, seed or worker count
+    # nothing is sampled, so there is no budget, seed or worker count; the
+    # witness-gap bound and the finite-difference step are fixed
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
@@ -110,6 +113,19 @@ def test_run_pipeline_rejects_removed_sampling_fields(tmp_path, capsys):
     cfg.write_text(json.dumps({"certify": {"n_samples": 2000}}))
     code, _ = run_cli(capsys, "--config", str(cfg), "--output", str(tmp_path / "o"), "run")
     assert code == 1
+
+
+@pytest.mark.parametrize("section,field,value", [
+    ("certify", "agreement_tol", 1e-4),
+    ("riemann", "h", 1e-4),
+    ("output", "formats", ["json", "csv"]),
+])
+def test_run_pipeline_rejects_removed_config_fields(tmp_path, capsys, section, field, value):
+    # fixed behaviour now: a 1e-12 flag bound, a 1e-4 step, certify.csv always
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({section: {field: value}}))
+    assert main(["--config", str(cfg), "--output", str(tmp_path / "o"), "run"]) == 1
+    assert capsys.readouterr().err == f"error: unknown config field: {section}.{field}\n"
 
 
 def test_certify_command_refuses_pure_exp_on_positive_range(capsys):

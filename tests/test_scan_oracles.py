@@ -74,14 +74,14 @@ def loop_slots(assign):
     return slots
 
 
-def reference_match(warp, points, h=1e-4):
+def reference_match(warp, points):
     """The labelling scan with every table and pair matrix rebuilt per pair."""
     points = list(points)
     computed = []
     agreement = 0.0
     bianchi = 0.0
     for (t, z) in points:
-        R_fd = curvature.riemann_fd(warp, t, z, h=h)
+        R_fd = curvature.riemann_fd(warp, t, z)
         R_cl = riemann_closed(metric_at(warp, t, z))
         agreement = max(agreement, float(np.max(np.abs(R_fd.full - R_cl.full))))
         bianchi = max(bianchi, R_fd.bianchi_residual())
@@ -163,8 +163,8 @@ def test_scan_equals_per_point_loop_with_extra_components(monkeypatch):
     rng = np.random.default_rng(7)
     exact = curvature.riemann_fd
 
-    def noisy(warp, t, z, h=1e-4, richardson=True):
-        R = exact(warp, t, z, h, richardson)
+    def noisy(warp, t, z):
+        R = exact(warp, t, z)
         return curvature.RiemannTensor(full=R.full + 1e-6 * rng.standard_normal((4,) * 4),
                                        g=np.array(R.g))
 

@@ -69,13 +69,21 @@ def test_additivity_of_the_split_integral():
 
 
 def test_reported_bound_monotone_under_tightening():
-    # from t0 = -5 the whole window [-4, -1] goes to the quadrature
+    # from t0 = -5 the whole window [-4, -1] goes to the quadrature; its
+    # integral is ~5.4e4, so rounding alone is ~6e-10 and no estimate may
+    # claim less, nor may a tighter tol be accepted
+    w = Interpolated(-4.0, -1.0)
+    window = reference_integral(w, -4.0) - reference_integral(w, -1.0)
+    rounding = 50.0 * np.finfo(float).eps * window
     bounds = []
-    for tol in (1e-6, 1e-8, 1e-10, 1e-12):
-        res = cusp_volume(Interpolated(-4.0, -1.0), 1.0, -5.0, tol)
-        assert 0.0 < res.quad_error <= tol
+    for tol in (1e-4, 1e-6, 1e-8):
+        res = cusp_volume(w, 1.0, -5.0, tol)
+        assert rounding * (1.0 - 1e-9) <= res.quad_error <= tol
         bounds.append(res.quad_error)
     assert all(b1 >= b2 for b1, b2 in zip(bounds, bounds[1:]))
+    for tol in (1e-10, 1e-12):
+        with pytest.raises(QuadratureError, match="rounding"):
+            cusp_volume(w, 1.0, -5.0, tol)
 
 
 def test_rejects_bad_arguments():
