@@ -26,15 +26,12 @@ from .curvature import (
     MetricPoint,
     RiemannTensor,
     christoffel,
-    flat_metric_point,
-    hyperbolic_metric_point,
     match_component_table,
     metric_at,
     component_table,
     riemann_closed,
     riemann_fd,
     sectional_curvature,
-    sol_product_metric_point,
 )
 from .lattice import (
     AffineMap3,
@@ -82,8 +79,6 @@ __all__ = [
     "cusp_volume",
     "extremize_k",
     "extremize_point",
-    "flat_metric_point",
-    "hyperbolic_metric_point",
     "match_component_table",
     "metric_at",
     "component_table",
@@ -91,6 +86,5 @@ __all__ = [
     "riemann_closed",
     "riemann_fd",
     "sectional_curvature",
-    "sol_product_metric_point",
     "verify_isometry",
 ]

@@ -8,21 +8,20 @@ is a unit vector, so
     lambda_min(Q) <= K <= lambda_max(Q)   on every 2-plane
 
 (Thorpe's bound at mu = 0: J. A. Thorpe, "Some remarks on the Gauss-Bonnet
-integral", 1969).  The bounds are attained exactly when the extremal
-eigenspace holds a simple bivector, one on which the Plucker quadric Pf
-vanishes.  For the cusp ansatz Q is block-diagonal over {xy}, {xz, xt},
-{yz, yt} and {zt}, and every block mixes only 2-forms that share a vector,
-so it always does.
+integral", 1969).  A bound is attained exactly when its eigenvector is a
+simple bivector u ^ v.  For the cusp ansatz every entry of Q outside the
+blocks {xy}, {xz, xt}, {yz, yt} and {zt} is exactly 0.0; in ``PAIRS``
+order that makes Q tridiagonal with exact zeros where the blocks meet, so
+LAPACK splits it and each eigenvector lies in one block.  The 2-forms of a
+block share a vector, so each eigenvector is simple.
 
 Per grid t (z fixed at 0 by the separately tested z-homogeneity of the
 ansatz) ``extremize_point`` reports the extreme eigenvalues of Q as k_min
-and k_max, and a witness plane for each: an extremal eigenvector with
-Pf = 0, else a zero of Pf on the extremal eigenspace (the two 2x2 blocks
-share their spectrum at z = 0, so ``eigh`` returns mixtures of them), else
-the best of the six frame planes.  The gap between the witness's curvature
-and the eigenvalue is reported per point as ``method_agreement`` and
-flagged when it exceeds the fixed bound ``_AGREEMENT_TOL`` = 1e-12 --
-never silently accepted.
+and k_max, and as witness the plane of the matching eigenvector.  The gap
+between the witness's curvature and the eigenvalue is reported per point
+as ``method_agreement`` and flagged when it exceeds the fixed bound
+``_AGREEMENT_TOL`` = 1e-12: a non-simple eigenvector shows as a gap, never
+as a silent pass.
 """
 
 from __future__ import annotations
@@ -45,16 +44,8 @@ __all__ = [
     "tail_k_bound",
 ]
 
-# |Pf| below which a unit bivector counts as simple
-_PF_TOL = 1e-9
-# eigenvalues within this (relative to max(1, |lambda|)) share an eigenspace
-_EIGENSPACE_TOL = 1e-9
 # witness gaps above this are flagged; every gap observed is <= 7e-16
 _AGREEMENT_TOL = 1e-12
-# Plucker quadric Pf(w) = w0 w5 - w1 w4 + w2 w3 = w^T P w on the pair basis;
-# it vanishes exactly on simple bivectors
-_PF_FORM = np.zeros((6, 6))
-_PF_FORM[[0, 5, 1, 4, 2, 3], [5, 0, 4, 1, 3, 2]] = [0.5, 0.5, -0.5, -0.5, 0.5, 0.5]
 
 
 def _k_of_plane(Q: np.ndarray, u: np.ndarray, v: np.ndarray) -> float:
@@ -72,36 +63,9 @@ def _plane_from_bivector(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return U[:, 0], U[:, 1]
 
 
-def _simple_in_span(W: np.ndarray) -> np.ndarray | None:
-    """A unit simple bivector in the span of W's orthonormal columns, if any.
-
-    Prefers a column on which Pf vanishes; otherwise takes a zero of Pf
-    restricted to the span, the quadric M = W^T P W, which exists exactly
-    when M is indefinite or singular.
-    """
-    M = W.T @ _PF_FORM @ W
-    simple = np.flatnonzero(np.abs(np.diag(M)) <= _PF_TOL)
-    if simple.size:
-        return W[:, simple[0]]
-    mu, E = np.linalg.eigh(M)
-    if not mu[0] <= 0.0 <= mu[-1]:
-        return None
-    # c = sqrt(mu_max) e_min + sqrt(-mu_min) e_max has c^T M c = 0
-    c = np.sqrt(mu[-1]) * E[:, 0] + np.sqrt(-mu[0]) * E[:, -1]
-    return W @ (c / np.linalg.norm(c))
-
-
-def _witness(Q: np.ndarray, vals: np.ndarray, vecs: np.ndarray):
-    """Witness (u, v, K) for the eigenvalue vals[0], vals ordered from it."""
-    lam = vals[0]
-    near = np.abs(vals - lam) <= _EIGENSPACE_TOL * max(1.0, abs(lam))
-    w = _simple_in_span(vecs[:, near])
-    if w is not None:
-        u, v = _plane_from_bivector(w)
-    else:
-        a = int(np.argmin(np.abs(np.diag(Q) - lam)))
-        i, j = PAIRS[a]
-        u, v = np.eye(4)[i], np.eye(4)[j]
+def _witness(Q: np.ndarray, w: np.ndarray):
+    """Witness (u, v, K) for the eigenvector w of Q."""
+    u, v = _plane_from_bivector(w)
     return u, v, _k_of_plane(Q, u, v)
 
 
@@ -146,14 +110,15 @@ def extremize_point(p: MetricPoint) -> CurvatureBounds:
     """Extremal K over all 2-planes at a MetricPoint.
 
     k_min and k_max are the extreme eigenvalues of the frame curvature
-    form, each with a witness plane; ``method_agreement`` is the larger gap
-    between a witness's K and the eigenvalue it stands for.
+    form, each with the plane of its eigenvector as witness;
+    ``method_agreement`` is the larger gap between a witness's K and the
+    eigenvalue it stands for.
     """
     Q = riemann_closed(p).pair_matrix(frame=True)
     scales = p.frame_scales()
     vals, vecs = np.linalg.eigh(Q)
-    u_min, v_min, k_at_min = _witness(Q, vals, vecs)
-    u_max, v_max, k_at_max = _witness(Q, vals[::-1], vecs[:, ::-1])
+    u_min, v_min, k_at_min = _witness(Q, vecs[:, 0])
+    u_max, v_max, k_at_max = _witness(Q, vecs[:, -1])
     k_min, k_max = float(vals[0]), float(vals[-1])
     return CurvatureBounds(
         t=p.t,

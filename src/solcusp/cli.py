@@ -28,13 +28,7 @@ import numpy as np
 
 from .certify import CertificationReport, certify
 from .curvature import match_component_table
-from .lattice import (
-    AnosovMatrix,
-    build_sol_lattice,
-    cross_section_volume,
-    default_samples,
-    verify_isometry,
-)
+from .lattice import AnosovMatrix, build_sol_lattice, cross_section_volume
 from .serialize import to_json_text, write_csv_text
 from .volume import cusp_volume
 from .warp import (
@@ -100,8 +94,6 @@ def _emit(args, payload: dict, filename: str) -> None:
 
 def _lattice_payload(A: AnosovMatrix) -> dict:
     lat = build_sol_lattice(A)
-    samples = default_samples()
-    dev = max(verify_isometry(m, samples) for m in lat.generators)
     return {
         "matrix": [A.a, A.b, A.c, A.d],
         "stretch": lat.stretch,
@@ -111,7 +103,7 @@ def _lattice_payload(A: AnosovMatrix) -> dict:
             for m in lat.generators
         ],
         "volume": cross_section_volume(lat),
-        "max_isometry_deviation": dev,
+        "max_isometry_deviation": lat.isometry_deviation,
     }
 
 

@@ -14,9 +14,9 @@ Two pipelines compute the lowered Riemann tensor:
 
 Sign convention: R_ijkl = g_im (d_k Gamma^m_lj - d_l Gamma^m_kj + ...),
 contracted as R(u,v,u,v) = R_ijkl u^i v^j u^k v^l in sectional curvature.
-With this choice the constant-curvature diagnostic metric
-dt^2 + e^(-2t)(dx^2 + dy^2 + dz^2) yields K = -1 on every plane, which
-pins the orientation executable-y rather than by citation.
+With this choice the constant-curvature metric
+dt^2 + e^(-2t)(dx^2 + dy^2 + dz^2) yields K = -1 on every plane (a test
+checks it), which pins the orientation executable-y rather than by citation.
 """
 
 from __future__ import annotations
@@ -36,9 +36,6 @@ __all__ = [
     "DegeneratePlaneError",
     "metric_at",
     "metric_diag",
-    "flat_metric_point",
-    "hyperbolic_metric_point",
-    "sol_product_metric_point",
     "christoffel",
     "christoffel_derivatives",
     "riemann_closed",
@@ -131,49 +128,6 @@ def metric_at(warp, t: float, z: float) -> MetricPoint:
     d2g[T, T, Z, Z] = 2.0 * (fp * fp + f * fpp)
 
     return MetricPoint(t=t, z=z, g=g, g_inv=g_inv, dg=dg, d2g=d2g)
-
-
-def flat_metric_point() -> MetricPoint:
-    """Diagnostic override: constant identity metric (all Gamma vanish)."""
-    return MetricPoint(
-        t=0.0, z=0.0,
-        g=np.eye(DIM), g_inv=np.eye(DIM),
-        dg=np.zeros((DIM, DIM, DIM)), d2g=np.zeros((DIM, DIM, DIM, DIM)),
-    )
-
-
-def hyperbolic_metric_point(t: float, z: float = 0.0) -> MetricPoint:
-    """Diagnostic: dt^2 + e^(-2t)(dx^2 + dy^2 + dz^2), K = -1 everywhere."""
-    t = float(t)
-    e = np.exp(-2.0 * t)
-    g = np.diag([e, e, e, 1.0])
-    g_inv = np.diag([1.0 / e, 1.0 / e, 1.0 / e, 1.0])
-    dg = np.zeros((DIM, DIM, DIM))
-    d2g = np.zeros((DIM, DIM, DIM, DIM))
-    for i in range(3):
-        dg[3, i, i] = -2.0 * e
-        d2g[3, 3, i, i] = 4.0 * e
-    return MetricPoint(t=t, z=float(z), g=g, g_inv=g_inv, dg=dg, d2g=d2g)
-
-
-def sol_product_metric_point(z: float, t: float = 0.0) -> MetricPoint:
-    """Diagnostic: (Sol 3-metric) x (flat line), coefficient 1 on slot t.
-
-    Planes inside the Sol factor keep their Sol sectional curvatures:
-    K(x,y) = +1, K(x,z) = K(y,z) = -1.
-    """
-    z = float(z)
-    A = np.exp(-2.0 * z)
-    B = np.exp(2.0 * z)
-    g = np.diag([A, B, 1.0, 1.0])
-    g_inv = np.diag([1.0 / A, 1.0 / B, 1.0, 1.0])
-    dg = np.zeros((DIM, DIM, DIM))
-    dg[2, 0, 0] = -2.0 * A
-    dg[2, 1, 1] = 2.0 * B
-    d2g = np.zeros((DIM, DIM, DIM, DIM))
-    d2g[2, 2, 0, 0] = 4.0 * A
-    d2g[2, 2, 1, 1] = 4.0 * B
-    return MetricPoint(t=float(t), z=z, g=g, g_inv=g_inv, dg=dg, d2g=d2g)
 
 
 def _first_kind(dg: np.ndarray) -> np.ndarray:

@@ -109,6 +109,7 @@ class SolLattice:
     stretch: float
     basis: np.ndarray                 # rows: the two planar lattice vectors
     generators: list[AffineMap3] = field(default_factory=list)
+    isometry_deviation: float = float("nan")  # worst generator; nan: unchecked
 
     def __post_init__(self) -> None:
         b = np.asarray(self.basis, dtype=float).reshape(2, 2)
@@ -168,19 +169,19 @@ def build_sol_lattice(A: AnosovMatrix) -> SolLattice:
         np.diag([lam, lam_inv, 1.0]),
         np.array([0.0, 0.0, L]),
     )
-    lat = SolLattice(
-        matrix=A,
-        stretch=L,
-        basis=np.vstack([b1, b2]),
-        generators=[translation(b1), translation(b2), monodromy],
-    )
-
-    dev = max(verify_isometry(m, default_samples()) for m in lat.generators)
+    generators = [translation(b1), translation(b2), monodromy]
+    dev = max(verify_isometry(m, default_samples()) for m in generators)
     if dev > 1e-12:
         raise AssertionError(
             f"deck generator fails the isometry check: deviation {dev:.3e}"
         )
-    return lat
+    return SolLattice(
+        matrix=A,
+        stretch=L,
+        basis=np.vstack([b1, b2]),
+        generators=generators,
+        isometry_deviation=dev,
+    )
 
 
 def verify_isometry(m: AffineMap3, samples) -> float:

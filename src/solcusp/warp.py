@@ -16,7 +16,7 @@ are all positive:
 ``build_interpolation`` searches for a transition window wide enough that
 all four margins stay above a requested floor on a dense validation grid,
 widening the window geometrically (at most ``_MAX_WIDENINGS`` times) until
-validation passes.
+validation passes or a margin fails at t >= t_hi, which no widening changes.
 """
 
 from __future__ import annotations
@@ -216,7 +216,8 @@ def build_interpolation(
     or below ``margin_floor`` the window is widened, t_lo <- t_hi -
     2*(t_hi - t_lo), up to ``_MAX_WIDENINGS`` times.  Raises
     InterpolationError with the worst (t, condition, margin) if no window
-    validates.
+    validates; at once when a margin at some t >= t_hi is at or below the
+    floor, since there the margins do not depend on t_lo.
     """
     if grid_step <= 0.0:
         raise ValueError("grid_step must be positive")
@@ -227,7 +228,12 @@ def build_interpolation(
     for _ in range(_MAX_WIDENINGS + 1):
         warp = Interpolated(lo, float(t_hi))
         grid = validation_grid(warp, grid_step)
-        t_w, cond, val = worst_margin(grid, condition_margins(warp, grid))
+        margins = condition_margins(warp, grid)
+        tail = grid >= t_hi
+        t_w, cond, val = worst_margin(grid[tail], margins[tail])
+        if val <= margin_floor:
+            break  # f = 1 + e^-t from t_hi on: no wider window lifts it
+        t_w, cond, val = worst_margin(grid, margins)
         if val > margin_floor:
             return warp
         lo = t_hi - 2.0 * (t_hi - lo)

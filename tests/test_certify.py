@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import sys
 
 import numpy as np
@@ -12,8 +13,11 @@ from solcusp.certify import (
     rescale_to_pinching,
     tail_k_bound,
 )
-from solcusp.curvature import hyperbolic_metric_point, metric_at, riemann_closed, sectional_curvature
+from solcusp.cli import main as cli_main
+from solcusp.curvature import metric_at, riemann_closed, sectional_curvature
 from solcusp.warp import Interpolated, PureExp, ShiftedExp
+
+from diagnostic_metrics import hyperbolic_metric_point
 
 
 class ConstantWarp:
@@ -196,6 +200,36 @@ def test_certify_flags_witness_gaps_above_the_fixed_bound(monkeypatch):
     rep = certify(ShiftedExp(), (-1.0, 1.0), 0.5)
     assert rep.status == "certified"
     assert rep.flagged_points == [-1.0]
+
+
+def test_certify_reports_positive_curvature_as_violation(monkeypatch, capsys):
+    # no admissible warp reaches K >= 0, so a patched extremize_k reports
+    # k_max = +1e-3 at t = 0.5 and the witness must name that point's plane
+    certify_module = sys.modules["solcusp.certify"]
+    exact = certify_module.extremize_k
+
+    def positive(warp, t):
+        b = exact(warp, t)
+        return dataclasses.replace(b, k_max=1e-3) if t == 0.5 else b
+
+    monkeypatch.setattr(certify_module, "extremize_k", positive)
+    rep = certify(ShiftedExp(), (-1.0, 1.0), 0.5)
+    assert rep.status == "violation"
+    assert rep.global_negative is False
+    assert np.isnan(rep.scale) and rep.pinched_from == np.inf
+    assert rep.max_k == 1e-3
+    worst = rep.bounds_curve[3]
+    assert worst.t == 0.5
+    assert rep.witness == {
+        "kind": "positive_curvature",
+        "t": 0.5,
+        "k_max": 1e-3,
+        "plane_basis": [worst.argmax_plane.u.tolist(), worst.argmax_plane.v.tolist()],
+    }
+    argv = ["certify", "--warp", "shifted-exp", "--t-min", "-1", "--t-max", "1",
+            "--step", "0.5"]
+    assert cli_main(argv) == 2
+    assert json.loads(capsys.readouterr().out)["status"] == "violation"
 
 
 def test_certify_validates_arguments():

@@ -20,15 +20,17 @@ from solcusp.certify import extremize_k, extremize_point, tail_k_bound
 from solcusp.curvature import (
     PAIRS,
     component_table,
-    hyperbolic_metric_point,
     metric_at,
     riemann_closed,
     sectional_curvature,
-    sol_product_metric_point,
 )
 from solcusp.warp import Interpolated, PureExp, ShiftedExp, build_interpolation
 
+from diagnostic_metrics import hyperbolic_metric_point, sol_product_metric_point
+
 N_PLANES = 20_000
+# block of each 2-form of PAIRS in the frame form: {xy}, {xz, xt}, {yz, yt}, {zt}
+PAIR_BLOCK = np.array([0, 1, 1, 2, 2, 3])
 
 
 def sampled_curvatures(p, rng, n=N_PLANES):
@@ -99,6 +101,10 @@ def test_extremes_match_table_form_and_witnesses(t_hi, width, t, z):
     assert abs(b.k_min - eig[0]) <= 1e-12 * max(1.0, abs(eig[0]))
     assert abs(b.k_max - eig[-1]) <= 1e-12 * max(1.0, abs(eig[-1]))
     assert b.method_agreement <= 1e-12
+    # exact zeros between the blocks keep every eigenvector, and so every
+    # witness, inside one block
+    Q = riemann_closed(metric_at(warp, t, z)).pair_matrix(frame=True)
+    assert np.all(Q[PAIR_BLOCK[:, None] != PAIR_BLOCK] == 0.0)
     p = metric_at(warp, t, 0.0)
     R = riemann_closed(p)
     for k, plane in ((b.k_min, b.argmin_plane), (b.k_max, b.argmax_plane)):

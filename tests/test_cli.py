@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -40,6 +42,21 @@ def test_lattice_command(capsys):
     assert payload["max_isometry_deviation"] <= 1e-12
     assert len(payload["generators"]) == 3
     assert payload["volume"] == pytest.approx(payload["stretch"])
+
+
+def test_lattice_command_reports_the_builders_deviation(monkeypatch, capsys):
+    # build_sol_lattice already checked the deck generators; the report
+    # takes its number instead of checking them again
+    cli_module = sys.modules["solcusp.cli"]
+    built = cli_module.build_sol_lattice
+
+    def marked(A):
+        return dataclasses.replace(built(A), isometry_deviation=0.25e-12)
+
+    monkeypatch.setattr(cli_module, "build_sol_lattice", marked)
+    code, out = run_cli(capsys, "lattice", "--matrix", "2,1,1,1")
+    assert code == 0
+    assert json.loads(out)["max_isometry_deviation"] == 0.25e-12
 
 
 def test_lattice_command_rejects_bad_matrix(capsys):

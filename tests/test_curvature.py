@@ -6,8 +6,6 @@ from solcusp.curvature import (
     DegeneratePlaneError,
     RiemannTensor,
     christoffel,
-    flat_metric_point,
-    hyperbolic_metric_point,
     match_component_table,
     metric_at,
     metric_diag,
@@ -16,10 +14,15 @@ from solcusp.curvature import (
     riemann_fd,
     riemann_fd_general,
     sectional_curvature,
-    sol_product_metric_point,
 )
 from solcusp.certify import extremize_k, extremize_point
 from solcusp.warp import Interpolated, PureExp, ShiftedExp
+
+from diagnostic_metrics import (
+    flat_metric_point,
+    hyperbolic_metric_point,
+    sol_product_metric_point,
+)
 
 FAMILIES = [PureExp(), ShiftedExp(), Interpolated(-4.0, -1.0)]
 GRID = [(t, z) for t in np.linspace(-3, 3, 5) for z in np.linspace(-1, 1, 5)]

@@ -92,6 +92,14 @@ def test_cross_section_volume_scales_with_area():
     assert cross_section_volume(lat) == pytest.approx(1.0, abs=1e-15)
 
 
+def test_built_lattice_stores_its_deck_isometry_deviation():
+    lat = build_sol_lattice(AnosovMatrix(2, 1, 1, 1))
+    dev = max(verify_isometry(m, default_samples()) for m in lat.generators)
+    assert lat.isometry_deviation == dev <= 1e-12
+    # a lattice built by hand was never checked
+    assert math.isnan(SolLattice(AnosovMatrix(2, 1, 1, 1), 1.0, np.eye(2)).isometry_deviation)
+
+
 def test_built_lattice_has_unit_area_cell():
     lat = build_sol_lattice(AnosovMatrix(2, 1, 1, 1))
     assert abs(np.linalg.det(lat.basis)) == pytest.approx(1.0, abs=1e-12)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from solcusp import warp as warp_module
 from solcusp.warp import (
     Interpolated,
     InterpolationError,
@@ -137,6 +138,29 @@ def test_build_interpolation_widens_steep_window():
         assert w.t_lo < -0.2
         grid = np.arange(w.t_lo - 2.0, 1.0005, 1e-3)
         assert condition_margins(w, grid).min() > 1e-6
+
+
+@pytest.mark.parametrize("window, floor", [((-0.2, -0.1), 1.0), ((-4.0, -1.0), 0.5)])
+def test_build_interpolation_refuses_at_once_when_widening_cannot_help(
+        monkeypatch, window, floor):
+    # from t_hi on f = 1 + e^-t whatever t_lo is, and there margin a = e^-t
+    # falls to e^-1 at t = 1, below either floor: the builder must refuse on
+    # its first grid instead of widening towards ~1e8-point grids
+    windows = []
+    real = warp_module.condition_margins
+
+    def counting(w, t):
+        windows.append((w.t_lo, w.t_hi))
+        return real(w, t)
+
+    monkeypatch.setattr(warp_module, "condition_margins", counting)
+    with pytest.raises(InterpolationError, match=r"\(a\) = 3\.679e-01 at t = 1\.000000"):
+        build_interpolation(*window, 1e-3, floor)
+    assert windows == [window]
+
+
+def test_build_interpolation_still_widens_a_fixable_window():
+    assert build_interpolation(-1.0, -0.5, 1e-3, 1e-6) == Interpolated(-2.5, -0.5)
 
 
 def test_build_interpolation_rejects_bad_arguments():
