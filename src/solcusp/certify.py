@@ -46,6 +46,8 @@ __all__ = [
 
 # witness gaps above this are flagged; every gap observed is <= 7e-16
 _AGREEMENT_TOL = 1e-12
+# max_k at or above -_FLOOR is inconclusive; lambda^2 carries 1 + _FLOOR
+_FLOOR = 1e-9
 
 
 def _k_of_plane(Q: np.ndarray, u: np.ndarray, v: np.ndarray) -> float:
@@ -147,13 +149,13 @@ def tail_k_bound(warp, t_last: float) -> float | None:
     return -2.0 if ends and t_last >= ends[1] else None
 
 
-def rescale_to_pinching(bounds_curve, floor: float = 1e-9,
+def rescale_to_pinching(bounds_curve,
                         tail_k_min: float | None = None) -> tuple[float, float]:
     """Rescale factor lambda (g -> lambda^2 g) and start of the pinched range.
 
     ``tail_k_min`` bounds K from below past the last grid point, where K
     must be proved negative too; None when no such bound is known.
-    lambda^2 is (1 + floor) times the largest of 1, |k_min| at the last
+    lambda^2 is (1 + _FLOOR) times the largest of 1, |k_min| at the last
     grid point and |tail_k_min|, so that k_min / lambda^2 stays strictly
     above -1 there and on the tail.  pinched_from is then the smallest grid
     t from which every later grid point has k_min / lambda^2 > -1 and
@@ -169,7 +171,7 @@ def rescale_to_pinching(bounds_curve, floor: float = 1e-9,
         raise ValueError("rescaling requires a globally negative curve")
 
     tail_sup = 0.0 if tail_k_min is None else abs(tail_k_min)
-    lam2 = (1.0 + floor) * max(1.0, float(abs(k_min[-1])), tail_sup)
+    lam2 = (1.0 + _FLOOR) * max(1.0, float(abs(k_min[-1])), tail_sup)
     lam = float(np.sqrt(lam2))
     if tail_k_min is None:
         return lam, float("inf")
@@ -232,7 +234,6 @@ def certify(
     warp,
     t_range: tuple[float, float],
     t_step: float,
-    floor: float = 1e-9,
 ) -> CertificationReport:
     """Certify K < 0 on a t-grid and locate the pinched suffix.
 
@@ -249,9 +250,7 @@ def certify(
         raise ValueError("t_step must be positive")
     grid = np.arange(t0, t1 + t_step / 2.0, t_step)
 
-    config = {
-        "t_min": t0, "t_max": t1, "t_step": float(t_step), "floor": float(floor),
-    }
+    config = {"t_min": t0, "t_max": t1, "t_step": float(t_step)}
     margins = condition_margins(warp, grid)
     curve, max_k, flagged = [], np.nan, []
     scale, pinched_from = np.nan, np.inf
@@ -277,17 +276,17 @@ def certify(
                 "plane_basis": [plane.u.tolist(), plane.v.tolist()],
             }
             status = "violation"
-        elif max_k >= -floor:
+        elif max_k >= -_FLOOR:
             status = "inconclusive"
         else:
             status = "certified"
             scale, pinched_from = rescale_to_pinching(
-                curve, floor, tail_k_bound(warp, float(grid[-1])))
+                curve, tail_k_bound(warp, float(grid[-1])))
 
     return CertificationReport(
         status=status, grid=grid, bounds_curve=curve, margins=margins,
         global_negative=status == "certified", max_k=max_k,
-        pinched_from=pinched_from, scale=scale, floor=floor,
+        pinched_from=pinched_from, scale=scale, floor=_FLOOR,
         flagged_points=flagged, witness=witness, tail_notes=_tail_notes(warp),
         config=config,
     )

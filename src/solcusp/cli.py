@@ -11,9 +11,9 @@ Subcommands mirror the library stages:
     run            full pipeline writing lattice/warp/riemann/certify/volume
                    reports plus a summary verdict
 
-Exit codes: 0 success/certified, 1 usage or internal error, 2 violation
-witness found (including failed condition margins), 3 inconclusive
-(negativity margin below the floor).
+Exit codes: 0 success/certified, 1 bad input or internal error, 2 violation
+witness found (including failed condition margins) or a command-line usage
+error, 3 inconclusive (negativity margin below the floor).
 """
 
 from __future__ import annotations
@@ -48,13 +48,11 @@ _STATUS_CODES = {
 
 _DEFAULT_CONFIG = {
     "matrix": [2, 1, 1, 1],
-    "warp": {"family": "interpolated", "t0": -4.0, "t1": -1.0,
-             "step": 1e-3, "margin": 1e-6},
+    "warp": {"family": "interpolated", "t0": -4.0, "t1": -1.0, "step": 1e-3},
     "riemann": {"t_grid": [-2.0, -1.0, 0.0, 1.0, 2.0],
                 "z_grid": [-1.0, -0.5, 0.0, 0.5, 1.0]},
-    "certify": {"t_min": -6.0, "t_max": 10.0, "t_step": 0.05, "floor": 1e-9},
+    "certify": {"t_min": -6.0, "t_max": 10.0, "t_step": 0.05},
     "volume": {"t0": 0.0, "tol": 1e-10},
-    "output": {"directory": "."},
 }
 
 
@@ -75,7 +73,7 @@ def _merge_config(base: dict, override: dict, path: str = "") -> dict:
 
 def _build_warp_from_config(wc: dict):
     if wc["family"] == "interpolated":
-        return build_interpolation(wc["t0"], wc["t1"], wc["step"], wc["margin"])
+        return build_interpolation(wc["t0"], wc["t1"], wc["step"])
     return warp_from_name(wc["family"])
 
 
@@ -129,7 +127,7 @@ def _warp_payload(warp, grid_step: float) -> dict:
 
 def _warp_csv(warp, grid_step: float) -> str:
     grid = validation_grid(warp, grid_step)
-    f, fp, fpp = warp.eval_array(grid)
+    f, fp, fpp = warp.eval(grid)
     margins = condition_margins(warp, grid)
     rows = [
         (t, fi, fpi, fppi, *m)
@@ -142,7 +140,7 @@ def _warp_csv(warp, grid_step: float) -> str:
 
 
 def cmd_build_warp(args) -> int:
-    warp = build_interpolation(args.t0, args.t1, args.step, args.margin)
+    warp = build_interpolation(args.t0, args.t1, args.step)
     _emit(args, _warp_payload(warp, args.step), "warp.json")
     if args.csv:
         Path(args.csv).write_text(_warp_csv(warp, args.step))
@@ -203,7 +201,7 @@ def _certify_csv(report: CertificationReport) -> str:
 
 def cmd_certify(args) -> int:
     warp = _warp_from_args(args)
-    report = certify(warp, (args.t_min, args.t_max), args.step, floor=args.floor)
+    report = certify(warp, (args.t_min, args.t_max), args.step)
     _emit(args, _certify_payload(report), "certify.json")
     if args.csv:
         Path(args.csv).write_text(_certify_csv(report))
@@ -222,11 +220,9 @@ def cmd_volume(args) -> int:
 
 
 def cmd_run(args) -> int:
-    config = copy.deepcopy(_DEFAULT_CONFIG)
-    if args.config:
-        file_cfg = json.loads(Path(args.config).read_text())
-        config = _merge_config(_DEFAULT_CONFIG, file_cfg)
-    outdir = Path(args.output or config["output"]["directory"])
+    file_cfg = json.loads(Path(args.config).read_text()) if args.config else {}
+    config = _merge_config(_DEFAULT_CONFIG, file_cfg)
+    outdir = Path(args.output or ".")
     outdir.mkdir(parents=True, exist_ok=True)
 
     def write(name: str, payload: dict) -> None:
@@ -247,9 +243,7 @@ def cmd_run(args) -> int:
         write("riemann.json", riemann_payload)
 
         cc = config["certify"]
-        report = certify(
-            warp, (cc["t_min"], cc["t_max"]), cc["t_step"], floor=cc["floor"],
-        )
+        report = certify(warp, (cc["t_min"], cc["t_max"]), cc["t_step"])
         write("certify.json", _certify_payload(report))
         (outdir / "certify.csv").write_text(_certify_csv(report))
 
@@ -307,7 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t0", type=float, default=-4.0)
     p.add_argument("--t1", type=float, default=-1.0)
     p.add_argument("--step", type=float, default=1e-3)
-    p.add_argument("--margin", type=float, default=1e-6)
     p.add_argument("--csv", default=None, help="also write per-t curve CSV here")
     p.set_defaults(fn=cmd_build_warp)
 
@@ -322,7 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-min", type=float, default=-6.0)
     p.add_argument("--t-max", type=float, default=10.0)
     p.add_argument("--step", type=float, default=0.05)
-    p.add_argument("--floor", type=float, default=1e-9)
     p.add_argument("--csv", default=None, help="write the bounds curve CSV here")
     p.set_defaults(fn=cmd_certify)
 
@@ -345,6 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.config is not None and args.command != "run":
+        parser.error("--config applies to run only")
     try:
         return args.fn(args)
     except (ValueError, OSError) as exc:

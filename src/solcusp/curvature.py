@@ -90,7 +90,7 @@ def metric_diag(warp, t, z):
     """Diagonal metric coefficients (g_xx, g_yy, g_zz, g_tt), vectorized."""
     t = np.asarray(t, dtype=float)
     z = np.asarray(z, dtype=float)
-    f, _, _ = warp.eval_array(t)
+    f, _, _ = warp.eval(t)
     return (
         np.exp(-2.0 * t - 2.0 * z),
         np.exp(-2.0 * t + 2.0 * z),
@@ -168,9 +168,6 @@ class RiemannTensor:
     def __post_init__(self) -> None:
         self.full.setflags(write=False)
         self.g.setflags(write=False)
-
-    def component(self, i: int, j: int, k: int, l: int) -> float:
-        return float(self.full[i, j, k, l])
 
     def pair_matrix(self, frame: bool = False) -> np.ndarray:
         """Symmetric 6x6 matrix Q[P,S] = R_{P S} over the pair basis.

@@ -50,6 +50,9 @@ _W_GAUSS = np.array([
     0.129484966168870, 0.0,
 ])
 
+# subintervals adaptive_quad may hold before it gives up
+_MAX_INTERVALS = 2000
+
 
 def _gk15(fn, a: float, b: float) -> tuple[float, float, float]:
     """Kronrod sum, error estimate and Kronrod sum of |fn| on [a, b]."""
@@ -62,15 +65,14 @@ def _gk15(fn, a: float, b: float) -> tuple[float, float, float]:
     return k, err, half * float(_W_KRONROD @ np.abs(y))
 
 
-def adaptive_quad(fn, a: float, b: float, tol: float,
-                  max_intervals: int = 2000) -> tuple[float, float]:
+def adaptive_quad(fn, a: float, b: float, tol: float) -> tuple[float, float]:
     """Adaptive Gauss-Kronrod on [a, b] to absolute tolerance tol.
 
     ``fn`` must accept an array of abscissae.  Returns (integral,
     error_estimate).  The estimate is never below the rounding level
     50 eps * integral of |fn| on the first panel (QUADPACK's QK15 rule);
     a tol below that level raises QuadratureError before any
-    subdivision, as does exhausting the interval budget.
+    subdivision, as does exhausting the budget of ``_MAX_INTERVALS``.
     """
     if b <= a:
         raise ValueError("need a < b")
@@ -86,9 +88,9 @@ def adaptive_quad(fn, a: float, b: float, tol: float,
         err_sum = float(np.sqrt(np.sum(np.square(errs))))
         if err_sum <= tol:
             return float(total), max(err_sum, rounding)
-        if len(intervals) >= max_intervals:
+        if len(intervals) >= _MAX_INTERVALS:
             raise QuadratureError(
-                f"no convergence to {tol:g} within {max_intervals} intervals "
+                f"no convergence to {tol:g} within {_MAX_INTERVALS} intervals "
                 f"(reached {err_sum:g})"
             )
         worst = int(np.argmax(errs))

@@ -13,10 +13,13 @@ are all positive:
 
     a = f - 1,   b = -f',   c = f'',   d = 1 - f*f' - (1 + f'/f)^2
 
+Each family's ``eval`` takes a float or an array of t and returns
+(f, f', f'') of the same shape.
+
 ``build_interpolation`` searches for a transition window wide enough that
-all four margins stay above a requested floor on a dense validation grid,
+all four margins stay above ``_MARGIN_FLOOR`` on a dense validation grid,
 widening the window geometrically (at most ``_MAX_WIDENINGS`` times) until
-validation passes or a margin fails at t >= t_hi, which no widening changes.
+validation passes.
 """
 
 from __future__ import annotations
@@ -42,6 +45,12 @@ __all__ = [
 _STEP_CLIP = 500.0
 # window doublings build_interpolation tries before giving up
 _MAX_WIDENINGS = 20
+# every margin must exceed this on the validation grid
+_MARGIN_FLOOR = 1e-6
+# a window spanning fewer grid steps than this counts as failing, since the
+# grid cannot see inside it: no point of the 1e-3 grid lies in the window
+# (-1e-4, -5e-5), where margin c reaches -3.9e9
+_MIN_WINDOW_STEPS = 100
 
 
 class InterpolationError(RuntimeError):
@@ -54,11 +63,7 @@ class PureExp:
 
     family: str = "pure-exp"
 
-    def eval(self, t: float) -> tuple[float, float, float]:
-        f = float(np.exp(-t))
-        return f, -f, f
-
-    def eval_array(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def eval(self, t: float | np.ndarray) -> tuple:
         f = np.exp(-np.asarray(t, dtype=float))
         return f, -f, f
 
@@ -69,11 +74,7 @@ class ShiftedExp:
 
     family: str = "shifted-exp"
 
-    def eval(self, t: float) -> tuple[float, float, float]:
-        e = float(np.exp(-t))
-        return 1.0 + e, -e, e
-
-    def eval_array(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def eval(self, t: float | np.ndarray) -> tuple:
         e = np.exp(-np.asarray(t, dtype=float))
         return 1.0 + e, -e, e
 
@@ -139,11 +140,7 @@ class Interpolated:
                 f"need t_lo < t_hi <= 0, got ({self.t_lo}, {self.t_hi})"
             )
 
-    def eval(self, t: float) -> tuple[float, float, float]:
-        f, fp, fpp = self.eval_array(np.array([t], dtype=float))
-        return float(f[0]), float(fp[0]), float(fpp[0])
-
-    def eval_array(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def eval(self, t: float | np.ndarray) -> tuple:
         t = np.asarray(t, dtype=float)
         width = self.t_hi - self.t_lo
         u = (t - self.t_lo) / width
@@ -179,7 +176,7 @@ def condition_margins(warp, t: np.ndarray) -> np.ndarray:
     t = np.asarray(t, dtype=float)
     if t.size == 0:
         raise ValueError("grid must be nonempty")
-    f, fp, fpp = warp.eval_array(t)
+    f, fp, fpp = warp.eval(t)
     if np.any(f <= 0.0):
         bad = float(t[np.argmax(f <= 0.0)])
         raise ValueError(f"f(t) <= 0 at t={bad}; margin d is undefined there")
@@ -203,38 +200,26 @@ def validation_grid(warp, grid_step: float) -> np.ndarray:
     return np.arange(lo - 2.0, 1.0 + grid_step / 2, grid_step)
 
 
-def build_interpolation(
-    t_lo: float,
-    t_hi: float,
-    grid_step: float = 1e-3,
-    margin_floor: float = 1e-6,
-) -> Interpolated:
+def build_interpolation(t_lo: float, t_hi: float, grid_step: float = 1e-3) -> Interpolated:
     """Construct a validated interpolation between e^(-t) and 1 + e^(-t).
 
     Starting from the window (t_lo, t_hi), checks all four margins on the
     dense grid [t_lo - 2, 1] with the given step.  If any margin falls at
-    or below ``margin_floor`` the window is widened, t_lo <- t_hi -
-    2*(t_hi - t_lo), up to ``_MAX_WIDENINGS`` times.  Raises
-    InterpolationError with the worst (t, condition, margin) if no window
-    validates; at once when a margin at some t >= t_hi is at or below the
-    floor, since there the margins do not depend on t_lo.
+    or below ``_MARGIN_FLOOR``, or the window spans fewer than
+    ``_MIN_WINDOW_STEPS`` grid steps (too few for the grid to see inside
+    it), the window is widened, t_lo <- t_hi - 2*(t_hi - t_lo), up to
+    ``_MAX_WIDENINGS`` times.  Raises InterpolationError with the worst
+    (t, condition, margin) if no window validates.
     """
     if grid_step <= 0.0:
         raise ValueError("grid_step must be positive")
-    if margin_floor < 0.0:
-        raise ValueError("margin_floor must be nonnegative")
 
     lo = float(t_lo)
     for _ in range(_MAX_WIDENINGS + 1):
         warp = Interpolated(lo, float(t_hi))
         grid = validation_grid(warp, grid_step)
-        margins = condition_margins(warp, grid)
-        tail = grid >= t_hi
-        t_w, cond, val = worst_margin(grid[tail], margins[tail])
-        if val <= margin_floor:
-            break  # f = 1 + e^-t from t_hi on: no wider window lifts it
-        t_w, cond, val = worst_margin(grid, margins)
-        if val > margin_floor:
+        t_w, cond, val = worst_margin(grid, condition_margins(warp, grid))
+        if val > _MARGIN_FLOOR and t_hi - lo >= _MIN_WINDOW_STEPS * grid_step:
             return warp
         lo = t_hi - 2.0 * (t_hi - lo)
     raise InterpolationError(

@@ -113,7 +113,7 @@ def test_criterion_3_condition_certification():
 
 def test_criterion_4_interpolation_exists():
     start = time.monotonic()
-    w = build_interpolation(-4.0, -1.0, 1e-3, 1e-6)
+    w = build_interpolation(-4.0, -1.0, 1e-3)
     grid = np.arange(w.t_lo - 2.0, 1.0 + 5e-4, 1e-3)
     min_margin = float(condition_margins(w, grid).min())
     elapsed = time.monotonic() - start
@@ -125,8 +125,8 @@ def test_criterion_4_interpolation_exists():
 
 def test_criterion_5_negativity_certificate():
     start = time.monotonic()
-    w = build_interpolation(-4.0, -1.0, 1e-3, 1e-6)
-    rep = certify(w, (-6.0, 10.0), 0.05, floor=1e-9)
+    w = build_interpolation(-4.0, -1.0, 1e-3)
+    rep = certify(w, (-6.0, 10.0), 0.05)
     elapsed = time.monotonic() - start
     worst_agreement = max(b.method_agreement for b in rep.bounds_curve)
     ok = (

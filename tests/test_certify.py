@@ -26,9 +26,6 @@ class ConstantWarp:
     family = "constant"
 
     def eval(self, t):
-        return 2.0, 0.0, 0.0
-
-    def eval_array(self, t):
         t = np.asarray(t, dtype=float)
         return 2.0 * np.ones_like(t), np.zeros_like(t), np.zeros_like(t)
 
@@ -154,7 +151,7 @@ def test_certify_is_deterministic():
 def test_certify_inconclusive_when_margin_underflows_floor():
     # far down the cusp k_max ~ -e^(-t) sinks below the certification floor
     # while every condition margin stays positive
-    rep = certify(ShiftedExp(), (24.0, 26.0), 0.5, floor=1e-9)
+    rep = certify(ShiftedExp(), (24.0, 26.0), 0.5)
     assert np.all(rep.margins > 0.0)
     assert rep.status == "inconclusive"
     assert -1e-9 <= rep.max_k < 0.0
@@ -245,16 +242,16 @@ def test_rescale_boundary_curve():
             self.t, self.k_min, self.k_max = t, k_min, k_max
 
     curve = [Stub(t, -1.0, -0.25) for t in np.linspace(0.0, 2.0, 5)]
-    lam, pinched = rescale_to_pinching(curve, floor=1e-9, tail_k_min=-1.0)
+    lam, pinched = rescale_to_pinching(curve, tail_k_min=-1.0)
     # k_min = -1 exactly sits on the open bound, so lambda^2 must exceed 1
     assert lam**2 == pytest.approx(1.0 + 1e-9, rel=1e-12)
     assert pinched == 0.0
     # a steeper tail raises the scale; without a tail bound nothing past
     # the grid is known, so no suffix reaches infinity
-    lam, pinched = rescale_to_pinching(curve, floor=1e-9, tail_k_min=-2.0)
+    lam, pinched = rescale_to_pinching(curve, tail_k_min=-2.0)
     assert lam**2 == pytest.approx(2.0 * (1.0 + 1e-9), rel=1e-12)
     assert pinched == 0.0
-    lam, pinched = rescale_to_pinching(curve, floor=1e-9)
+    lam, pinched = rescale_to_pinching(curve)
     assert lam**2 == pytest.approx(1.0 + 1e-9, rel=1e-12)
     assert pinched == np.inf
 
@@ -276,7 +273,7 @@ def test_rescale_of_certified_curve_pins_the_suffix():
     assert rep.status == "certified"
     tail = tail_k_bound(w, rep.grid[-1])
     assert tail == -2.0
-    lam, pinched = rescale_to_pinching(rep.bounds_curve, rep.floor, tail)
+    lam, pinched = rescale_to_pinching(rep.bounds_curve, tail)
     assert lam == rep.scale
     assert pinched == rep.pinched_from
     assert np.isfinite(pinched)

@@ -68,7 +68,7 @@ def test_build_warp_command(tmp_path, capsys):
     csv_path = tmp_path / "warp.csv"
     code, out = run_cli(
         capsys, "build-warp", "--t0", "-4", "--t1", "-1",
-        "--step", "0.005", "--margin", "1e-6", "--csv", str(csv_path),
+        "--step", "0.005", "--csv", str(csv_path),
     )
     assert code == 0
     payload = json.loads(out)
@@ -115,10 +115,12 @@ def test_certify_command_certified(tmp_path, capsys):
     ["--jobs", "2", "run"],
     ["certify", "--agreement-tol", "1e-4"],
     ["verify-riemann", "--h", "1e-4"],
+    ["certify", "--floor", "1e-9"],
+    ["build-warp", "--margin", "1e-6"],
 ])
 def test_sampling_flags_are_gone(argv, capsys):
     # nothing is sampled, so there is no budget, seed or worker count; the
-    # witness-gap bound and the finite-difference step are fixed
+    # witness-gap bound, the finite-difference step and both floors are fixed
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
@@ -136,13 +138,35 @@ def test_run_pipeline_rejects_removed_sampling_fields(tmp_path, capsys):
     ("certify", "agreement_tol", 1e-4),
     ("riemann", "h", 1e-4),
     ("output", "formats", ["json", "csv"]),
+    ("output", "directory", "."),
+    ("certify", "floor", 1e-9),
+    ("warp", "margin", 1e-6),
 ])
 def test_run_pipeline_rejects_removed_config_fields(tmp_path, capsys, section, field, value):
-    # fixed behaviour now: a 1e-12 flag bound, a 1e-4 step, certify.csv always
+    # fixed behaviour now: a 1e-12 flag bound, a 1e-4 step, certify.csv
+    # always, the 1e-9 and 1e-6 floors; --output alone places the reports,
+    # so the whole output section is unknown
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({section: {field: value}}))
     assert main(["--config", str(cfg), "--output", str(tmp_path / "o"), "run"]) == 1
-    assert capsys.readouterr().err == f"error: unknown config field: {section}.{field}\n"
+    where = section if section == "output" else f"{section}.{field}"
+    assert capsys.readouterr().err == f"error: unknown config field: {where}\n"
+
+
+@pytest.mark.parametrize("command", [
+    ["certify", "--step", "0.5"], ["lattice"], ["build-warp"], ["verify-riemann"],
+    ["volume"],
+])
+def test_config_is_a_usage_error_outside_run(tmp_path, capsys, command):
+    # only run reads a config; elsewhere it would be silently ignored,
+    # even when the file does not exist
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"certify": {"t_step": 0.25}}))
+    for path in (cfg, tmp_path / "missing.json"):
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(path), *command])
+        assert exc.value.code == 2
+        assert "--config applies to run only" in capsys.readouterr().err
 
 
 def test_certify_command_refuses_pure_exp_on_positive_range(capsys):

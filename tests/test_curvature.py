@@ -91,8 +91,8 @@ def test_hyperbolic_diagnostic_all_coordinate_planes():
 def test_tabulated_slots_at_origin():
     p = metric_at(ShiftedExp(), 0.0, 0.0)
     R = riemann_closed(p)
-    assert R.component(2, 3, 2, 3) == pytest.approx(-2.0, abs=1e-13)   # -f f''
-    assert R.component(0, 1, 0, 1) == pytest.approx(-0.75, abs=1e-13)  # (1-f^2)/f^2
+    assert R.full[2, 3, 2, 3] == pytest.approx(-2.0, abs=1e-13)   # -f f''
+    assert R.full[0, 1, 0, 1] == pytest.approx(-0.75, abs=1e-13)  # (1-f^2)/f^2
 
 
 def test_flat_fd_components_vanish():
@@ -223,7 +223,7 @@ def test_r1414_slot_is_f_independent():
     for warp in FAMILIES:
         for (t, z) in [(-1.0, 0.5), (0.5, -0.25)]:
             R = riemann_fd(warp, t, z)
-            got = R.component(0, 3, 0, 3)
+            got = R.full[0, 3, 0, 3]
             assert got / (-np.exp(-2 * t - 2 * z)) == pytest.approx(1.0, rel=1e-9)
 
 

@@ -20,10 +20,10 @@ def test_adaptive_quad_rejects_empty_interval():
 
 
 def test_adaptive_quad_reports_nonconvergence():
+    # noise never converges: the subdivision runs out of its interval budget
     rng = np.random.default_rng(0)
-    with pytest.raises(QuadratureError):
-        adaptive_quad(lambda x: rng.standard_normal(x.shape), 0.0, 1.0,
-                      1e-14, max_intervals=8)
+    with pytest.raises(QuadratureError, match="within 2000 intervals"):
+        adaptive_quad(lambda x: rng.standard_normal(x.shape), 0.0, 1.0, 1e-14)
 
 
 def test_pure_exp_integral_closed_form():
@@ -98,9 +98,6 @@ def test_rejects_family_without_tail_bound():
         family = "mystery"
 
         def eval(self, t):
-            return 1.0, 0.0, 0.0
-
-        def eval_array(self, t):
             t = np.asarray(t, dtype=float)
             return np.ones_like(t), np.zeros_like(t), np.zeros_like(t)
 
@@ -173,6 +170,6 @@ def test_density_is_f_times_exp_minus_2t(family, t_hi, width, t):
     warp = {"pure-exp": PureExp(), "shifted-exp": ShiftedExp()}.get(family)
     warp = warp or Interpolated(t_hi - width, t_hi)
     t = np.array(t)
-    f, _, _ = warp.eval_array(t)
+    f, _, _ = warp.eval(t)
     expect = f * np.exp(-2.0 * t)
     assert np.all(np.abs(_density(warp)(t) - expect) <= 1e-14 * np.abs(expect))

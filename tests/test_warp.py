@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from solcusp import warp as warp_module
 from solcusp.warp import (
     Interpolated,
     InterpolationError,
@@ -11,6 +10,7 @@ from solcusp.warp import (
     ShiftedExp,
     build_interpolation,
     condition_margins,
+    warp_from_name,
 )
 
 E = np.e
@@ -37,9 +37,24 @@ def test_interpolated_matches_closed_forms_exactly():
     t_lo = np.linspace(-8.0, -4.0, 41)
     t_hi = np.linspace(-1.0, 3.0, 41)
     for grid, ref in [(t_lo, PureExp()), (t_hi, ShiftedExp())]:
-        got = np.stack(w.eval_array(grid))
-        want = np.stack(ref.eval_array(grid))
+        got = np.stack(w.eval(grid))
+        want = np.stack(ref.eval(grid))
         assert np.array_equal(got, want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(family=st.sampled_from(["pure-exp", "shifted-exp", "interpolated"]),
+       t_hi=st.floats(min_value=-1.5, max_value=0.0),
+       width=st.floats(min_value=1e-3, max_value=4.0),
+       u=st.lists(st.floats(min_value=-1.0, max_value=2.0), min_size=1, max_size=16))
+def test_eval_of_a_float_is_its_element_of_the_array_eval(family, t_hi, width, u):
+    # one eval serves floats and arrays; the reports' bytes rest on a float
+    # t getting exactly the values it gets inside an array
+    warp = warp_from_name(family, t_hi - width, t_hi)
+    t = (t_hi - width) + width * np.array(u)
+    arrays = warp.eval(t)
+    for k, tk in enumerate(t):
+        assert warp.eval(float(tk)) == tuple(a[k] for a in arrays)
 
 
 def test_interpolated_requires_ordered_nonpositive_window():
@@ -55,11 +70,11 @@ def test_derivative_consistency(warp):
     # both at h = 1e-5 and 1e-6 relative tolerance
     h = 1e-5
     t = np.linspace(-6.0, 2.0, 81)
-    f_p, _, _ = warp.eval_array(t + h)
-    f_m, _, _ = warp.eval_array(t - h)
-    _, fp_p, _ = warp.eval_array(t + h)
-    _, fp_m, _ = warp.eval_array(t - h)
-    _, fp, fpp = warp.eval_array(t)
+    f_p, _, _ = warp.eval(t + h)
+    f_m, _, _ = warp.eval(t - h)
+    _, fp_p, _ = warp.eval(t + h)
+    _, fp_m, _ = warp.eval(t - h)
+    _, fp, fpp = warp.eval(t)
     fp_num = (f_p - f_m) / (2 * h)
     fpp_num = (fp_p - fp_m) / (2 * h)
     assert np.all(np.abs(fp_num - fp) <= 1e-6 * np.abs(fp))
@@ -103,7 +118,7 @@ def test_check_conditions_rejects_empty_grid():
 
 def test_check_conditions_rejects_nonpositive_f():
     class Sinking:
-        def eval_array(self, t):
+        def eval(self, t):
             t = np.asarray(t, dtype=float)
             return -np.ones_like(t), np.zeros_like(t), np.zeros_like(t)
 
@@ -112,7 +127,7 @@ def test_check_conditions_rejects_nonpositive_f():
 
 
 def test_build_interpolation_default_window_validates():
-    w = build_interpolation(-4.0, -1.0, 1e-3, 1e-6)
+    w = build_interpolation(-4.0, -1.0, 1e-3)
     assert isinstance(w, Interpolated)
     assert w.t_lo == -4.0 and w.t_hi == -1.0
     grid = np.arange(w.t_lo - 2.0, 1.0005, 1e-3)
@@ -131,7 +146,7 @@ def test_build_interpolation_widens_steep_window():
     # a 0.1-wide transition violates f' < 0; the builder must widen it
     # (or fail loudly, which the margin report makes legitimate)
     try:
-        w = build_interpolation(-0.2, -0.1, 1e-3, 1e-6)
+        w = build_interpolation(-0.2, -0.1, 1e-3)
     except InterpolationError as exc:
         assert "margin" in str(exc)
     else:
@@ -140,27 +155,22 @@ def test_build_interpolation_widens_steep_window():
         assert condition_margins(w, grid).min() > 1e-6
 
 
-@pytest.mark.parametrize("window, floor", [((-0.2, -0.1), 1.0), ((-4.0, -1.0), 0.5)])
-def test_build_interpolation_refuses_at_once_when_widening_cannot_help(
-        monkeypatch, window, floor):
-    # from t_hi on f = 1 + e^-t whatever t_lo is, and there margin a = e^-t
-    # falls to e^-1 at t = 1, below either floor: the builder must refuse on
-    # its first grid instead of widening towards ~1e8-point grids
-    windows = []
-    real = warp_module.condition_margins
-
-    def counting(w, t):
-        windows.append((w.t_lo, w.t_hi))
-        return real(w, t)
-
-    monkeypatch.setattr(warp_module, "condition_margins", counting)
-    with pytest.raises(InterpolationError, match=r"\(a\) = 3\.679e-01 at t = 1\.000000"):
-        build_interpolation(*window, 1e-3, floor)
-    assert windows == [window]
-
-
 def test_build_interpolation_still_widens_a_fixable_window():
-    assert build_interpolation(-1.0, -0.5, 1e-3, 1e-6) == Interpolated(-2.5, -0.5)
+    assert build_interpolation(-1.0, -0.5, 1e-3) == Interpolated(-2.5, -0.5)
+
+
+@settings(max_examples=150, deadline=None)
+@given(t_hi=st.floats(min_value=-20.0, max_value=0.0),
+       log_width=st.floats(min_value=-6.0, max_value=0.7))
+def test_build_interpolation_accepts_only_windows_valid_inside(t_hi, log_width):
+    # the 1e-3 validation grid once passed the window (-1e-4, -5e-5), which
+    # none of its points lies in, while margin c reached -3.9e9 inside it
+    try:
+        w = build_interpolation(t_hi - 10.0**log_width, t_hi)
+    except InterpolationError:
+        return
+    t = np.linspace(w.t_lo, w.t_hi, 20001)
+    assert condition_margins(w, t).min() > 1e-6
 
 
 def test_build_interpolation_rejects_bad_arguments():
@@ -168,8 +178,6 @@ def test_build_interpolation_rejects_bad_arguments():
         build_interpolation(-1.0, -4.0)
     with pytest.raises(ValueError):
         build_interpolation(-4.0, -1.0, grid_step=0.0)
-    with pytest.raises(ValueError):
-        build_interpolation(-4.0, -1.0, margin_floor=-1.0)
 
 
 @settings(max_examples=60, deadline=None)
