@@ -30,9 +30,11 @@ from .certify import CertificationReport, certify
 from .curvature import match_component_table
 from .lattice import AnosovMatrix, build_sol_lattice, cross_section_volume
 from .serialize import to_json_text, write_csv_text
-from .volume import cusp_volume
+from .volume import QuadratureError, cusp_volume
 from .warp import (
-    build_interpolation,
+    FAMILIES,
+    GRID_STEP,
+    InterpolationError,
     condition_margins,
     regimes,
     validation_grid,
@@ -48,7 +50,7 @@ _STATUS_CODES = {
 
 _DEFAULT_CONFIG = {
     "matrix": [2, 1, 1, 1],
-    "warp": {"family": "interpolated", "t0": -4.0, "t1": -1.0, "step": 1e-3},
+    "warp": {"family": "interpolated", "t0": -4.0, "t1": -1.0},
     "riemann": {"t_grid": [-2.0, -1.0, 0.0, 1.0, 2.0],
                 "z_grid": [-1.0, -0.5, 0.0, 0.5, 1.0]},
     "certify": {"t_min": -6.0, "t_max": 10.0, "t_step": 0.05},
@@ -56,29 +58,20 @@ _DEFAULT_CONFIG = {
 }
 
 
-def _merge_config(base: dict, override: dict, path: str = "") -> dict:
+def _merge_config(base: dict, override, path: str = "") -> dict:
+    if not isinstance(override, dict):
+        where = f"config field {path}" if path else "the config"
+        raise ValueError(f"{where} must be an object")
     merged = copy.deepcopy(base)
     for key, value in override.items():
         where = f"{path}.{key}" if path else key
         if key not in base:
             raise ValueError(f"unknown config field: {where}")
         if isinstance(base[key], dict):
-            if not isinstance(value, dict):
-                raise ValueError(f"config field {where} must be an object")
             merged[key] = _merge_config(base[key], value, where)
         else:
             merged[key] = copy.deepcopy(value)
     return merged
-
-
-def _build_warp_from_config(wc: dict):
-    if wc["family"] == "interpolated":
-        return build_interpolation(wc["t0"], wc["t1"], wc["step"])
-    return warp_from_name(wc["family"])
-
-
-def _warp_from_args(args):
-    return warp_from_name(args.warp, args.warp_t0, args.warp_t1)
 
 
 def _emit(args, payload: dict, filename: str) -> None:
@@ -111,12 +104,12 @@ def cmd_lattice(args) -> int:
     return 0
 
 
-def _warp_payload(warp, grid_step: float) -> dict:
-    margins = condition_margins(warp, validation_grid(warp, grid_step))
+def _warp_payload(warp) -> dict:
+    margins = condition_margins(warp, validation_grid(warp))
     payload = {
         "family": warp.family,
         "min_margins": dict(zip("abcd", map(float, margins.min(axis=0)))),
-        "grid_step": grid_step,
+        "grid_step": GRID_STEP,
     }
     lo, hi = regimes(warp)
     if np.isfinite(lo):
@@ -125,8 +118,8 @@ def _warp_payload(warp, grid_step: float) -> dict:
     return payload
 
 
-def _warp_csv(warp, grid_step: float) -> str:
-    grid = validation_grid(warp, grid_step)
+def _warp_csv(warp) -> str:
+    grid = validation_grid(warp)
     f, fp, fpp = warp.eval(grid)
     margins = condition_margins(warp, grid)
     rows = [
@@ -140,10 +133,10 @@ def _warp_csv(warp, grid_step: float) -> str:
 
 
 def cmd_build_warp(args) -> int:
-    warp = build_interpolation(args.t0, args.t1, args.step)
-    _emit(args, _warp_payload(warp, args.step), "warp.json")
+    warp = warp_from_name("interpolated", args.t0, args.t1)
+    _emit(args, _warp_payload(warp), "warp.json")
     if args.csv:
-        Path(args.csv).write_text(_warp_csv(warp, args.step))
+        Path(args.csv).write_text(_warp_csv(warp))
     return 0
 
 
@@ -167,7 +160,7 @@ def _riemann_payload(warp, t_grid, z_grid) -> dict:
 
 
 def cmd_verify_riemann(args) -> int:
-    warp = _warp_from_args(args)
+    warp = warp_from_name(args.warp, args.warp_t0, args.warp_t1)
     payload = _riemann_payload(
         warp, _parse_grid(args.t_grid), _parse_grid(args.z_grid)
     )
@@ -200,7 +193,7 @@ def _certify_csv(report: CertificationReport) -> str:
 
 
 def cmd_certify(args) -> int:
-    warp = _warp_from_args(args)
+    warp = warp_from_name(args.warp, args.warp_t0, args.warp_t1)
     report = certify(warp, (args.t_min, args.t_max), args.step)
     _emit(args, _certify_payload(report), "certify.json")
     if args.csv:
@@ -214,7 +207,8 @@ def _volume_payload(warp, vol_c: float, t0: float, tol: float) -> dict:
 
 
 def cmd_volume(args) -> int:
-    payload = _volume_payload(_warp_from_args(args), args.vol_c, args.t0, args.tol)
+    warp = warp_from_name(args.warp, args.warp_t0, args.warp_t1)
+    payload = _volume_payload(warp, args.vol_c, args.t0, args.tol)
     _emit(args, payload, "volume.json")
     return 0
 
@@ -235,8 +229,9 @@ def cmd_run(args) -> int:
         write("lattice.json", lattice_payload)
         vol_c = lattice_payload["volume"]
 
-        warp = _build_warp_from_config(config["warp"])
-        write("warp.json", _warp_payload(warp, config["warp"]["step"]))
+        wc = config["warp"]
+        warp = warp_from_name(wc["family"], wc["t0"], wc["t1"])
+        write("warp.json", _warp_payload(warp))
 
         rc = config["riemann"]
         riemann_payload = _riemann_payload(warp, rc["t_grid"], rc["z_grid"])
@@ -276,8 +271,7 @@ def cmd_run(args) -> int:
 
 
 def _add_warp_flags(sub, default="shifted-exp") -> None:
-    sub.add_argument("--warp", default=default,
-                     choices=["pure-exp", "shifted-exp", "interpolated"])
+    sub.add_argument("--warp", default=default, choices=list(FAMILIES))
     sub.add_argument("--warp-t0", dest="warp_t0", type=float, default=-4.0,
                      help="transition start (interpolated warp)")
     sub.add_argument("--warp-t1", dest="warp_t1", type=float, default=-1.0,
@@ -300,7 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build-warp", help="validated interpolated warp")
     p.add_argument("--t0", type=float, default=-4.0)
     p.add_argument("--t1", type=float, default=-1.0)
-    p.add_argument("--step", type=float, default=1e-3)
     p.add_argument("--csv", default=None, help="also write per-t curve CSV here")
     p.set_defaults(fn=cmd_build_warp)
 
@@ -341,7 +334,7 @@ def main(argv=None) -> int:
         parser.error("--config applies to run only")
     try:
         return args.fn(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, InterpolationError, QuadratureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

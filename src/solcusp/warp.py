@@ -17,7 +17,7 @@ Each family's ``eval`` takes a float or an array of t and returns
 (f, f', f'') of the same shape.
 
 ``build_interpolation`` searches for a transition window wide enough that
-all four margins stay above ``_MARGIN_FLOOR`` on a dense validation grid,
+all four margins stay above ``_MARGIN_FLOOR`` on the ``GRID_STEP`` grid,
 widening the window geometrically (at most ``_MAX_WIDENINGS`` times) until
 validation passes.
 """
@@ -25,6 +25,7 @@ validation passes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -33,6 +34,8 @@ __all__ = [
     "ShiftedExp",
     "Interpolated",
     "InterpolationError",
+    "GRID_STEP",
+    "FAMILIES",
     "regimes",
     "condition_margins",
     "worst_margin",
@@ -47,10 +50,12 @@ _STEP_CLIP = 500.0
 _MAX_WIDENINGS = 20
 # every margin must exceed this on the validation grid
 _MARGIN_FLOOR = 1e-6
-# a window spanning fewer grid steps than this counts as failing, since the
-# grid cannot see inside it: no point of the 1e-3 grid lies in the window
+# spacing of the validation grid
+GRID_STEP = 1e-3
+# a window narrower than this (100 grid steps) counts as failing, since the
+# grid cannot see inside it: no point of the grid lies in the window
 # (-1e-4, -5e-5), where margin c reaches -3.9e9
-_MIN_WINDOW_STEPS = 100
+_MIN_WINDOW_WIDTH = 0.1
 
 
 class InterpolationError(RuntimeError):
@@ -61,7 +66,7 @@ class InterpolationError(RuntimeError):
 class PureExp:
     """f(t) = e^(-t); satisfies the four margin conditions for t < 0 only."""
 
-    family: str = "pure-exp"
+    family: ClassVar[str] = "pure-exp"
 
     def eval(self, t: float | np.ndarray) -> tuple:
         f = np.exp(-np.asarray(t, dtype=float))
@@ -72,7 +77,7 @@ class PureExp:
 class ShiftedExp:
     """f(t) = 1 + e^(-t); satisfies the four margin conditions for all t."""
 
-    family: str = "shifted-exp"
+    family: ClassVar[str] = "shifted-exp"
 
     def eval(self, t: float | np.ndarray) -> tuple:
         e = np.exp(-np.asarray(t, dtype=float))
@@ -132,7 +137,7 @@ class Interpolated:
 
     t_lo: float
     t_hi: float
-    family: str = "interpolated"
+    family: ClassVar[str] = "interpolated"
 
     def __post_init__(self) -> None:
         if not (self.t_lo < self.t_hi <= 0.0):
@@ -193,33 +198,30 @@ def worst_margin(t: np.ndarray, margins: np.ndarray) -> tuple[float, str, float]
     return float(t[i]), "abcd"[j], float(margins[i, j])
 
 
-def validation_grid(warp, grid_step: float) -> np.ndarray:
-    """The dense margin grid [t_lo - 2, 1]; t_lo = -6 without a finite window."""
+def validation_grid(warp) -> np.ndarray:
+    """[t_lo - 2, 1] at ``GRID_STEP``; t_lo = -6 without a finite window."""
     ends = regimes(warp)
     lo = ends[0] if ends is not None and np.isfinite(ends[0]) else -6.0
-    return np.arange(lo - 2.0, 1.0 + grid_step / 2, grid_step)
+    return np.arange(lo - 2.0, 1.0 + GRID_STEP / 2, GRID_STEP)
 
 
-def build_interpolation(t_lo: float, t_hi: float, grid_step: float = 1e-3) -> Interpolated:
+def build_interpolation(t_lo: float, t_hi: float) -> Interpolated:
     """Construct a validated interpolation between e^(-t) and 1 + e^(-t).
 
     Starting from the window (t_lo, t_hi), checks all four margins on the
-    dense grid [t_lo - 2, 1] with the given step.  If any margin falls at
-    or below ``_MARGIN_FLOOR``, or the window spans fewer than
-    ``_MIN_WINDOW_STEPS`` grid steps (too few for the grid to see inside
-    it), the window is widened, t_lo <- t_hi - 2*(t_hi - t_lo), up to
-    ``_MAX_WIDENINGS`` times.  Raises InterpolationError with the worst
-    (t, condition, margin) if no window validates.
+    validation grid [t_lo - 2, 1].  If any margin falls at or below
+    ``_MARGIN_FLOOR``, or the window is narrower than ``_MIN_WINDOW_WIDTH``
+    (too narrow for the grid to see inside it), the window is widened,
+    t_lo <- t_hi - 2*(t_hi - t_lo), up to ``_MAX_WIDENINGS`` times.  Raises
+    InterpolationError with the worst (t, condition, margin) if no window
+    validates.
     """
-    if grid_step <= 0.0:
-        raise ValueError("grid_step must be positive")
-
     lo = float(t_lo)
     for _ in range(_MAX_WIDENINGS + 1):
         warp = Interpolated(lo, float(t_hi))
-        grid = validation_grid(warp, grid_step)
+        grid = validation_grid(warp)
         t_w, cond, val = worst_margin(grid, condition_margins(warp, grid))
-        if val > _MARGIN_FLOOR and t_hi - lo >= _MIN_WINDOW_STEPS * grid_step:
+        if val > _MARGIN_FLOOR and t_hi - lo >= _MIN_WINDOW_WIDTH:
             return warp
         lo = t_hi - 2.0 * (t_hi - lo)
     raise InterpolationError(
@@ -228,14 +230,13 @@ def build_interpolation(t_lo: float, t_hi: float, grid_step: float = 1e-3) -> In
     )
 
 
-def warp_from_name(name: str, t_lo: float | None = None, t_hi: float | None = None):
-    """CLI helper: map a family name to a warp instance."""
-    if name == "pure-exp":
-        return PureExp()
-    if name == "shifted-exp":
-        return ShiftedExp()
-    if name == "interpolated":
-        if t_lo is None or t_hi is None:
-            raise ValueError("interpolated warp needs t_lo and t_hi")
-        return Interpolated(float(t_lo), float(t_hi))
-    raise ValueError(f"unknown warp family: {name!r}")
+FAMILIES = {cls.family: cls for cls in (PureExp, ShiftedExp, Interpolated)}
+
+
+def warp_from_name(name: str, t_lo: float, t_hi: float):
+    """The warp of family ``name``; an interpolated one is validated."""
+    if name not in FAMILIES:
+        raise ValueError(f"unknown warp family: {name!r}")
+    if name == Interpolated.family:
+        return build_interpolation(t_lo, t_hi)
+    return FAMILIES[name]()

@@ -113,7 +113,7 @@ def test_criterion_3_condition_certification():
 
 def test_criterion_4_interpolation_exists():
     start = time.monotonic()
-    w = build_interpolation(-4.0, -1.0, 1e-3)
+    w = build_interpolation(-4.0, -1.0)
     grid = np.arange(w.t_lo - 2.0, 1.0 + 5e-4, 1e-3)
     min_margin = float(condition_margins(w, grid).min())
     elapsed = time.monotonic() - start
@@ -125,7 +125,7 @@ def test_criterion_4_interpolation_exists():
 
 def test_criterion_5_negativity_certificate():
     start = time.monotonic()
-    w = build_interpolation(-4.0, -1.0, 1e-3)
+    w = build_interpolation(-4.0, -1.0)
     rep = certify(w, (-6.0, 10.0), 0.05)
     elapsed = time.monotonic() - start
     worst_agreement = max(b.method_agreement for b in rep.bounds_curve)
@@ -198,7 +198,6 @@ def test_criterion_8_sol_lattice_isometries():
 def test_criterion_9_run_determinism(tmp_path, capsys):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({
-        "warp": {"step": 5e-3},
         "riemann": {"t_grid": [-1.0, 0.0, 1.0], "z_grid": [-0.5, 0.0, 0.5]},
         "certify": {"t_min": -2.0, "t_max": 2.0, "t_step": 0.25},
     }))

@@ -95,7 +95,7 @@ def table_form(warp, t, z):
     z=st.floats(min_value=-1.0, max_value=1.0),
 )
 def test_extremes_match_table_form_and_witnesses(t_hi, width, t, z):
-    warp = build_interpolation(t_hi - width, t_hi, grid_step=1e-2)
+    warp = build_interpolation(t_hi - width, t_hi)
     b = extremize_k(warp, t)
     eig = np.linalg.eigvalsh(table_form(warp, t, z))
     assert abs(b.k_min - eig[0]) <= 1e-12 * max(1.0, abs(eig[0]))

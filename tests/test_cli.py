@@ -5,11 +5,12 @@ import sys
 import numpy as np
 import pytest
 
-from solcusp.cli import main
+from solcusp.certify import certify
+from solcusp.cli import _certify_payload, main
 from solcusp.serialize import format_float, to_json_text, write_csv_text
+from solcusp.warp import build_interpolation, condition_margins
 
 REDUCED_RUN = {
-    "warp": {"step": 5e-3},
     "riemann": {"t_grid": [-1.0, 0.0, 1.0], "z_grid": [-0.5, 0.0, 0.5]},
     "certify": {"t_min": -2.0, "t_max": 2.0, "t_step": 0.5},
     "volume": {"tol": 1e-10},
@@ -67,12 +68,12 @@ def test_lattice_command_rejects_bad_matrix(capsys):
 def test_build_warp_command(tmp_path, capsys):
     csv_path = tmp_path / "warp.csv"
     code, out = run_cli(
-        capsys, "build-warp", "--t0", "-4", "--t1", "-1",
-        "--step", "0.005", "--csv", str(csv_path),
+        capsys, "build-warp", "--t0", "-4", "--t1", "-1", "--csv", str(csv_path),
     )
     assert code == 0
     payload = json.loads(out)
     assert payload["family"] == "interpolated"
+    assert payload["grid_step"] == 1e-3
     assert payload["T0"] == -4.0 and payload["T1"] == -1.0
     assert min(payload["min_margins"].values()) > 1e-6
     header = csv_path.read_text().splitlines()[0]
@@ -117,6 +118,7 @@ def test_certify_command_certified(tmp_path, capsys):
     ["verify-riemann", "--h", "1e-4"],
     ["certify", "--floor", "1e-9"],
     ["build-warp", "--margin", "1e-6"],
+    ["build-warp", "--step", "1e-3"],
 ])
 def test_sampling_flags_are_gone(argv, capsys):
     # nothing is sampled, so there is no budget, seed or worker count; the
@@ -125,6 +127,35 @@ def test_sampling_flags_are_gone(argv, capsys):
         main(argv)
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["build-warp", "--t0=-2e-7", "--t1=-1e-7"],
+    ["certify", "--warp", "interpolated", "--warp-t0=-2e-7", "--warp-t1=-1e-7"],
+    ["volume", "--warp", "interpolated", "--t0=-3", "--tol", "1e-20"],
+    ["--config", "{config}", "run"],
+], ids=["no-window", "no-window-certify", "quadrature", "config-not-object"])
+def test_bad_input_is_an_error_line_not_a_traceback(tmp_path, capsys, argv):
+    cfg = tmp_path / "config.json"
+    cfg.write_text("[1, 2]")
+    argv = [a.format(config=cfg) for a in argv]
+    assert main(["--output", str(tmp_path / "o"), *argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_certify_validates_the_window_like_build_warp(tmp_path, capsys):
+    # the grid of the unchecked window (-1e-4, -5e-5) sees none of it, while
+    # margin c reaches -3.9e9 inside; certify once called it certified
+    outdir = tmp_path / "o"
+    main(["--output", str(outdir), "certify", "--warp", "interpolated",
+          "--warp-t0=-1e-4", "--warp-t1=-5e-5"])
+    capsys.readouterr()
+    warp = build_interpolation(-1e-4, -5e-5)
+    t = np.linspace(warp.t_lo, warp.t_hi, 20001)
+    assert condition_margins(warp, t).min() > 1e-6
+    expected = to_json_text(_certify_payload(certify(warp, (-6.0, 10.0), 0.05)))
+    assert (outdir / "certify.json").read_text() == expected
 
 
 def test_run_pipeline_rejects_removed_sampling_fields(tmp_path, capsys):
@@ -141,11 +172,12 @@ def test_run_pipeline_rejects_removed_sampling_fields(tmp_path, capsys):
     ("output", "directory", "."),
     ("certify", "floor", 1e-9),
     ("warp", "margin", 1e-6),
+    ("warp", "step", 1e-3),
 ])
 def test_run_pipeline_rejects_removed_config_fields(tmp_path, capsys, section, field, value):
     # fixed behaviour now: a 1e-12 flag bound, a 1e-4 step, certify.csv
-    # always, the 1e-9 and 1e-6 floors; --output alone places the reports,
-    # so the whole output section is unknown
+    # always, the 1e-9 and 1e-6 floors, the 1e-3 validation grid; --output
+    # alone places the reports, so the whole output section is unknown
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({section: {field: value}}))
     assert main(["--config", str(cfg), "--output", str(tmp_path / "o"), "run"]) == 1

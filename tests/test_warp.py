@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from solcusp.warp import (
+    FAMILIES,
     Interpolated,
     InterpolationError,
     PureExp,
@@ -49,12 +52,23 @@ def test_interpolated_matches_closed_forms_exactly():
        u=st.lists(st.floats(min_value=-1.0, max_value=2.0), min_size=1, max_size=16))
 def test_eval_of_a_float_is_its_element_of_the_array_eval(family, t_hi, width, u):
     # one eval serves floats and arrays; the reports' bytes rest on a float
-    # t getting exactly the values it gets inside an array
-    warp = warp_from_name(family, t_hi - width, t_hi)
+    # t getting exactly the values it gets inside an array; the window is
+    # built unchecked, since eval, not validation, is under test here
+    warp = {"pure-exp": PureExp(), "shifted-exp": ShiftedExp()}.get(family)
+    warp = warp or Interpolated(t_hi - width, t_hi)
     t = (t_hi - width) + width * np.array(u)
     arrays = warp.eval(t)
     for k, tk in enumerate(t):
         assert warp.eval(float(tk)) == tuple(a[k] for a in arrays)
+
+
+def test_family_is_a_class_constant_named_in_the_table():
+    assert [f.name for f in dataclasses.fields(Interpolated)] == ["t_lo", "t_hi"]
+    assert not dataclasses.fields(PureExp) and not dataclasses.fields(ShiftedExp)
+    assert [c.family for c in (PureExp, ShiftedExp, Interpolated)] == list(FAMILIES)
+    assert warp_from_name("pure-exp", -4.0, -1.0) == PureExp()
+    with pytest.raises(ValueError, match="unknown warp family"):
+        warp_from_name("cosh", -4.0, -1.0)
 
 
 def test_interpolated_requires_ordered_nonpositive_window():
@@ -127,7 +141,7 @@ def test_check_conditions_rejects_nonpositive_f():
 
 
 def test_build_interpolation_default_window_validates():
-    w = build_interpolation(-4.0, -1.0, 1e-3)
+    w = build_interpolation(-4.0, -1.0)
     assert isinstance(w, Interpolated)
     assert w.t_lo == -4.0 and w.t_hi == -1.0
     grid = np.arange(w.t_lo - 2.0, 1.0005, 1e-3)
@@ -146,7 +160,7 @@ def test_build_interpolation_widens_steep_window():
     # a 0.1-wide transition violates f' < 0; the builder must widen it
     # (or fail loudly, which the margin report makes legitimate)
     try:
-        w = build_interpolation(-0.2, -0.1, 1e-3)
+        w = build_interpolation(-0.2, -0.1)
     except InterpolationError as exc:
         assert "margin" in str(exc)
     else:
@@ -156,7 +170,7 @@ def test_build_interpolation_widens_steep_window():
 
 
 def test_build_interpolation_still_widens_a_fixable_window():
-    assert build_interpolation(-1.0, -0.5, 1e-3) == Interpolated(-2.5, -0.5)
+    assert build_interpolation(-1.0, -0.5) == Interpolated(-2.5, -0.5)
 
 
 @settings(max_examples=150, deadline=None)
@@ -164,11 +178,16 @@ def test_build_interpolation_still_widens_a_fixable_window():
        log_width=st.floats(min_value=-6.0, max_value=0.7))
 def test_build_interpolation_accepts_only_windows_valid_inside(t_hi, log_width):
     # the 1e-3 validation grid once passed the window (-1e-4, -5e-5), which
-    # none of its points lies in, while margin c reached -3.9e9 inside it
+    # none of its points lies in, while margin c reached -3.9e9 inside it;
+    # warp_from_name, the path of every command, gives the same warp
+    lo = t_hi - 10.0**log_width
     try:
-        w = build_interpolation(t_hi - 10.0**log_width, t_hi)
+        w = build_interpolation(lo, t_hi)
     except InterpolationError:
+        with pytest.raises(InterpolationError):
+            warp_from_name("interpolated", lo, t_hi)
         return
+    assert warp_from_name("interpolated", lo, t_hi) == w
     t = np.linspace(w.t_lo, w.t_hi, 20001)
     assert condition_margins(w, t).min() > 1e-6
 
@@ -176,8 +195,6 @@ def test_build_interpolation_accepts_only_windows_valid_inside(t_hi, log_width):
 def test_build_interpolation_rejects_bad_arguments():
     with pytest.raises(ValueError):
         build_interpolation(-1.0, -4.0)
-    with pytest.raises(ValueError):
-        build_interpolation(-4.0, -1.0, grid_step=0.0)
 
 
 @settings(max_examples=60, deadline=None)
