@@ -15,13 +15,19 @@ order that makes Q tridiagonal with exact zeros where the blocks meet, so
 LAPACK splits it and each eigenvector lies in one block.  The 2-forms of a
 block share a vector, so each eigenvector is simple.
 
-Per grid t (z fixed at 0 by the separately tested z-homogeneity of the
-ansatz) ``extremize_point`` reports the extreme eigenvalues of Q as k_min
-and k_max, and as witness the plane of the matching eigenvector.  The gap
-between the witness's curvature and the eigenvalue is reported per point
-as ``method_agreement`` and flagged when it exceeds the fixed bound
+At every grid t (z fixed at 0 by the separately tested z-homogeneity of
+the ansatz) the extreme eigenvalues of Q are reported as k_min and k_max,
+and as witness the plane of the matching eigenvector.  The gap between
+the witness's curvature and the eigenvalue is reported per point as
+``method_agreement`` and flagged when it exceeds the fixed bound
 ``_AGREEMENT_TOL`` = 1e-12: a non-simple eigenvector shows as a gap, never
 as a silent pass.
+
+The kernels take arrays: ``certify`` builds the (n, 6, 6) frame forms of
+its whole grid from one stacked ``metric_at``, and runs one batched
+``eigh`` and one batched SVD per extreme.  ``extremize_point`` and
+``extremize_k`` are the 0-d case of the same code, so a grid point's
+bounds equal theirs exactly.
 """
 
 from __future__ import annotations
@@ -48,27 +54,29 @@ __all__ = [
 _AGREEMENT_TOL = 1e-12
 # max_k at or above -_FLOOR is inconclusive; lambda^2 carries 1 + _FLOOR
 _FLOOR = 1e-9
-
-
-def _k_of_plane(Q: np.ndarray, u: np.ndarray, v: np.ndarray) -> float:
-    """Sectional curvature of span(u, v) for a frame-orthonormal pair."""
-    w = np.array([u[i] * v[j] - u[j] * v[i] for (i, j) in PAIRS])
-    return float(w @ Q @ w / (w @ w))
-
-
-def _plane_from_bivector(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal (u, v) spanning the plane of a simple unit bivector."""
-    W = np.zeros((4, 4))
-    i, j = np.transpose(PAIRS)
-    W[i, j], W[j, i] = w, -w
-    U, _, _ = np.linalg.svd(W)
-    return U[:, 0], U[:, 1]
+# first and second index of each pair, for building bivectors
+_PAIR_I, _PAIR_J = np.transpose(PAIRS)
 
 
 def _witness(Q: np.ndarray, w: np.ndarray):
-    """Witness (u, v, K) for the eigenvector w of Q."""
-    u, v = _plane_from_bivector(w)
-    return u, v, _k_of_plane(Q, u, v)
+    """Witness planes (u, v) and their K for the unit eigenvectors w of Q.
+
+    Leading axes pass through: one batched SVD turns each simple bivector
+    into a frame-orthonormal pair, and K = w'^T Q w' / (w'^T w') for the
+    bivector w' = u ^ v of that pair, by stacked ``matmul``.  Q and w' must
+    be in C order, as one point's arrays are: matmul hands each point's
+    rows to BLAS, whose sums round differently for other strides.  A
+    three-operand einsum would likewise sum the four products of a 2x2
+    block in another order and move K in its last bits.
+    """
+    W = np.zeros(w.shape[:-1] + (4, 4))
+    W[..., _PAIR_I, _PAIR_J], W[..., _PAIR_J, _PAIR_I] = w, -w
+    U = np.linalg.svd(W)[0]
+    u, v = U[..., :, 0], U[..., :, 1]
+    row = np.ascontiguousarray(u[..., _PAIR_I] * v[..., _PAIR_J]
+                               - u[..., _PAIR_J] * v[..., _PAIR_I])[..., None, :]
+    col = np.swapaxes(row, -1, -2)
+    return u, v, (row @ Q @ col)[..., 0, 0] / (row @ col)[..., 0, 0]
 
 
 @dataclass(frozen=True)
@@ -108,29 +116,44 @@ class CurvatureBounds:
     resampled: int = 0          # always 0: nothing is sampled
 
 
-def extremize_point(p: MetricPoint) -> CurvatureBounds:
-    """Extremal K over all 2-planes at a MetricPoint.
+def _extremize(p: MetricPoint) -> list[CurvatureBounds]:
+    """Extremal K over all 2-planes at every point of the stack p.
 
-    k_min and k_max are the extreme eigenvalues of the frame curvature
-    form, each with the plane of its eigenvector as witness;
-    ``method_agreement`` is the larger gap between a witness's K and the
-    eigenvalue it stands for.
+    One closed-form Riemann call, one batched ``eigh`` of the frame forms
+    and one batched witness per extreme; the bounds come back in the
+    stack's C order.  k_min and k_max are the extreme eigenvalues, each
+    with the plane of its eigenvector as witness; ``method_agreement`` is
+    the larger gap between a witness's K and the eigenvalue it stands for.
     """
-    Q = riemann_closed(p).pair_matrix(frame=True)
-    scales = p.frame_scales()
+    # C order for _witness: a stack gathered by pair_matrix is not
+    Q = np.ascontiguousarray(riemann_closed(p).pair_matrix(frame=True))
     vals, vecs = np.linalg.eigh(Q)
-    u_min, v_min, k_at_min = _witness(Q, vecs[:, 0])
-    u_max, v_max, k_at_max = _witness(Q, vecs[:, -1])
-    k_min, k_max = float(vals[0]), float(vals[-1])
-    return CurvatureBounds(
-        t=p.t,
-        k_min=k_min,
-        k_max=k_max,
-        argmin_plane=WitnessPlane(u_min, v_min, scales),
-        argmax_plane=WitnessPlane(u_max, v_max, scales),
-        method_agreement=max(abs(k_at_min - k_min), abs(k_at_max - k_max)),
-        frame_plane_k={name: float(Q[a, a]) for a, name in enumerate(PAIR_NAMES)},
-    )
+    u_min, v_min, k_at_min = _witness(Q, vecs[..., :, 0])
+    u_max, v_max, k_at_max = _witness(Q, vecs[..., :, -1])
+    k_min, k_max = vals[..., 0], vals[..., -1]
+    gap = np.maximum(np.abs(k_at_min - k_min), np.abs(k_at_max - k_max))
+    scales = p.frame_scales()
+    diag = np.diagonal(Q, axis1=-2, axis2=-1)
+    t = np.broadcast_to(p.t, p.shape)
+    return [
+        CurvatureBounds(
+            t=float(t[i]),
+            k_min=float(k_min[i]),
+            k_max=float(k_max[i]),
+            argmin_plane=WitnessPlane(u_min[i], v_min[i], scales[i]),
+            argmax_plane=WitnessPlane(u_max[i], v_max[i], scales[i]),
+            method_agreement=float(gap[i]),
+            frame_plane_k=dict(zip(PAIR_NAMES, diag[i].tolist())),
+        )
+        for i in np.ndindex(p.shape)
+    ]
+
+
+def extremize_point(p: MetricPoint) -> CurvatureBounds:
+    """Extremal K over all 2-planes at one MetricPoint (a 0-d stack)."""
+    if p.shape != ():
+        raise ValueError(f"extremize_point takes one point, not a stack of shape {p.shape}")
+    return _extremize(p)[0]
 
 
 def extremize_k(warp, t: float) -> CurvatureBounds:
@@ -261,7 +284,7 @@ def certify(
         witness = {"kind": "condition", "t": t_w, "condition": cond,
                    "margin": val}
     else:
-        curve = [extremize_k(warp, float(t)) for t in grid]
+        curve = _extremize(metric_at(warp, grid, 0.0))
         k_max_arr = np.array([b.k_max for b in curve])
         max_k = float(np.max(k_max_arr))
         flagged = [b.t for b in curve if b.method_agreement > _AGREEMENT_TOL]

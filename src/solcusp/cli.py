@@ -104,18 +104,23 @@ def cmd_lattice(args) -> int:
     return 0
 
 
+def _warp_entry(warp) -> dict:
+    """The warp's family and, for a finite window, the window (T0, T1) in use."""
+    entry = {"family": warp.family}
+    lo, hi = regimes(warp)
+    if np.isfinite(lo):
+        entry["T0"] = lo
+        entry["T1"] = hi
+    return entry
+
+
 def _warp_payload(warp) -> dict:
     margins = condition_margins(warp, validation_grid(warp))
-    payload = {
-        "family": warp.family,
+    return {
+        **_warp_entry(warp),
         "min_margins": dict(zip("abcd", map(float, margins.min(axis=0)))),
         "grid_step": GRID_STEP,
     }
-    lo, hi = regimes(warp)
-    if np.isfinite(lo):
-        payload["T0"] = lo
-        payload["T1"] = hi
-    return payload
 
 
 def _warp_csv(warp) -> str:
@@ -164,6 +169,8 @@ def cmd_verify_riemann(args) -> int:
     payload = _riemann_payload(
         warp, _parse_grid(args.t_grid), _parse_grid(args.z_grid)
     )
+    # run names the warp in warp.json; standalone, the report names it
+    payload["warp"] = _warp_entry(warp)
     _emit(args, payload, "riemann.json")
     return 0
 
@@ -209,6 +216,7 @@ def _volume_payload(warp, vol_c: float, t0: float, tol: float) -> dict:
 def cmd_volume(args) -> int:
     warp = warp_from_name(args.warp, args.warp_t0, args.warp_t1)
     payload = _volume_payload(warp, args.vol_c, args.t0, args.tol)
+    payload["warp"] = _warp_entry(warp)
     _emit(args, payload, "volume.json")
     return 0
 

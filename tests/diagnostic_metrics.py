@@ -10,12 +10,17 @@ import numpy as np
 from solcusp.curvature import DIM, MetricPoint
 
 
-def flat_metric_point() -> MetricPoint:
-    """Diagnostic override: constant identity metric (all Gamma vanish)."""
+def flat_metric_point(shape: tuple[int, ...] = ()) -> MetricPoint:
+    """Diagnostic override: constant identity metric (all Gamma vanish).
+
+    ``shape`` is the stack's leading shape, as ``riemann_fd_general``'s
+    stencil asks for.
+    """
+    eye = np.broadcast_to(np.eye(DIM), shape + (DIM, DIM))
     return MetricPoint(
-        t=0.0, z=0.0,
-        g=np.eye(DIM), g_inv=np.eye(DIM),
-        dg=np.zeros((DIM, DIM, DIM)), d2g=np.zeros((DIM, DIM, DIM, DIM)),
+        t=np.zeros(shape), z=np.zeros(shape),
+        g=eye, g_inv=eye,
+        dg=np.zeros(shape + (DIM,) * 3), d2g=np.zeros(shape + (DIM,) * 4),
     )
 
 

@@ -1,0 +1,142 @@
+"""The per-point curvature and certify kernels, as references for the stacks.
+
+These are the bodies ``metric_at``, ``christoffel``,
+``christoffel_derivatives``, ``riemann_closed``, ``riemann_fd`` and
+``extremize_point`` had when they took one point at a time: scalar t and z,
+4x4 matrices, einsums without leading axes, one ``metric_at`` per stencil
+point, and one eigh, SVD and witness K per point from fresh 1-D arrays.
+The stacked kernels must reproduce them exactly (==).
+"""
+
+import numpy as np
+
+from solcusp.certify import CurvatureBounds, WitnessPlane
+from solcusp.curvature import DIM, PAIR_NAMES, PAIRS, MetricPoint, RiemannTensor
+
+FD_STEP = 1e-4
+
+
+def metric_at(warp, t: float, z: float) -> MetricPoint:
+    t = float(t)
+    z = float(z)
+    f, fp, fpp = warp.eval(t)
+    A = np.exp(-2.0 * t - 2.0 * z)
+    B = np.exp(-2.0 * t + 2.0 * z)
+
+    g = np.diag([A, B, f * f, 1.0])
+    g_inv = np.diag([1.0 / A, 1.0 / B, 1.0 / (f * f), 1.0])
+
+    X, Y, Z, T = 0, 1, 2, 3
+    dg = np.zeros((DIM, DIM, DIM))
+    dg[Z, X, X] = -2.0 * A
+    dg[Z, Y, Y] = 2.0 * B
+    dg[T, X, X] = -2.0 * A
+    dg[T, Y, Y] = -2.0 * B
+    dg[T, Z, Z] = 2.0 * f * fp
+
+    d2g = np.zeros((DIM, DIM, DIM, DIM))
+    d2g[Z, Z, X, X] = 4.0 * A
+    d2g[Z, Z, Y, Y] = 4.0 * B
+    d2g[T, T, X, X] = 4.0 * A
+    d2g[T, T, Y, Y] = 4.0 * B
+    d2g[T, Z, X, X] = d2g[Z, T, X, X] = 4.0 * A
+    d2g[T, Z, Y, Y] = d2g[Z, T, Y, Y] = -4.0 * B
+    d2g[T, T, Z, Z] = 2.0 * (fp * fp + f * fpp)
+
+    return MetricPoint(t=t, z=z, g=g, g_inv=g_inv, dg=dg, d2g=d2g)
+
+
+def _first_kind(dg):
+    return np.einsum("jmk->mjk", dg) + np.einsum("kmj->mjk", dg) - dg
+
+
+def christoffel(p):
+    return 0.5 * np.einsum("im,mjk->ijk", p.g_inv, _first_kind(p.dg))
+
+
+def christoffel_derivatives(p):
+    T = _first_kind(p.dg)
+    dT = np.einsum("ljmk->lmjk", p.d2g) + np.einsum("lkmj->lmjk", p.d2g) - p.d2g
+    dginv = -np.einsum("ia,lab,bm->lim", p.g_inv, p.dg, p.g_inv)
+    return 0.5 * (
+        np.einsum("lim,mjk->lijk", dginv, T)
+        + np.einsum("im,lmjk->lijk", p.g_inv, dT)
+    )
+
+
+def _riemann_from_gamma(Gam, dGam, g):
+    Rup = (
+        np.einsum("kilj->ijkl", dGam)
+        - np.einsum("likj->ijkl", dGam)
+        + np.einsum("ikm,mlj->ijkl", Gam, Gam)
+        - np.einsum("ilm,mkj->ijkl", Gam, Gam)
+    )
+    low = np.einsum("im,mjkl->ijkl", g, Rup)
+    return RiemannTensor(full=low, g=g.copy())
+
+
+def riemann_closed(p) -> RiemannTensor:
+    return _riemann_from_gamma(christoffel(p), christoffel_derivatives(p), p.g)
+
+
+def riemann_fd(warp, t: float, z: float) -> RiemannTensor:
+    p = metric_at(warp, t, z)
+    Gam = christoffel(p)
+
+    def dgamma(step):
+        d = np.zeros((DIM, DIM, DIM, DIM))
+        d[2] = (
+            christoffel(metric_at(warp, t, z + step))
+            - christoffel(metric_at(warp, t, z - step))
+        ) / (2.0 * step)
+        d[3] = (
+            christoffel(metric_at(warp, t + step, z))
+            - christoffel(metric_at(warp, t - step, z))
+        ) / (2.0 * step)
+        return d
+
+    dGam = (4.0 * dgamma(FD_STEP / 2.0) - dgamma(FD_STEP)) / 3.0
+    return _riemann_from_gamma(Gam, dGam, p.g)
+
+
+def frame_pair_matrix(R: RiemannTensor) -> np.ndarray:
+    s = 1.0 / np.sqrt(np.diag(R.g))
+    full = R.full * np.einsum("i,j,k,l->ijkl", s, s, s, s)
+    Q = np.empty((6, 6))
+    for a, (i, j) in enumerate(PAIRS):
+        for b, (k, l) in enumerate(PAIRS):
+            Q[a, b] = full[i, j, k, l]
+    return Q
+
+
+def k_of_plane(Q, u, v) -> float:
+    """Witness K from a fresh 1-D bivector, by 1-D matmul."""
+    w = np.array([u[i] * v[j] - u[j] * v[i] for (i, j) in PAIRS])
+    return float(w @ Q @ w / (w @ w))
+
+
+def plane_from_bivector(w):
+    W = np.zeros((4, 4))
+    i, j = np.transpose(PAIRS)
+    W[i, j], W[j, i] = w, -w
+    U, _, _ = np.linalg.svd(W)
+    return U[:, 0], U[:, 1]
+
+
+def extremize_point(p) -> CurvatureBounds:
+    Q = frame_pair_matrix(riemann_closed(p))
+    scales = 1.0 / np.sqrt(np.diag(p.g))
+    vals, vecs = np.linalg.eigh(Q)
+    u_min, v_min = plane_from_bivector(vecs[:, 0])
+    u_max, v_max = plane_from_bivector(vecs[:, -1])
+    k_at_min, k_at_max = k_of_plane(Q, u_min, v_min), k_of_plane(Q, u_max, v_max)
+    k_min, k_max = float(vals[0]), float(vals[-1])
+    return CurvatureBounds(
+        t=float(p.t),
+        k_min=k_min,
+        k_max=k_max,
+        argmin_plane=WitnessPlane(u_min, v_min, scales),
+        argmax_plane=WitnessPlane(u_max, v_max, scales),
+        method_agreement=max(abs(k_at_min - k_min), abs(k_at_max - k_max)),
+        frame_plane_k={name: float(Q[a, a]) for a, name in enumerate(PAIR_NAMES)},
+    )

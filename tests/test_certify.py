@@ -184,32 +184,33 @@ def test_certify_tail_notes_are_exact_per_family(warp, t_range, notes):
 
 def test_certify_flags_witness_gaps_above_the_fixed_bound(monkeypatch):
     # the flag bound is 1e-12: a gap of 2e-12 is flagged, 1e-12 is not,
-    # and neither changes the verdict
+    # and neither changes the verdict; the gaps are patched into the
+    # stacked kernel certify runs once on its whole grid
     certify_module = sys.modules["solcusp.certify"]
-    exact = certify_module.extremize_k
+    exact = certify_module._extremize
     gaps = {-1.0: 2e-12, 0.0: 1e-12}
 
-    def widened(warp, t):
-        b = exact(warp, t)
-        return dataclasses.replace(b, method_agreement=gaps.get(t, b.method_agreement))
+    def widened(p):
+        return [dataclasses.replace(b, method_agreement=gaps.get(b.t, b.method_agreement))
+                for b in exact(p)]
 
-    monkeypatch.setattr(certify_module, "extremize_k", widened)
+    monkeypatch.setattr(certify_module, "_extremize", widened)
     rep = certify(ShiftedExp(), (-1.0, 1.0), 0.5)
     assert rep.status == "certified"
     assert rep.flagged_points == [-1.0]
 
 
 def test_certify_reports_positive_curvature_as_violation(monkeypatch, capsys):
-    # no admissible warp reaches K >= 0, so a patched extremize_k reports
-    # k_max = +1e-3 at t = 0.5 and the witness must name that point's plane
+    # no admissible warp reaches K >= 0, so the patched stacked kernel
+    # reports k_max = +1e-3 at t = 0.5 and the witness must name that
+    # point's plane
     certify_module = sys.modules["solcusp.certify"]
-    exact = certify_module.extremize_k
+    exact = certify_module._extremize
 
-    def positive(warp, t):
-        b = exact(warp, t)
-        return dataclasses.replace(b, k_max=1e-3) if t == 0.5 else b
+    def positive(p):
+        return [dataclasses.replace(b, k_max=1e-3) if b.t == 0.5 else b for b in exact(p)]
 
-    monkeypatch.setattr(certify_module, "extremize_k", positive)
+    monkeypatch.setattr(certify_module, "_extremize", positive)
     rep = certify(ShiftedExp(), (-1.0, 1.0), 0.5)
     assert rep.status == "violation"
     assert rep.global_negative is False

@@ -219,8 +219,27 @@ def test_volume_command(capsys):
     )
     assert code == 0
     payload = json.loads(out)
-    assert set(payload) == {"integral", "total"}
+    assert set(payload) == {"integral", "total", "warp"}
+    assert payload["warp"] == {"family": "shifted-exp"}
     assert abs(payload["integral"] - 5.0 / 6.0) <= 1e-15
+
+
+@pytest.mark.parametrize("command", ["volume", "verify-riemann"])
+def test_standalone_reports_name_the_widened_window(command, tmp_path, capsys):
+    # no grid point lies in (-1e-4, -5e-5), so the window is widened; the
+    # standalone report names the window its numbers belong to
+    warp = build_interpolation(-1e-4, -5e-5)
+    assert warp.t_lo < -1.0 and warp.t_hi == -5e-5
+    flags = ["--warp", "interpolated", "--warp-t0=-1e-4", "--warp-t1=-5e-5"]
+    code, out = run_cli(capsys, command, *flags, *(["--t0=-5"] if command == "volume" else []))
+    assert code == 0
+    assert json.loads(out)["warp"] == {"family": "interpolated", "T0": warp.t_lo, "T1": warp.t_hi}
+    # run names its window in warp.json; its other reports keep their schema
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(REDUCED_RUN))
+    assert main(["--config", str(cfg), "--output", str(tmp_path), "run"]) == 0
+    name = {"volume": "volume.json", "verify-riemann": "riemann.json"}[command]
+    assert "warp" not in json.loads((tmp_path / name).read_text())
 
 
 def test_run_pipeline_writes_all_reports(tmp_path, capsys):

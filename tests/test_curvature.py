@@ -96,7 +96,7 @@ def test_tabulated_slots_at_origin():
 
 
 def test_flat_fd_components_vanish():
-    R = riemann_fd_general(lambda t, z: flat_metric_point(), 0.0, 0.0)
+    R = riemann_fd_general(lambda t, z: flat_metric_point(np.shape(t)), 0.0, 0.0)
     assert np.max(np.abs(R.full)) < 1e-9
 
 

@@ -1,9 +1,11 @@
 """The array kernels against the per-point loops they replaced.
 
 ``match_component_table`` scores all 48 (labelling, sign) pairs on stacked
-arrays, and ``verify_isometry`` forms every pullback in one batch.  The
-references below are the loops those kernels were first written as: one
-point and one labelling at a time, one sample and one 3x3 SVD at a time.
+arrays, from one stacked call of each Riemann pipeline, and
+``verify_isometry`` forms every pullback in one batch.  The references
+below are the loops those kernels were first written as: one point and one
+labelling at a time, on the per-point pipelines of
+``per_point_reference.py``, and one sample and one 3x3 SVD at a time.
 The kernels must reproduce them exactly (==), not merely to a tolerance.
 """
 
@@ -14,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import per_point_reference as ref
 from solcusp import curvature
 from solcusp.curvature import (
     AXIS_NAMES,
@@ -21,8 +24,6 @@ from solcusp.curvature import (
     PAIRS,
     component_table,
     match_component_table,
-    metric_at,
-    riemann_closed,
 )
 from solcusp.lattice import (
     AffineMap3,
@@ -74,15 +75,15 @@ def loop_slots(assign):
     return slots
 
 
-def reference_match(warp, points):
+def reference_match(warp, points, riemann_fd=ref.riemann_fd):
     """The labelling scan with every table and pair matrix rebuilt per pair."""
     points = list(points)
     computed = []
     agreement = 0.0
     bianchi = 0.0
     for (t, z) in points:
-        R_fd = curvature.riemann_fd(warp, t, z)
-        R_cl = riemann_closed(metric_at(warp, t, z))
+        R_fd = riemann_fd(warp, t, z)
+        R_cl = ref.riemann_closed(ref.metric_at(warp, t, z))
         agreement = max(agreement, float(np.max(np.abs(R_fd.full - R_cl.full))))
         bianchi = max(bianchi, R_fd.bianchi_residual())
         computed.append((t, z, R_fd))
@@ -159,14 +160,24 @@ def test_scan_equals_per_point_loop_on_grid(warp):
 
 def test_scan_equals_per_point_loop_with_extra_components(monkeypatch):
     # seeded noise in every slot, so unlisted slots carry signal and the
-    # extras list is long enough to check its (point, slot) order
+    # extras list is long enough to check its (point, slot) order; the
+    # stacked seam and the per-point reference draw the same noise, one
+    # (4, 4, 4, 4) block per point in point order
     rng = np.random.default_rng(7)
     exact = curvature.riemann_fd
 
+    def noise(shape):
+        return np.array([1e-6 * rng.standard_normal((4,) * 4)
+                         for _ in np.ndindex(shape)]).reshape(shape + (4,) * 4)
+
     def noisy(warp, t, z):
         R = exact(warp, t, z)
-        return curvature.RiemannTensor(full=R.full + 1e-6 * rng.standard_normal((4,) * 4),
+        return curvature.RiemannTensor(full=R.full + noise(R.full.shape[:-4]),
                                        g=np.array(R.g))
+
+    def noisy_reference(warp, t, z):
+        R = ref.riemann_fd(warp, t, z)
+        return curvature.RiemannTensor(full=R.full + noise(()), g=np.array(R.g))
 
     monkeypatch.setattr(curvature, "riemann_fd", noisy)
     points = [(-1.0, 0.5), (0.0, -0.25), (1.5, 0.8)]
@@ -174,9 +185,9 @@ def test_scan_equals_per_point_loop_with_extra_components(monkeypatch):
     state = rng.bit_generator.state
     rep = match_component_table(warp, points)
     rng.bit_generator.state = state
-    ref = reference_match(warp, points)
+    ref_rep = reference_match(warp, points, riemann_fd=noisy_reference)
     assert len(rep.extra_components) > 30
-    assert_same_report(rep, ref)
+    assert_same_report(rep, ref_rep)
 
 
 @settings(max_examples=25, deadline=None)
