@@ -25,9 +25,11 @@ as a silent pass.
 
 The kernels take arrays: ``certify`` builds the (n, 6, 6) frame forms of
 its whole grid from one stacked ``metric_at``, and runs one batched
-``eigh`` and one batched SVD per extreme.  ``extremize_point`` and
-``extremize_k`` are the 0-d case of the same code, so a grid point's
-bounds equal theirs exactly.
+``eigh`` and one batched SVD per extreme.  The result is one
+``CurvatureBounds`` whose fields carry the grid axis, and it stays in
+that form through the verdict, the rescale and the CSV rows.
+``extremize_point`` and ``extremize_k`` return the 0-d case of the same
+code, so a grid point's bounds equal theirs exactly.
 """
 
 from __future__ import annotations
@@ -81,15 +83,15 @@ def _witness(Q: np.ndarray, w: np.ndarray):
 
 @dataclass(frozen=True)
 class WitnessPlane:
-    """A 2-plane as a frame-orthonormal pair (u, v).
+    """2-planes as frame-orthonormal pairs (u, v), one per point of a stack.
 
     ``frame_to_coord`` holds the 1/sqrt(g_ii) scales turning frame
     components into coordinate components.
     """
 
-    u: np.ndarray               # (4,)
-    v: np.ndarray               # (4,)
-    frame_to_coord: np.ndarray  # (4,)
+    u: np.ndarray               # (..., 4)
+    v: np.ndarray               # (..., 4)
+    frame_to_coord: np.ndarray  # (..., 4)
 
     def __post_init__(self) -> None:
         for name in ("u", "v", "frame_to_coord"):
@@ -98,32 +100,37 @@ class WitnessPlane:
             arr.setflags(write=False)
 
     def plane_coord(self) -> tuple[np.ndarray, np.ndarray]:
-        """The pair in coordinate components (for sectional_curvature)."""
+        """The pairs in coordinate components (for sectional_curvature)."""
         return self.u * self.frame_to_coord, self.v * self.frame_to_coord
 
 
 @dataclass(frozen=True)
 class CurvatureBounds:
-    """Extremal sectional curvature over all tangent 2-planes at one t."""
+    """Extremal sectional curvature over all tangent 2-planes, per point.
 
-    t: float
-    k_min: float
-    k_max: float
+    ``t``, ``k_min``, ``k_max``, ``method_agreement`` and each value of
+    ``frame_plane_k`` have the stack's shape, () for one point; the
+    witness planes carry it in front of their 4 frame components.
+    """
+
+    t: np.ndarray
+    k_min: np.ndarray
+    k_max: np.ndarray
     argmin_plane: WitnessPlane
     argmax_plane: WitnessPlane
-    method_agreement: float     # max |K(witness) - extreme eigenvalue|
-    frame_plane_k: dict[str, float] = field(default_factory=dict)
-    resampled: int = 0          # always 0: nothing is sampled
+    method_agreement: np.ndarray    # max |K(witness) - extreme eigenvalue|
+    frame_plane_k: dict[str, np.ndarray] = field(default_factory=dict)
+    resampled: int = 0              # always 0: nothing is sampled
 
 
-def _extremize(p: MetricPoint) -> list[CurvatureBounds]:
+def _extremize(p: MetricPoint) -> CurvatureBounds:
     """Extremal K over all 2-planes at every point of the stack p.
 
     One closed-form Riemann call, one batched ``eigh`` of the frame forms
-    and one batched witness per extreme; the bounds come back in the
-    stack's C order.  k_min and k_max are the extreme eigenvalues, each
-    with the plane of its eigenvector as witness; ``method_agreement`` is
-    the larger gap between a witness's K and the eigenvalue it stands for.
+    and one batched witness per extreme.  k_min and k_max are the extreme
+    eigenvalues, each with the plane of its eigenvector as witness;
+    ``method_agreement`` is the larger gap between a witness's K and the
+    eigenvalue it stands for.
     """
     # C order for _witness: a stack gathered by pair_matrix is not
     Q = np.ascontiguousarray(riemann_closed(p).pair_matrix(frame=True))
@@ -131,29 +138,25 @@ def _extremize(p: MetricPoint) -> list[CurvatureBounds]:
     u_min, v_min, k_at_min = _witness(Q, vecs[..., :, 0])
     u_max, v_max, k_at_max = _witness(Q, vecs[..., :, -1])
     k_min, k_max = vals[..., 0], vals[..., -1]
-    gap = np.maximum(np.abs(k_at_min - k_min), np.abs(k_at_max - k_max))
     scales = p.frame_scales()
     diag = np.diagonal(Q, axis1=-2, axis2=-1)
-    t = np.broadcast_to(p.t, p.shape)
-    return [
-        CurvatureBounds(
-            t=float(t[i]),
-            k_min=float(k_min[i]),
-            k_max=float(k_max[i]),
-            argmin_plane=WitnessPlane(u_min[i], v_min[i], scales[i]),
-            argmax_plane=WitnessPlane(u_max[i], v_max[i], scales[i]),
-            method_agreement=float(gap[i]),
-            frame_plane_k=dict(zip(PAIR_NAMES, diag[i].tolist())),
-        )
-        for i in np.ndindex(p.shape)
-    ]
+    return CurvatureBounds(
+        t=np.broadcast_to(p.t, p.shape),
+        k_min=k_min,
+        k_max=k_max,
+        argmin_plane=WitnessPlane(u_min, v_min, scales),
+        argmax_plane=WitnessPlane(u_max, v_max, scales),
+        # asarray: for 0-d operands a ufunc returns a scalar, not a 0-d array
+        method_agreement=np.asarray(np.maximum(abs(k_at_min - k_min), abs(k_at_max - k_max))),
+        frame_plane_k={name: diag[..., a] for a, name in enumerate(PAIR_NAMES)},
+    )
 
 
 def extremize_point(p: MetricPoint) -> CurvatureBounds:
     """Extremal K over all 2-planes at one MetricPoint (a 0-d stack)."""
     if p.shape != ():
         raise ValueError(f"extremize_point takes one point, not a stack of shape {p.shape}")
-    return _extremize(p)[0]
+    return _extremize(p)
 
 
 def extremize_k(warp, t: float) -> CurvatureBounds:
@@ -172,24 +175,24 @@ def tail_k_bound(warp, t_last: float) -> float | None:
     return -2.0 if ends and t_last >= ends[1] else None
 
 
-def rescale_to_pinching(bounds_curve,
+def rescale_to_pinching(bounds: CurvatureBounds,
                         tail_k_min: float | None = None) -> tuple[float, float]:
     """Rescale factor lambda (g -> lambda^2 g) and start of the pinched range.
 
-    ``tail_k_min`` bounds K from below past the last grid point, where K
-    must be proved negative too; None when no such bound is known.
-    lambda^2 is (1 + _FLOOR) times the largest of 1, |k_min| at the last
-    grid point and |tail_k_min|, so that k_min / lambda^2 stays strictly
-    above -1 there and on the tail.  pinched_from is then the smallest grid
-    t from which every later grid point has k_min / lambda^2 > -1 and
-    k_max / lambda^2 < 0; +inf if no suffix qualifies or no tail bound is
-    given, since the claim reaches to t = inf.
+    ``bounds`` is a curve along its one grid axis; only its ``t``,
+    ``k_min`` and ``k_max`` are read.  ``tail_k_min`` bounds K from below
+    past the last grid point, where K must be proved negative too; None
+    when no such bound is known.  lambda^2 is (1 + _FLOOR) times the
+    largest of 1, |k_min| at the last grid point and |tail_k_min|, so that
+    k_min / lambda^2 stays strictly above -1 there and on the tail.
+    pinched_from is then the smallest grid t from which every later grid
+    point has k_min / lambda^2 > -1 and k_max / lambda^2 < 0 (a NaN is
+    not pinched); +inf if no suffix qualifies or no tail bound is given,
+    since the claim reaches to t = inf.
     """
-    bounds = list(bounds_curve)
-    if not bounds:
-        raise ValueError("bounds_curve must be nonempty")
-    k_min = np.array([b.k_min for b in bounds])
-    k_max = np.array([b.k_max for b in bounds])
+    t, k_min, k_max = bounds.t, bounds.k_min, bounds.k_max
+    if k_min.size == 0:
+        raise ValueError("the bounds curve must be nonempty")
     if np.any(k_max >= 0.0):
         raise ValueError("rescaling requires a globally negative curve")
 
@@ -200,12 +203,9 @@ def rescale_to_pinching(bounds_curve,
         return lam, float("inf")
 
     ok = (k_min / lam2 > -1.0) & (k_max / lam2 < 0.0)
-    pinched_from = np.inf
-    for i in range(len(bounds) - 1, -1, -1):
-        if not ok[i]:
-            break
-        pinched_from = bounds[i].t
-    return lam, float(pinched_from)
+    # length of the run of pinched points that ends the grid
+    run = int(np.logical_and.accumulate(ok[::-1]).sum())
+    return lam, float(t[t.size - run]) if run else float("inf")
 
 
 @dataclass(frozen=True)
@@ -215,7 +215,7 @@ class CertificationReport:
     status: str                     # certified | violation | inconclusive |
                                     # refused_conditions
     grid: np.ndarray
-    bounds_curve: list[CurvatureBounds]
+    bounds_curve: CurvatureBounds | None  # None when refused
     margins: np.ndarray             # (n, 4) condition margins on the grid
     global_negative: bool
     max_k: float
@@ -229,8 +229,11 @@ class CertificationReport:
 
     def curve_rows(self):
         """(t, k_min, k_max, margin_a..d, method_agreement) per grid point."""
-        return [(b.t, b.k_min, b.k_max, *m, b.method_agreement)
-                for b, m in zip(self.bounds_curve, self.margins)]
+        b = self.bounds_curve
+        if b is None:
+            return []
+        return np.column_stack((b.t, b.k_min, b.k_max, self.margins,
+                                b.method_agreement))
 
 
 def _tail_notes(warp) -> list[str]:
@@ -275,7 +278,7 @@ def certify(
 
     config = {"t_min": t0, "t_max": t1, "t_step": float(t_step)}
     margins = condition_margins(warp, grid)
-    curve, max_k, flagged = [], np.nan, []
+    curve, max_k, flagged = None, np.nan, []
     scale, pinched_from = np.nan, np.inf
 
     t_w, cond, val = worst_margin(grid, margins)
@@ -285,18 +288,17 @@ def certify(
                    "margin": val}
     else:
         curve = _extremize(metric_at(warp, grid, 0.0))
-        k_max_arr = np.array([b.k_max for b in curve])
-        max_k = float(np.max(k_max_arr))
-        flagged = [b.t for b in curve if b.method_agreement > _AGREEMENT_TOL]
+        max_k = float(np.max(curve.k_max))
+        flagged = curve.t[curve.method_agreement > _AGREEMENT_TOL].tolist()
         witness = None
         if max_k >= 0.0:
-            worst = curve[int(np.argmax(k_max_arr))]
-            plane = worst.argmax_plane
+            i = int(np.argmax(curve.k_max))
+            plane = curve.argmax_plane
             witness = {
                 "kind": "positive_curvature",
-                "t": float(worst.t),
-                "k_max": float(worst.k_max),
-                "plane_basis": [plane.u.tolist(), plane.v.tolist()],
+                "t": float(curve.t[i]),
+                "k_max": float(curve.k_max[i]),
+                "plane_basis": [plane.u[i].tolist(), plane.v[i].tolist()],
             }
             status = "violation"
         elif max_k >= -_FLOOR:

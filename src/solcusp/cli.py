@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import functools
 import json
 import sys
 from pathlib import Path
@@ -125,12 +126,7 @@ def _warp_payload(warp) -> dict:
 
 def _warp_csv(warp) -> str:
     grid = validation_grid(warp)
-    f, fp, fpp = warp.eval(grid)
-    margins = condition_margins(warp, grid)
-    rows = [
-        (t, fi, fpi, fppi, *m)
-        for t, fi, fpi, fppi, m in zip(grid, f, fp, fpp, margins)
-    ]
+    rows = np.column_stack((grid, *warp.eval(grid), condition_margins(warp, grid)))
     return write_csv_text(
         ["t", "f", "fp", "fpp", "margin_a", "margin_b", "margin_c", "margin_d"],
         rows,
@@ -286,7 +282,9 @@ def _add_warp_flags(sub, default="shifted-exp") -> None:
                      help="transition end (interpolated warp)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; ``main`` finds each ``cmd_*`` by name."""
     parser = argparse.ArgumentParser(
         prog="solcusp",
         description="Certify the negatively curved Sol-cusp metric numerically.",
@@ -297,19 +295,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lattice", help="Sol cross-section from an Anosov matrix")
     p.add_argument("--matrix", default="2,1,1,1", help="a,b,c,d entries")
-    p.set_defaults(fn=cmd_lattice)
 
     p = sub.add_parser("build-warp", help="validated interpolated warp")
     p.add_argument("--t0", type=float, default=-4.0)
     p.add_argument("--t1", type=float, default=-1.0)
     p.add_argument("--csv", default=None, help="also write per-t curve CSV here")
-    p.set_defaults(fn=cmd_build_warp)
 
     p = sub.add_parser("verify-riemann", help="match the curvature component table")
     _add_warp_flags(p)
     p.add_argument("--t-grid", default="-2:2:5", help="lo:hi:count")
     p.add_argument("--z-grid", default="-1:1:5", help="lo:hi:count")
-    p.set_defaults(fn=cmd_verify_riemann)
 
     p = sub.add_parser("certify", help="bound sectional curvature over a grid")
     _add_warp_flags(p, default="interpolated")
@@ -317,17 +312,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-max", type=float, default=10.0)
     p.add_argument("--step", type=float, default=0.05)
     p.add_argument("--csv", default=None, help="write the bounds curve CSV here")
-    p.set_defaults(fn=cmd_certify)
 
     p = sub.add_parser("volume", help="cusp volume, closed form outside the window")
     _add_warp_flags(p)
     p.add_argument("--vol-c", type=float, default=1.0)
     p.add_argument("--t0", type=float, default=0.0)
     p.add_argument("--tol", type=float, default=1e-10)
-    p.set_defaults(fn=cmd_volume)
 
-    p = sub.add_parser("run", help="full pipeline with report files")
-    p.set_defaults(fn=cmd_run)
+    sub.add_parser("run", help="full pipeline with report files")
 
     # no prefix matching: a removed flag such as --h must fail, not parse as --help
     for p in (parser, *sub.choices.values()):
@@ -341,7 +333,7 @@ def main(argv=None) -> int:
     if args.config is not None and args.command != "run":
         parser.error("--config applies to run only")
     try:
-        return args.fn(args)
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except (ValueError, OSError, InterpolationError, QuadratureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

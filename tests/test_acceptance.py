@@ -128,7 +128,7 @@ def test_criterion_5_negativity_certificate():
     w = build_interpolation(-4.0, -1.0)
     rep = certify(w, (-6.0, 10.0), 0.05)
     elapsed = time.monotonic() - start
-    worst_agreement = max(b.method_agreement for b in rep.bounds_curve)
+    worst_agreement = rep.bounds_curve.method_agreement.max()
     ok = (
         rep.status == "certified"
         and rep.max_k < -1e-9

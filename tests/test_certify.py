@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -113,7 +114,8 @@ def test_certify_small_grid_is_certified():
     # conditions-vs-negativity cross-check: margins positive everywhere on
     # the grid, so every point must indeed have k_max < 0
     assert np.all(rep.margins > 0.0)
-    assert all(b.k_max < 0.0 for b in rep.bounds_curve)
+    assert rep.bounds_curve.k_max.shape == rep.grid.shape
+    assert np.all(rep.bounds_curve.k_max < 0.0)
 
 
 def test_certify_shifted_exp_full_range():
@@ -122,13 +124,14 @@ def test_certify_shifted_exp_full_range():
     assert rep.global_negative
     assert np.isfinite(rep.pinched_from)
     # curvature is bounded below along the whole curve
-    assert min(b.k_min for b in rep.bounds_curve) > -2.1
+    assert rep.bounds_curve.k_min.min() > -2.1
 
 
 def test_certify_refuses_broken_warp_before_sampling():
     rep = certify(ConstantWarp(), (-1.0, 1.0), 0.5)
     assert rep.status == "refused_conditions"
-    assert rep.bounds_curve == []
+    assert rep.bounds_curve is None
+    assert rep.curve_rows() == []
     assert rep.witness["kind"] == "condition"
     assert rep.witness["condition"] == "b"
     assert rep.witness["margin"] <= 0.0
@@ -143,8 +146,8 @@ def test_certify_refuses_pure_exp_on_positive_range():
 def test_certify_is_deterministic():
     a = certify(ShiftedExp(), (-1.0, 1.0), 0.5)
     b = certify(ShiftedExp(), (-1.0, 1.0), 0.5)
-    assert [x.k_min for x in a.bounds_curve] == [x.k_min for x in b.bounds_curve]
-    assert [x.k_max for x in a.bounds_curve] == [x.k_max for x in b.bounds_curve]
+    assert np.array_equal(a.bounds_curve.k_min, b.bounds_curve.k_min)
+    assert np.array_equal(a.bounds_curve.k_max, b.bounds_curve.k_max)
     assert a.scale == b.scale
 
 
@@ -188,11 +191,11 @@ def test_certify_flags_witness_gaps_above_the_fixed_bound(monkeypatch):
     # stacked kernel certify runs once on its whole grid
     certify_module = sys.modules["solcusp.certify"]
     exact = certify_module._extremize
-    gaps = {-1.0: 2e-12, 0.0: 1e-12}
 
     def widened(p):
-        return [dataclasses.replace(b, method_agreement=gaps.get(b.t, b.method_agreement))
-                for b in exact(p)]
+        b = exact(p)
+        gaps = np.where(b.t == -1.0, 2e-12, np.where(b.t == 0.0, 1e-12, b.method_agreement))
+        return dataclasses.replace(b, method_agreement=gaps)
 
     monkeypatch.setattr(certify_module, "_extremize", widened)
     rep = certify(ShiftedExp(), (-1.0, 1.0), 0.5)
@@ -208,7 +211,13 @@ def test_certify_reports_positive_curvature_as_violation(monkeypatch, capsys):
     exact = certify_module._extremize
 
     def positive(p):
-        return [dataclasses.replace(b, k_max=1e-3) if b.t == 0.5 else b for b in exact(p)]
+        b = exact(p)
+        # a different witness plane at each of the five points, so the
+        # witness shows which point's plane it took
+        e = np.eye(4)
+        planes = WitnessPlane(e[[0, 1, 2, 3, 0]], e[[1, 2, 3, 0, 1]], b.argmax_plane.frame_to_coord)
+        return dataclasses.replace(b, k_max=np.where(b.t == 0.5, 1e-3, b.k_max),
+                                   argmax_plane=planes)
 
     monkeypatch.setattr(certify_module, "_extremize", positive)
     rep = certify(ShiftedExp(), (-1.0, 1.0), 0.5)
@@ -216,18 +225,38 @@ def test_certify_reports_positive_curvature_as_violation(monkeypatch, capsys):
     assert rep.global_negative is False
     assert np.isnan(rep.scale) and rep.pinched_from == np.inf
     assert rep.max_k == 1e-3
-    worst = rep.bounds_curve[3]
-    assert worst.t == 0.5
+    worst = rep.bounds_curve
+    assert worst.t[3] == 0.5
     assert rep.witness == {
         "kind": "positive_curvature",
         "t": 0.5,
         "k_max": 1e-3,
-        "plane_basis": [worst.argmax_plane.u.tolist(), worst.argmax_plane.v.tolist()],
+        "plane_basis": [[0.0, 0.0, 0.0, 1.0], [1.0, 0.0, 0.0, 0.0]],
     }
+    assert rep.witness["plane_basis"] == [worst.argmax_plane.u[3].tolist(),
+                                          worst.argmax_plane.v[3].tolist()]
     argv = ["certify", "--warp", "shifted-exp", "--t-min", "-1", "--t-max", "1",
             "--step", "0.5"]
     assert cli_main(argv) == 2
     assert json.loads(capsys.readouterr().out)["status"] == "violation"
+
+
+def test_certify_builds_one_bounds_object_per_grid(monkeypatch):
+    # the curve stays stacked: one CurvatureBounds and one WitnessPlane per
+    # extreme, whatever the number of grid points
+    certify_module = sys.modules["solcusp.certify"]
+    built = []
+    for name in ("CurvatureBounds", "WitnessPlane"):
+        cls = getattr(certify_module, name)
+
+        def counted(*args, _cls=cls, **kwargs):
+            built.append(_cls.__name__)
+            return _cls(*args, **kwargs)
+
+        monkeypatch.setattr(certify_module, name, counted)
+    rep = certify(ShiftedExp(), (-6.0, 10.0), 0.05)
+    assert rep.grid.size == 321
+    assert sorted(built) == ["CurvatureBounds", "WitnessPlane", "WitnessPlane"]
 
 
 def test_certify_validates_arguments():
@@ -237,12 +266,14 @@ def test_certify_validates_arguments():
         certify(ShiftedExp(), (-1.0, 1.0), 0.0)
 
 
-def test_rescale_boundary_curve():
-    class Stub:
-        def __init__(self, t, k_min, k_max):
-            self.t, self.k_min, self.k_max = t, k_min, k_max
+def stub_curve(t, k_min, k_max):
+    """A bounds curve with the three fields rescale_to_pinching reads."""
+    t = np.asarray(t, dtype=float)
+    return SimpleNamespace(t=t, k_min=np.full(t.shape, k_min), k_max=np.full(t.shape, k_max))
 
-    curve = [Stub(t, -1.0, -0.25) for t in np.linspace(0.0, 2.0, 5)]
+
+def test_rescale_boundary_curve():
+    curve = stub_curve(np.linspace(0.0, 2.0, 5), -1.0, -0.25)
     lam, pinched = rescale_to_pinching(curve, tail_k_min=-1.0)
     # k_min = -1 exactly sits on the open bound, so lambda^2 must exceed 1
     assert lam**2 == pytest.approx(1.0 + 1e-9, rel=1e-12)
@@ -258,14 +289,10 @@ def test_rescale_boundary_curve():
 
 
 def test_rescale_requires_negative_curve():
-    class Stub:
-        def __init__(self, t, k_min, k_max):
-            self.t, self.k_min, self.k_max = t, k_min, k_max
-
     with pytest.raises(ValueError):
-        rescale_to_pinching([Stub(0.0, -1.0, 0.5)])
+        rescale_to_pinching(stub_curve([0.0], -1.0, 0.5))
     with pytest.raises(ValueError):
-        rescale_to_pinching([])
+        rescale_to_pinching(stub_curve([], -1.0, -0.5))
 
 
 def test_rescale_of_certified_curve_pins_the_suffix():
@@ -279,10 +306,10 @@ def test_rescale_of_certified_curve_pins_the_suffix():
     assert pinched == rep.pinched_from
     assert np.isfinite(pinched)
     lam2 = lam * lam
-    for b in rep.bounds_curve:
-        if b.t >= pinched:
-            assert b.k_min / lam2 > -1.0
-            assert b.k_max / lam2 < 0.0
+    b = rep.bounds_curve
+    suffix = b.t >= pinched
+    assert np.all(b.k_min[suffix] / lam2 > -1.0)
+    assert np.all(b.k_max[suffix] / lam2 < 0.0)
 
 
 def test_witness_plane_rejects_mutation():

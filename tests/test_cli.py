@@ -1,4 +1,6 @@
+import argparse
 import dataclasses
+import gc
 import json
 import sys
 
@@ -43,6 +45,36 @@ def test_lattice_command(capsys):
     assert payload["max_isometry_deviation"] <= 1e-12
     assert len(payload["generators"]) == 3
     assert payload["volume"] == pytest.approx(payload["stretch"])
+
+
+def test_repeated_main_calls_leave_no_parser_garbage(tmp_path, capsys):
+    # the parser is built once per process; a parser per call would leave
+    # its reference cycles for the cyclic collector
+    calls = [["lattice"], ["--output", str(tmp_path), "run"]] * 3
+    main(calls[0])
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for argv in calls:
+            main(argv)
+        unreachable = gc.collect()
+        parsers = [o for o in gc.garbage if isinstance(o, argparse.ArgumentParser)]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    capsys.readouterr()
+    assert parsers == []
+    assert unreachable == 0
+
+
+def test_main_calls_the_command_bound_on_the_module(monkeypatch, capsys):
+    # the cached parser must not pin the command it was built with
+    main(["lattice"])
+    monkeypatch.setattr(sys.modules["solcusp.cli"], "cmd_lattice", lambda args: 7)
+    assert main(["lattice"]) == 7
+    capsys.readouterr()
 
 
 def test_lattice_command_reports_the_builders_deviation(monkeypatch, capsys):
@@ -282,6 +314,9 @@ def test_run_pipeline_with_pure_exp_reports_failed_conditions(tmp_path, capsys):
     assert summary["status"] == "refused_conditions"
     assert summary["verdict"]["conditions_hold"] is False
     assert summary["verdict"]["globally_negative"] is False
+    # refused before any curvature work: the curve CSV has no rows
+    assert (outdir / "certify.csv").read_text() == (
+        "t,k_min,k_max,margin_a,margin_b,margin_c,margin_d,method_agreement\n")
 
 
 def test_run_pipeline_config_round_trip(tmp_path, capsys):

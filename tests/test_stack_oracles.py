@@ -9,6 +9,7 @@ families.
 """
 
 import importlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import per_point_reference as ref
-from solcusp.certify import certify, extremize_k, extremize_point
+from solcusp.certify import _FLOOR, certify, extremize_k, extremize_point, rescale_to_pinching
 from solcusp.curvature import (
     PAIRS,
     christoffel,
@@ -32,18 +33,29 @@ certify_module = importlib.import_module("solcusp.certify")
 DEFAULT_GRID = np.arange(-6.0, 10.0 + 0.025, 0.05)
 
 
-def assert_same_bounds(b, r):
-    assert b.t == r.t
-    assert b.k_min == r.k_min
-    assert b.k_max == r.k_max
+def assert_same_bounds(b, i, r):
+    """The stacked bounds b at index i equal the per-point bounds r, field by field."""
+    assert b.t[i] == r.t
+    assert b.k_min[i] == r.k_min
+    assert b.k_max[i] == r.k_max
     for plane, ref_plane in ((b.argmin_plane, r.argmin_plane), (b.argmax_plane, r.argmax_plane)):
-        assert np.array_equal(plane.u, ref_plane.u)
-        assert np.array_equal(plane.v, ref_plane.v)
-        assert np.array_equal(plane.frame_to_coord, ref_plane.frame_to_coord)
-    assert b.method_agreement == r.method_agreement
-    assert b.frame_plane_k == r.frame_plane_k
+        assert np.array_equal(plane.u[i], ref_plane.u)
+        assert np.array_equal(plane.v[i], ref_plane.v)
+        assert np.array_equal(plane.frame_to_coord[i], ref_plane.frame_to_coord)
+    assert b.method_agreement[i] == r.method_agreement
     assert list(b.frame_plane_k) == list(r.frame_plane_k)
+    for name, k in r.frame_plane_k.items():
+        assert b.frame_plane_k[name][i] == k, name
     assert b.resampled == r.resampled == 0
+
+
+def assert_stack_shape(b, shape):
+    """Every field of the bounds b carries the stack's shape."""
+    for arr in (b.t, b.k_min, b.k_max, b.method_agreement, *b.frame_plane_k.values()):
+        assert isinstance(arr, np.ndarray) and arr.shape == shape
+    for plane in (b.argmin_plane, b.argmax_plane):
+        for arr in (plane.u, plane.v, plane.frame_to_coord):
+            assert arr.shape == shape + (4,)
 
 
 def make_warp(family, t_hi, width):
@@ -79,8 +91,8 @@ def test_stacked_kernels_equal_the_per_point_bodies(family, t_hi, width, shape, 
     fd = riemann_fd(warp, t, z)
     frame = closed.pair_matrix(frame=True)
     bounds = certify_module._extremize(p)
-    assert len(bounds) == size
-    for b, i in zip(bounds, np.ndindex(shape)):
+    assert_stack_shape(bounds, shape)
+    for i in np.ndindex(shape):
         q = ref.metric_at(warp, t[i], z[i])
         for name in ("g", "g_inv", "dg", "d2g"):
             assert np.array_equal(getattr(p, name)[i], getattr(q, name)), name
@@ -92,9 +104,11 @@ def test_stacked_kernels_equal_the_per_point_bodies(family, t_hi, width, shape, 
         ref_fd = ref.riemann_fd(warp, t[i], z[i])
         assert np.array_equal(fd.full[i], ref_fd.full)
         assert np.array_equal(fd.g[i], ref_fd.g)
-        assert_same_bounds(b, ref.extremize_point(q))
+        assert_same_bounds(bounds, i, ref.extremize_point(q))
     if shape == ():
-        assert_same_bounds(extremize_point(p), ref.extremize_point(ref.metric_at(warp, t, z)))
+        b = extremize_point(p)
+        assert_stack_shape(b, ())
+        assert_same_bounds(b, (), ref.extremize_point(ref.metric_at(warp, t, z)))
 
 
 def test_certify_bounds_equal_the_per_point_bodies_on_the_default_grid():
@@ -102,10 +116,11 @@ def test_certify_bounds_equal_the_per_point_bodies_on_the_default_grid():
     rep = certify(warp, (-6.0, 10.0), 0.05)
     assert rep.grid.size == DEFAULT_GRID.size == 321
     assert np.array_equal(rep.grid, DEFAULT_GRID)
-    for b, t in zip(rep.bounds_curve, rep.grid):
+    assert_stack_shape(rep.bounds_curve, rep.grid.shape)
+    for i, t in enumerate(rep.grid):
         r = ref.extremize_point(ref.metric_at(warp, t, 0.0))
-        assert_same_bounds(b, r)
-        assert_same_bounds(extremize_k(warp, t), r)
+        assert_same_bounds(rep.bounds_curve, i, r)
+        assert_same_bounds(extremize_k(warp, t), (), r)
 
 
 def test_einsum_witness_k_would_move_the_last_bits():
@@ -122,11 +137,81 @@ def test_einsum_witness_k_would_move_the_last_bits():
     k_ref = ref.k_of_plane(Q, u, v)
     assert np.einsum("i,ij,j->", w, Q, w) / (w @ w) != k_ref
     assert certify_module._witness(Q, vecs[:, -1])[2] == k_ref
-    b = certify(warp, (-6.0, 10.0), 0.05).bounds_curve[i]
-    assert b.method_agreement == ref.extremize_point(p).method_agreement
+    b = certify(warp, (-6.0, 10.0), 0.05).bounds_curve
+    assert b.method_agreement[i] == ref.extremize_point(p).method_agreement
 
 
 def test_extremize_point_takes_one_point():
     p = metric_at(ShiftedExp(), np.array([0.0, 1.0]), 0.0)
     with pytest.raises(ValueError, match="one point"):
         extremize_point(p)
+
+
+def rescale_both(t, k_min, k_max, tail):
+    """(lambda, pinched_from) of the array rescale and of the suffix loop.
+
+    Either result is "ValueError" where that version refuses the curve.
+    """
+    stacked = SimpleNamespace(t=np.array(t, dtype=float), k_min=np.array(k_min, dtype=float),
+                              k_max=np.array(k_max, dtype=float))
+    points = [SimpleNamespace(t=float(a), k_min=float(b), k_max=float(c))
+              for a, b, c in zip(t, k_min, k_max)]
+    results = []
+    for fn, curve in ((rescale_to_pinching, stacked), (ref.rescale_to_pinching, points)):
+        try:
+            results.append(fn(curve, tail))
+        except ValueError:
+            results.append("ValueError")
+    return results
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=8),
+    tail=st.one_of(st.none(), st.floats(min_value=-3.0, max_value=0.0)),
+    data=st.data(),
+)
+def test_rescale_equals_the_suffix_loop(n, tail, data):
+    def column(*values):
+        return data.draw(st.lists(st.one_of(*values), min_size=n, max_size=n))
+
+    t = np.cumsum(column(st.floats(min_value=0.01, max_value=1.0)))
+    nan = st.just(float("nan"))
+    k_min = column(st.floats(min_value=-3.0, max_value=0.0), nan)
+    # subnormal k_max can round to -0.0 once divided by lambda^2
+    k_max = column(st.floats(min_value=-3.0, max_value=0.0, exclude_max=True), nan,
+                   st.just(-5e-324), st.just(0.0))
+    # points that sit exactly on the open bound k_min = -lambda^2
+    tail_sup = 0.0 if tail is None else abs(tail)
+    lam2 = (1.0 + _FLOOR) * max(1.0, abs(k_min[-1]), tail_sup)
+    for i in data.draw(st.sets(st.integers(min_value=0, max_value=n - 2))) if n > 1 else ():
+        k_min[i] = -lam2
+    stacked, loop = rescale_both(t, k_min, k_max, tail)
+    assert stacked == loop
+
+
+LAM_1 = float(np.sqrt(1.0 + _FLOOR))
+LAM_2 = float(np.sqrt(2.0 * (1.0 + _FLOOR)))
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("t,k_min,k_max,tail,expected", [
+    # k_min = -lambda^2 exactly is not pinched: the suffix starts after it
+    ([0.0, 1.0, 2.0, 3.0], [-0.5, -2.0 * (1.0 + _FLOOR), -0.5, -0.5], [-0.1] * 4, -2.0,
+     (LAM_2, 2.0)),
+    # a NaN in either bound is not pinched
+    ([0.0, 1.0, 2.0], [-0.5, NAN, -0.5], [-0.1] * 3, -1.0, (LAM_1, 2.0)),
+    ([0.0, 1.0, 2.0], [-0.5] * 3, [-0.1, -0.1, NAN], -1.0, (LAM_1, np.inf)),
+    # the last point unpinched: -5e-324 / lambda^2 rounds to -0.0
+    ([0.0, 1.0, 2.0], [-0.5] * 3, [-0.1, -0.1, -5e-324], -2.0, (LAM_2, np.inf)),
+    # every point pinched
+    ([0.0, 1.0, 2.0], [-0.5] * 3, [-0.1] * 3, -1.0, (LAM_1, 0.0)),
+    # one point
+    ([1.5], [-1.0], [-0.5], -1.0, (LAM_1, 1.5)),
+    # no tail bound: nothing past the grid is known
+    ([0.0, 1.0, 2.0], [-0.5] * 3, [-0.1] * 3, None, (LAM_1, np.inf)),
+], ids=["at-bound", "nan-k-min", "nan-k-max-last", "last-unpinched", "all-pinched",
+        "one-point", "no-tail"])
+def test_rescale_cases_equal_the_suffix_loop(t, k_min, k_max, tail, expected):
+    stacked, loop = rescale_both(t, k_min, k_max, tail)
+    assert stacked == loop == expected
