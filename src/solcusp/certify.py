@@ -29,16 +29,17 @@ its whole grid from one stacked ``metric_at``, and runs one batched
 ``CurvatureBounds`` whose fields carry the grid axis, and it stays in
 that form through the verdict, the rescale and the CSV rows.
 ``extremize_point`` and ``extremize_k`` return the 0-d case of the same
-code, so a grid point's bounds equal theirs exactly.
+code, so a grid point's bounds equal theirs exactly.  A witness plane is
+a frame-orthonormal pair (u, v); u / sqrt(g_ii) are u's coordinates.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import PAIRS, PAIR_NAMES, MetricPoint, metric_at, riemann_closed
+from .curvature import PAIRS, MetricPoint, metric_at, riemann_closed
 from .warp import condition_margins, regimes, worst_margin
 
 __all__ = [
@@ -83,34 +84,25 @@ def _witness(Q: np.ndarray, w: np.ndarray):
 
 @dataclass(frozen=True)
 class WitnessPlane:
-    """2-planes as frame-orthonormal pairs (u, v), one per point of a stack.
-
-    ``frame_to_coord`` holds the 1/sqrt(g_ii) scales turning frame
-    components into coordinate components.
-    """
+    """2-planes as frame-orthonormal pairs (u, v), one per point of a stack."""
 
     u: np.ndarray               # (..., 4)
     v: np.ndarray               # (..., 4)
-    frame_to_coord: np.ndarray  # (..., 4)
 
     def __post_init__(self) -> None:
-        for name in ("u", "v", "frame_to_coord"):
+        for name in ("u", "v"):
             arr = np.array(getattr(self, name), dtype=float)
             object.__setattr__(self, name, arr)
             arr.setflags(write=False)
-
-    def plane_coord(self) -> tuple[np.ndarray, np.ndarray]:
-        """The pairs in coordinate components (for sectional_curvature)."""
-        return self.u * self.frame_to_coord, self.v * self.frame_to_coord
 
 
 @dataclass(frozen=True)
 class CurvatureBounds:
     """Extremal sectional curvature over all tangent 2-planes, per point.
 
-    ``t``, ``k_min``, ``k_max``, ``method_agreement`` and each value of
-    ``frame_plane_k`` have the stack's shape, () for one point; the
-    witness planes carry it in front of their 4 frame components.
+    ``t``, ``k_min``, ``k_max`` and ``method_agreement`` have the stack's
+    shape, () for one point; the witness planes carry it in front of their
+    4 frame components.
     """
 
     t: np.ndarray
@@ -119,8 +111,6 @@ class CurvatureBounds:
     argmin_plane: WitnessPlane
     argmax_plane: WitnessPlane
     method_agreement: np.ndarray    # max |K(witness) - extreme eigenvalue|
-    frame_plane_k: dict[str, np.ndarray] = field(default_factory=dict)
-    resampled: int = 0              # always 0: nothing is sampled
 
 
 def _extremize(p: MetricPoint) -> CurvatureBounds:
@@ -138,17 +128,14 @@ def _extremize(p: MetricPoint) -> CurvatureBounds:
     u_min, v_min, k_at_min = _witness(Q, vecs[..., :, 0])
     u_max, v_max, k_at_max = _witness(Q, vecs[..., :, -1])
     k_min, k_max = vals[..., 0], vals[..., -1]
-    scales = p.frame_scales()
-    diag = np.diagonal(Q, axis1=-2, axis2=-1)
     return CurvatureBounds(
         t=np.broadcast_to(p.t, p.shape),
         k_min=k_min,
         k_max=k_max,
-        argmin_plane=WitnessPlane(u_min, v_min, scales),
-        argmax_plane=WitnessPlane(u_max, v_max, scales),
+        argmin_plane=WitnessPlane(u_min, v_min),
+        argmax_plane=WitnessPlane(u_max, v_max),
         # asarray: for 0-d operands a ufunc returns a scalar, not a 0-d array
         method_agreement=np.asarray(np.maximum(abs(k_at_min - k_min), abs(k_at_max - k_max))),
-        frame_plane_k={name: diag[..., a] for a, name in enumerate(PAIR_NAMES)},
     )
 
 
@@ -272,8 +259,8 @@ def certify(
     t0, t1 = float(t_range[0]), float(t_range[1])
     if not (np.isfinite(t0) and np.isfinite(t1) and t0 < t1):
         raise ValueError("t_range must be a finite increasing pair")
-    if t_step <= 0.0:
-        raise ValueError("t_step must be positive")
+    if not 0.0 < t_step < np.inf:
+        raise ValueError(f"t_step must be positive and finite, got {t_step}")
     grid = np.arange(t0, t1 + t_step / 2.0, t_step)
 
     config = {"t_min": t0, "t_max": t1, "t_step": float(t_step)}

@@ -143,6 +143,8 @@ def cmd_build_warp(args) -> int:
 
 def _parse_grid(spec: str) -> list[float]:
     lo, hi, count = spec.split(":")
+    if not np.isfinite([float(lo), float(hi)]).all():
+        raise ValueError(f"grid ends must be finite, got {spec!r}")
     return list(np.linspace(float(lo), float(hi), int(count)))
 
 

@@ -101,10 +101,6 @@ class MetricPoint:
         """The stack's leading shape; () for a single point."""
         return self.g.shape[:-2]
 
-    def frame_scales(self) -> np.ndarray:
-        """1/sqrt(g_ii): coordinate components of the orthonormal frame."""
-        return 1.0 / np.sqrt(np.diagonal(self.g, axis1=-2, axis2=-1))
-
 
 def metric_diag(warp, t, z):
     """Diagonal metric coefficients (g_xx, g_yy, g_zz, g_tt), vectorized."""
@@ -192,8 +188,8 @@ class RiemannTensor:
     """Lowered curvature tensor R_ijkl at a point or a stack of points.
 
     ``full`` is (..., 4, 4, 4, 4), kept as produced by its pipeline, without
-    symmetrization, so the algebraic symmetries below are genuine checks
-    rather than construction artifacts; each residual is the worst over the
+    symmetrization, so its algebraic symmetries are genuine checks rather
+    than construction artifacts; the Bianchi residual is the worst over the
     stack.  ``pair_matrix`` exposes the 21 independent slots as a symmetric
     6x6 matrix over the 2-form basis.
     """
@@ -217,14 +213,6 @@ class RiemannTensor:
             s = 1.0 / np.sqrt(np.diagonal(self.g, axis1=-2, axis2=-1))
             R = R * np.einsum("...i,...j,...k,...l->...ijkl", s, s, s, s)
         return R[..., _PAIR_I[:, None], _PAIR_J[:, None], _PAIR_I[None, :], _PAIR_J[None, :]]
-
-    def antisymmetry_residual(self) -> float:
-        r1 = np.max(np.abs(self.full + np.einsum("...ijkl->...jikl", self.full)))
-        r2 = np.max(np.abs(self.full + np.einsum("...ijkl->...ijlk", self.full)))
-        return float(max(r1, r2))
-
-    def pair_symmetry_residual(self) -> float:
-        return float(np.max(np.abs(self.full - np.einsum("...ijkl->...klij", self.full))))
 
     def bianchi_residual(self) -> float:
         """Max over indices of |R_ijkl + R_iklj + R_iljk| (first Bianchi)."""
@@ -414,6 +402,8 @@ def match_component_table(warp, points) -> MatchReport:
     if not points:
         raise ValueError("points must be nonempty")
     t, z = np.array(points, dtype=float).T
+    if not np.all(np.isfinite(t) & np.isfinite(z)):
+        raise ValueError("points must be finite")
 
     R_fd = riemann_fd(warp, t, z)
     R_cl = riemann_closed(metric_at(warp, t, z))

@@ -90,16 +90,6 @@ class AffineMap3:
         lin.setflags(write=False)
         off.setflags(write=False)
 
-    def apply(self, p) -> np.ndarray:
-        return self.linear @ np.asarray(p, dtype=float) + self.offset
-
-    def compose(self, other: "AffineMap3") -> "AffineMap3":
-        """self after other: (self . other)(p) = self(other(p))."""
-        return AffineMap3(
-            self.linear @ other.linear,
-            self.linear @ other.offset + self.offset,
-        )
-
 
 @dataclass(frozen=True)
 class SolLattice:

@@ -106,7 +106,6 @@ class VolumeResult:
 
     integral: float      # integral over [t0, inf) of f e^(-2t)
     total: float         # vol(C) x integral
-    quad_error: float    # error estimate of the window quadrature (0 if none)
 
 
 def _density(warp):
@@ -124,10 +123,12 @@ def cusp_volume(warp, vol_c: float, t0: float, tol: float) -> VolumeResult:
     reported integral differs from the improper one by at most tol plus
     rounding.
     """
-    if vol_c <= 0.0:
-        raise ValueError("vol_c must be positive")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < vol_c < np.inf:
+        raise ValueError(f"vol_c must be positive and finite, got {vol_c}")
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+    if not np.isfinite(t0):
+        raise ValueError(f"t0 must be finite, got {t0}")
     ends = regimes(warp)
     if ends is None:
         raise ValueError(
@@ -137,9 +138,6 @@ def cusp_volume(warp, vol_c: float, t0: float, tol: float) -> VolumeResult:
     a, b = max(t0, ends[0]), max(t0, ends[1])
     integral = float((np.exp(-3.0 * t0) - np.exp(-3.0 * a)) / 3.0
                      + np.exp(-2.0 * b) / 2.0 + np.exp(-3.0 * b) / 3.0)
-    quad_err = 0.0
     if a < b:  # f is not analytic at a or b: no GK15 panel may span them
-        window, quad_err = adaptive_quad(_density(warp), a, b, tol)
-        integral += window
-    return VolumeResult(integral=integral, total=float(vol_c) * integral,
-                        quad_error=quad_err)
+        integral += adaptive_quad(_density(warp), a, b, tol)[0]
+    return VolumeResult(integral=integral, total=float(vol_c) * integral)

@@ -140,9 +140,9 @@ class Interpolated:
     family: ClassVar[str] = "interpolated"
 
     def __post_init__(self) -> None:
-        if not (self.t_lo < self.t_hi <= 0.0):
+        if not (-np.inf < self.t_lo < self.t_hi <= 0.0):
             raise ValueError(
-                f"need t_lo < t_hi <= 0, got ({self.t_lo}, {self.t_hi})"
+                f"need finite t_lo < t_hi <= 0, got ({self.t_lo}, {self.t_hi})"
             )
 
     def eval(self, t: float | np.ndarray) -> tuple:

@@ -2,12 +2,14 @@
 
 Each builds a ``MetricPoint`` directly, bypassing the cusp ansatz, so the
 curvature pipelines and the certifier can be checked on metrics whose
-sectional curvatures are known in closed form.
+sectional curvatures are known in closed form.  The helpers at the end
+read the frame scales, the frame coordinate-plane curvatures and the
+algebraic symmetry residuals off any point or tensor.
 """
 
 import numpy as np
 
-from solcusp.curvature import DIM, MetricPoint
+from solcusp.curvature import DIM, PAIR_NAMES, MetricPoint, riemann_closed
 
 
 def flat_metric_point(shape: tuple[int, ...] = ()) -> MetricPoint:
@@ -56,3 +58,31 @@ def sol_product_metric_point(z: float, t: float = 0.0) -> MetricPoint:
     d2g[2, 2, 0, 0] = 4.0 * A
     d2g[2, 2, 1, 1] = 4.0 * B
     return MetricPoint(t=float(t), z=z, g=g, g_inv=g_inv, dg=dg, d2g=d2g)
+
+
+def frame_scales(p: MetricPoint) -> np.ndarray:
+    """1/sqrt(g_ii): the coordinate components of the orthonormal frame."""
+    return 1.0 / np.sqrt(np.diagonal(p.g, axis1=-2, axis2=-1))
+
+
+def frame_plane_k(p: MetricPoint) -> dict[str, np.ndarray]:
+    """K of each frame coordinate plane, keyed by pair name ("xy", ..., "zt").
+
+    The diagonal of the closed-form frame curvature form, the same bits
+    ``certify`` feeds to ``eigh``.
+    """
+    diag = np.diagonal(riemann_closed(p).pair_matrix(frame=True), axis1=-2, axis2=-1)
+    return {name: diag[..., a] for a, name in enumerate(PAIR_NAMES)}
+
+
+def symmetry_residuals(R) -> tuple[float, float]:
+    """(antisymmetry, pair symmetry) residuals of R_ijkl, worst over the stack.
+
+    Antisymmetry is the worse of max |R_ijkl + R_jikl| and
+    max |R_ijkl + R_ijlk|; pair symmetry is max |R_ijkl - R_klij|.
+    """
+    full = R.full
+    r1 = np.max(np.abs(full + np.einsum("...ijkl->...jikl", full)))
+    r2 = np.max(np.abs(full + np.einsum("...ijkl->...ijlk", full)))
+    pair = np.max(np.abs(full - np.einsum("...ijkl->...klij", full)))
+    return float(max(r1, r2)), float(pair)

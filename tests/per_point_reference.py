@@ -13,7 +13,7 @@ for the pinched suffix.  The stacked kernels must reproduce them exactly
 import numpy as np
 
 from solcusp.certify import _FLOOR, CurvatureBounds, WitnessPlane
-from solcusp.curvature import DIM, PAIR_NAMES, PAIRS, MetricPoint, RiemannTensor
+from solcusp.curvature import DIM, PAIRS, MetricPoint, RiemannTensor
 
 FD_STEP = 1e-4
 
@@ -127,7 +127,6 @@ def plane_from_bivector(w):
 
 def extremize_point(p) -> CurvatureBounds:
     Q = frame_pair_matrix(riemann_closed(p))
-    scales = 1.0 / np.sqrt(np.diag(p.g))
     vals, vecs = np.linalg.eigh(Q)
     u_min, v_min = plane_from_bivector(vecs[:, 0])
     u_max, v_max = plane_from_bivector(vecs[:, -1])
@@ -137,10 +136,9 @@ def extremize_point(p) -> CurvatureBounds:
         t=float(p.t),
         k_min=k_min,
         k_max=k_max,
-        argmin_plane=WitnessPlane(u_min, v_min, scales),
-        argmax_plane=WitnessPlane(u_max, v_max, scales),
+        argmin_plane=WitnessPlane(u_min, v_min),
+        argmax_plane=WitnessPlane(u_max, v_max),
         method_agreement=max(abs(k_at_min - k_min), abs(k_at_max - k_max)),
-        frame_plane_k={name: float(Q[a, a]) for a, name in enumerate(PAIR_NAMES)},
     )
 
 

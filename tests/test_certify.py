@@ -18,7 +18,7 @@ from solcusp.cli import main as cli_main
 from solcusp.curvature import metric_at, riemann_closed, sectional_curvature
 from solcusp.warp import Interpolated, PureExp, ShiftedExp
 
-from diagnostic_metrics import hyperbolic_metric_point
+from diagnostic_metrics import frame_plane_k, frame_scales, hyperbolic_metric_point
 
 
 class ConstantWarp:
@@ -58,7 +58,7 @@ def test_shifted_exp_far_tail_k_max():
 @pytest.mark.parametrize("t", [-2.0, 0.0, 3.0])
 def test_feasible_point_soundness(t):
     b = extremize_k(ShiftedExp(), t)
-    for k in b.frame_plane_k.values():
+    for k in frame_plane_k(metric_at(ShiftedExp(), t, 0.0)).values():
         assert b.k_min <= k + 1e-12
         assert b.k_max >= k - 1e-12
 
@@ -73,12 +73,13 @@ def test_monotone_tail_tracks_zt_plane():
 def test_plane_charts_produce_orthonormal_pairs():
     b = extremize_k(ShiftedExp(), 0.0)
     p = metric_at(ShiftedExp(), 0.0, 0.0)
+    scales = frame_scales(p)
     for chart in (b.argmin_plane, b.argmax_plane):
         u, v = chart.u, chart.v
         assert abs(u @ u - 1.0) <= 1e-12
         assert abs(v @ v - 1.0) <= 1e-12
         assert abs(u @ v) <= 1e-12
-        uc, vc = chart.plane_coord()
+        uc, vc = u * scales, v * scales
         assert abs(uc @ p.g @ uc - 1.0) <= 1e-12
         assert abs(vc @ p.g @ vc - 1.0) <= 1e-12
         assert abs(uc @ p.g @ vc) <= 1e-12
@@ -88,9 +89,10 @@ def test_argmin_plane_reproduces_k_min():
     b = extremize_k(ShiftedExp(), 0.0)
     p = metric_at(ShiftedExp(), 0.0, 0.0)
     R = riemann_closed(p)
-    uc, vc = b.argmin_plane.plane_coord()
+    scales = frame_scales(p)
+    uc, vc = b.argmin_plane.u * scales, b.argmin_plane.v * scales
     assert sectional_curvature(R, p, uc, vc) == pytest.approx(b.k_min, abs=1e-10)
-    uc, vc = b.argmax_plane.plane_coord()
+    uc, vc = b.argmax_plane.u * scales, b.argmax_plane.v * scales
     assert sectional_curvature(R, p, uc, vc) == pytest.approx(b.k_max, abs=1e-10)
 
 
@@ -215,7 +217,7 @@ def test_certify_reports_positive_curvature_as_violation(monkeypatch, capsys):
         # a different witness plane at each of the five points, so the
         # witness shows which point's plane it took
         e = np.eye(4)
-        planes = WitnessPlane(e[[0, 1, 2, 3, 0]], e[[1, 2, 3, 0, 1]], b.argmax_plane.frame_to_coord)
+        planes = WitnessPlane(e[[0, 1, 2, 3, 0]], e[[1, 2, 3, 0, 1]])
         return dataclasses.replace(b, k_max=np.where(b.t == 0.5, 1e-3, b.k_max),
                                    argmax_plane=planes)
 
@@ -264,6 +266,10 @@ def test_certify_validates_arguments():
         certify(ShiftedExp(), (1.0, -1.0), 0.5)
     with pytest.raises(ValueError):
         certify(ShiftedExp(), (-1.0, 1.0), 0.0)
+    # a NaN step once passed the guard and failed inside np.arange
+    for step in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="t_step must be positive and finite"):
+            certify(ShiftedExp(), (-1.0, 1.0), step)
 
 
 def stub_curve(t, k_min, k_max):
@@ -313,12 +319,8 @@ def test_rescale_of_certified_curve_pins_the_suffix():
 
 
 def test_witness_plane_rejects_mutation():
-    plane = WitnessPlane(
-        u=np.eye(4)[0],
-        v=np.eye(4)[1],
-        frame_to_coord=np.ones(4),
-    )
-    for arr in (plane.u, plane.v, plane.frame_to_coord):
+    plane = WitnessPlane(u=np.eye(4)[0], v=np.eye(4)[1])
+    for arr in (plane.u, plane.v):
         with pytest.raises(ValueError):
             arr[0] = 1.0
 
@@ -361,4 +363,3 @@ def test_extremes_are_the_form_eigenvalues_with_exact_witnesses():
             eig = np.linalg.eigvalsh(Q)
             assert b.k_min == eig[0] and b.k_max == eig[-1]
             assert b.method_agreement <= 1e-14
-            assert b.resampled == 0

@@ -26,7 +26,7 @@ from solcusp.curvature import (
 )
 from solcusp.warp import Interpolated, PureExp, ShiftedExp, build_interpolation
 
-from diagnostic_metrics import hyperbolic_metric_point, sol_product_metric_point
+from diagnostic_metrics import frame_scales, hyperbolic_metric_point, sol_product_metric_point
 
 N_PLANES = 20_000
 # block of each 2-form of PAIRS in the frame form: {xy}, {xz, xt}, {yz, yt}, {zt}
@@ -35,7 +35,7 @@ PAIR_BLOCK = np.array([0, 1, 1, 2, 2, 3])
 
 def sampled_curvatures(p, rng, n=N_PLANES):
     """K of n random planes, from R_ijkl u^i v^j u^k v^l / Gram."""
-    scales = p.frame_scales()
+    scales = frame_scales(p)
     u = rng.standard_normal((n, 4)) * scales
     v = rng.standard_normal((n, 4)) * scales
     R = riemann_closed(p).full
@@ -74,7 +74,7 @@ def test_sampled_planes_never_beat_the_exact_extremes(name, p):
 
 def table_form(warp, t, z):
     """6x6 frame form assembled from the eight tabulated components."""
-    scales = metric_at(warp, t, z).frame_scales()
+    scales = frame_scales(metric_at(warp, t, z))
     Q = np.zeros((6, 6))
     for (i, j, k, l), value in component_table(warp, t, z).items():
         sign = 1.0
@@ -107,8 +107,9 @@ def test_extremes_match_table_form_and_witnesses(t_hi, width, t, z):
     assert np.all(Q[PAIR_BLOCK[:, None] != PAIR_BLOCK] == 0.0)
     p = metric_at(warp, t, 0.0)
     R = riemann_closed(p)
+    scales = frame_scales(p)
     for k, plane in ((b.k_min, b.argmin_plane), (b.k_max, b.argmax_plane)):
-        uc, vc = plane.plane_coord()
+        uc, vc = plane.u * scales, plane.v * scales
         assert abs(sectional_curvature(R, p, uc, vc) - k) <= 1e-12 * max(1.0, abs(k))
 
 

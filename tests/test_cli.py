@@ -176,6 +176,44 @@ def test_bad_input_is_an_error_line_not_a_traceback(tmp_path, capsys, argv):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv,name", [
+    (["volume", "--t0", "nan"], "t0"),
+    (["volume", "--t0", "inf"], "t0"),
+    (["volume", "--vol-c", "inf"], "vol_c"),
+    (["volume", "--tol", "nan"], "tol"),
+    (["verify-riemann", "--t-grid", "nan:2:5"], "grid ends"),
+    (["verify-riemann", "--z-grid=-1:inf:5"], "grid ends"),
+    (["certify", "--step", "nan"], "t_step"),
+    (["certify", "--step", "inf"], "t_step"),
+])
+def test_non_finite_flags_are_errors(argv, name, capsys):
+    # each once exited 0 with a "nan", "inf" or 0 report, or failed inside
+    # numpy with an error that named no flag
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and name in captured.err
+
+
+@pytest.mark.parametrize("section,field,value", [
+    ("volume", "t0", float("nan")),
+    ("riemann", "t_grid", [float("nan"), 0.0]),
+    ("certify", "t_step", float("inf")),
+])
+def test_run_with_a_non_finite_config_value_is_an_error(tmp_path, capsys, section, field, value):
+    # {"volume": {"t0": NaN}} once wrote a "nan" total_volume under status
+    # "certified" and exited 0
+    body = {**REDUCED_RUN, section: {**REDUCED_RUN[section], field: value}}
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(body))
+    outdir = tmp_path / "out"
+    code, _ = run_cli(capsys, "--config", str(cfg), "--output", str(outdir), "run")
+    assert code == 1
+    summary = json.loads((outdir / "summary.json").read_text())
+    assert summary["status"] == "error"
+    assert "finite" in summary["error"]
+
+
 def test_certify_validates_the_window_like_build_warp(tmp_path, capsys):
     # the grid of the unchecked window (-1e-4, -5e-5) sees none of it, while
     # margin c reaches -3.9e9 inside; certify once called it certified

@@ -218,7 +218,8 @@ def point_metric(p):
 def reference_isometry(m, samples):
     worst = 0.0
     for p in samples:
-        pulled = m.linear.T @ point_metric(m.apply(p)) @ m.linear
+        mapped = m.linear @ np.asarray(p, dtype=float) + m.offset
+        pulled = m.linear.T @ point_metric(mapped) @ m.linear
         worst = max(worst, float(np.linalg.norm(pulled - point_metric(p), 2)))
     return worst
 
@@ -230,7 +231,9 @@ MATRICES = [(2, 1, 1, 1), (-2, -1, -1, -1), (3, 2, 1, 1), (1, 1, 1, 2), (5, 7, 2
 @pytest.mark.parametrize("entries", MATRICES)
 def test_pullback_equals_per_sample_loop_on_deck_maps(entries):
     gens = build_sol_lattice(AnosovMatrix(*entries)).generators
-    maps = gens + [g1.compose(g2) for g1 in gens for g2 in gens]
+    # each product g1 after g2 as one affine map
+    maps = gens + [AffineMap3(g1.linear @ g2.linear, g1.linear @ g2.offset + g1.offset)
+                   for g1 in gens for g2 in gens]
     samples = default_samples()
     for m in maps:
         assert verify_isometry(m, samples) == reference_isometry(m, samples)

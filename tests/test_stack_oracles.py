@@ -41,20 +41,15 @@ def assert_same_bounds(b, i, r):
     for plane, ref_plane in ((b.argmin_plane, r.argmin_plane), (b.argmax_plane, r.argmax_plane)):
         assert np.array_equal(plane.u[i], ref_plane.u)
         assert np.array_equal(plane.v[i], ref_plane.v)
-        assert np.array_equal(plane.frame_to_coord[i], ref_plane.frame_to_coord)
     assert b.method_agreement[i] == r.method_agreement
-    assert list(b.frame_plane_k) == list(r.frame_plane_k)
-    for name, k in r.frame_plane_k.items():
-        assert b.frame_plane_k[name][i] == k, name
-    assert b.resampled == r.resampled == 0
 
 
 def assert_stack_shape(b, shape):
     """Every field of the bounds b carries the stack's shape."""
-    for arr in (b.t, b.k_min, b.k_max, b.method_agreement, *b.frame_plane_k.values()):
+    for arr in (b.t, b.k_min, b.k_max, b.method_agreement):
         assert isinstance(arr, np.ndarray) and arr.shape == shape
     for plane in (b.argmin_plane, b.argmax_plane):
-        for arr in (plane.u, plane.v, plane.frame_to_coord):
+        for arr in (plane.u, plane.v):
             assert arr.shape == shape + (4,)
 
 

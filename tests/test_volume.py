@@ -71,15 +71,16 @@ def test_additivity_of_the_split_integral():
 def test_reported_bound_monotone_under_tightening():
     # from t0 = -5 the whole window [-4, -1] goes to the quadrature; its
     # integral is ~5.4e4, so rounding alone is ~6e-10 and no estimate may
-    # claim less, nor may a tighter tol be accepted
+    # claim less, nor may a tighter tol be accepted.  The adaptive_quad
+    # call below is the one cusp_volume(w, 1.0, -5.0, tol) makes.
     w = Interpolated(-4.0, -1.0)
     window = reference_integral(w, -4.0) - reference_integral(w, -1.0)
     rounding = 50.0 * np.finfo(float).eps * window
     bounds = []
     for tol in (1e-4, 1e-6, 1e-8):
-        res = cusp_volume(w, 1.0, -5.0, tol)
-        assert rounding * (1.0 - 1e-9) <= res.quad_error <= tol
-        bounds.append(res.quad_error)
+        _, err = adaptive_quad(_density(w), -4.0, -1.0, tol)
+        assert rounding * (1.0 - 1e-9) <= err <= tol
+        bounds.append(err)
     assert all(b1 >= b2 for b1, b2 in zip(bounds, bounds[1:]))
     for tol in (1e-10, 1e-12):
         with pytest.raises(QuadratureError, match="rounding"):
@@ -91,6 +92,19 @@ def test_rejects_bad_arguments():
         cusp_volume(ShiftedExp(), 0.0, 0.0, 1e-8)
     with pytest.raises(ValueError):
         cusp_volume(ShiftedExp(), 1.0, 0.0, 0.0)
+    # these once returned a nan, inf or 0 integral or total
+    for vol_c, t0, tol, name in [
+        (np.inf, 0.0, 1e-8, "vol_c"),
+        (np.nan, 0.0, 1e-8, "vol_c"),
+        (1.0, 0.0, np.inf, "tol"),
+        (1.0, 0.0, np.nan, "tol"),
+        (1.0, np.nan, 1e-8, "t0"),
+        (1.0, np.inf, 1e-8, "t0"),
+        (1.0, -np.inf, 1e-8, "t0"),
+    ]:
+        for warp in (ShiftedExp(), Interpolated(-4.0, -1.0)):
+            with pytest.raises(ValueError, match=name):
+                cusp_volume(warp, vol_c, t0, tol)
 
 
 def test_rejects_family_without_tail_bound():

@@ -76,6 +76,10 @@ def test_interpolated_requires_ordered_nonpositive_window():
         Interpolated(-1.0, -4.0)
     with pytest.raises(ValueError):
         Interpolated(-1.0, 0.5)
+    # an infinite window once reached build_interpolation's grid, which
+    # divided by its infinite width and raised InterpolationError
+    with pytest.raises(ValueError, match="finite"):
+        Interpolated(-np.inf, -1.0)
 
 
 @pytest.mark.parametrize("warp", [PureExp(), ShiftedExp(), Interpolated(-4.0, -1.0)])
