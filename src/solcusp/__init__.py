@@ -44,7 +44,6 @@ from .lattice import (
 from .volume import VolumeResult, adaptive_quad, cusp_volume
 from .warp import (
     Interpolated,
-    InterpolationError,
     PureExp,
     ShiftedExp,
     build_interpolation,
@@ -60,7 +59,6 @@ __all__ = [
     "CurvatureBounds",
     "DegeneratePlaneError",
     "Interpolated",
-    "InterpolationError",
     "MatchReport",
     "MetricPoint",
     "PureExp",

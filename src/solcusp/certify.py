@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curvature import PAIRS, MetricPoint, metric_at, riemann_closed
-from .warp import condition_margins, regimes, worst_margin
+from .warp import condition_margins, regimes, window_witness, worst_margin
 
 __all__ = [
     "WitnessPlane",
@@ -57,6 +57,8 @@ __all__ = [
 _AGREEMENT_TOL = 1e-12
 # max_k at or above -_FLOOR is inconclusive; lambda^2 carries 1 + _FLOOR
 _FLOOR = 1e-9
+# largest t-grid certify builds, about 1 GB of working memory
+_MAX_GRID_POINTS = 10**5
 # first and second index of each pair, for building bivectors
 _PAIR_I, _PAIR_J = np.transpose(PAIRS)
 
@@ -123,7 +125,12 @@ def _extremize(p: MetricPoint) -> CurvatureBounds:
     eigenvalue it stands for.
     """
     # C order for _witness: a stack gathered by pair_matrix is not
-    Q = np.ascontiguousarray(riemann_closed(p).pair_matrix(frame=True))
+    with np.errstate(all="ignore"):  # an overflow is refused below
+        Q = np.ascontiguousarray(riemann_closed(p).pair_matrix(frame=True))
+    if not np.isfinite(Q).all():
+        bad = ~np.isfinite(Q).all(axis=(-2, -1))
+        raise ValueError("the frame curvature form is not finite at "
+                         f"t={float(np.broadcast_to(p.t, p.shape)[bad].flat[0])}")
     vals, vecs = np.linalg.eigh(Q)
     u_min, v_min, k_at_min = _witness(Q, vecs[..., :, 0])
     u_max, v_max, k_at_max = _witness(Q, vecs[..., :, -1])
@@ -251,7 +258,8 @@ def certify(
     """Certify K < 0 on a t-grid and locate the pinched suffix.
 
     Refuses before any curvature work when a condition margin is
-    nonpositive somewhere on the grid; the negativity implication is only
+    nonpositive somewhere on the grid, or when ``window_witness`` does not
+    prove the warp's transition window; the negativity implication is only
     claimed where all four margins hold, and the cross-check of that
     implication is exactly this run.  The pinched suffix reaches past the
     grid only where ``tail_k_bound`` proves a bound there.
@@ -261,6 +269,9 @@ def certify(
         raise ValueError("t_range must be a finite increasing pair")
     if not 0.0 < t_step < np.inf:
         raise ValueError(f"t_step must be positive and finite, got {t_step}")
+    if (t1 - t0) / t_step + 1.0 > _MAX_GRID_POINTS:
+        raise ValueError(f"t_step {t_step} gives more than {_MAX_GRID_POINTS} "
+                         f"grid points on [{t0}, {t1}]")
     grid = np.arange(t0, t1 + t_step / 2.0, t_step)
 
     config = {"t_min": t0, "t_max": t1, "t_step": float(t_step)}
@@ -273,6 +284,9 @@ def certify(
         status = "refused_conditions"
         witness = {"kind": "condition", "t": t_w, "condition": cond,
                    "margin": val}
+    elif (gap := window_witness(warp)) is not None:
+        status = "refused_conditions"
+        witness = {"kind": "window", **gap}
     else:
         curve = _extremize(metric_at(warp, grid, 0.0))
         max_k = float(np.max(curve.k_max))

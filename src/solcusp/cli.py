@@ -35,7 +35,6 @@ from .volume import QuadratureError, cusp_volume
 from .warp import (
     FAMILIES,
     GRID_STEP,
-    InterpolationError,
     condition_margins,
     regimes,
     validation_grid,
@@ -336,7 +335,7 @@ def main(argv=None) -> int:
         parser.error("--config applies to run only")
     try:
         return globals()["cmd_" + args.command.replace("-", "_")](args)
-    except (ValueError, OSError, InterpolationError, QuadratureError) as exc:
+    except (ValueError, OSError, QuadratureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -390,6 +390,7 @@ def match_component_table(warp, points) -> MatchReport:
     and the overall tensor magnitude at the point, so exact zeros in the
     table are compared at the tensor's own scale.  Also reports any
     independent component the pipelines find that the table does not list.
+    Raises ValueError at a point where a tensor or the table is not finite.
 
     The point-dependent data are built by one stacked call per pipeline:
     the (N, 6, 6) stack of finite-difference pair matrices, the (N, 8)
@@ -405,13 +406,19 @@ def match_component_table(warp, points) -> MatchReport:
     if not np.all(np.isfinite(t) & np.isfinite(z)):
         raise ValueError("points must be finite")
 
-    R_fd = riemann_fd(warp, t, z)
-    R_cl = riemann_closed(metric_at(warp, t, z))
+    with np.errstate(all="ignore"):  # an overflow is refused below
+        R_fd = riemann_fd(warp, t, z)
+        R_cl = riemann_closed(metric_at(warp, t, z))
+        table = component_table(warp, t, z)
+    expect = np.stack([table[labels] for labels in _TABLE_LABELS], axis=1)  # (N, 8)
+    finite = (np.isfinite(R_fd.full).all(axis=(1, 2, 3, 4))
+              & np.isfinite(R_cl.full).all(axis=(1, 2, 3, 4)) & np.isfinite(expect).all(axis=1))
+    if not finite.all():
+        n = int(np.argmin(finite))
+        raise ValueError(f"the curvature tensor is not finite at t={t[n]}, z={z[n]}")
     agreement = float(np.max(np.abs(R_fd.full - R_cl.full)))
     bianchi = R_fd.bianchi_residual()
     Q = R_fd.pair_matrix()                                     # (N, 6, 6)
-    table = component_table(warp, t, z)
-    expect = np.stack([table[labels] for labels in _TABLE_LABELS], axis=1)  # (N, 8)
     scale = np.max(np.abs(expect), axis=1, keepdims=True)      # (N, 1)
     denom = np.maximum(np.maximum(np.abs(expect), scale), 1e-12)
 

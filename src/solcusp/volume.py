@@ -121,7 +121,8 @@ def cusp_volume(warp, vol_c: float, t0: float, tol: float) -> VolumeResult:
     Only the part of the transition window above t0 is integrated
     numerically, to the whole tol; the rest is in closed form, so the
     reported integral differs from the improper one by at most tol plus
-    rounding.
+    rounding.  Raises ValueError when the volume overflows a float (e^-3t0
+    does for t0 below about -236).
     """
     if not 0.0 < vol_c < np.inf:
         raise ValueError(f"vol_c must be positive and finite, got {vol_c}")
@@ -136,8 +137,13 @@ def cusp_volume(warp, vol_c: float, t0: float, tol: float) -> VolumeResult:
         )
     t0 = float(t0)
     a, b = max(t0, ends[0]), max(t0, ends[1])
-    integral = float((np.exp(-3.0 * t0) - np.exp(-3.0 * a)) / 3.0
-                     + np.exp(-2.0 * b) / 2.0 + np.exp(-3.0 * b) / 3.0)
-    if a < b:  # f is not analytic at a or b: no GK15 panel may span them
-        integral += adaptive_quad(_density(warp), a, b, tol)[0]
-    return VolumeResult(integral=integral, total=float(vol_c) * integral)
+    with np.errstate(all="ignore"):  # an overflow is refused below
+        integral = float((np.exp(-3.0 * t0) - np.exp(-3.0 * a)) / 3.0
+                         + np.exp(-2.0 * b) / 2.0 + np.exp(-3.0 * b) / 3.0)
+        if a < b:  # f is not analytic at a or b: no GK15 panel may span them
+            integral += adaptive_quad(_density(warp), a, b, tol)[0]
+    total = float(vol_c) * integral
+    if not np.isfinite(total):
+        raise ValueError(f"the cusp volume from t0={t0} overflows a float "
+                         f"(integral {integral})")
+    return VolumeResult(integral=integral, total=total)

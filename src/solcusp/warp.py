@@ -16,10 +16,17 @@ are all positive:
 Each family's ``eval`` takes a float or an array of t and returns
 (f, f', f'') of the same shape.
 
-``build_interpolation`` searches for a transition window wide enough that
-all four margins stay above ``_MARGIN_FLOOR`` on the ``GRID_STEP`` grid,
-widening the window geometrically (at most ``_MAX_WIDENINGS`` times) until
-validation passes.
+``build_interpolation`` doubles the width W of a window t_lo < t_hi <= 0
+until ``window_witness`` proves the four margins positive at every t:
+
+* below t_lo: e^-t - 1, e^-t, e^-t and 1 + e^-2t; above t_hi: ShiftedExp's;
+* inside, f = e^-t + s(u) with u = (t - t_lo)/W, so a = e^-t + s - 1 > 0,
+  and d = x(f^2 + 2 - x) with x = b/f and b <= e^-t < f: d > 0 iff b > 0;
+* b > 0 iff s' e^t < W, and c > 0 iff -s'' e^t < W^2.  A table bounds both
+  left sides on each cell in u by the larger end value plus M h/2 (M a
+  bound on the next derivative of s), times e^t at the cell's right end.
+  Any W >= 4 passes (s' < 2.01, |s''| < 9.85, e^t <= 1), so the search
+  ends.  The tests prove each fact used.
 """
 
 from __future__ import annotations
@@ -33,33 +40,30 @@ __all__ = [
     "PureExp",
     "ShiftedExp",
     "Interpolated",
-    "InterpolationError",
     "GRID_STEP",
     "FAMILIES",
     "regimes",
     "condition_margins",
     "worst_margin",
     "validation_grid",
+    "window_witness",
     "build_interpolation",
     "warp_from_name",
 ]
 
 # exp(g) with |g| beyond this is numerically 0 or 1 in the step quotient
 _STEP_CLIP = 500.0
-# window doublings build_interpolation tries before giving up
-_MAX_WIDENINGS = 20
-# every margin must exceed this on the validation grid
-_MARGIN_FLOOR = 1e-6
-# spacing of the validation grid
+# spacing of the grid that warp.json and the warp CSV report on
 GRID_STEP = 1e-3
-# a window narrower than this (100 grid steps) counts as failing, since the
-# grid cannot see inside it: no point of the grid lies in the window
-# (-1e-4, -5e-5), where margin c reaches -3.9e9
-_MIN_WINDOW_WIDTH = 0.1
-
-
-class InterpolationError(RuntimeError):
-    """No transition window satisfying the margin floor was found."""
+# e^-t overflows a float below this t
+_T_OVERFLOW = -float(np.log(np.finfo(float).max))
+# cells in u of the window proof; with 1 024 some valid windows widen once more
+_PROOF_CELLS = 16384
+# proved bounds on sup |s''| (about 9.8410) and sup |s'''| (about 110.6)
+_S2_BOUND = 9.85
+_S3_BOUND = 111.0
+# the proof accepts ratios below 1 - _ROUNDING, for float rounding
+_ROUNDING = 1e-9
 
 
 @dataclass(frozen=True)
@@ -92,38 +96,39 @@ def _smooth_step(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     floating point all the way to the endpoints.  Returns (s, s', s'').
     """
     u = np.asarray(u, dtype=float)
-    s = np.zeros_like(u)
+    with np.errstate(all="ignore"):  # g is +-inf or NaN only outside ``inner``
+        g = 1.0 / u - 1.0 / (1.0 - u)
+    # within +-_STEP_CLIP the logistic and its first two derivatives are
+    # representable; outside, s is 0 or 1 to far below double precision
+    inner = (u > 0.0) & (u < 1.0) & (np.abs(g) < _STEP_CLIP)
+    s = np.where((u >= 1.0) | ((u > 0.0) & (g <= -_STEP_CLIP)), 1.0, 0.0)
     s1 = np.zeros_like(u)
     s2 = np.zeros_like(u)
-
-    lo = u <= 0.0
-    hi = u >= 1.0
-    mid = ~(lo | hi)
-    s[hi] = 1.0
-
-    if np.any(mid):
-        um = u[mid]
-        g = 1.0 / um - 1.0 / (1.0 - um)
-        # within +-_STEP_CLIP the logistic and its first two derivatives are
-        # representable; outside, s is 0 or 1 to far below double precision
-        inner = np.abs(g) < _STEP_CLIP
-        sm = np.where(g <= -_STEP_CLIP, 1.0, 0.0)
-        s1m = np.zeros_like(um)
-        s2m = np.zeros_like(um)
-        if np.any(inner):
-            ui = um[inner]
-            gi = g[inner]
-            sig = 1.0 / (1.0 + np.exp(gi))      # s = sigma(g)
-            w = sig * (1.0 - sig)               # |sigma'|
-            g1 = -1.0 / ui**2 - 1.0 / (1.0 - ui) ** 2
-            g2 = 2.0 / ui**3 - 2.0 / (1.0 - ui) ** 3
-            sm[inner] = sig
-            s1m[inner] = -w * g1
-            s2m[inner] = w * (1.0 - 2.0 * sig) * g1**2 - w * g2
-        s[mid] = sm
-        s1[mid] = s1m
-        s2[mid] = s2m
+    ui, gi = u[inner], g[inner]
+    sig = 1.0 / (1.0 + np.exp(gi))      # s = sigma(g)
+    w = sig * (1.0 - sig)               # |sigma'|
+    g1 = -1.0 / ui**2 - 1.0 / (1.0 - ui) ** 2
+    g2 = 2.0 / ui**3 - 2.0 / (1.0 - ui) ** 3
+    s[inner] = sig
+    s1[inner] = -w * g1
+    s2[inner] = w * (1.0 - 2.0 * sig) * g1**2 - w * g2
     return s, s1, s2
+
+
+def _proof_table() -> tuple[np.ndarray, np.ndarray]:
+    """Cell right ends in u, and per cell bounds on s' and max(-s'', 0).
+
+    Nodes u > 1/2 mirror u < 1/2, as s(1 - u) = 1 - s(u): 1 - sigma cancels there.
+    """
+    n = _PROOF_CELLS
+    _, s1, s2 = _smooth_step(np.arange(n // 2 + 1) / n)
+    s1, neg_s2 = np.concatenate([s1, s1[-2::-1]]), np.concatenate([-s2, s2[-2::-1]])
+    return np.arange(1, n + 1) / n, np.stack([
+        np.maximum(s1[:-1], s1[1:]) + _S2_BOUND * 0.5 / n,
+        np.maximum(np.maximum(neg_s2[:-1], neg_s2[1:]), 0.0) + _S3_BOUND * 0.5 / n])
+
+
+_CELL_END, _CELL_BOUNDS = _proof_table()
 
 
 @dataclass(frozen=True)
@@ -176,20 +181,21 @@ def condition_margins(warp, t: np.ndarray) -> np.ndarray:
     """Vectorized margins; returns an (n, 4) array of (a, b, c, d).
 
     Raises ValueError if f(t) <= 0 anywhere on the grid (margin d divides
-    by f).
+    by f), or if f, f' or f'' is not finite there.  Margin d may then still
+    overflow to +-inf, which keeps its sign.
     """
     t = np.asarray(t, dtype=float)
     if t.size == 0:
         raise ValueError("grid must be nonempty")
-    f, fp, fpp = warp.eval(t)
-    if np.any(f <= 0.0):
-        bad = float(t[np.argmax(f <= 0.0)])
-        raise ValueError(f"f(t) <= 0 at t={bad}; margin d is undefined there")
-    a = f - 1.0
-    b = -fp
-    c = fpp
-    d = 1.0 - f * fp - (1.0 + fp / f) ** 2
-    return np.stack([a, b, c, d], axis=1)
+    with np.errstate(all="ignore"):  # an overflow is refused or keeps its sign
+        f, fp, fpp = warp.eval(t)
+        finite = np.isfinite(f) & np.isfinite(fp) & np.isfinite(fpp)
+        if not finite.all():
+            raise ValueError(f"f, f' or f'' is not finite at t={float(t[np.argmin(finite)])}")
+        if np.any(f <= 0.0):
+            bad = float(t[np.argmax(f <= 0.0)])
+            raise ValueError(f"f(t) <= 0 at t={bad}; margin d is undefined there")
+        return np.stack([f - 1.0, -fp, fpp, 1.0 - f * fp - (1.0 + fp / f) ** 2], axis=1)
 
 
 def worst_margin(t: np.ndarray, margins: np.ndarray) -> tuple[float, str, float]:
@@ -199,35 +205,44 @@ def worst_margin(t: np.ndarray, margins: np.ndarray) -> tuple[float, str, float]
 
 
 def validation_grid(warp) -> np.ndarray:
-    """[t_lo - 2, 1] at ``GRID_STEP``; t_lo = -6 without a finite window."""
+    """[t_lo - 2, 1] at ``GRID_STEP``; t_lo = -6 without a finite window.
+
+    Refused when it would start below -log(float max), where e^-t overflows.
+    """
     ends = regimes(warp)
-    lo = ends[0] if ends is not None and np.isfinite(ends[0]) else -6.0
-    return np.arange(lo - 2.0, 1.0 + GRID_STEP / 2, GRID_STEP)
+    lo = (ends[0] if ends is not None and np.isfinite(ends[0]) else -6.0) - 2.0
+    if lo < _T_OVERFLOW:
+        raise ValueError(f"the report grid would start at t={lo}, below "
+                         f"{_T_OVERFLOW:.2f}, where e^-t overflows")
+    return np.arange(lo, 1.0 + GRID_STEP / 2, GRID_STEP)
+
+
+def window_witness(warp) -> dict | None:
+    """None when warp has no transition window or every cell's bound on
+    s' e^t / W (margin b) and on -s'' e^t / W^2 (margin c) is below
+    1 - ``_ROUNDING``; else the worst cell's right end t, its condition
+    and that bound, ``ratio``.
+    """
+    if not isinstance(warp, Interpolated):
+        return None
+    width = warp.t_hi - warp.t_lo
+    t = warp.t_hi - (1.0 - _CELL_END) * width
+    with np.errstate(over="ignore", divide="ignore"):  # an infinite ratio fails
+        ratios = _CELL_BOUNDS * (np.exp(t) / [[width], [width * width]])
+    k, i = np.unravel_index(np.argmax(ratios), ratios.shape)
+    if ratios[k, i] < 1.0 - _ROUNDING:
+        return None
+    return {"t": float(t[i]), "condition": "bc"[k], "ratio": float(ratios[k, i])}
 
 
 def build_interpolation(t_lo: float, t_hi: float) -> Interpolated:
-    """Construct a validated interpolation between e^(-t) and 1 + e^(-t).
-
-    Starting from the window (t_lo, t_hi), checks all four margins on the
-    validation grid [t_lo - 2, 1].  If any margin falls at or below
-    ``_MARGIN_FLOOR``, or the window is narrower than ``_MIN_WINDOW_WIDTH``
-    (too narrow for the grid to see inside it), the window is widened,
-    t_lo <- t_hi - 2*(t_hi - t_lo), up to ``_MAX_WIDENINGS`` times.  Raises
-    InterpolationError with the worst (t, condition, margin) if no window
-    validates.
+    """The window (t_lo, t_hi), widened t_lo <- t_hi - 2 (t_hi - t_lo)
+    until ``window_witness`` proves it admissible; any W >= 4 is.
     """
-    lo = float(t_lo)
-    for _ in range(_MAX_WIDENINGS + 1):
-        warp = Interpolated(lo, float(t_hi))
-        grid = validation_grid(warp)
-        t_w, cond, val = worst_margin(grid, condition_margins(warp, grid))
-        if val > _MARGIN_FLOOR and t_hi - lo >= _MIN_WINDOW_WIDTH:
-            return warp
-        lo = t_hi - 2.0 * (t_hi - lo)
-    raise InterpolationError(
-        f"no valid transition window down to t_lo={lo}: worst margin "
-        f"({cond}) = {val:.3e} at t = {t_w:.6f}"
-    )
+    warp = Interpolated(float(t_lo), float(t_hi))
+    while window_witness(warp) is not None:
+        warp = Interpolated(warp.t_hi - 2.0 * (warp.t_hi - warp.t_lo), warp.t_hi)
+    return warp
 
 
 FAMILIES = {cls.family: cls for cls in (PureExp, ShiftedExp, Interpolated)}

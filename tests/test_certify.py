@@ -16,7 +16,7 @@ from solcusp.certify import (
 )
 from solcusp.cli import main as cli_main
 from solcusp.curvature import metric_at, riemann_closed, sectional_curvature
-from solcusp.warp import Interpolated, PureExp, ShiftedExp
+from solcusp.warp import Interpolated, PureExp, ShiftedExp, build_interpolation
 
 from diagnostic_metrics import frame_plane_k, frame_scales, hyperbolic_metric_point
 
@@ -143,6 +143,18 @@ def test_certify_refuses_pure_exp_on_positive_range():
     rep = certify(PureExp(), (0.1, 5.0), 0.5)
     assert rep.status == "refused_conditions"
     assert rep.witness["condition"] == "a"
+
+
+def test_certify_refuses_a_window_the_proof_rejects():
+    # no point of the 0.05 grid lies in (-1e-4, -5e-5), where margin c
+    # reaches -3.9e9; certify once called this directly built warp certified
+    rep = certify(Interpolated(-1e-4, -5e-5), (-6.0, 10.0), 0.05)
+    assert np.all(rep.margins > 0.0)
+    assert rep.status == "refused_conditions" and rep.bounds_curve is None
+    assert rep.witness["kind"] == "window" and rep.witness["condition"] == "c"
+    assert -1e-4 < rep.witness["t"] < -5e-5 and rep.witness["ratio"] > 1e9
+    # the window the builder proves is certified
+    assert certify(build_interpolation(-1e-4, -5e-5), (-6.0, 10.0), 0.05).status == "certified"
 
 
 def test_certify_is_deterministic():

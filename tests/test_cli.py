@@ -10,7 +10,7 @@ import pytest
 from solcusp.certify import certify
 from solcusp.cli import _certify_payload, main
 from solcusp.serialize import format_float, to_json_text, write_csv_text
-from solcusp.warp import build_interpolation, condition_margins
+from solcusp.warp import Interpolated, build_interpolation, condition_margins, window_witness
 
 REDUCED_RUN = {
     "riemann": {"t_grid": [-1.0, 0.0, 1.0], "z_grid": [-0.5, 0.0, 0.5]},
@@ -162,8 +162,9 @@ def test_sampling_flags_are_gone(argv, capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["build-warp", "--t0=-2e-7", "--t1=-1e-7"],
-    ["certify", "--warp", "interpolated", "--warp-t0=-2e-7", "--warp-t1=-1e-7"],
+    # t1 > 0: pure-exp fails margin a there, so no widening can help
+    ["build-warp", "--t0=-1", "--t1=0.5"],
+    ["certify", "--warp", "interpolated", "--warp-t0=-1", "--warp-t1=0.5"],
     ["volume", "--warp", "interpolated", "--t0=-3", "--tol", "1e-20"],
     ["--config", "{config}", "run"],
 ], ids=["no-window", "no-window-certify", "quadrature", "config-not-object"])
@@ -195,6 +196,37 @@ def test_non_finite_flags_are_errors(argv, name, capsys):
     assert captured.err.startswith("error: ") and name in captured.err
 
 
+@pytest.mark.parametrize("argv,where", [
+    (["volume", "--warp", "pure-exp", "--t0", "-300"], "t0=-300.0"),
+    (["certify", "--warp", "pure-exp", "--t-min", "-800", "--t-max", "-1", "--step", "1"],
+     "t=-800.0"),
+    (["certify", "--warp", "pure-exp", "--t-min", "-200", "--t-max", "-199", "--step", "1"],
+     "t=-200.0"),
+    (["build-warp", "--t0=-800", "--t1=-1"], "t=-802.0"),
+    (["verify-riemann", "--warp", "shifted-exp", "--t-grid=-400:-399:2"], "t=-400.0"),
+    (["certify", "--step", "1e-300"], "t_step"),
+], ids=["volume", "certify-margins", "certify-frame-form", "build-warp", "verify-riemann",
+        "certify-grid-size"])
+def test_overflowing_commands_are_errors(argv, where, capsys):
+    # each once printed "inf" or "nan" numbers and exited 0, failed inside
+    # LAPACK or numpy with a message naming no input, or ran out of memory
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and where in captured.err
+
+
+def test_build_warp_proves_a_window_the_grid_gave_up_on(capsys):
+    # 20 doublings of (-2e-7, -1e-7) once ended in an error; the proof's
+    # search needs no cap, since any window 4 wide is admissible
+    code, out = run_cli(capsys, "build-warp", "--t0=-2e-7", "--t1=-1e-7")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["T1"] == -1e-7 and payload["T0"] < -1.0
+    assert window_witness(Interpolated(payload["T0"], payload["T1"])) is None
+    assert min(payload["min_margins"].values()) > 0.0
+
+
 @pytest.mark.parametrize("section,field,value", [
     ("volume", "t0", float("nan")),
     ("riemann", "t_grid", [float("nan"), 0.0]),
@@ -212,6 +244,19 @@ def test_run_with_a_non_finite_config_value_is_an_error(tmp_path, capsys, sectio
     summary = json.loads((outdir / "summary.json").read_text())
     assert summary["status"] == "error"
     assert "finite" in summary["error"]
+
+
+def test_run_with_an_overflowing_volume_is_an_error(tmp_path, capsys):
+    # e^(-3 t0) overflows at t0 = -250: the total was once "nan" under
+    # status "certified", and the run exited 0
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"warp": {"family": "shifted-exp"}, "volume": {"t0": -250.0}}))
+    outdir = tmp_path / "out"
+    code, _ = run_cli(capsys, "--config", str(cfg), "--output", str(outdir), "run")
+    assert code == 1
+    summary = json.loads((outdir / "summary.json").read_text())
+    assert summary["status"] == "error" and "verdict" not in summary
+    assert "t0=-250.0" in summary["error"]
 
 
 def test_certify_validates_the_window_like_build_warp(tmp_path, capsys):

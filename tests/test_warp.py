@@ -2,18 +2,18 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from solcusp.warp import (
     FAMILIES,
     Interpolated,
-    InterpolationError,
     PureExp,
     ShiftedExp,
     build_interpolation,
     condition_margins,
     warp_from_name,
+    window_witness,
 )
 
 E = np.e
@@ -77,7 +77,7 @@ def test_interpolated_requires_ordered_nonpositive_window():
     with pytest.raises(ValueError):
         Interpolated(-1.0, 0.5)
     # an infinite window once reached build_interpolation's grid, which
-    # divided by its infinite width and raised InterpolationError
+    # divided by its infinite width
     with pytest.raises(ValueError, match="finite"):
         Interpolated(-np.inf, -1.0)
 
@@ -129,6 +129,13 @@ def test_pure_exp_margin_d_has_no_quadratic_term():
     assert np.allclose(d, 1.0 + np.exp(-2.0 * t), rtol=1e-14, atol=0.0)
 
 
+def test_margin_d_overflows_with_its_sign():
+    # f = 1 + e^400 is finite, f f' is not: d = 1 - f f' - ... is +inf,
+    # a true sign, so the margins are returned
+    ((a, b, c, d),) = condition_margins(ShiftedExp(), [-400.0])
+    assert np.isfinite([a, b, c]).all() and d == np.inf
+
+
 def test_check_conditions_rejects_empty_grid():
     with pytest.raises(ValueError):
         condition_margins(ShiftedExp(), [])
@@ -161,36 +168,50 @@ def test_build_interpolation_monotone_and_convex():
 
 
 def test_build_interpolation_widens_steep_window():
-    # a 0.1-wide transition violates f' < 0; the builder must widen it
-    # (or fail loudly, which the margin report makes legitimate)
-    try:
-        w = build_interpolation(-0.2, -0.1)
-    except InterpolationError as exc:
-        assert "margin" in str(exc)
-    else:
-        assert w.t_lo < -0.2
-        grid = np.arange(w.t_lo - 2.0, 1.0005, 1e-3)
-        assert condition_margins(w, grid).min() > 1e-6
+    # a 0.1-wide transition violates f' < 0; the builder must widen it,
+    # by doublings, until the proof passes
+    assert window_witness(Interpolated(-0.2, -0.1))["condition"] in "bc"
+    w = build_interpolation(-0.2, -0.1)
+    assert w.t_hi == -0.1 and w.t_lo < -0.2
+    assert window_witness(w) is None
+    grid = np.arange(w.t_lo - 2.0, 1.0005, 1e-3)
+    assert condition_margins(w, grid).min() > 1e-6
 
 
 def test_build_interpolation_still_widens_a_fixable_window():
     assert build_interpolation(-1.0, -0.5) == Interpolated(-2.5, -0.5)
 
 
+# the 1e-3 grid once widened t_hi - 10**GAP_LOG_WIDTH, t_hi = GAP_T_HI, to
+# (-6.072455644491129, GAP_T_HI) and returned it, while margin c is negative
+# on a band about 7.3e-4 wide around t = -5.947 between two grid points
+GAP_T_HI, GAP_LOG_WIDTH = -5.912109375, -5.912451065984914
+
+
+def test_the_proof_refuses_a_window_the_grid_passed():
+    w = Interpolated(-6.072455644491129, GAP_T_HI)
+    witness = window_witness(w)
+    assert witness["condition"] == "c" and witness["ratio"] > 1.0
+    t = np.linspace(-5.9474, -5.9466, 81)
+    assert condition_margins(w, t)[:, 2].min() < -1e-3
+    assert build_interpolation(GAP_T_HI - 10.0**GAP_LOG_WIDTH, GAP_T_HI).t_lo < w.t_lo
+
+
 @settings(max_examples=150, deadline=None)
 @given(t_hi=st.floats(min_value=-20.0, max_value=0.0),
        log_width=st.floats(min_value=-6.0, max_value=0.7))
+@example(t_hi=GAP_T_HI, log_width=GAP_LOG_WIDTH)
+@example(t_hi=-5e-5, log_width=np.log10(5e-5))
 def test_build_interpolation_accepts_only_windows_valid_inside(t_hi, log_width):
     # the 1e-3 validation grid once passed the window (-1e-4, -5e-5), which
     # none of its points lies in, while margin c reached -3.9e9 inside it;
-    # warp_from_name, the path of every command, gives the same warp
+    # the builder always returns, a doubling of the window the proof passes,
+    # and warp_from_name, the path of every command, gives the same warp
     lo = t_hi - 10.0**log_width
-    try:
-        w = build_interpolation(lo, t_hi)
-    except InterpolationError:
-        with pytest.raises(InterpolationError):
-            warp_from_name("interpolated", lo, t_hi)
-        return
+    w = build_interpolation(lo, t_hi)
+    assert w.t_hi == t_hi and w.t_lo <= lo and window_witness(w) is None
+    widened = (w.t_hi - w.t_lo) / (t_hi - lo)
+    assert abs(np.log2(widened) - round(np.log2(widened))) < 1e-9
     assert warp_from_name("interpolated", lo, t_hi) == w
     t = np.linspace(w.t_lo, w.t_hi, 20001)
     assert condition_margins(w, t).min() > 1e-6
