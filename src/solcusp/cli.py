@@ -114,29 +114,26 @@ def _warp_entry(warp) -> dict:
     return entry
 
 
-def _warp_payload(warp) -> dict:
-    margins = condition_margins(warp, validation_grid(warp))
+def _warp_report(warp) -> tuple[dict, tuple]:
+    """warp.json's payload and the CSV's columns (t, f, f', f'', margins), from one eval."""
+    grid = validation_grid(warp)
+    values = warp.eval(grid)
+    margins = condition_margins(warp, grid, values)
     return {
         **_warp_entry(warp),
         "min_margins": dict(zip("abcd", map(float, margins.min(axis=0)))),
         "grid_step": GRID_STEP,
-    }
-
-
-def _warp_csv(warp) -> str:
-    grid = validation_grid(warp)
-    rows = np.column_stack((grid, *warp.eval(grid), condition_margins(warp, grid)))
-    return write_csv_text(
-        ["t", "f", "fp", "fpp", "margin_a", "margin_b", "margin_c", "margin_d"],
-        rows,
-    )
+    }, (grid, *values, margins)
 
 
 def cmd_build_warp(args) -> int:
-    warp = warp_from_name("interpolated", args.t0, args.t1)
-    _emit(args, _warp_payload(warp), "warp.json")
+    payload, columns = _warp_report(warp_from_name("interpolated", args.t0, args.t1))
+    _emit(args, payload, "warp.json")
     if args.csv:
-        Path(args.csv).write_text(_warp_csv(warp))
+        Path(args.csv).write_text(write_csv_text(
+            ["t", "f", "fp", "fpp", "margin_a", "margin_b", "margin_c", "margin_d"],
+            np.column_stack(columns),
+        ))
     return 0
 
 
@@ -236,7 +233,7 @@ def cmd_run(args) -> int:
 
         wc = config["warp"]
         warp = warp_from_name(wc["family"], wc["t0"], wc["t1"])
-        write("warp.json", _warp_payload(warp))
+        write("warp.json", _warp_report(warp)[0])
 
         rc = config["riemann"]
         riemann_payload = _riemann_payload(warp, rc["t_grid"], rc["z_grid"])

@@ -160,7 +160,8 @@ def build_sol_lattice(A: AnosovMatrix) -> SolLattice:
         np.array([0.0, 0.0, L]),
     )
     generators = [translation(b1), translation(b2), monodromy]
-    dev = max(verify_isometry(m, default_samples()) for m in generators)
+    samples = np.array(default_samples())
+    dev = max(verify_isometry(m, samples) for m in generators)
     if dev > 1e-12:
         raise AssertionError(
             f"deck generator fails the isometry check: deviation {dev:.3e}"

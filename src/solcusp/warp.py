@@ -14,7 +14,11 @@ are all positive:
     a = f - 1,   b = -f',   c = f'',   d = 1 - f*f' - (1 + f'/f)^2
 
 Each family's ``eval`` takes a float or an array of t and returns
-(f, f', f'') of the same shape.
+(f, f', f'') of the same shape.  ``Interpolated.eval`` computes e^-t on all
+of t and the step s only where it moves: s = 0 for u <= 0 and s = 1 for
+u >= 1, and inside (0, 1) the logistic in g = 1/u - 1/(1-u) runs only where
+|g| < _STEP_CLIP (beyond, s is 0 or 1 to far below double precision).
+Everywhere else f = e^-t + s, f' = -e^-t + 0.0 and f'' = e^-t + 0/W^2.
 
 ``build_interpolation`` doubles the width W of a window t_lo < t_hi <= 0
 until ``window_witness`` proves the four margins positive at every t:
@@ -88,31 +92,27 @@ class ShiftedExp:
         return 1.0 + e, -e, e
 
 
-def _smooth_step(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """C-infinity step s(u) with s=0 for u<=0, s=1 for u>=1.
+def _run(i: np.ndarray) -> slice | np.ndarray:
+    """Indices i, as a slice when they are consecutive (a sorted t): views, not copies."""
+    return slice(i[0], i[-1] + 1) if i.size and i[-1] - i[0] == i.size - 1 else i
 
-    s(u) = phi(u) / (phi(u) + phi(1-u)) with phi(u) = exp(-1/u), written as
-    a logistic in g(u) = 1/u - 1/(1-u) so that s, s', s'' stay finite in
-    floating point all the way to the endpoints.  Returns (s, s', s'').
-    """
-    u = np.asarray(u, dtype=float)
-    with np.errstate(all="ignore"):  # g is +-inf or NaN only outside ``inner``
-        g = 1.0 / u - 1.0 / (1.0 - u)
-    # within +-_STEP_CLIP the logistic and its first two derivatives are
-    # representable; outside, s is 0 or 1 to far below double precision
-    inner = (u > 0.0) & (u < 1.0) & (np.abs(g) < _STEP_CLIP)
-    s = np.where((u >= 1.0) | ((u > 0.0) & (g <= -_STEP_CLIP)), 1.0, 0.0)
-    s1 = np.zeros_like(u)
-    s2 = np.zeros_like(u)
-    ui, gi = u[inner], g[inner]
-    sig = 1.0 / (1.0 + np.exp(gi))      # s = sigma(g)
+
+def _step(u: np.ndarray) -> tuple[np.ndarray, slice | np.ndarray, tuple]:
+    """On a flat u: where 0 < u < 1, the indices with s = 1, the indices j with
+    |g| < _STEP_CLIP, and (s, s', s'') at j.  s(u) = phi(u) / (phi(u) + phi(1-u)),
+    phi(u) = exp(-1/u), is a logistic in g, which keeps s, s', s'' finite."""
+    i = ((u > 0.0) & (u < 1.0)).nonzero()[0]
+    u = u[_run(i)]
+    v = 1.0 - u
+    with np.errstate(over="ignore"):  # 1/u is inf below 1/(float max)
+        g = 1.0 / u - 1.0 / v
+    top, k = i[g <= -_STEP_CLIP], _run((np.abs(g) < _STEP_CLIP).nonzero()[0])
+    u, v, g = u[k], v[k], g[k]
+    sig = 1.0 / (1.0 + np.exp(g))      # s = sigma(g)
     w = sig * (1.0 - sig)               # |sigma'|
-    g1 = -1.0 / ui**2 - 1.0 / (1.0 - ui) ** 2
-    g2 = 2.0 / ui**3 - 2.0 / (1.0 - ui) ** 3
-    s[inner] = sig
-    s1[inner] = -w * g1
-    s2[inner] = w * (1.0 - 2.0 * sig) * g1**2 - w * g2
-    return s, s1, s2
+    g1 = -1.0 / u**2 - 1.0 / v**2
+    g2 = 2.0 / u**3 - 2.0 / v**3
+    return top, _run(i[k]), (sig, -w * g1, w * (1.0 - 2.0 * sig) * g1**2 - w * g2)
 
 
 def _proof_table() -> tuple[np.ndarray, np.ndarray]:
@@ -121,7 +121,8 @@ def _proof_table() -> tuple[np.ndarray, np.ndarray]:
     Nodes u > 1/2 mirror u < 1/2, as s(1 - u) = 1 - s(u): 1 - sigma cancels there.
     """
     n = _PROOF_CELLS
-    _, s1, s2 = _smooth_step(np.arange(n // 2 + 1) / n)
+    s1, s2 = np.zeros((2, n // 2 + 1))
+    _, i, (_, s1[i], s2[i]) = _step(np.arange(n // 2 + 1) / n)  # 0 off i, as s', s'' are
     s1, neg_s2 = np.concatenate([s1, s1[-2::-1]]), np.concatenate([-s2, s2[-2::-1]])
     return np.arange(1, n + 1) / n, np.stack([
         np.maximum(s1[:-1], s1[1:]) + _S2_BOUND * 0.5 / n,
@@ -129,6 +130,7 @@ def _proof_table() -> tuple[np.ndarray, np.ndarray]:
 
 
 _CELL_END, _CELL_BOUNDS = _proof_table()
+_CELL_GAP = 1.0 - _CELL_END
 
 
 @dataclass(frozen=True)
@@ -153,13 +155,17 @@ class Interpolated:
     def eval(self, t: float | np.ndarray) -> tuple:
         t = np.asarray(t, dtype=float)
         width = self.t_hi - self.t_lo
-        u = (t - self.t_lo) / width
-        s, s1, s2 = _smooth_step(u)
-        e = np.exp(-t)
-        f = e + s
-        fp = -e + s1 / width
-        fpp = e + s2 / width**2
-        return f, fp, fpp
+        u = (t.ravel() - self.t_lo) / width
+        e = np.exp(-t.ravel())
+        top, i, (s, s1, s2) = _step(u)
+        # the closed forms, then the step at i; fp takes u's buffer, fpp e's
+        f = e + (u >= 1.0)
+        f[top] += 1.0
+        fp = np.add(np.negative(e, out=u), 0.0, out=u)
+        ei = e[i]
+        fpp = e if width**2 else e + np.divide(0.0, width**2)  # e + 0.0 is e
+        f[i], fp[i], fpp[i] = ei + s, -ei + s1 / width, ei + s2 / width**2
+        return f.reshape(t.shape)[()], fp.reshape(t.shape)[()], fpp.reshape(t.shape)[()]
 
 
 def regimes(warp) -> tuple[float, float] | None:
@@ -177,8 +183,8 @@ def regimes(warp) -> tuple[float, float] | None:
     return None
 
 
-def condition_margins(warp, t: np.ndarray) -> np.ndarray:
-    """Vectorized margins; returns an (n, 4) array of (a, b, c, d).
+def condition_margins(warp, t: np.ndarray, values: tuple | None = None) -> np.ndarray:
+    """Margins (a, b, c, d) at t, shape np.shape(t) + (4,); ``values``: warp.eval(t) if known.
 
     Raises ValueError if f(t) <= 0 anywhere on the grid (margin d divides
     by f), or if f, f' or f'' is not finite there.  Margin d may then still
@@ -188,14 +194,20 @@ def condition_margins(warp, t: np.ndarray) -> np.ndarray:
     if t.size == 0:
         raise ValueError("grid must be nonempty")
     with np.errstate(all="ignore"):  # an overflow is refused or keeps its sign
-        f, fp, fpp = warp.eval(t)
+        f, fp, fpp = warp.eval(t) if values is None else values
         finite = np.isfinite(f) & np.isfinite(fp) & np.isfinite(fpp)
         if not finite.all():
-            raise ValueError(f"f, f' or f'' is not finite at t={float(t[np.argmin(finite)])}")
+            raise ValueError(f"f, f' or f'' is not finite at t={float(t.flat[np.argmin(finite)])}")
         if np.any(f <= 0.0):
-            bad = float(t[np.argmax(f <= 0.0)])
+            bad = float(t.flat[np.argmax(f <= 0.0)])
             raise ValueError(f"f(t) <= 0 at t={bad}; margin d is undefined there")
-        return np.stack([f - 1.0, -fp, fpp, 1.0 - f * fp - (1.0 + fp / f) ** 2], axis=1)
+        m = np.empty((4,) + t.shape)  # one margin per row; m[k, ...] is a view, 0-d too
+        np.subtract(f, 1.0, out=m[0, ...])
+        np.negative(fp, out=m[1, ...])
+        m[2, ...] = fpp
+        np.subtract(1.0, np.multiply(f, fp, out=m[3, ...]), out=m[3, ...])
+        m[3, ...] -= (1.0 + fp / f) ** 2
+        return m.transpose(*range(1, m.ndim), 0)  # the moveaxis view: (a, b, c, d) last
 
 
 def worst_margin(t: np.ndarray, margins: np.ndarray) -> tuple[float, str, float]:
@@ -226,7 +238,7 @@ def window_witness(warp) -> dict | None:
     if not isinstance(warp, Interpolated):
         return None
     width = warp.t_hi - warp.t_lo
-    t = warp.t_hi - (1.0 - _CELL_END) * width
+    t = warp.t_hi - _CELL_GAP * width
     with np.errstate(over="ignore", divide="ignore"):  # an infinite ratio fails
         ratios = _CELL_BOUNDS * (np.exp(t) / [[width], [width * width]])
     k, i = np.unravel_index(np.argmax(ratios), ratios.shape)

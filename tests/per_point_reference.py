@@ -1,4 +1,5 @@
-"""The per-point curvature and certify kernels, as references for the stacks.
+"""The per-point curvature and certify kernels, as references for the stacks,
+and the full-grid warp step and margins, as references for the windowed ones.
 
 These are the bodies ``metric_at``, ``christoffel``,
 ``christoffel_derivatives``, ``riemann_closed``, ``riemann_fd``,
@@ -8,6 +9,12 @@ axes, one ``metric_at`` per stencil point, one eigh, SVD and witness K per
 point from fresh 1-D arrays, and a loop over a list of per-point bounds
 for the pinched suffix.  The stacked kernels must reproduce them exactly
 (==).
+
+``smooth_step``, ``interpolated_eval`` and ``condition_margins`` are the
+bodies the transition step and the margins had when the step was computed
+on the whole grid (two zero arrays, a boolean gather and scatter) and the
+margins were stacked as columns; ``Interpolated.eval`` and
+``warp.condition_margins`` must reproduce their bytes.
 """
 
 import numpy as np
@@ -16,6 +23,7 @@ from solcusp.certify import _FLOOR, CurvatureBounds, WitnessPlane
 from solcusp.curvature import DIM, PAIRS, MetricPoint, RiemannTensor
 
 FD_STEP = 1e-4
+STEP_CLIP = 500.0
 
 
 def metric_at(warp, t: float, z: float) -> MetricPoint:
@@ -165,3 +173,47 @@ def rescale_to_pinching(bounds_curve, tail_k_min=None):
             break
         pinched_from = bounds[i].t
     return lam, float(pinched_from)
+
+
+def smooth_step(u):
+    u = np.asarray(u, dtype=float)
+    with np.errstate(all="ignore"):
+        g = 1.0 / u - 1.0 / (1.0 - u)
+    inner = (u > 0.0) & (u < 1.0) & (np.abs(g) < STEP_CLIP)
+    s = np.where((u >= 1.0) | ((u > 0.0) & (g <= -STEP_CLIP)), 1.0, 0.0)
+    s1 = np.zeros_like(u)
+    s2 = np.zeros_like(u)
+    ui, gi = u[inner], g[inner]
+    sig = 1.0 / (1.0 + np.exp(gi))
+    w = sig * (1.0 - sig)
+    g1 = -1.0 / ui**2 - 1.0 / (1.0 - ui) ** 2
+    g2 = 2.0 / ui**3 - 2.0 / (1.0 - ui) ** 3
+    s[inner] = sig
+    s1[inner] = -w * g1
+    s2[inner] = w * (1.0 - 2.0 * sig) * g1**2 - w * g2
+    return s, s1, s2
+
+
+def interpolated_eval(warp, t):
+    t = np.asarray(t, dtype=float)
+    width = warp.t_hi - warp.t_lo
+    u = (t - warp.t_lo) / width
+    s, s1, s2 = smooth_step(u)
+    e = np.exp(-t)
+    return e + s, -e + s1 / width, e + s2 / width**2
+
+
+def condition_margins(eval_, t):
+    """The margins as (n, 4) columns, from ``eval_(t)``; t is 1-D."""
+    t = np.asarray(t, dtype=float)
+    if t.size == 0:
+        raise ValueError("grid must be nonempty")
+    with np.errstate(all="ignore"):
+        f, fp, fpp = eval_(t)
+        finite = np.isfinite(f) & np.isfinite(fp) & np.isfinite(fpp)
+        if not finite.all():
+            raise ValueError(f"f, f' or f'' is not finite at t={float(t[np.argmin(finite)])}")
+        if np.any(f <= 0.0):
+            bad = float(t[np.argmax(f <= 0.0)])
+            raise ValueError(f"f(t) <= 0 at t={bad}; margin d is undefined there")
+        return np.stack([f - 1.0, -fp, fpp, 1.0 - f * fp - (1.0 + fp / f) ** 2], axis=1)

@@ -112,6 +112,15 @@ def test_build_warp_command(tmp_path, capsys):
     assert header == "t,f,fp,fpp,margin_a,margin_b,margin_c,margin_d"
 
 
+def test_build_warp_evaluates_its_report_grid_once(monkeypatch, tmp_path, capsys):
+    # warp.json and the CSV share one eval of the 7 001-point grid
+    calls = []
+    eval_ = Interpolated.eval
+    monkeypatch.setattr(Interpolated, "eval", lambda self, t: calls.append(np.size(t)) or eval_(self, t))
+    code, _ = run_cli(capsys, "build-warp", "--t0=-4", "--t1=-1", "--csv", str(tmp_path / "w.csv"))
+    assert code == 0 and calls == [7001]
+
+
 def test_verify_riemann_command(capsys):
     code, out = run_cli(
         capsys, "verify-riemann", "--warp", "shifted-exp",
