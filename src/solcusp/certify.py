@@ -288,7 +288,9 @@ def certify(
         status = "refused_conditions"
         witness = {"kind": "window", **gap}
     else:
-        curve = _extremize(metric_at(warp, grid, 0.0))
+        with np.errstate(all="ignore"):  # an overflow is refused by _extremize
+            p = metric_at(warp, grid, 0.0)
+        curve = _extremize(p)
         max_k = float(np.max(curve.k_max))
         flagged = curve.t[curve.method_agreement > _AGREEMENT_TOL].tolist()
         witness = None

@@ -7,9 +7,15 @@ diagonal metric
 
 Every kernel takes stacks: ``metric_at`` accepts arrays t, z of any
 broadcastable shape, and the metric, Christoffel, Riemann and pair-matrix
-arrays carry those leading axes in front of their tensor indices
-(``...`` einsums).  A scalar (t, z) is the 0-d case of the same code, so
-a stacked call equals the per-point calls exactly.
+arrays carry those leading axes in front of their tensor indices.  A
+scalar (t, z) is the 0-d case of the same code, so a stacked call equals
+the per-point calls exactly.
+
+g, g^-1 and each d_l g are diagonal, so a contraction against one of them
+is a broadcast product with its diagonal, plus 0.0.  The einsum sum it
+replaces has one nonzero term and starts from +0.0, so adding 0.0 gives
+its bits, signed zeros included, wherever the tensors are finite.  Only
+the Gamma.Gamma products of the Riemann tensor remain einsum contractions.
 
 Two pipelines compute the lowered Riemann tensor:
 
@@ -166,20 +172,24 @@ def _first_kind(dg: np.ndarray) -> np.ndarray:
     return np.einsum("...jmk->...mjk", dg) + np.einsum("...kmj->...mjk", dg) - dg
 
 
+def _diag(a: np.ndarray) -> np.ndarray:
+    """The diagonal of the last two axes, a read-only view."""
+    return np.diagonal(a, axis1=-2, axis2=-1)
+
+
 def christoffel(p: MetricPoint) -> np.ndarray:
     """Levi-Civita symbols Gamma^i_jk, shape (..., 4, 4, 4), symmetric in (j, k)."""
-    return 0.5 * np.einsum("...im,...mjk->...ijk", p.g_inv, _first_kind(p.dg))
+    return 0.5 * (_diag(p.g_inv)[..., None, None] * _first_kind(p.dg) + 0.0)
 
 
 def christoffel_derivatives(p: MetricPoint) -> np.ndarray:
     """Analytic d_l Gamma^i_jk, shape (..., 4, 4, 4, 4) indexed [..., l, i, j, k]."""
-    T = _first_kind(p.dg)
-    dT = _first_kind(p.d2g)
-    # d_l g^im = -g^ia (d_l g_ab) g^bm
-    dginv = -np.einsum("...ia,...lab,...bm->...lim", p.g_inv, p.dg, p.g_inv)
+    gi = _diag(p.g_inv)
+    # d_l g^ii = -g^ii (d_l g_ii) g^ii, shape (..., l, i)
+    dginv = -(gi[..., None, :] * _diag(p.dg) * gi[..., None, :] + 0.0)
     return 0.5 * (
-        np.einsum("...lim,...mjk->...lijk", dginv, T)
-        + np.einsum("...im,...lmjk->...lijk", p.g_inv, dT)
+        (dginv[..., None, None] * _first_kind(p.dg)[..., None, :, :, :] + 0.0)
+        + (gi[..., None, :, None, None] * _first_kind(p.d2g) + 0.0)
     )
 
 
@@ -233,7 +243,7 @@ def _riemann_from_gamma(Gam: np.ndarray, dGam: np.ndarray, g: np.ndarray) -> Rie
         + np.einsum("...ikm,...mlj->...ijkl", Gam, Gam)
         - np.einsum("...ilm,...mkj->...ijkl", Gam, Gam)
     )
-    low = np.einsum("...im,...mjkl->...ijkl", g, Rup)
+    low = _diag(g)[..., None, None, None] * Rup + 0.0
     return RiemannTensor(full=low, g=g.copy())
 
 

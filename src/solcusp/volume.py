@@ -54,29 +54,35 @@ _W_GAUSS = np.array([
 _MAX_INTERVALS = 2000
 
 
-def _gk15(fn, a: float, b: float) -> tuple[float, float, float]:
-    """Kronrod sum, error estimate and Kronrod sum of |fn| on [a, b]."""
-    half = 0.5 * (b - a)
-    x = 0.5 * (a + b) + half * _GK_NODES
-    y = fn(x)
-    k = half * float(_W_KRONROD @ y)
-    g = half * float(_W_GAUSS @ y)
-    err = (200.0 * abs(k - g)) ** 1.5
-    return k, err, half * float(_W_KRONROD @ np.abs(y))
+def _gk15(fn, *ends: float) -> list[tuple[float, ...]]:
+    """(lo, hi, Kronrod sum, error estimate, Kronrod sum of |fn|) of each
+    panel [lo, hi] between consecutive ends, from one call of fn on all
+    their nodes."""
+    panels = list(zip(ends, ends[1:]))
+    y = fn(np.concatenate([0.5 * (a + b) + 0.5 * (b - a) * _GK_NODES for a, b in panels]))
+    out = []
+    for (a, b), yn in zip(panels, np.split(y, len(panels))):
+        half = 0.5 * (b - a)
+        k = half * float(_W_KRONROD @ yn)
+        g = half * float(_W_GAUSS @ yn)
+        out.append((a, b, k, (200.0 * abs(k - g)) ** 1.5, half * float(_W_KRONROD @ np.abs(yn))))
+    return out
 
 
 def adaptive_quad(fn, a: float, b: float, tol: float) -> tuple[float, float]:
     """Adaptive Gauss-Kronrod on [a, b] to absolute tolerance tol.
 
-    ``fn`` must accept an array of abscissae.  Returns (integral,
-    error_estimate).  The estimate is never below the rounding level
-    50 eps * integral of |fn| on the first panel (QUADPACK's QK15 rule);
-    a tol below that level raises QuadratureError before any
-    subdivision, as does exhausting the budget of ``_MAX_INTERVALS``.
+    ``fn`` must accept an array of abscissae and act on each one alone.  It
+    is called once on the 15 nodes of [a, b], then once per split on the
+    30 nodes of both halves.  Returns (integral, error_estimate).  The
+    estimate is never below the rounding level 50 eps * integral of |fn| on
+    the first panel (QUADPACK's QK15 rule); a tol below that level raises
+    QuadratureError before any subdivision, as does exhausting the budget
+    of ``_MAX_INTERVALS``.
     """
     if b <= a:
         raise ValueError("need a < b")
-    intervals = [(a, b, *_gk15(fn, a, b))]
+    intervals = _gk15(fn, a, b)
     rounding = float(50.0 * np.finfo(float).eps * intervals[0][4])
     if tol < rounding:
         raise QuadratureError(
@@ -95,9 +101,8 @@ def adaptive_quad(fn, a: float, b: float, tol: float) -> tuple[float, float]:
             )
         worst = int(np.argmax(errs))
         lo, hi = intervals[worst][:2]
-        mid = 0.5 * (lo + hi)
-        intervals[worst] = (lo, mid, *_gk15(fn, lo, mid))
-        intervals.append((mid, hi, *_gk15(fn, mid, hi)))
+        intervals[worst], right = _gk15(fn, lo, 0.5 * (lo + hi), hi)
+        intervals.append(right)
 
 
 @dataclass(frozen=True)

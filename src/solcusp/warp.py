@@ -18,7 +18,7 @@ Each family's ``eval`` takes a float or an array of t and returns
 of t and the step s only where it moves: s = 0 for u <= 0 and s = 1 for
 u >= 1, and inside (0, 1) the logistic in g = 1/u - 1/(1-u) runs only where
 |g| < _STEP_CLIP (beyond, s is 0 or 1 to far below double precision).
-Everywhere else f = e^-t + s, f' = -e^-t + 0.0 and f'' = e^-t + 0/W^2.
+Everywhere else f = e^-t + s, f' = 0.0 - e^-t and f'' = e^-t + 0/W^2.
 
 ``build_interpolation`` doubles the width W of a window t_lo < t_hi <= 0
 until ``window_witness`` proves the four margins positive at every t:
@@ -151,6 +151,9 @@ class Interpolated:
             raise ValueError(
                 f"need finite t_lo < t_hi <= 0, got ({self.t_lo}, {self.t_hi})"
             )
+        width = self.t_hi - self.t_lo
+        if not np.isfinite(width * width):  # eval divides f'' by width^2
+            raise ValueError(f"the window width {width} squared overflows a float")
 
     def eval(self, t: float | np.ndarray) -> tuple:
         t = np.asarray(t, dtype=float)
@@ -161,7 +164,7 @@ class Interpolated:
         # the closed forms, then the step at i; fp takes u's buffer, fpp e's
         f = e + (u >= 1.0)
         f[top] += 1.0
-        fp = np.add(np.negative(e, out=u), 0.0, out=u)
+        fp = np.subtract(0.0, e, out=u)
         ei = e[i]
         fpp = e if width**2 else e + np.divide(0.0, width**2)  # e + 0.0 is e
         f[i], fp[i], fpp[i] = ei + s, -ei + s1 / width, ei + s2 / width**2
@@ -195,16 +198,16 @@ def condition_margins(warp, t: np.ndarray, values: tuple | None = None) -> np.nd
         raise ValueError("grid must be nonempty")
     with np.errstate(all="ignore"):  # an overflow is refused or keeps its sign
         f, fp, fpp = warp.eval(t) if values is None else values
-        finite = np.isfinite(f) & np.isfinite(fp) & np.isfinite(fpp)
-        if not finite.all():
-            raise ValueError(f"f, f' or f'' is not finite at t={float(t.flat[np.argmin(finite)])}")
-        if np.any(f <= 0.0):
-            bad = float(t.flat[np.argmax(f <= 0.0)])
-            raise ValueError(f"f(t) <= 0 at t={bad}; margin d is undefined there")
         m = np.empty((4,) + t.shape)  # one margin per row; m[k, ...] is a view, 0-d too
         np.subtract(f, 1.0, out=m[0, ...])
         np.negative(fp, out=m[1, ...])
         m[2, ...] = fpp
+        finite = np.isfinite(m[:3]).all(axis=0)  # a, b, c: exactly where f, f', f'' are
+        if not finite.all():
+            raise ValueError(f"f, f' or f'' is not finite at t={float(t.flat[np.argmin(finite)])}")
+        if np.min(f) <= 0.0:
+            bad = float(t.flat[np.argmax(f <= 0.0)])
+            raise ValueError(f"f(t) <= 0 at t={bad}; margin d is undefined there")
         np.subtract(1.0, np.multiply(f, fp, out=m[3, ...]), out=m[3, ...])
         m[3, ...] -= (1.0 + fp / f) ** 2
         return m.transpose(*range(1, m.ndim), 0)  # the moveaxis view: (a, b, c, d) last

@@ -15,6 +15,11 @@ bodies the transition step and the margins had when the step was computed
 on the whole grid (two zero arrays, a boolean gather and scatter) and the
 margins were stacked as columns; ``Interpolated.eval`` and
 ``warp.condition_margins`` must reproduce their bytes.
+
+The last section holds the dense bodies the diagonal kernels replaced: the
+stacked einsum Christoffel, derivative and lowering code, the SVD
+deviation of ``verify_isometry`` and the one-panel-per-call
+``adaptive_quad``.
 """
 
 import numpy as np
@@ -217,3 +222,111 @@ def condition_margins(eval_, t):
             bad = float(t[np.argmax(f <= 0.0)])
             raise ValueError(f"f(t) <= 0 at t={bad}; margin d is undefined there")
         return np.stack([f - 1.0, -fp, fpp, 1.0 - f * fp - (1.0 + fp / f) ** 2], axis=1)
+
+
+# ---------------------------------------------------------------------------
+# the dense bodies the diagonal kernels replaced
+# ---------------------------------------------------------------------------
+#
+# ``stacked_christoffel``, ``stacked_christoffel_derivatives`` and
+# ``stacked_lowering`` contract against the full g, g^-1 and d(g^-1) by
+# einsum; ``stacked_riemann_closed`` and ``stacked_riemann_fd`` run the two
+# pipelines through them.  ``svd_isometry`` takes every pullback's spectral
+# norm by SVD, and ``one_panel_quad`` calls fn once per 15-node panel.  The
+# kernels must reproduce their bytes wherever every tensor is finite.
+
+def _stacked_first_kind(dg):
+    return np.einsum("...jmk->...mjk", dg) + np.einsum("...kmj->...mjk", dg) - dg
+
+
+def stacked_christoffel(p):
+    return 0.5 * np.einsum("...im,...mjk->...ijk", p.g_inv, _stacked_first_kind(p.dg))
+
+
+def stacked_christoffel_derivatives(p):
+    T = _stacked_first_kind(p.dg)
+    dT = _stacked_first_kind(p.d2g)
+    dginv = -np.einsum("...ia,...lab,...bm->...lim", p.g_inv, p.dg, p.g_inv)
+    return 0.5 * (
+        np.einsum("...lim,...mjk->...lijk", dginv, T)
+        + np.einsum("...im,...lmjk->...lijk", p.g_inv, dT)
+    )
+
+
+def stacked_lowering(Gam, dGam, g):
+    Rup = (
+        np.einsum("...kilj->...ijkl", dGam)
+        - np.einsum("...likj->...ijkl", dGam)
+        + np.einsum("...ikm,...mlj->...ijkl", Gam, Gam)
+        - np.einsum("...ilm,...mkj->...ijkl", Gam, Gam)
+    )
+    low = np.einsum("...im,...mjkl->...ijkl", g, Rup)
+    return RiemannTensor(full=low, g=g.copy())
+
+
+def stacked_riemann_closed(p):
+    return stacked_lowering(stacked_christoffel(p), stacked_christoffel_derivatives(p), p.g)
+
+
+def stacked_riemann_fd(warp, t, z):
+    from solcusp.curvature import _STENCIL, _metric
+    t, z = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(z, dtype=float))
+    p = _metric(warp, t[..., None] + _STENCIL[:, 0], z[..., None] + _STENCIL[:, 1], False)
+    Gam = stacked_christoffel(p)
+
+    def dgamma(first, step):
+        d = np.zeros(t.shape + (DIM,) * 4)
+        for axis, row in ((2, first), (3, first + 2)):
+            d[..., axis, :, :, :] = (
+                Gam[..., row, :, :, :] - Gam[..., row + 1, :, :, :]
+            ) / (2.0 * step)
+        return d
+
+    dGam = (4.0 * dgamma(5, FD_STEP / 2.0) - dgamma(1, FD_STEP)) / 3.0
+    return stacked_lowering(Gam[..., 0, :, :, :], dGam, p.g[..., 0, :, :])
+
+
+def svd_isometry(m, samples):
+    from solcusp.lattice import sol_metric_3d
+    p = np.asarray(samples if isinstance(samples, np.ndarray) else list(samples), dtype=float)
+    J = m.linear
+    mapped = np.matmul(J, p[:, :, None])[:, :, 0] + m.offset
+    pulled = J.T @ sol_metric_3d(mapped) @ J
+    dev = np.linalg.norm(pulled - sol_metric_3d(p), 2, axis=(1, 2))
+    return float(np.max(dev))
+
+
+def one_panel_quad(fn, a, b, tol):
+    from solcusp.volume import _MAX_INTERVALS, _W_GAUSS, _W_KRONROD, _GK_NODES, QuadratureError
+
+    def gk15(lo, hi):
+        half = 0.5 * (hi - lo)
+        y = fn(0.5 * (lo + hi) + half * _GK_NODES)
+        k = half * float(_W_KRONROD @ y)
+        g = half * float(_W_GAUSS @ y)
+        return k, (200.0 * abs(k - g)) ** 1.5, half * float(_W_KRONROD @ np.abs(y))
+
+    if b <= a:
+        raise ValueError("need a < b")
+    intervals = [(a, b, *gk15(a, b))]
+    rounding = float(50.0 * np.finfo(float).eps * intervals[0][4])
+    if tol < rounding:
+        raise QuadratureError(
+            f"tol {tol:g} is below the rounding level {rounding:g} of the integral"
+        )
+    while True:
+        total = sum(iv[2] for iv in intervals)
+        errs = [iv[3] for iv in intervals]
+        err_sum = float(np.sqrt(np.sum(np.square(errs))))
+        if err_sum <= tol:
+            return float(total), max(err_sum, rounding)
+        if len(intervals) >= _MAX_INTERVALS:
+            raise QuadratureError(
+                f"no convergence to {tol:g} within {_MAX_INTERVALS} intervals "
+                f"(reached {err_sum:g})"
+            )
+        worst = int(np.argmax(errs))
+        lo, hi = intervals[worst][:2]
+        mid = 0.5 * (lo + hi)
+        intervals[worst] = (lo, mid, *gk15(lo, mid))
+        intervals.append((mid, hi, *gk15(mid, hi)))

@@ -211,11 +211,16 @@ def test_non_finite_flags_are_errors(argv, name, capsys):
      "t=-800.0"),
     (["certify", "--warp", "pure-exp", "--t-min", "-200", "--t-max", "-199", "--step", "1"],
      "t=-200.0"),
+    # e^(-2t) overflows in the metric: once a RuntimeWarning before the error
+    (["certify", "--warp", "pure-exp", "--t-min", "-356", "--t-max", "-355", "--step", "1"],
+     "t=-356.0"),
     (["build-warp", "--t0=-800", "--t1=-1"], "t=-802.0"),
     (["verify-riemann", "--warp", "shifted-exp", "--t-grid=-400:-399:2"], "t=-400.0"),
     (["certify", "--step", "1e-300"], "t_step"),
-], ids=["volume", "certify-margins", "certify-frame-form", "build-warp", "verify-riemann",
-        "certify-grid-size"])
+    # W^2 overflows: once an OverflowError traceback from Interpolated.eval
+    (["certify", "--warp", "interpolated", "--warp-t0=-1e200", "--warp-t1=-1"], "width 1e+200"),
+], ids=["volume", "certify-margins", "certify-frame-form", "certify-metric", "build-warp",
+        "verify-riemann", "certify-grid-size", "certify-window-width"])
 def test_overflowing_commands_are_errors(argv, where, capsys):
     # each once printed "inf" or "nan" numbers and exited 0, failed inside
     # LAPACK or numpy with a message naming no input, or ran out of memory

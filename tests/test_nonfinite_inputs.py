@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import per_point_reference as ref
 from solcusp.certify import certify
 from solcusp.curvature import match_component_table
 from solcusp.volume import cusp_volume
@@ -84,11 +85,25 @@ def test_every_non_finite_argument_is_a_value_error(call):
      "t=-400.0, z=0.5"),
     # the frame form had NaN entries, yet the grid read "certified"
     (lambda: certify(PureExp(), (-200.0, -199.0), 1.0), "t=-200.0"),
+    # W^2 overflowed in Interpolated.eval with an OverflowError
+    (lambda: Interpolated(-1e200, -1.0), "width 1e+200"),
+    (lambda: build_interpolation(-1e200, -1.0), "width 1e+200"),
+    (lambda: Interpolated(-2e154, 0.0), "width 2e+154"),
 ], ids=["volume-shifted", "volume-pure", "volume-total", "margins",
-        "report-grid", "report-grid-wide", "riemann", "frame-form"])
+        "report-grid", "report-grid-wide", "riemann", "frame-form", "window-width",
+        "window-width-build", "window-width-edge"])
 def test_an_overflowing_result_is_a_value_error(call, where):
     with pytest.raises(ValueError, match=re.escape(where)):
         call()
+
+
+def test_the_widest_window_stands_with_its_bits():
+    # W = 1.3e154: W^2 is finite, so the window is accepted and evaluates as before
+    w = Interpolated(-1.3e154, 0.0)
+    t = np.array([-1e153, -5.0, -1.0, 0.5])
+    with np.errstate(all="ignore"):  # e^-t overflows at -1e153, in both
+        got, want = w.eval(t), ref.interpolated_eval(w, t)
+    assert all(x.tobytes() == y.tobytes() for x, y in zip(got, want))
 
 
 def test_certify_bounds_its_grid_before_building_it():
