@@ -28,18 +28,11 @@ from pathlib import Path
 import numpy as np
 
 from .certify import CertificationReport, certify
-from .curvature import match_component_table
+from .curvature import MAX_MATCH_POINTS, match_component_table
 from .lattice import AnosovMatrix, build_sol_lattice, cross_section_volume
 from .serialize import to_json_text, write_csv_text
 from .volume import QuadratureError, cusp_volume
-from .warp import (
-    FAMILIES,
-    GRID_STEP,
-    condition_margins,
-    regimes,
-    validation_grid,
-    warp_from_name,
-)
+from .warp import FAMILIES, condition_margins, regimes, validation_grid, warp_from_name
 
 _STATUS_CODES = {
     "certified": 0,
@@ -105,7 +98,8 @@ def cmd_lattice(args) -> int:
 
 
 def _warp_entry(warp) -> dict:
-    """The warp's family and, for a finite window, the window (T0, T1) in use."""
+    """The warp's family and, for a finite window, the window (T0, T1) in use:
+    warp.json, and the "warp" entry of the standalone reports."""
     entry = {"family": warp.family}
     lo, hi = regimes(warp)
     if np.isfinite(lo):
@@ -114,26 +108,18 @@ def _warp_entry(warp) -> dict:
     return entry
 
 
-def _warp_report(warp) -> tuple[dict, tuple]:
-    """warp.json's payload and the CSV's columns (t, f, f', f'', margins), from one eval."""
-    grid = validation_grid(warp)
-    values = warp.eval(grid)
-    margins = condition_margins(warp, grid, values)
-    return {
-        **_warp_entry(warp),
-        "min_margins": dict(zip("abcd", map(float, margins.min(axis=0)))),
-        "grid_step": GRID_STEP,
-    }, (grid, *values, margins)
-
-
 def cmd_build_warp(args) -> int:
-    payload, columns = _warp_report(warp_from_name("interpolated", args.t0, args.t1))
-    _emit(args, payload, "warp.json")
-    if args.csv:
-        Path(args.csv).write_text(write_csv_text(
+    warp = warp_from_name("interpolated", args.t0, args.t1)
+    if args.csv:  # built before any output: a refused grid writes nothing
+        grid = validation_grid(warp)
+        values = warp.eval(grid)
+        csv = write_csv_text(
             ["t", "f", "fp", "fpp", "margin_a", "margin_b", "margin_c", "margin_d"],
-            np.column_stack(columns),
-        ))
+            np.column_stack((grid, *values, condition_margins(warp, grid, values))),
+        )
+    _emit(args, _warp_entry(warp), "warp.json")
+    if args.csv:
+        Path(args.csv).write_text(csv)
     return 0
 
 
@@ -141,10 +127,15 @@ def _parse_grid(spec: str) -> list[float]:
     lo, hi, count = spec.split(":")
     if not np.isfinite([float(lo), float(hi)]).all():
         raise ValueError(f"grid ends must be finite, got {spec!r}")
+    if int(count) > MAX_MATCH_POINTS:
+        raise ValueError(f"grid {spec!r} has more than {MAX_MATCH_POINTS} points")
     return list(np.linspace(float(lo), float(hi), int(count)))
 
 
 def _riemann_payload(warp, t_grid, z_grid) -> dict:
+    if len(t_grid) * len(z_grid) > MAX_MATCH_POINTS:
+        raise ValueError(f"{len(t_grid)} x {len(z_grid)} Riemann-match points exceed "
+                         f"the bound of {MAX_MATCH_POINTS}")
     points = [(t, z) for t in t_grid for z in z_grid]
     report = match_component_table(warp, points)
     return {
@@ -233,7 +224,7 @@ def cmd_run(args) -> int:
 
         wc = config["warp"]
         warp = warp_from_name(wc["family"], wc["t0"], wc["t1"])
-        write("warp.json", _warp_report(warp)[0])
+        write("warp.json", _warp_entry(warp))
 
         rc = config["riemann"]
         riemann_payload = _riemann_payload(warp, rc["t_grid"], rc["z_grid"])

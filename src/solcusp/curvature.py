@@ -69,6 +69,8 @@ AXIS_NAMES = ("x", "y", "z", "t")
 PAIR_NAMES = tuple(AXIS_NAMES[i] + AXIS_NAMES[j] for i, j in PAIRS)
 # finite-difference step of riemann_fd; Richardson adds the step _FD_STEP / 2
 _FD_STEP = 1e-4
+# match_component_table's point bound: it peaks at about 18 KB a point, so about 1 GB
+MAX_MATCH_POINTS = 50_000
 # riemann_fd's stencil as (t, z) offsets: the centre, then z +- h, t +- h
 # at h = _FD_STEP, then the same four at h / 2
 _STENCIL = _FD_STEP * np.array([(0.0, 0.0), (0.0, 1.0), (0.0, -1.0), (1.0, 0.0), (-1.0, 0.0),
@@ -400,7 +402,8 @@ def match_component_table(warp, points) -> MatchReport:
     and the overall tensor magnitude at the point, so exact zeros in the
     table are compared at the tensor's own scale.  Also reports any
     independent component the pipelines find that the table does not list.
-    Raises ValueError at a point where a tensor or the table is not finite.
+    Raises ValueError at a point where a tensor or the table is not finite,
+    and for more than ``MAX_MATCH_POINTS`` points.
 
     The point-dependent data are built by one stacked call per pipeline:
     the (N, 6, 6) stack of finite-difference pair matrices, the (N, 8)
@@ -412,6 +415,8 @@ def match_component_table(warp, points) -> MatchReport:
     points = list(points)
     if not points:
         raise ValueError("points must be nonempty")
+    if len(points) > MAX_MATCH_POINTS:
+        raise ValueError(f"{len(points)} points exceed the bound of {MAX_MATCH_POINTS}")
     t, z = np.array(points, dtype=float).T
     if not np.all(np.isfinite(t) & np.isfinite(z)):
         raise ValueError("points must be finite")

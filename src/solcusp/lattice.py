@@ -32,9 +32,14 @@ __all__ = [
 ]
 
 
+# e^x is a finite float exactly for x <= this
+_LOG_FLOAT_MAX = float(np.log(np.finfo(float).max))
+
+
 @dataclass(frozen=True)
 class AnosovMatrix:
-    """2x2 integer matrix (a, b; c, d) with det = 1 and |trace| > 2."""
+    """2x2 integer matrix (a, b; c, d) with det = 1 and |trace| > 2, small
+    enough that the deck check's e^(2(1 + L)) is a finite float."""
 
     a: int
     b: int
@@ -50,6 +55,14 @@ class AnosovMatrix:
         if abs(self.trace) <= 2:
             raise ValueError(
                 f"|trace| must exceed 2 for hyperbolicity, got {self.trace}"
+            )
+        # the deck check evaluates e^(2z) at z = 1 + L, so 2(1 + L) may not pass
+        # log(float max): |trace| up to about 4.93e153.  The 2^511 guard, past
+        # that, keeps float(trace) and trace^2 finite while L is computed
+        if abs(self.trace) > 2**511 or 2.0 * (1.0 + self.stretch) > _LOG_FLOAT_MAX:
+            raise ValueError(
+                f"trace {self.trace} is too large: e^(2(1 + L)) overflows a float "
+                "in the deck check, L = log|lam|"
             )
 
     @property

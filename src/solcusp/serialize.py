@@ -2,12 +2,14 @@
 
 JSON output is reproduced byte-for-byte across runs: keys are sorted,
 separators fixed, and every float rendered with 17 significant digits
-(enough to round-trip a double exactly).  CSV rows use the same float
-rendering.
+(enough to round-trip a double exactly).  Strings are escaped as
+``json.dumps`` escapes them, non-ASCII characters kept.  CSV rows use the
+same float rendering.
 """
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -30,7 +32,7 @@ def _encode(obj, out: list) -> None:
     elif isinstance(obj, (bool, np.bool_)):
         out.append("true" if obj else "false")
     elif isinstance(obj, str):
-        out.append('"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"')
+        out.append(json.dumps(obj, ensure_ascii=False))
     elif isinstance(obj, (int, np.integer)):
         out.append(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):

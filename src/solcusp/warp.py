@@ -57,7 +57,7 @@ __all__ = [
 
 # exp(g) with |g| beyond this is numerically 0 or 1 in the step quotient
 _STEP_CLIP = 500.0
-# spacing of the grid that warp.json and the warp CSV report on
+# spacing of the grid of the warp CSV (build-warp --csv)
 GRID_STEP = 1e-3
 # e^-t overflows a float below this t
 _T_OVERFLOW = -float(np.log(np.finfo(float).max))
@@ -220,7 +220,9 @@ def worst_margin(t: np.ndarray, margins: np.ndarray) -> tuple[float, str, float]
 
 
 def validation_grid(warp) -> np.ndarray:
-    """[t_lo - 2, 1] at ``GRID_STEP``; t_lo = -6 without a finite window.
+    """The grid of the warp CSV (build-warp --csv): [t_lo - 2, 1] at
+    ``GRID_STEP``; t_lo = -6 without a finite window.  It reports margins
+    and decides nothing: ``window_witness`` proves the window.
 
     Refused when it would start below -log(float max), where e^-t overflows.
     """

@@ -2,15 +2,26 @@ import argparse
 import dataclasses
 import gc
 import json
+import os
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from solcusp.certify import certify
 from solcusp.cli import _certify_payload, main
+from solcusp.curvature import MAX_MATCH_POINTS, match_component_table
 from solcusp.serialize import format_float, to_json_text, write_csv_text
-from solcusp.warp import Interpolated, build_interpolation, condition_margins, window_witness
+from solcusp.warp import (
+    Interpolated,
+    ShiftedExp,
+    build_interpolation,
+    condition_margins,
+    window_witness,
+)
 
 REDUCED_RUN = {
     "riemann": {"t_grid": [-1.0, 0.0, 1.0], "z_grid": [-0.5, 0.0, 0.5]},
@@ -29,6 +40,32 @@ def test_serializer_is_deterministic_and_sorted():
     text = to_json_text({"b": 1.5, "a": [float("inf"), float("nan")], "c": None})
     assert text == '{"a":["inf","nan"],"b":1.5,"c":null}\n'
     assert format_float(1.0 / 3.0) == "0.33333333333333331"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text())
+def test_json_strings_round_trip(text):
+    assert json.loads(to_json_text(text)) == text
+    assert json.loads(to_json_text({text: [text]})) == {text: [text]}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(st.characters(min_codepoint=0x20)))
+def test_json_strings_without_control_characters_keep_their_bytes(text):
+    # the escape of \ and " alone, which every report string written so far got
+    assert to_json_text(text) == '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"\n'
+
+
+def test_run_writes_a_control_character_as_valid_json(tmp_path, capsys):
+    # "2\n" once went into summary.json as a raw newline, which json.load rejects
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"matrix": ["2\n", 1, 1, 1]}))
+    outdir = tmp_path / "out"
+    code, _ = run_cli(capsys, "--config", str(cfg), "--output", str(outdir), "run")
+    assert code == 1
+    summary = json.loads((outdir / "summary.json").read_text())
+    assert summary["status"] == "error" and "integers" in summary["error"]
+    assert summary["config"]["matrix"] == ["2\n", 1, 1, 1]
 
 
 def test_csv_writer_roundtrips_floats():
@@ -97,28 +134,82 @@ def test_lattice_command_rejects_bad_matrix(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("exponent", [400, 155, 154])
+def test_overflowing_anosov_matrix_is_an_error_line(exponent, tmp_path, capsys):
+    # N, 1, N - 1, 1 once failed three ways: an OverflowError traceback
+    # (10^400), "Singular matrix" after a RuntimeWarning (10^155) and "SVD
+    # did not converge" once the deck check's e^(2(z + L)) overflowed (10^154)
+    n = 10**exponent
+    assert main(["lattice", "--matrix", f"{n},1,{n - 1},1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: trace {n + 1} ")
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({**REDUCED_RUN, "matrix": [n, 1, n - 1, 1]}))
+    code, _ = run_cli(capsys, "--config", str(cfg), "--output", str(tmp_path / "o"), "run")
+    assert code == 1
+    summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+    assert summary["status"] == "error"
+    assert summary["error"].startswith(f"ValueError: trace {n + 1} ")
+
+
 def test_build_warp_command(tmp_path, capsys):
     csv_path = tmp_path / "warp.csv"
     code, out = run_cli(
         capsys, "build-warp", "--t0", "-4", "--t1", "-1", "--csv", str(csv_path),
     )
     assert code == 0
-    payload = json.loads(out)
-    assert payload["family"] == "interpolated"
-    assert payload["grid_step"] == 1e-3
-    assert payload["T0"] == -4.0 and payload["T1"] == -1.0
-    assert min(payload["min_margins"].values()) > 1e-6
-    header = csv_path.read_text().splitlines()[0]
-    assert header == "t,f,fp,fpp,margin_a,margin_b,margin_c,margin_d"
+    # warp.json names the proved window and nothing else
+    assert json.loads(out) == {"family": "interpolated", "T0": -4.0, "T1": -1.0}
+    margins = csv_margins(csv_path)
+    assert margins.shape == (7001, 4) and margins.min() > 1e-6
 
 
-def test_build_warp_evaluates_its_report_grid_once(monkeypatch, tmp_path, capsys):
-    # warp.json and the CSV share one eval of the 7 001-point grid
+def csv_margins(path) -> np.ndarray:
+    """The four margin columns of a build-warp CSV, after checking its header."""
+    lines = path.read_text().splitlines()
+    assert lines[0] == "t,f,fp,fpp,margin_a,margin_b,margin_c,margin_d"
+    return np.array([[float(c) for c in line.split(",")[4:]] for line in lines[1:]])
+
+
+def record_eval_sizes(monkeypatch) -> list:
+    """The size of the t of every later Interpolated.eval call."""
     calls = []
     eval_ = Interpolated.eval
     monkeypatch.setattr(Interpolated, "eval", lambda self, t: calls.append(np.size(t)) or eval_(self, t))
+    return calls
+
+
+def test_build_warp_evaluates_its_report_grid_once(monkeypatch, tmp_path, capsys):
+    # the CSV's columns share one eval of the 7 001-point grid
+    calls = record_eval_sizes(monkeypatch)
     code, _ = run_cli(capsys, "build-warp", "--t0=-4", "--t1=-1", "--csv", str(tmp_path / "w.csv"))
     assert code == 0 and calls == [7001]
+
+
+def test_only_the_warp_csv_samples_the_report_grid(monkeypatch, tmp_path, capsys):
+    # the window proof decides; warp.json reports no grid, so without --csv
+    # build-warp evaluates nothing, and run evaluates only its own grids
+    calls = record_eval_sizes(monkeypatch)
+    code, _ = run_cli(capsys, "--output", str(tmp_path / "b"), "build-warp", "--t0=-4", "--t1=-1")
+    assert code == 0 and calls == []
+    code, _ = run_cli(capsys, "--output", str(tmp_path / "r"), "run")
+    assert code == 0 and calls and 7001 not in calls
+    assert (tmp_path / "b" / "warp.json").read_bytes() == (tmp_path / "r" / "warp.json").read_bytes()
+    assert (tmp_path / "r" / "warp.json").read_text() == (
+        '{"T0":-4,"T1":-1,"family":"interpolated"}\n')
+
+
+def test_a_window_past_the_report_grid_is_proved_and_certified(tmp_path, capsys):
+    # the report grid [-802, 1] would overflow e^-t, but nothing needs it:
+    # the proof covers (-800, -1), and certify and volume work on their own grids
+    code, out = run_cli(capsys, "build-warp", "--t0=-800", "--t1=-1")
+    assert code == 0
+    assert json.loads(out) == {"family": "interpolated", "T0": -800.0, "T1": -1.0}
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({**REDUCED_RUN, "warp": {"t0": -800.0, "t1": -1.0}}))
+    code, out = run_cli(capsys, "--config", str(cfg), "--output", str(tmp_path / "o"), "run")
+    assert code == 0 and json.loads(out)["status"] == "certified"
 
 
 def test_verify_riemann_command(capsys):
@@ -214,7 +305,7 @@ def test_non_finite_flags_are_errors(argv, name, capsys):
     # e^(-2t) overflows in the metric: once a RuntimeWarning before the error
     (["certify", "--warp", "pure-exp", "--t-min", "-356", "--t-max", "-355", "--step", "1"],
      "t=-356.0"),
-    (["build-warp", "--t0=-800", "--t1=-1"], "t=-802.0"),
+    (["build-warp", "--t0=-800", "--t1=-1", "--csv", os.devnull], "t=-802.0"),
     (["verify-riemann", "--warp", "shifted-exp", "--t-grid=-400:-399:2"], "t=-400.0"),
     (["certify", "--step", "1e-300"], "t_step"),
     # W^2 overflows: once an OverflowError traceback from Interpolated.eval
@@ -230,15 +321,44 @@ def test_overflowing_commands_are_errors(argv, where, capsys):
     assert captured.err.startswith("error: ") and where in captured.err
 
 
-def test_build_warp_proves_a_window_the_grid_gave_up_on(capsys):
+@pytest.mark.parametrize("argv", [
+    # 10^6 points: about 18 GB at the match's 18 KB a point
+    ["verify-riemann", "--t-grid=-2:2:1000", "--z-grid=-1:1:1000"],
+    ["verify-riemann", f"--t-grid=-2:2:{MAX_MATCH_POINTS + 1}", "--z-grid=0:0:1"],
+    ["verify-riemann", "--t-grid=-2:2:10000000000"],
+    ["--config", "{config}", "run"],
+], ids=["product", "one-axis", "huge-count", "run"])
+def test_riemann_match_grid_is_refused_before_any_allocation(argv, tmp_path, capsys):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"riemann": {"t_grid": [0.0] * 1000, "z_grid": [0.0] * 1000}}))
+    argv = [a.format(config=cfg) for a in argv]
+    tracemalloc.start()
+    try:
+        code = main(["--output", str(tmp_path / "o"), *argv])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert str(MAX_MATCH_POINTS) in capsys.readouterr().err
+    assert peak < 20e6
+
+
+def test_match_component_table_refuses_too_many_points():
+    points = [(0.0, 0.0)] * (MAX_MATCH_POINTS + 1)
+    with pytest.raises(ValueError, match=f"{MAX_MATCH_POINTS + 1} points exceed"):
+        match_component_table(ShiftedExp(), points)
+
+
+def test_build_warp_proves_a_window_the_grid_gave_up_on(tmp_path, capsys):
     # 20 doublings of (-2e-7, -1e-7) once ended in an error; the proof's
     # search needs no cap, since any window 4 wide is admissible
-    code, out = run_cli(capsys, "build-warp", "--t0=-2e-7", "--t1=-1e-7")
+    csv_path = tmp_path / "warp.csv"
+    code, out = run_cli(capsys, "build-warp", "--t0=-2e-7", "--t1=-1e-7", "--csv", str(csv_path))
     assert code == 0
     payload = json.loads(out)
     assert payload["T1"] == -1e-7 and payload["T0"] < -1.0
     assert window_witness(Interpolated(payload["T0"], payload["T1"])) is None
-    assert min(payload["min_margins"].values()) > 0.0
+    assert csv_margins(csv_path).min() > 0.0
 
 
 @pytest.mark.parametrize("section,field,value", [

@@ -188,6 +188,55 @@ def test_random_anosov_lattices_keep_their_deck_isometries(entries):
     assert abs(cross_section_volume(lat) - A.stretch) <= 1e-12
 
 
+# the largest trace whose deck check keeps e^(2(1 + L)) finite, L = log|lam|,
+# found by bisection on the unchecked build: every trace up to it in modulus
+# builds a checked lattice, and the next one overflows
+TRACE_LIMIT = int(
+    "49324568886013971677105660971433971375415724617222401682425810796742967610583"
+    "13278044159911706175541369005605777200430242720798616754849020077741904494591"
+)
+
+
+def unchecked(entries) -> AnosovMatrix:
+    """The matrix with its fields set and __post_init__'s checks skipped."""
+    A = object.__new__(AnosovMatrix)
+    for name, value in zip("abcd", entries):
+        object.__setattr__(A, name, value)
+    return A
+
+
+@settings(max_examples=150, deadline=None)
+@given(offset=st.integers(-(10**142), 10**142), sign=st.sampled_from((1, -1)))
+def test_trace_bound_refuses_exactly_the_matrices_whose_deck_check_overflows(offset, sign):
+    # a float step of the trace near the limit is 2^459, about 1.5e138
+    trace = sign * (TRACE_LIMIT + offset)
+    entries = (trace - 1, 1, trace - 2, 1)
+    if offset <= 0:
+        lat = build_sol_lattice(AnosovMatrix(*entries))
+        assert lat.isometry_deviation <= 1e-12
+        assert np.isfinite(np.exp(2.0 * (1.0 + lat.stretch)))
+    else:
+        with pytest.raises(ValueError, match=f"^trace {trace} is too large"):
+            AnosovMatrix(*entries)
+        with np.errstate(all="ignore"), pytest.raises(np.linalg.LinAlgError):
+            build_sol_lattice(unchecked(entries))
+
+
+@pytest.mark.parametrize("trace", [TRACE_LIMIT, TRACE_LIMIT + 1, -TRACE_LIMIT, -TRACE_LIMIT - 1],
+                         ids=["limit", "past-limit", "minus-limit", "past-minus-limit"])
+def test_trace_bound_at_its_edge(trace):
+    entries = (trace - 1, 1, trace - 2, 1)
+    if abs(trace) == TRACE_LIMIT:
+        lat = build_sol_lattice(AnosovMatrix(*entries))
+        assert lat.isometry_deviation <= 1e-12
+        assert np.isfinite([lat.stretch, *lat.basis.ravel()]).all()
+        assert all(np.isfinite(m.linear).all() and np.isfinite(m.offset).all()
+                   for m in lat.generators)
+    else:
+        with pytest.raises(ValueError, match=f"^trace {trace} is too large"):
+            AnosovMatrix(*entries)
+
+
 @pytest.mark.xfail(strict=True, reason="the eigenbasis of a matrix with |trace| << |a| = |d| "
                    "is nearly parallel, so its stored cell area is off by ~eps * cond")
 def test_near_parallel_eigenbasis_keeps_unit_cell_area():
