@@ -11,78 +11,10 @@ and computes the cusp volume: closed forms outside the transition window,
 adaptive quadrature inside it.
 """
 
-from .certify import (
-    CertificationReport,
-    CurvatureBounds,
-    WitnessPlane,
-    certify,
-    extremize_k,
-    extremize_point,
-    rescale_to_pinching,
-)
-from .curvature import (
-    DegeneratePlaneError,
-    MatchReport,
-    MetricPoint,
-    RiemannTensor,
-    christoffel,
-    match_component_table,
-    metric_at,
-    component_table,
-    riemann_closed,
-    riemann_fd,
-    sectional_curvature,
-)
-from .lattice import (
-    AffineMap3,
-    AnosovMatrix,
-    SolLattice,
-    build_sol_lattice,
-    cross_section_volume,
-    verify_isometry,
-)
-from .volume import VolumeResult, adaptive_quad, cusp_volume
-from .warp import (
-    Interpolated,
-    PureExp,
-    ShiftedExp,
-    build_interpolation,
-    condition_margins,
-)
+from .certify import certify
+from .curvature import metric_at, riemann_closed, riemann_fd
+from .warp import build_interpolation
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AffineMap3",
-    "AnosovMatrix",
-    "CertificationReport",
-    "CurvatureBounds",
-    "DegeneratePlaneError",
-    "Interpolated",
-    "MatchReport",
-    "MetricPoint",
-    "PureExp",
-    "RiemannTensor",
-    "ShiftedExp",
-    "SolLattice",
-    "VolumeResult",
-    "WitnessPlane",
-    "adaptive_quad",
-    "build_interpolation",
-    "build_sol_lattice",
-    "certify",
-    "christoffel",
-    "condition_margins",
-    "cross_section_volume",
-    "cusp_volume",
-    "extremize_k",
-    "extremize_point",
-    "match_component_table",
-    "metric_at",
-    "component_table",
-    "rescale_to_pinching",
-    "riemann_closed",
-    "riemann_fd",
-    "sectional_curvature",
-    "verify_isometry",
-]
+__all__ = ["build_interpolation", "certify", "metric_at", "riemann_closed", "riemann_fd"]

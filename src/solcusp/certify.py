@@ -30,7 +30,8 @@ its whole grid from one stacked ``metric_at``, and runs one batched
 that form through the verdict, the rescale and the CSV rows.
 ``extremize_point`` and ``extremize_k`` return the 0-d case of the same
 code, so a grid point's bounds equal theirs exactly.  A witness plane is
-a frame-orthonormal pair (u, v); u / sqrt(g_ii) are u's coordinates.
+a (..., 2, 4) array whose rows are a frame-orthonormal pair (u, v);
+u / sqrt(g_ii) are u's coordinates.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from .curvature import PAIRS, MetricPoint, metric_at, riemann_closed
 from .warp import condition_margins, regimes, window_witness, worst_margin
 
 __all__ = [
-    "WitnessPlane",
     "CurvatureBounds",
     "CertificationReport",
     "extremize_k",
@@ -64,10 +64,11 @@ _PAIR_I, _PAIR_J = np.transpose(PAIRS)
 
 
 def _witness(Q: np.ndarray, w: np.ndarray):
-    """Witness planes (u, v) and their K for the unit eigenvectors w of Q.
+    """Witness planes and their K for the unit eigenvectors w of Q.
 
     Leading axes pass through: one batched SVD turns each simple bivector
-    into a frame-orthonormal pair, and K = w'^T Q w' / (w'^T w') for the
+    into a frame-orthonormal pair (u, v), returned as the rows of a
+    (..., 2, 4) plane, and K = w'^T Q w' / (w'^T w') for the
     bivector w' = u ^ v of that pair, by stacked ``matmul``.  Q and w' must
     be in C order, as one point's arrays are: matmul hands each point's
     rows to BLAS, whose sums round differently for other strides.  A
@@ -81,21 +82,7 @@ def _witness(Q: np.ndarray, w: np.ndarray):
     row = np.ascontiguousarray(u[..., _PAIR_I] * v[..., _PAIR_J]
                                - u[..., _PAIR_J] * v[..., _PAIR_I])[..., None, :]
     col = np.swapaxes(row, -1, -2)
-    return u, v, (row @ Q @ col)[..., 0, 0] / (row @ col)[..., 0, 0]
-
-
-@dataclass(frozen=True)
-class WitnessPlane:
-    """2-planes as frame-orthonormal pairs (u, v), one per point of a stack."""
-
-    u: np.ndarray               # (..., 4)
-    v: np.ndarray               # (..., 4)
-
-    def __post_init__(self) -> None:
-        for name in ("u", "v"):
-            arr = np.array(getattr(self, name), dtype=float)
-            object.__setattr__(self, name, arr)
-            arr.setflags(write=False)
+    return np.stack((u, v), axis=-2), (row @ Q @ col)[..., 0, 0] / (row @ col)[..., 0, 0]
 
 
 @dataclass(frozen=True)
@@ -104,14 +91,14 @@ class CurvatureBounds:
 
     ``t``, ``k_min``, ``k_max`` and ``method_agreement`` have the stack's
     shape, () for one point; the witness planes carry it in front of their
-    4 frame components.
+    rows u and v of 4 frame components.
     """
 
     t: np.ndarray
     k_min: np.ndarray
     k_max: np.ndarray
-    argmin_plane: WitnessPlane
-    argmax_plane: WitnessPlane
+    argmin_plane: np.ndarray        # (..., 2, 4)
+    argmax_plane: np.ndarray        # (..., 2, 4)
     method_agreement: np.ndarray    # max |K(witness) - extreme eigenvalue|
 
 
@@ -132,15 +119,15 @@ def _extremize(p: MetricPoint) -> CurvatureBounds:
         raise ValueError("the frame curvature form is not finite at "
                          f"t={float(np.broadcast_to(p.t, p.shape)[bad].flat[0])}")
     vals, vecs = np.linalg.eigh(Q)
-    u_min, v_min, k_at_min = _witness(Q, vecs[..., :, 0])
-    u_max, v_max, k_at_max = _witness(Q, vecs[..., :, -1])
+    plane_min, k_at_min = _witness(Q, vecs[..., :, 0])
+    plane_max, k_at_max = _witness(Q, vecs[..., :, -1])
     k_min, k_max = vals[..., 0], vals[..., -1]
     return CurvatureBounds(
         t=np.broadcast_to(p.t, p.shape),
         k_min=k_min,
         k_max=k_max,
-        argmin_plane=WitnessPlane(u_min, v_min),
-        argmax_plane=WitnessPlane(u_max, v_max),
+        argmin_plane=plane_min,
+        argmax_plane=plane_max,
         # asarray: for 0-d operands a ufunc returns a scalar, not a 0-d array
         method_agreement=np.asarray(np.maximum(abs(k_at_min - k_min), abs(k_at_max - k_max))),
     )
@@ -296,12 +283,11 @@ def certify(
         witness = None
         if max_k >= 0.0:
             i = int(np.argmax(curve.k_max))
-            plane = curve.argmax_plane
             witness = {
                 "kind": "positive_curvature",
                 "t": float(curve.t[i]),
                 "k_max": float(curve.k_max[i]),
-                "plane_basis": [plane.u[i].tolist(), plane.v[i].tolist()],
+                "plane_basis": curve.argmax_plane[i].tolist(),
             }
             status = "violation"
         elif max_k >= -_FLOOR:

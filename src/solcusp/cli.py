@@ -11,7 +11,8 @@ Subcommands mirror the library stages:
     run            full pipeline writing lattice/warp/riemann/certify/volume
                    reports plus a summary verdict
 
-Exit codes: 0 success/certified, 1 bad input or internal error, 2 violation
+Exit codes: 0 success/certified, 1 bad input or internal error (also a
+certified run whose volume t0 lies below pinched_from), 2 violation
 witness found (including failed condition margins) or a command-line usage
 error, 3 inconclusive (negativity margin below the floor).
 """
@@ -238,6 +239,10 @@ def cmd_run(args) -> int:
         vc = config["volume"]
         vol = _volume_payload(warp, vol_c, vc["t0"], vc["tol"])
         write("volume.json", vol)
+        # the three claims share one cusp [t0, inf), which the pinching must cover
+        if report.status == "certified" and vc["t0"] < report.pinched_from:
+            raise ValueError(f"volume t0 {vc['t0']} lies below pinched_from "
+                             f"{report.pinched_from}, so no one cusp region carries all three claims")
 
         summary = {
             "config": config,

@@ -26,10 +26,12 @@ Two pipelines compute the lowered Riemann tensor:
   closed-form result is checked against.
 
 Sign convention: R_ijkl = g_im (d_k Gamma^m_lj - d_l Gamma^m_kj + ...),
-contracted as R(u,v,u,v) = R_ijkl u^i v^j u^k v^l in sectional curvature.
-With this choice the constant-curvature metric
-dt^2 + e^(-2t)(dx^2 + dy^2 + dz^2) yields K = -1 on every plane (a test
-checks it), which pins the orientation executable-y rather than by citation.
+contracted as R(u,v,u,v) = R_ijkl u^i v^j u^k v^l in sectional curvature
+(the library reads K only off the frame form ``pair_matrix(frame=True)``;
+the tests keep the coordinate formula as their oracle).  With this choice
+the constant-curvature metric dt^2 + e^(-2t)(dx^2 + dy^2 + dz^2) yields
+K = -1 on every plane (a test checks it), which pins the orientation
+executable-y rather than by citation.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ __all__ = [
     "MetricPoint",
     "RiemannTensor",
     "MatchReport",
-    "DegeneratePlaneError",
     "metric_at",
     "metric_diag",
     "christoffel",
@@ -54,7 +55,6 @@ __all__ = [
     "riemann_closed",
     "riemann_fd",
     "riemann_fd_general",
-    "sectional_curvature",
     "component_table",
     "match_component_table",
 ]
@@ -75,10 +75,6 @@ MAX_MATCH_POINTS = 50_000
 # at h = _FD_STEP, then the same four at h / 2
 _STENCIL = _FD_STEP * np.array([(0.0, 0.0), (0.0, 1.0), (0.0, -1.0), (1.0, 0.0), (-1.0, 0.0),
                                 (0.0, 0.5), (0.0, -0.5), (0.5, 0.0), (-0.5, 0.0)])
-
-
-class DegeneratePlaneError(ValueError):
-    """The two vectors do not span a 2-plane (Gram determinant underflow)."""
 
 
 @dataclass(frozen=True)
@@ -292,25 +288,6 @@ def riemann_fd(warp, t, z) -> RiemannTensor:
     return riemann_fd_general(lambda tt, zz: _metric(warp, tt, zz, second=False), t, z)
 
 
-def sectional_curvature(R: RiemannTensor, p: MetricPoint, u, v) -> float:
-    """K of span(u, v): R(u,v,u,v) / (|u|^2 |v|^2 - <u,v>^2), g-inner products.
-
-    Raises DegeneratePlaneError when the normalized Gram determinant falls
-    below 1e-12.
-    """
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    g = p.g
-    uu = u @ g @ u
-    vv = v @ g @ v
-    uv = u @ g @ v
-    gram = uu * vv - uv * uv
-    if uu <= 0.0 or vv <= 0.0 or gram / (uu * vv) <= 1e-12:
-        raise DegeneratePlaneError("vectors do not span a nondegenerate 2-plane")
-    num = np.einsum("ijkl,i,j,k,l->", R.full, u, v, u, v)
-    return float(num / gram)
-
-
 # ---------------------------------------------------------------------------
 # closed-form component table matching
 # ---------------------------------------------------------------------------
@@ -361,7 +338,6 @@ class MatchReport:
     extra_components: list[dict]        # independent nonzero slots not listed
     pipeline_agreement: float           # max |closed - fd| over the points
     bianchi_residual: float             # worst fd first-Bianchi residual
-    all_assignments: dict[str, float]   # score of every (map, sign) tried
 
 
 def _pair_slots(assign: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -438,14 +414,11 @@ def match_component_table(warp, points) -> MatchReport:
     denom = np.maximum(np.maximum(np.abs(expect), scale), 1e-12)
 
     best = None
-    scores = {}
     for assign, rows, cols, sgns in _LABELLINGS:
         got = sgns * Q[:, rows, cols]
         for sign in (1, -1):
             per = np.max(np.abs(sign * got - expect) / denom, axis=0)
             score = np.max(per)
-            name = "".join(AXIS_NAMES[assign[a]] for a in range(DIM)) + ("+" if sign > 0 else "-")
-            scores[name] = score
             if best is None or score < best[0]:
                 best = (score, assign, sign, per, rows, cols)
 
@@ -472,5 +445,4 @@ def match_component_table(warp, points) -> MatchReport:
         extra_components=extras,
         pipeline_agreement=agreement,
         bianchi_residual=bianchi,
-        all_assignments=scores,
     )

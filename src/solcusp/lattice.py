@@ -15,7 +15,7 @@ Every generator must be an exact isometry of g_Sol, which
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
@@ -106,13 +106,12 @@ class AffineMap3:
 
 @dataclass(frozen=True)
 class SolLattice:
-    """Cross-section data: monodromy matrix, stretch, plane lattice, deck maps."""
+    """Cross-section data: stretch, plane lattice, checked deck maps."""
 
-    matrix: AnosovMatrix
     stretch: float
     basis: np.ndarray                 # rows: the two planar lattice vectors
-    generators: list[AffineMap3] = field(default_factory=list)
-    isometry_deviation: float = float("nan")  # worst generator; nan: unchecked
+    generators: list[AffineMap3]
+    isometry_deviation: float         # worst generator's pullback deviation
 
     def __post_init__(self) -> None:
         b = np.asarray(self.basis, dtype=float).reshape(2, 2)
@@ -152,19 +151,27 @@ def build_sol_lattice(A: AnosovMatrix) -> SolLattice:
     negative and the monodromy linear part is diag(lam, 1/lam, 1) with
     lam < -1; it is an isometry of g_Sol either way since the metric
     coefficients are quadratic in dx, dy.
+
+    Raises ValueError, naming the matrix, when a or b does not fit in a
+    float or det P of the float eigenbasis is zero or not finite: no
+    unit-area cell can be built from it.
     """
     lam, lam_inv = A.eigenvalues()
     L = A.stretch
+    entries = [A.a, A.b, A.c, A.d]
 
-    # eigenvector for an eigenvalue mu: (b, mu - a).  b != 0 always: with
-    # b = 0, det = ad = 1 forces a = d = +-1 and |trace| = 2.
-    def eigvec(mu: float) -> np.ndarray:
-        return np.array([float(A.b), mu - A.a])
-
-    vp = eigvec(lam)
-    vm = eigvec(lam_inv)
-    P = np.column_stack([vp, vm])
-    P /= np.sqrt(abs(np.linalg.det(P)))
+    # columns: the eigenvectors (b, mu - a) for mu = lam, 1/lam.  b != 0
+    # always: with b = 0, det = ad = 1 forces a = d = +-1 and |trace| = 2.
+    try:
+        P = np.array([[float(A.b)] * 2, [lam - A.a, lam_inv - A.a]])
+    except OverflowError:
+        raise ValueError(f"matrix {entries}: an entry does not fit in a float") from None
+    with np.errstate(all="ignore"):  # an overflow is refused below
+        det = np.linalg.det(P)
+    if not (np.isfinite(det) and det != 0.0):
+        raise ValueError(f"matrix {entries}: its float eigenbasis has determinant {det}, "
+                         "not a finite nonzero number")
+    P /= np.sqrt(abs(det))
     P_inv = np.linalg.inv(P)
 
     b1 = P_inv @ np.array([1.0, 0.0])
@@ -184,7 +191,6 @@ def build_sol_lattice(A: AnosovMatrix) -> SolLattice:
             f"deck generator fails the isometry check: deviation {dev:.3e}"
         )
     return SolLattice(
-        matrix=A,
         stretch=L,
         basis=np.vstack([b1, b2]),
         generators=generators,

@@ -4,12 +4,14 @@ Each builds a ``MetricPoint`` directly, bypassing the cusp ansatz, so the
 curvature pipelines and the certifier can be checked on metrics whose
 sectional curvatures are known in closed form.  The helpers at the end
 read the frame scales, the frame coordinate-plane curvatures and the
-algebraic symmetry residuals off any point or tensor.
+algebraic symmetry residuals off any point or tensor, and
+``sectional_curvature`` gives K of any plane from coordinate components:
+the oracle the frame-form extremes are checked against.
 """
 
 import numpy as np
 
-from solcusp.curvature import DIM, PAIR_NAMES, MetricPoint, riemann_closed
+from solcusp.curvature import DIM, PAIR_NAMES, MetricPoint, RiemannTensor, riemann_closed
 
 
 def flat_metric_point(shape: tuple[int, ...] = ()) -> MetricPoint:
@@ -86,3 +88,26 @@ def symmetry_residuals(R) -> tuple[float, float]:
     r2 = np.max(np.abs(full + np.einsum("...ijkl->...ijlk", full)))
     pair = np.max(np.abs(full - np.einsum("...ijkl->...klij", full)))
     return float(max(r1, r2)), float(pair)
+
+
+class DegeneratePlaneError(ValueError):
+    """The two vectors do not span a 2-plane (Gram determinant underflow)."""
+
+
+def sectional_curvature(R: RiemannTensor, p: MetricPoint, u, v) -> float:
+    """K of span(u, v): R(u,v,u,v) / (|u|^2 |v|^2 - <u,v>^2), g-inner products.
+
+    Raises DegeneratePlaneError when the normalized Gram determinant falls
+    below 1e-12.
+    """
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    g = p.g
+    uu = u @ g @ u
+    vv = v @ g @ v
+    uv = u @ g @ v
+    gram = uu * vv - uv * uv
+    if uu <= 0.0 or vv <= 0.0 or gram / (uu * vv) <= 1e-12:
+        raise DegeneratePlaneError("vectors do not span a nondegenerate 2-plane")
+    num = np.einsum("ijkl,i,j,k,l->", R.full, u, v, u, v)
+    return float(num / gram)

@@ -24,7 +24,7 @@ deviation of ``verify_isometry`` and the one-panel-per-call
 
 import numpy as np
 
-from solcusp.certify import _FLOOR, CurvatureBounds, WitnessPlane
+from solcusp.certify import _FLOOR, CurvatureBounds
 from solcusp.curvature import DIM, PAIRS, MetricPoint, RiemannTensor
 
 FD_STEP = 1e-4
@@ -149,8 +149,8 @@ def extremize_point(p) -> CurvatureBounds:
         t=float(p.t),
         k_min=k_min,
         k_max=k_max,
-        argmin_plane=WitnessPlane(u_min, v_min),
-        argmax_plane=WitnessPlane(u_max, v_max),
+        argmin_plane=np.array([u_min, v_min]),
+        argmax_plane=np.array([u_max, v_max]),
         method_agreement=max(abs(k_at_min - k_min), abs(k_at_max - k_max)),
     )
 

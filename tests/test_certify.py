@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from solcusp.certify import (
-    WitnessPlane,
     certify,
     extremize_k,
     extremize_point,
@@ -15,10 +14,15 @@ from solcusp.certify import (
     tail_k_bound,
 )
 from solcusp.cli import main as cli_main
-from solcusp.curvature import metric_at, riemann_closed, sectional_curvature
+from solcusp.curvature import metric_at, riemann_closed
 from solcusp.warp import Interpolated, PureExp, ShiftedExp, build_interpolation
 
-from diagnostic_metrics import frame_plane_k, frame_scales, hyperbolic_metric_point
+from diagnostic_metrics import (
+    frame_plane_k,
+    frame_scales,
+    hyperbolic_metric_point,
+    sectional_curvature,
+)
 
 
 class ConstantWarp:
@@ -75,7 +79,8 @@ def test_plane_charts_produce_orthonormal_pairs():
     p = metric_at(ShiftedExp(), 0.0, 0.0)
     scales = frame_scales(p)
     for chart in (b.argmin_plane, b.argmax_plane):
-        u, v = chart.u, chart.v
+        assert chart.shape == (2, 4)
+        u, v = chart
         assert abs(u @ u - 1.0) <= 1e-12
         assert abs(v @ v - 1.0) <= 1e-12
         assert abs(u @ v) <= 1e-12
@@ -90,9 +95,9 @@ def test_argmin_plane_reproduces_k_min():
     p = metric_at(ShiftedExp(), 0.0, 0.0)
     R = riemann_closed(p)
     scales = frame_scales(p)
-    uc, vc = b.argmin_plane.u * scales, b.argmin_plane.v * scales
+    uc, vc = b.argmin_plane * scales
     assert sectional_curvature(R, p, uc, vc) == pytest.approx(b.k_min, abs=1e-10)
-    uc, vc = b.argmax_plane.u * scales, b.argmax_plane.v * scales
+    uc, vc = b.argmax_plane * scales
     assert sectional_curvature(R, p, uc, vc) == pytest.approx(b.k_max, abs=1e-10)
 
 
@@ -102,8 +107,8 @@ def test_extremize_is_deterministic():
     assert a.k_min == b.k_min
     assert a.k_max == b.k_max
     assert a.method_agreement == b.method_agreement
-    assert np.array_equal(a.argmin_plane.u, b.argmin_plane.u)
-    assert np.array_equal(a.argmin_plane.v, b.argmin_plane.v)
+    assert np.array_equal(a.argmin_plane, b.argmin_plane)
+    assert np.array_equal(a.argmax_plane, b.argmax_plane)
 
 
 def test_certify_small_grid_is_certified():
@@ -229,7 +234,7 @@ def test_certify_reports_positive_curvature_as_violation(monkeypatch, capsys):
         # a different witness plane at each of the five points, so the
         # witness shows which point's plane it took
         e = np.eye(4)
-        planes = WitnessPlane(e[[0, 1, 2, 3, 0]], e[[1, 2, 3, 0, 1]])
+        planes = np.stack((e[[0, 1, 2, 3, 0]], e[[1, 2, 3, 0, 1]]), axis=-2)
         return dataclasses.replace(b, k_max=np.where(b.t == 0.5, 1e-3, b.k_max),
                                    argmax_plane=planes)
 
@@ -247,8 +252,7 @@ def test_certify_reports_positive_curvature_as_violation(monkeypatch, capsys):
         "k_max": 1e-3,
         "plane_basis": [[0.0, 0.0, 0.0, 1.0], [1.0, 0.0, 0.0, 0.0]],
     }
-    assert rep.witness["plane_basis"] == [worst.argmax_plane.u[3].tolist(),
-                                          worst.argmax_plane.v[3].tolist()]
+    assert rep.witness["plane_basis"] == worst.argmax_plane[3].tolist()
     argv = ["certify", "--warp", "shifted-exp", "--t-min", "-1", "--t-max", "1",
             "--step", "0.5"]
     assert cli_main(argv) == 2
@@ -256,21 +260,21 @@ def test_certify_reports_positive_curvature_as_violation(monkeypatch, capsys):
 
 
 def test_certify_builds_one_bounds_object_per_grid(monkeypatch):
-    # the curve stays stacked: one CurvatureBounds and one WitnessPlane per
-    # extreme, whatever the number of grid points
+    # the curve stays stacked: one CurvatureBounds, whose witness planes
+    # are (n, 2, 4) arrays, whatever the number of grid points
     certify_module = sys.modules["solcusp.certify"]
     built = []
-    for name in ("CurvatureBounds", "WitnessPlane"):
-        cls = getattr(certify_module, name)
+    cls = certify_module.CurvatureBounds
 
-        def counted(*args, _cls=cls, **kwargs):
-            built.append(_cls.__name__)
-            return _cls(*args, **kwargs)
+    def counted(*args, **kwargs):
+        built.append(cls(*args, **kwargs))
+        return built[-1]
 
-        monkeypatch.setattr(certify_module, name, counted)
+    monkeypatch.setattr(certify_module, "CurvatureBounds", counted)
     rep = certify(ShiftedExp(), (-6.0, 10.0), 0.05)
     assert rep.grid.size == 321
-    assert sorted(built) == ["CurvatureBounds", "WitnessPlane", "WitnessPlane"]
+    assert len(built) == 1 and built[0] is rep.bounds_curve
+    assert built[0].argmin_plane.shape == built[0].argmax_plane.shape == (321, 2, 4)
 
 
 def test_certify_validates_arguments():
@@ -328,13 +332,6 @@ def test_rescale_of_certified_curve_pins_the_suffix():
     suffix = b.t >= pinched
     assert np.all(b.k_min[suffix] / lam2 > -1.0)
     assert np.all(b.k_max[suffix] / lam2 < 0.0)
-
-
-def test_witness_plane_rejects_mutation():
-    plane = WitnessPlane(u=np.eye(4)[0], v=np.eye(4)[1])
-    for arr in (plane.u, plane.v):
-        with pytest.raises(ValueError):
-            arr[0] = 1.0
 
 
 def test_tail_bound_only_where_the_shifted_regime_is_proved():

@@ -22,11 +22,15 @@ from solcusp.curvature import (
     component_table,
     metric_at,
     riemann_closed,
-    sectional_curvature,
 )
 from solcusp.warp import Interpolated, PureExp, ShiftedExp, build_interpolation
 
-from diagnostic_metrics import frame_scales, hyperbolic_metric_point, sol_product_metric_point
+from diagnostic_metrics import (
+    frame_scales,
+    hyperbolic_metric_point,
+    sectional_curvature,
+    sol_product_metric_point,
+)
 
 N_PLANES = 20_000
 # block of each 2-form of PAIRS in the frame form: {xy}, {xz, xt}, {yz, yt}, {zt}
@@ -109,7 +113,7 @@ def test_extremes_match_table_form_and_witnesses(t_hi, width, t, z):
     R = riemann_closed(p)
     scales = frame_scales(p)
     for k, plane in ((b.k_min, b.argmin_plane), (b.k_max, b.argmax_plane)):
-        uc, vc = plane.u * scales, plane.v * scales
+        uc, vc = plane * scales
         assert abs(sectional_curvature(R, p, uc, vc) - k) <= 1e-12 * max(1.0, abs(k))
 
 

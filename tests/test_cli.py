@@ -153,6 +153,55 @@ def test_overflowing_anosov_matrix_is_an_error_line(exponent, tmp_path, capsys):
     assert summary["error"].startswith(f"ValueError: trace {n + 1} ")
 
 
+@pytest.mark.parametrize("exponent", [20, 400])
+def test_singular_float_eigenbasis_is_an_error_line(exponent, tmp_path, capsys):
+    # (a, 1; ad - 1, d) with trace 3: both float eigenvectors (1, mu - a)
+    # round to (1, -a).  At |a| = 10^20 the lattice once read "nan" (basis
+    # and volume) and exited 0; at 10^400, an OverflowError traceback
+    a = 10**exponent
+    matrix = [a, 1, a * (3 - a) - 1, 3 - a]
+    assert main(["lattice", "--matrix", ",".join(map(str, matrix))]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: matrix {matrix}: ")
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({**REDUCED_RUN, "matrix": matrix}))
+    code, _ = run_cli(capsys, "--config", str(cfg), "--output", str(tmp_path / "o"), "run")
+    assert code == 1
+    # refused at the lattice stage, before any other report
+    assert [p.name for p in (tmp_path / "o").iterdir()] == ["summary.json"]
+    summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+    assert summary["status"] == "error"
+    assert summary["error"].startswith(f"ValueError: matrix {matrix}: ")
+
+
+@pytest.mark.parametrize("t0", [-5.0, -1.0])
+def test_run_claims_all_three_on_one_cusp_region(t0, tmp_path, capsys):
+    # certify on [-1, 10] pinches from -1.  With a volume from t0 = -5 the
+    # run once read certified with total_volume 1.05e6: the volume of a
+    # cusp whose part [-5, -1) nothing checked
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"certify": {"t_min": -1.0}, "volume": {"t0": t0, "tol": 1e-6}}))
+    outdir = tmp_path / "o"
+    code = main(["--config", str(cfg), "--output", str(outdir), "run"])
+    captured = capsys.readouterr()
+    # every report is written either way
+    assert len(list(outdir.iterdir())) == 7
+    assert json.loads((outdir / "certify.json").read_text())["status"] == "certified"
+    assert json.loads((outdir / "certify.json").read_text())["pinched_from"] == -1.0
+    summary = json.loads((outdir / "summary.json").read_text())
+    if t0 < -1.0:
+        assert code == 1 and captured.out == ""
+        assert summary["status"] == "error" and "verdict" not in summary
+        assert captured.err == (f"error: volume t0 {t0} lies below pinched_from -1.0, "
+                                "so no one cusp region carries all three claims\n")
+        assert summary["error"] == "ValueError: " + captured.err[len("error: "):-1]
+    else:
+        assert code == 0
+        assert summary["status"] == "certified"
+        assert summary["verdict"]["pinched_from"] == t0
+
+
 def test_build_warp_command(tmp_path, capsys):
     csv_path = tmp_path / "warp.csv"
     code, out = run_cli(

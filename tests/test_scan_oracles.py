@@ -142,8 +142,6 @@ def assert_same_report(rep, ref):
     assert rep.max_residual == ref["max_residual"]
     assert rep.per_component == ref["per_component"]
     assert list(rep.per_component) == list(ref["per_component"])
-    assert rep.all_assignments == ref["all_assignments"]
-    assert list(rep.all_assignments) == list(ref["all_assignments"])
     assert rep.extra_components == ref["extra_components"]
     assert rep.pipeline_agreement == ref["pipeline_agreement"]
     assert rep.bianchi_residual == ref["bianchi_residual"]
