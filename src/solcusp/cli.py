@@ -56,7 +56,7 @@ def _merge_config(base: dict, override, path: str = "") -> dict:
     if not isinstance(override, dict):
         where = f"config field {path}" if path else "the config"
         raise ValueError(f"{where} must be an object")
-    merged = copy.deepcopy(base)
+    merged = {}
     for key, value in override.items():
         where = f"{path}.{key}" if path else key
         if key not in base:
@@ -65,7 +65,9 @@ def _merge_config(base: dict, override, path: str = "") -> dict:
             merged[key] = _merge_config(base[key], value, where)
         else:
             merged[key] = copy.deepcopy(value)
-    return merged
+    # in base's key order; each default not overridden is copied once
+    return {key: merged[key] if key in merged else copy.deepcopy(value)
+            for key, value in base.items()}
 
 
 def _emit(args, payload: dict, filename: str) -> None:
@@ -73,7 +75,7 @@ def _emit(args, payload: dict, filename: str) -> None:
     if args.output:
         outdir = Path(args.output)
         outdir.mkdir(parents=True, exist_ok=True)
-        (outdir / filename).write_text(text)
+        (outdir / filename).write_text(text, encoding="utf-8")
     sys.stdout.write(text)
 
 
@@ -208,13 +210,14 @@ def cmd_volume(args) -> int:
 
 
 def cmd_run(args) -> int:
-    file_cfg = json.loads(Path(args.config).read_text()) if args.config else {}
+    # JSON is UTF-8 whatever the locale: bytes in, and every report written as UTF-8
+    file_cfg = json.loads(Path(args.config).read_bytes()) if args.config else {}
     config = _merge_config(_DEFAULT_CONFIG, file_cfg)
     outdir = Path(args.output or ".")
     outdir.mkdir(parents=True, exist_ok=True)
 
     def write(name: str, payload: dict) -> None:
-        (outdir / name).write_text(to_json_text(payload))
+        (outdir / name).write_text(to_json_text(payload), encoding="utf-8")
 
     summary = {"config": config, "status": "incomplete"}
     try:

@@ -366,6 +366,21 @@ def _pair_slots(assign: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.nda
 
 # every assignment of labels to coordinates, with its table slots
 _LABELLINGS = tuple((assign, *_pair_slots(assign)) for assign in permutations(range(DIM)))
+# the distinct (slot, table column) entries the 48 (assignment, sign) pairs
+# read -- 60 of the 21 x 8 -- as pair-matrix row, column and table column,
+# and the place of each among them
+_ENTRIES = sorted({(r, c, col) for _, rows, cols, _ in _LABELLINGS
+                   for col, (r, c) in enumerate(zip(rows.tolist(), cols.tolist()))})
+_ENTRY_PLACE = {entry: n for n, entry in enumerate(_ENTRIES)}
+_ENTRY_ROWS, _ENTRY_COLS, _ENTRY_COLUMN = (np.array(v) for v in zip(*_ENTRIES))
+# per pair, in scan order (assignment, then sign +1 before -1), the flat
+# index into the (2, entries) residual table of its eight entries: the
+# first axis is the overall sign times the swap sign, 0 for +1, 1 for -1
+_SCAN_INDEX = np.array([
+    [(sign * sgn < 0) * len(_ENTRIES) + _ENTRY_PLACE[r, c, col]
+     for col, (r, c, sgn) in enumerate(zip(rows.tolist(), cols.tolist(), sgns.tolist()))]
+    for _, rows, cols, sgns in _LABELLINGS for sign in (1, -1)
+])
 
 
 def match_component_table(warp, points) -> MatchReport:
@@ -384,9 +399,14 @@ def match_component_table(warp, points) -> MatchReport:
     The point-dependent data are built by one stacked call per pipeline:
     the (N, 6, 6) stack of finite-difference pair matrices, the (N, 8)
     table of expected values and their residual denominators, the
-    pipeline agreement and the Bianchi residual.  Each (assignment, sign)
-    then gathers its eight slots from the stack with index arrays and
-    reduces the scaled residuals over the points.
+    pipeline agreement and the Bianchi residual.  One reduction per sign
+    s = +-1 then scores every (slot, table column) entry that some
+    labelling reads: worst[s, e] = max_n |s Q[n, slot] - expect[n, c]| /
+    denom[n, c].  Each (assignment, sign) gathers its eight entries of
+    ``worst`` through the index array ``_SCAN_INDEX``, built beside
+    ``_LABELLINGS``, and scores their maximum; the first minimum in
+    (assignment, sign) order wins.  A sign flip and a maximum are exact,
+    so every score has the bits of that pair's own residuals.
     """
     points = list(points)
     if not points:
@@ -413,16 +433,16 @@ def match_component_table(warp, points) -> MatchReport:
     scale = np.max(np.abs(expect), axis=1, keepdims=True)      # (N, 1)
     denom = np.maximum(np.maximum(np.abs(expect), scale), 1e-12)
 
-    best = None
-    for assign, rows, cols, sgns in _LABELLINGS:
-        got = sgns * Q[:, rows, cols]
-        for sign in (1, -1):
-            per = np.max(np.abs(sign * got - expect) / denom, axis=0)
-            score = np.max(per)
-            if best is None or score < best[0]:
-                best = (score, assign, sign, per, rows, cols)
-
-    score, assign, sign, per, rows, cols = best
+    got = Q[:, _ENTRY_ROWS, _ENTRY_COLS]                       # (N, 60)
+    want, den = expect[:, _ENTRY_COLUMN], denom[:, _ENTRY_COLUMN]
+    worst = np.stack([np.max(np.abs(sign * got - want) / den, axis=0)
+                      for sign in (1.0, -1.0)])                # (2, 60)
+    per_pair = worst.ravel()[_SCAN_INDEX]                      # (48, 8)
+    scores = np.max(per_pair, axis=1)
+    best = int(np.argmin(scores))
+    assign, rows, cols, _ = _LABELLINGS[best // 2]
+    sign = 1 if best % 2 == 0 else -1
+    score, per = scores[best], per_pair[best]
     index_map = {a + 1: AXIS_NAMES[assign[a]] for a in range(DIM)}
 
     # independent slots carrying signal but absent from the table

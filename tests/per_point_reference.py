@@ -16,16 +16,32 @@ on the whole grid (two zero arrays, a boolean gather and scatter) and the
 margins were stacked as columns; ``Interpolated.eval`` and
 ``warp.condition_margins`` must reproduce their bytes.
 
-The last section holds the dense bodies the diagonal kernels replaced: the
+The next section holds the dense bodies the diagonal kernels replaced: the
 stacked einsum Christoffel, derivative and lowering code, the SVD
 deviation of ``verify_isometry`` and the one-panel-per-call
-``adaptive_quad``.
+``adaptive_quad``.  The last holds the 48-step labelling scan of
+``match_component_table`` and the per-value JSON and CSV encoders of
+``serialize``.
 """
+
+import json
+import math
+from itertools import permutations
 
 import numpy as np
 
+from solcusp import curvature
 from solcusp.certify import _FLOOR, CurvatureBounds
-from solcusp.curvature import DIM, PAIRS, MetricPoint, RiemannTensor
+from solcusp.curvature import (
+    _TABLE_LABELS,
+    AXIS_NAMES,
+    DIM,
+    PAIR_NAMES,
+    PAIRS,
+    MatchReport,
+    MetricPoint,
+    RiemannTensor,
+)
 
 FD_STEP = 1e-4
 STEP_CLIP = 500.0
@@ -330,3 +346,142 @@ def one_panel_quad(fn, a, b, tol):
         mid = 0.5 * (lo + hi)
         intervals[worst] = (lo, mid, *gk15(lo, mid))
         intervals.append((mid, hi, *gk15(mid, hi)))
+
+
+# ---------------------------------------------------------------------------
+# the 48-step labelling scan and the per-value report encoders
+# ---------------------------------------------------------------------------
+#
+# ``labelling_loop_match`` is ``match_component_table`` as it was when each
+# (assignment, sign) pair gathered its eight slots and reduced its scaled
+# residuals over the points in a Python loop; the one-reduction scan must
+# reproduce every field of its report bit for bit.  ``encode_json`` and
+# ``encode_csv`` are the serializer bodies that built one ``json.dumps``
+# encoder per string and formatted one CSV cell at a time;
+# ``serialize.to_json_text`` and ``serialize.write_csv_text`` must
+# reproduce their bytes for every input free of lone surrogates.
+
+def _pair_slots(assign):
+    rows, cols, sgns = [], [], []
+    for labels in _TABLE_LABELS:
+        i, j, k, l = (assign[a] for a in labels)
+        sgn = 1.0
+        if i > j:
+            i, j = j, i
+            sgn = -sgn
+        if k > l:
+            k, l = l, k
+            sgn = -sgn
+        a = PAIRS.index((i, j))
+        b = PAIRS.index((k, l))
+        rows.append(min(a, b))
+        cols.append(max(a, b))
+        sgns.append(sgn)
+    return np.array(rows), np.array(cols), np.array(sgns)
+
+
+def labelling_loop_match(warp, points):
+    points = list(points)
+    t, z = np.array(points, dtype=float).T
+    with np.errstate(all="ignore"):
+        R_fd = curvature.riemann_fd(warp, t, z)
+        R_cl = curvature.riemann_closed(curvature.metric_at(warp, t, z))
+        table = curvature.component_table(warp, t, z)
+    expect = np.stack([table[labels] for labels in _TABLE_LABELS], axis=1)
+    agreement = float(np.max(np.abs(R_fd.full - R_cl.full)))
+    bianchi = R_fd.bianchi_residual()
+    Q = R_fd.pair_matrix()
+    scale = np.max(np.abs(expect), axis=1, keepdims=True)
+    denom = np.maximum(np.maximum(np.abs(expect), scale), 1e-12)
+
+    best = None
+    for assign in permutations(range(DIM)):
+        rows, cols, sgns = _pair_slots(assign)
+        got = sgns * Q[:, rows, cols]
+        for sign in (1, -1):
+            per = np.max(np.abs(sign * got - expect) / denom, axis=0)
+            score = np.max(per)
+            if best is None or score < best[0]:
+                best = (score, assign, sign, per, rows, cols)
+
+    score, assign, sign, per, rows, cols = best
+    unlisted = np.triu(np.ones((6, 6), dtype=bool))
+    unlisted[rows, cols] = False
+    extras = []
+    for n, a, b in zip(*np.nonzero(unlisted & (np.abs(Q) > 1e-7))):
+        extras.append({
+            "pairs": (PAIR_NAMES[a], PAIR_NAMES[b]),
+            "t": float(t[n]),
+            "z": float(z[n]),
+            "value": float(Q[n, a, b]),
+        })
+    return MatchReport(
+        index_map={a + 1: AXIS_NAMES[assign[a]] for a in range(DIM)},
+        sign=sign,
+        max_residual=float(score),
+        per_component={key: float(v) for key, v in zip(_TABLE_LABELS.values(), per)},
+        extra_components=extras,
+        pipeline_agreement=agreement,
+        bianchi_residual=bianchi,
+    )
+
+
+def _format_float(x):
+    x = float(x)
+    if math.isnan(x):
+        return '"nan"'
+    if math.isinf(x):
+        return '"inf"' if x > 0 else '"-inf"'
+    return format(x, ".17g")
+
+
+def _encode(obj, out):
+    if obj is None:
+        out.append("null")
+    elif isinstance(obj, (bool, np.bool_)):
+        out.append("true" if obj else "false")
+    elif isinstance(obj, str):
+        out.append(json.dumps(obj, ensure_ascii=False))
+    elif isinstance(obj, (int, np.integer)):
+        out.append(str(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
+        out.append(_format_float(obj))
+    elif isinstance(obj, np.ndarray):
+        _encode(obj.tolist(), out)
+    elif isinstance(obj, dict):
+        out.append("{")
+        for n, key in enumerate(sorted(obj, key=str)):
+            if n:
+                out.append(",")
+            _encode(str(key), out)
+            out.append(":")
+            _encode(obj[key], out)
+        out.append("}")
+    elif isinstance(obj, (list, tuple)):
+        out.append("[")
+        for n, item in enumerate(obj):
+            if n:
+                out.append(",")
+            _encode(item, out)
+        out.append("]")
+    else:
+        raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def encode_json(obj):
+    out = []
+    _encode(obj, out)
+    return "".join(out) + "\n"
+
+
+def encode_csv(header, rows):
+    lines = [",".join(header)]
+    for row in rows:
+        cells = []
+        for cell in row:
+            if isinstance(cell, (float, np.floating)):
+                cells.append(_format_float(float(cell)).strip('"'))
+            else:
+                cells.append(str(cell))
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"

@@ -1,21 +1,32 @@
 import argparse
+import contextlib
 import dataclasses
 import gc
+import io
 import json
 import os
+import subprocess
 import sys
+import tempfile
 import tracemalloc
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+import per_point_reference as ref
+
+import solcusp
 from solcusp.certify import certify
 from solcusp.cli import _certify_payload, main
 from solcusp.curvature import MAX_MATCH_POINTS, match_component_table
 from solcusp.serialize import format_float, to_json_text, write_csv_text
 from solcusp.warp import (
+    FAMILIES,
     Interpolated,
     ShiftedExp,
     build_interpolation,
@@ -50,10 +61,48 @@ def test_json_strings_round_trip(text):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.text(st.characters(min_codepoint=0x20)))
+@given(st.text(st.characters(min_codepoint=0x20, codec="utf-8")))
 def test_json_strings_without_control_characters_keep_their_bytes(text):
-    # the escape of \ and " alone, which every report string written so far got
+    # the escape of \ and " alone, which every report string written so far
+    # got; a lone surrogate (category Cs) cannot be written as itself in UTF-8
     assert to_json_text(text) == '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"\n'
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(st.characters(exclude_categories=())))
+@example("a\udc80b")
+@example("\ud83d\ude00")  # a surrogate pair as two code points
+def test_json_text_of_any_string_is_utf8_and_parses(text):
+    # lone surrogates included: each is written as json.dumps's \uxxxx
+    # escape, so the text encodes and parses as json.dumps's own would
+    for obj in (text, {text: [text]}):
+        encoded = to_json_text(obj).encode("utf-8")
+        assert json.loads(encoded) == json.loads(json.dumps(obj))
+    # character by character: json.dumps's escape, ASCII-only for a surrogate
+    escaped = [json.dumps(c, ensure_ascii="\ud800" <= c <= "\udfff")[1:-1] for c in text]
+    assert to_json_text(text) == '"' + "".join(escaped) + '"\n'
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("warp", {"family": "\udc80"}, "unknown warp family: '\\udc80'"),
+    ("matrix", [2, 1, 1, "\udc80"], "invalid literal for int() with base 10: '\\udc80'"),
+])
+def test_run_with_a_lone_surrogate_writes_a_summary_that_parses(field, value, message,
+                                                                tmp_path, capsys):
+    # valid JSON once left summary.json empty: the UTF-8 write of the
+    # surrogate failed after the file was opened
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({field: value}))
+    outdir = tmp_path / "out"
+    code = main(["--config", str(cfg), "--output", str(outdir), "run"])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    summary = json.loads((outdir / "summary.json").read_text(encoding="utf-8"))
+    assert summary["status"] == "error" and summary["error"] == f"ValueError: {message}"
+    assert summary["config"][field] == (
+        {"family": "\udc80", "t0": -4.0, "t1": -1.0} if field == "warp" else value)
+    for path in outdir.iterdir():
+        json.loads(path.read_text(encoding="utf-8"))
 
 
 def test_run_writes_a_control_character_as_valid_json(tmp_path, capsys):
@@ -66,6 +115,49 @@ def test_run_writes_a_control_character_as_valid_json(tmp_path, capsys):
     summary = json.loads((outdir / "summary.json").read_text())
     assert summary["status"] == "error" and "integers" in summary["error"]
     assert summary["config"]["matrix"] == ["2\n", 1, 1, 1]
+
+
+# floats at the edges of the rendering: NaN, +-inf, +-0.0, subnormals, +-max
+SPECIAL_FLOATS = st.sampled_from([float("nan"), float("inf"), float("-inf"), 0.0, -0.0,
+                                  5e-324, -5e-324, 2.2250738585072009e-308,
+                                  1.7976931348623157e308, -1.7976931348623157e308])
+ANY_FLOAT = st.one_of(SPECIAL_FLOATS, st.floats())
+UTF8_TEXT = st.text(st.characters(codec="utf-8"), max_size=8)
+JSON_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.booleans().map(np.bool_), st.integers(),
+    st.integers(-2**63, 2**63 - 1).map(np.int64), ANY_FLOAT, ANY_FLOAT.map(np.float64),
+    st.floats(width=32).map(np.float32), UTF8_TEXT,
+    hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=3),
+               elements=ANY_FLOAT),
+)
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.one_of(UTF8_TEXT, st.integers()), inner, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(JSON_VALUES)
+def test_json_text_equals_the_per_value_encoders(obj):
+    assert to_json_text(obj) == ref.encode_json(obj)
+
+
+@settings(max_examples=100, deadline=None)
+@given(header=st.lists(st.text(st.characters(codec="utf-8", exclude_characters=",\n")),
+                       min_size=1, max_size=8),
+       rows=hnp.arrays(np.float64, st.tuples(st.integers(0, 6), st.integers(1, 8)),
+                       elements=ANY_FLOAT),
+       as_list=st.booleans())
+def test_csv_text_equals_the_per_cell_encoder(header, rows, as_list):
+    # an array, as certify and build-warp pass, or a list of float tuples
+    if as_list:
+        rows = [tuple(r) for r in rows.tolist()]
+    assert write_csv_text(header, rows) == ref.encode_csv(header, rows)
 
 
 def test_csv_writer_roundtrips_floats():
@@ -200,6 +292,91 @@ def test_run_claims_all_three_on_one_cusp_region(t0, tmp_path, capsys):
         assert code == 0
         assert summary["status"] == "certified"
         assert summary["verdict"]["pinched_from"] == t0
+
+
+def test_run_writes_utf8_reports_under_an_ascii_locale(tmp_path):
+    # the config was read, and the reports written, in the locale's encoding:
+    # under an ASCII locale a UTF-8 config with a non-ASCII string could not
+    # be read, and a config string the locale cannot encode left summary.json
+    # empty
+    cfg = tmp_path / "config.json"
+    cfg.write_bytes(json.dumps({"warp": {"family": "\u20ac"}}, ensure_ascii=False).encode())
+    env = {**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0",
+           "PYTHONPATH": str(Path(solcusp.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "solcusp.cli", "--config", str(cfg), "--output",
+         str(tmp_path / "out"), "run"], env=env, capture_output=True, check=False)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(b"error: unknown warp family: ")
+    summary = json.loads((tmp_path / "out" / "summary.json").read_bytes())
+    assert summary["config"]["warp"]["family"] == "\u20ac"
+
+
+def _matrix_word(word):
+    """Entries of +-(1 0; 1 1) (1 1; 0 1) times a word in the two: a product
+    with both letters, so Anosov."""
+    sign, letters = word
+    m = np.array([[1, 1], [1, 2]])
+    for k in letters:
+        m = m @ (np.array([[1, 0], [1, 1]]) if k else np.array([[1, 1], [0, 1]]))
+    return [sign * int(v) for v in m.ravel()]
+
+
+RUN_CONFIGS = st.fixed_dictionaries({
+    "matrix": st.tuples(st.sampled_from([1, -1]), st.lists(st.booleans(), max_size=3))
+              .map(_matrix_word),
+    "warp": st.fixed_dictionaries({
+        # the one text field: a family name, or any string, lone surrogates included
+        "family": st.sampled_from(sorted(FAMILIES) + [None]).flatmap(
+            lambda name: st.just(name) if name else st.text(
+                st.characters(exclude_categories=()), max_size=3)),
+        "t0": st.floats(-7.0, -0.5),
+        "t1": st.floats(-3.0, 0.5),
+    }),
+    "riemann": st.fixed_dictionaries({
+        "t_grid": st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=3),
+        "z_grid": st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=3),
+    }),
+    "certify": st.tuples(st.floats(-8.0, 2.0), st.floats(0.5, 30.0), st.floats(0.25, 2.0)).map(
+        lambda c: {"t_min": c[0], "t_max": c[0] + c[1], "t_step": c[2]}),
+    "volume": st.fixed_dictionaries({
+        "t0": st.floats(-4.0, 5.0),
+        "tol": st.sampled_from([1e-12, 1e-10, 1e-8, 1e-6, 1e-3]),
+    }),
+})
+
+
+@settings(max_examples=100, deadline=None)
+@given(RUN_CONFIGS)
+@example({"warp": {"family": "\udc80"}, "certify": {"t_step": 0.5}})
+@example({"matrix": [1, 1, 0, 1], "certify": {"t_step": 0.5}})
+@example({"certify": {"t_min": -1.0, "t_step": 0.5}, "volume": {"t0": -5.0, "tol": 1e-6}})
+def test_any_run_config_exits_with_a_status_and_parsing_reports(config):
+    # warnings are recorded, not raised: run would turn the exception into
+    # exit 1.  Any warning fails the property; so does a report that does
+    # not parse, a certified report holding "nan", or a certified volume
+    # from below the pinched region
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, outdir = Path(tmp) / "config.json", Path(tmp) / "out"
+        cfg.write_text(json.dumps(config))
+        stderr = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            warnings.simplefilter("always")
+            code = main(["--config", str(cfg), "--output", str(outdir), "run"])
+        assert [str(w.message) for w in caught] == []
+        assert code in (0, 1, 2, 3)
+        assert (code == 1) == stderr.getvalue().startswith("error: ")
+        reports = {path.name: path.read_bytes() for path in outdir.iterdir()}
+    for name, text in reports.items():
+        if name.endswith(".json"):
+            json.loads(text)
+    summary = json.loads(reports["summary.json"])
+    if summary["status"] == "certified":
+        assert len(reports) == 7 and code == 0
+        assert not any(b'"nan"' in text for text in reports.values())
+        assert b"nan" not in reports["certify.csv"]
+        assert summary["config"]["volume"]["t0"] >= summary["verdict"]["pinched_from"]
 
 
 def test_build_warp_command(tmp_path, capsys):

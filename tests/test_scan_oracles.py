@@ -1,12 +1,14 @@
 """The array kernels against the per-point loops they replaced.
 
-``match_component_table`` scores all 48 (labelling, sign) pairs on stacked
-arrays, from one stacked call of each Riemann pipeline, and
+``match_component_table`` scores all 48 (labelling, sign) pairs in one
+reduction, from one stacked call of each Riemann pipeline, and
 ``verify_isometry`` forms every pullback in one batch.  The references
 below are the loops those kernels were first written as: one point and one
 labelling at a time, on the per-point pipelines of
 ``per_point_reference.py``, and one sample and one 3x3 SVD at a time.
 The kernels must reproduce them exactly (==), not merely to a tolerance.
+The scan must also reproduce, bit for bit, the 48-step loop over
+(labelling, sign) pairs on the stacked pipelines that it replaced.
 """
 
 from itertools import permutations, product
@@ -202,6 +204,49 @@ def test_scan_equals_per_point_loop_property(family, t_hi, width, points):
     warp = {"pure-exp": PureExp, "shifted-exp": ShiftedExp}.get(family)
     warp = warp() if warp else build_interpolation(t_hi - width, t_hi)
     assert_same_report(match_component_table(warp, points), reference_match(warp, points))
+
+
+# ---------------------------------------------------------------------------
+# reference: the 48-step (labelling, sign) loop on the stacked pipelines
+# ---------------------------------------------------------------------------
+
+def assert_same_bits(rep, want):
+    assert rep == want
+    assert repr(rep) == repr(want)     # repr tells -0.0 from 0.0, and each double apart
+    assert list(rep.per_component) == list(want.per_component)
+
+
+@pytest.mark.parametrize("warp", FAMILIES, ids=lambda w: w.family)
+def test_scan_equals_the_labelling_loop_where_labellings_tie(warp):
+    # verify-riemann --t-grid 0:0:1 --z-grid 0:0:1: at z = 0 several pairs
+    # score alike; for pure-exp the best two (xyzt+ and yxzt+) tie, and the
+    # first in scan order must win
+    scores = list(reference_match(warp, [(0.0, 0.0)])["all_assignments"].values())
+    assert len(set(scores)) < len(scores)
+    if warp.family == "pure-exp":
+        assert scores.count(min(scores)) == 2
+    assert_same_bits(match_component_table(warp, [(0.0, 0.0)]),
+                     ref.labelling_loop_match(warp, [(0.0, 0.0)]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    family=st.sampled_from(["pure-exp", "shifted-exp", "interpolated"]),
+    t_hi=st.floats(min_value=-1.5, max_value=-0.1),
+    width=st.floats(min_value=0.5, max_value=4.0),
+    points=st.lists(
+        st.tuples(st.floats(min_value=-3.0, max_value=3.0),
+                  st.floats(min_value=-1.0, max_value=1.0)),
+        min_size=1, max_size=30),
+    flat=st.booleans(),
+)
+def test_scan_equals_the_labelling_loop(family, t_hi, width, points, flat):
+    # with flat, every z is 0, where labellings tie
+    warp = {"pure-exp": PureExp, "shifted-exp": ShiftedExp}.get(family)
+    warp = warp() if warp else build_interpolation(t_hi - width, t_hi)
+    if flat:
+        points = [(t, 0.0) for t, _ in points]
+    assert_same_bits(match_component_table(warp, points), ref.labelling_loop_match(warp, points))
 
 
 # ---------------------------------------------------------------------------
