@@ -205,7 +205,6 @@ class CertificationReport:
     floor: float
     flagged_points: list[float]
     witness: dict | None
-    tail_notes: list[str]
     config: dict
 
     def curve_rows(self):
@@ -215,26 +214,6 @@ class CertificationReport:
             return []
         return np.column_stack((b.t, b.k_min, b.k_max, self.margins,
                                 b.method_agreement))
-
-
-def _tail_notes(warp) -> list[str]:
-    lo, hi = regimes(warp) or (-np.inf, np.inf)
-    notes = []
-    if lo > -np.inf:
-        # lo = inf only for pure-exp, whose conditions hold for t < 0 alone
-        span = f"t <= {lo:g}" if np.isfinite(lo) else "all t < 0"
-        notes.append(
-            f"{span}: f = e^-t regime; frame planes give K(Et,.) = -1, "
-            "K(Ex,Ey) = e^2t - 1, K(Ex,Ez) = K(Ey,Ez) = -e^2t - 1; "
-            "all limits -> -1 as t -> -inf"
-        )
-    if hi < np.inf:
-        span = f"t >= {hi:g}" if np.isfinite(hi) else "all t"
-        notes.append(
-            f"{span}: f = 1 + e^-t regime; k_max -> 0- like -f''/f = "
-            "-e^-t/(1+e^-t) and k_min -> -2 as t -> +inf"
-        )
-    return notes
 
 
 def certify(
@@ -301,6 +280,5 @@ def certify(
         status=status, grid=grid, bounds_curve=curve, margins=margins,
         global_negative=status == "certified", max_k=max_k,
         pinched_from=pinched_from, scale=scale, floor=_FLOOR,
-        flagged_points=flagged, witness=witness, tail_notes=_tail_notes(warp),
-        config=config,
+        flagged_points=flagged, witness=witness, config=config,
     )

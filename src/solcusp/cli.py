@@ -23,6 +23,7 @@ import argparse
 import copy
 import functools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -52,6 +53,26 @@ _DEFAULT_CONFIG = {
 }
 
 
+def _check_leaf(default, value, where: str) -> None:
+    """Refuse a config value without its default's type: a string for a
+    string, a finite int or float (not a bool) for a number, and a list of
+    such numbers for a list.  A string for an int, a matrix entry, is left
+    to the lattice, which refuses every string with int()'s own message."""
+    if isinstance(default, list):
+        kind, ok = "a list", isinstance(value, list)
+    elif isinstance(default, str):
+        kind, ok = "a string", isinstance(value, str)
+    else:
+        kind = "a finite number"
+        ok = (type(value) is int or type(value) is float and math.isfinite(value)
+              or type(default) is int and isinstance(value, str))
+    if not ok:
+        raise ValueError(f"config field {where} must be {kind}, got {json.dumps(value)}")
+    if isinstance(default, list):
+        for i, item in enumerate(value):
+            _check_leaf(default[0], item, f"{where}[{i}]")
+
+
 def _merge_config(base: dict, override, path: str = "") -> dict:
     if not isinstance(override, dict):
         where = f"config field {path}" if path else "the config"
@@ -64,6 +85,7 @@ def _merge_config(base: dict, override, path: str = "") -> dict:
         if isinstance(base[key], dict):
             merged[key] = _merge_config(base[key], value, where)
         else:
+            _check_leaf(base[key], value, where)
             merged[key] = copy.deepcopy(value)
     # in base's key order; each default not overridden is copied once
     return {key: merged[key] if key in merged else copy.deepcopy(value)
@@ -95,7 +117,10 @@ def _lattice_payload(A: AnosovMatrix) -> dict:
 
 
 def cmd_lattice(args) -> int:
-    a, b, c, d = (int(v) for v in args.matrix.split(","))
+    try:
+        a, b, c, d = (int(v) for v in args.matrix.split(","))
+    except ValueError:
+        raise ValueError(f"matrix {args.matrix!r} must be four integers a,b,c,d") from None
     _emit(args, _lattice_payload(AnosovMatrix(a, b, c, d)), "lattice.json")
     return 0
 
@@ -127,12 +152,18 @@ def cmd_build_warp(args) -> int:
 
 
 def _parse_grid(spec: str) -> list[float]:
-    lo, hi, count = spec.split(":")
-    if not np.isfinite([float(lo), float(hi)]).all():
-        raise ValueError(f"grid ends must be finite, got {spec!r}")
-    if int(count) > MAX_MATCH_POINTS:
+    try:
+        lo, hi, count = spec.split(":")
+        lo, hi, count = float(lo), float(hi), int(count)
+        ok = count >= 1 and np.isfinite([lo, hi]).all()
+    except ValueError:
+        ok = False
+    if not ok:
+        raise ValueError(f"grid {spec!r} must be lo:hi:count, with finite grid ends "
+                         "lo and hi and an integer count >= 1")
+    if count > MAX_MATCH_POINTS:
         raise ValueError(f"grid {spec!r} has more than {MAX_MATCH_POINTS} points")
-    return list(np.linspace(float(lo), float(hi), int(count)))
+    return list(np.linspace(lo, hi, count))
 
 
 def _riemann_payload(warp, t_grid, z_grid) -> dict:
@@ -173,7 +204,6 @@ def _certify_payload(report: CertificationReport) -> dict:
         "floor": report.floor,
         "flagged_points": report.flagged_points,
         "witness": report.witness,
-        "tail_notes": report.tail_notes,
         "config": report.config,
         "n_grid": int(len(report.grid)),
     }
@@ -190,7 +220,9 @@ def _certify_csv(report: CertificationReport) -> str:
 def cmd_certify(args) -> int:
     warp = warp_from_name(args.warp, args.warp_t0, args.warp_t1)
     report = certify(warp, (args.t_min, args.t_max), args.step)
-    _emit(args, _certify_payload(report), "certify.json")
+    payload = _certify_payload(report)
+    payload["warp"] = _warp_entry(warp)
+    _emit(args, payload, "certify.json")
     if args.csv:
         Path(args.csv).write_text(_certify_csv(report))
     return _STATUS_CODES[report.status]
@@ -212,15 +244,16 @@ def cmd_volume(args) -> int:
 def cmd_run(args) -> int:
     # JSON is UTF-8 whatever the locale: bytes in, and every report written as UTF-8
     file_cfg = json.loads(Path(args.config).read_bytes()) if args.config else {}
-    config = _merge_config(_DEFAULT_CONFIG, file_cfg)
     outdir = Path(args.output or ".")
     outdir.mkdir(parents=True, exist_ok=True)
 
     def write(name: str, payload: dict) -> None:
         (outdir / name).write_text(to_json_text(payload), encoding="utf-8")
 
-    summary = {"config": config, "status": "incomplete"}
+    # a config that does not merge is reported as read
+    summary = {"config": file_cfg, "status": "incomplete"}
     try:
+        summary["config"] = config = _merge_config(_DEFAULT_CONFIG, file_cfg)
         A = AnosovMatrix(*config["matrix"])
         lattice_payload = _lattice_payload(A)
         write("lattice.json", lattice_payload)

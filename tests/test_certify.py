@@ -179,31 +179,6 @@ def test_certify_inconclusive_when_margin_underflows_floor():
     assert -1e-9 <= rep.max_k < 0.0
 
 
-def test_certify_reports_regime_tail_notes():
-    rep = certify(Interpolated(-4.0, -1.0), (-1.0, 1.0), 0.5)
-    joined = " ".join(rep.tail_notes)
-    assert "e^-t regime" in joined
-    assert "1 + e^-t regime" in joined
-
-
-E_T_NOTE = ("f = e^-t regime; frame planes give K(Et,.) = -1, "
-            "K(Ex,Ey) = e^2t - 1, K(Ex,Ez) = K(Ey,Ez) = -e^2t - 1; "
-            "all limits -> -1 as t -> -inf")
-SHIFTED_NOTE = ("f = 1 + e^-t regime; k_max -> 0- like -f''/f = "
-                "-e^-t/(1+e^-t) and k_min -> -2 as t -> +inf")
-
-
-@pytest.mark.parametrize("warp,t_range,notes", [
-    (PureExp(), (-2.0, -1.0), [f"all t < 0: {E_T_NOTE}"]),
-    (ShiftedExp(), (-1.0, 1.0), [f"all t: {SHIFTED_NOTE}"]),
-    (Interpolated(-4.0, -1.0), (-1.0, 1.0),
-     [f"t <= -4: {E_T_NOTE}", f"t >= -1: {SHIFTED_NOTE}"]),
-], ids=lambda v: getattr(v, "family", None))
-def test_certify_tail_notes_are_exact_per_family(warp, t_range, notes):
-    # the strings are report bytes: certify.json must not change with them
-    assert certify(warp, t_range, 0.5).tail_notes == notes
-
-
 def test_certify_flags_witness_gaps_above_the_fixed_bound(monkeypatch):
     # the flag bound is 1e-12: a gap of 2e-12 is flagged, 1e-12 is not,
     # and neither changes the verdict; the gaps are patched into the

@@ -7,7 +7,9 @@
   eigenvalues of the frame form assembled from the component table, and
   both witness planes attain them.
 * A symbolic proof that -2 < K < 0 on every plane where f = 1 + e^-t, the
-  bound ``tail_k_bound`` states past the grid.
+  bound ``tail_k_bound`` states past the grid, and the exact frame form
+  where f = e^-t: K = -1 on the t-planes, e^2t - 1 on xy and -e^2t - 1 on
+  xz and yz.
 """
 
 import numpy as np
@@ -121,8 +123,8 @@ def test_extremes_match_table_form_and_witnesses(t_hi, width, t, z):
 # symbolic proof of the tail bound
 # ---------------------------------------------------------------------------
 
-def symbolic_frame_form():
-    """Frame form of the cusp metric with f = 1 + e^-t, in e = e^-t.
+def symbolic_frame_form(warp):
+    """Frame form of the cusp metric with f = warp(t), in e = e^-t.
 
     Riemann tensor from the metric by the library's convention,
     R_ijkl = g_im (d_k G^m_lj - d_l G^m_kj + G^m_kp G^p_lj - G^m_lp G^p_kj),
@@ -130,7 +132,7 @@ def symbolic_frame_form():
     """
     x, y, z, t = coords = sp.symbols("x y z t", real=True)
     e = sp.symbols("e", positive=True)
-    f = 1 + sp.exp(-t)
+    f = warp(t)
     g = sp.diag(sp.exp(-2 * t - 2 * z), sp.exp(-2 * t + 2 * z), f**2, 1)
     gi = g.inv()
     n = 4
@@ -172,7 +174,12 @@ def positive_for_positive_e(expr, e):
 
 @pytest.fixture(scope="module")
 def shifted_form():
-    return symbolic_frame_form()
+    return symbolic_frame_form(lambda t: 1 + sp.exp(-t))
+
+
+@pytest.fixture(scope="module")
+def pure_exp_form():
+    return symbolic_frame_form(lambda t: sp.exp(-t))
 
 
 def test_symbolic_form_matches_the_closed_pipeline(shifted_form):
@@ -209,3 +216,19 @@ def test_shifted_regime_curvature_lies_in_minus_two_to_zero(shifted_form):
                 assert positive_for_positive_e(
                     shift[a, a] * shift[b, b] - shift[a, b] ** 2, e)
     assert tail_k_bound(ShiftedExp(), 0.0) == -2.0
+
+
+def test_pure_exp_regime_frame_form_is_exact(pure_exp_form):
+    Q, e, _, _ = pure_exp_form
+    # no z, and in PAIRS order xy, xz, xt, yz, yt, zt with e^2t = 1/e^2:
+    # zero outside the four blocks and inside them, K(xt) = K(yt) = K(zt) = -1,
+    # K(xy) = e^2t - 1 and K(xz) = K(yz) = -e^2t - 1
+    assert set().union(*(q.free_symbols for q in Q)) <= {e}
+    e2t = 1 / e**2
+    assert sp.simplify(Q - sp.diag(e2t - 1, -e2t - 1, -1, -e2t - 1, -1, -1)) == sp.zeros(6, 6)
+    # the same form in the closed pipeline: pure-exp, and the interpolated
+    # warp below its window
+    Qf = sp.lambdify(e, Q)
+    for warp, tv in ((PureExp(), -3.0), (PureExp(), -0.5), (Interpolated(-4.0, -1.0), -5.0)):
+        got = riemann_closed(metric_at(warp, tv, 0.3)).pair_matrix(frame=True)
+        assert np.max(np.abs(np.array(Qf(np.exp(-tv)), dtype=float) - got)) <= 1e-12

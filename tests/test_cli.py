@@ -322,7 +322,7 @@ def _matrix_word(word):
     return [sign * int(v) for v in m.ravel()]
 
 
-RUN_CONFIGS = st.fixed_dictionaries({
+VALID_RUN_CONFIGS = st.fixed_dictionaries({
     "matrix": st.tuples(st.sampled_from([1, -1]), st.lists(st.booleans(), max_size=3))
               .map(_matrix_word),
     "warp": st.fixed_dictionaries({
@@ -346,16 +346,52 @@ RUN_CONFIGS = st.fixed_dictionaries({
 })
 
 
+# out of type or not finite in every leaf of a config; a string is out of
+# type everywhere but in warp.family
+BAD_LEAVES = st.sampled_from([float("nan"), float("inf"), float("-inf"), True, False, None,
+                              {"x": 0.0}, "0.5"])
+
+
+@st.composite
+def run_configs(draw):
+    """A drawn config and None, or half the time the config with one drawn
+    leaf (a field or a list entry) replaced by a bad value, and (its name,
+    the value)."""
+    config = draw(VALID_RUN_CONFIGS)
+    if draw(st.booleans()):
+        return config, None
+    leaves = []
+    for section, body in config.items():
+        fields = body.items() if isinstance(body, dict) else [(None, body)]
+        for field, value in fields:
+            where = f"{section}.{field}" if field else section
+            parent = body if field else config
+            leaves.append((parent, field or section, where))
+            if isinstance(value, list):
+                leaves += [(value, i, f"{where}[{i}]") for i in range(len(value))]
+    parent, key, where = draw(st.sampled_from(leaves))
+    parent[key] = value = draw(BAD_LEAVES.filter(lambda v: not (where == "warp.family"
+                                                                and isinstance(v, str))))
+    return config, (where, value)
+
+
+RUN_CONFIGS = run_configs()
+
+
 @settings(max_examples=100, deadline=None)
 @given(RUN_CONFIGS)
-@example({"warp": {"family": "\udc80"}, "certify": {"t_step": 0.5}})
-@example({"matrix": [1, 1, 0, 1], "certify": {"t_step": 0.5}})
-@example({"certify": {"t_min": -1.0, "t_step": 0.5}, "volume": {"t0": -5.0, "tol": 1e-6}})
-def test_any_run_config_exits_with_a_status_and_parsing_reports(config):
+@example(({"warp": {"family": "\udc80"}, "certify": {"t_step": 0.5}}, None))
+@example(({"matrix": [1, 1, 0, 1], "certify": {"t_step": 0.5}}, None))
+@example(({"certify": {"t_min": -1.0, "t_step": 0.5}, "volume": {"t0": -5.0, "tol": 1e-6}}, None))
+@example(({"warp": {"family": "shifted-exp", "t1": float("nan")}}, ("warp.t1", float("nan"))))
+def test_any_run_config_exits_with_a_status_and_parsing_reports(drawn):
     # warnings are recorded, not raised: run would turn the exception into
     # exit 1.  Any warning fails the property; so does a report that does
     # not parse, a certified report holding "nan", or a certified volume
-    # from below the pinched region
+    # from below the pinched region.  A config with a bad leaf ends in an
+    # error that names the leaf; a string matrix entry is refused by the
+    # lattice, with int()'s message
+    config, bad = drawn
     with tempfile.TemporaryDirectory() as tmp:
         cfg, outdir = Path(tmp) / "config.json", Path(tmp) / "out"
         cfg.write_text(json.dumps(config))
@@ -372,6 +408,11 @@ def test_any_run_config_exits_with_a_status_and_parsing_reports(config):
         if name.endswith(".json"):
             json.loads(text)
     summary = json.loads(reports["summary.json"])
+    if bad is not None:
+        where, value = bad
+        assert code == 1 and summary["status"] == "error" and list(reports) == ["summary.json"]
+        if not (where.startswith("matrix[") and isinstance(value, str)):
+            assert stderr.getvalue().startswith(f"error: config field {where} must be ")
     if summary["status"] == "certified":
         assert len(reports) == 7 and code == 0
         assert not any(b'"nan"' in text for text in reports.values())
@@ -503,6 +544,22 @@ def test_bad_input_is_an_error_line_not_a_traceback(tmp_path, capsys, argv):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv,form", [
+    (["verify-riemann", "--t-grid", "0:1"], "lo:hi:count"),
+    (["verify-riemann", "--t-grid", "0:1:-3"], "lo:hi:count"),
+    (["verify-riemann", "--z-grid", "0:0:0"], "lo:hi:count"),
+    (["lattice", "--matrix", "2,1,1"], "four integers a,b,c,d"),
+], ids=["grid-two-parts", "grid-negative-count", "grid-zero-count", "matrix-three-entries"])
+def test_malformed_flag_values_are_errors_that_quote_them(argv, form, capsys):
+    # these once printed Python's unpacking error, numpy's sample-count
+    # error, or failed in the match with "points must be nonempty"
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.startswith("error: ") and repr(argv[-1]) in captured.err
+    assert form in captured.err
+
+
 @pytest.mark.parametrize("argv,name", [
     (["volume", "--t0", "nan"], "t0"),
     (["volume", "--t0", "inf"], "t0"),
@@ -606,6 +663,31 @@ def test_run_with_a_non_finite_config_value_is_an_error(tmp_path, capsys, sectio
     assert "finite" in summary["error"]
 
 
+@pytest.mark.parametrize("text,where", [
+    ('{"warp": {"family": "shifted-exp", "t0": NaN}}', "warp.t0"),
+    ('{"warp": {"family": "shifted-exp", "t1": "-1"}}', "warp.t1"),
+    ('{"matrix": [2, 1, 1, true]}', "matrix[3]"),
+    ('{"certify": {"t_step": true}}', "certify.t_step"),
+    ('{"warp": {"family": 3}}', "warp.family"),
+    ('{"volume": {"t0": 1e999}}', "volume.t0"),
+    ('{"riemann": {"t_grid": 0.0}}', "riemann.t_grid"),
+    ('{"riemann": {"z_grid": [0.0, null]}}', "riemann.z_grid[1]"),
+])
+def test_run_refuses_a_config_value_without_its_defaults_type(tmp_path, capsys, text, where):
+    # the first four once exited 0 with status "certified" and echoed the
+    # value ("nan", "-1" or true) in summary.json; the others already ended
+    # in exit 1, in the stage that read them
+    cfg = tmp_path / "config.json"
+    cfg.write_text(text)
+    outdir = tmp_path / "out"
+    assert main(["--config", str(cfg), "--output", str(outdir), "run"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config field {where} must be a ") and err.count("\n") == 1
+    assert [path.name for path in outdir.iterdir()] == ["summary.json"]
+    summary = json.loads((outdir / "summary.json").read_text())
+    assert summary["status"] == "error" and f"config field {where} " in summary["error"]
+
+
 def test_run_with_an_overflowing_volume_is_an_error(tmp_path, capsys):
     # e^(-3 t0) overflows at t0 = -250: the total was once "nan" under
     # status "certified", and the run exited 0
@@ -621,7 +703,8 @@ def test_run_with_an_overflowing_volume_is_an_error(tmp_path, capsys):
 
 def test_certify_validates_the_window_like_build_warp(tmp_path, capsys):
     # the grid of the unchecked window (-1e-4, -5e-5) sees none of it, while
-    # margin c reaches -3.9e9 inside; certify once called it certified
+    # margin c reaches -3.9e9 inside; certify once called it certified.  The
+    # report is the payload of the widened window plus the window it names
     outdir = tmp_path / "o"
     main(["--output", str(outdir), "certify", "--warp", "interpolated",
           "--warp-t0=-1e-4", "--warp-t1=-5e-5"])
@@ -629,7 +712,10 @@ def test_certify_validates_the_window_like_build_warp(tmp_path, capsys):
     warp = build_interpolation(-1e-4, -5e-5)
     t = np.linspace(warp.t_lo, warp.t_hi, 20001)
     assert condition_margins(warp, t).min() > 1e-6
-    expected = to_json_text(_certify_payload(certify(warp, (-6.0, 10.0), 0.05)))
+    expected = to_json_text({
+        **_certify_payload(certify(warp, (-6.0, 10.0), 0.05)),
+        "warp": {"family": "interpolated", "T0": warp.t_lo, "T1": warp.t_hi},
+    })
     assert (outdir / "certify.json").read_text() == expected
 
 
@@ -699,7 +785,7 @@ def test_volume_command(capsys):
     assert abs(payload["integral"] - 5.0 / 6.0) <= 1e-15
 
 
-@pytest.mark.parametrize("command", ["volume", "verify-riemann"])
+@pytest.mark.parametrize("command", ["volume", "verify-riemann", "certify"])
 def test_standalone_reports_name_the_widened_window(command, tmp_path, capsys):
     # no grid point lies in (-1e-4, -5e-5), so the window is widened; the
     # standalone report names the window its numbers belong to
@@ -713,7 +799,8 @@ def test_standalone_reports_name_the_widened_window(command, tmp_path, capsys):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(REDUCED_RUN))
     assert main(["--config", str(cfg), "--output", str(tmp_path), "run"]) == 0
-    name = {"volume": "volume.json", "verify-riemann": "riemann.json"}[command]
+    name = {"volume": "volume.json", "verify-riemann": "riemann.json",
+            "certify": "certify.json"}[command]
     assert "warp" not in json.loads((tmp_path / name).read_text())
 
 
