@@ -198,7 +198,6 @@ class CertificationReport:
     grid: np.ndarray
     bounds_curve: CurvatureBounds | None  # None when refused
     margins: np.ndarray             # (n, 4) condition margins on the grid
-    global_negative: bool
     max_k: float
     pinched_from: float
     scale: float
@@ -277,8 +276,7 @@ def certify(
                 curve, tail_k_bound(warp, float(grid[-1])))
 
     return CertificationReport(
-        status=status, grid=grid, bounds_curve=curve, margins=margins,
-        global_negative=status == "certified", max_k=max_k,
+        status=status, grid=grid, bounds_curve=curve, margins=margins, max_k=max_k,
         pinched_from=pinched_from, scale=scale, floor=_FLOOR,
         flagged_points=flagged, witness=witness, config=config,
     )

@@ -23,7 +23,6 @@ import argparse
 import copy
 import functools
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -55,17 +54,18 @@ _DEFAULT_CONFIG = {
 
 def _check_leaf(default, value, where: str) -> None:
     """Refuse a config value without its default's type: a string for a
-    string, a finite int or float (not a bool) for a number, and a list of
-    such numbers for a list.  A string for an int, a matrix entry, is left
-    to the lattice, which refuses every string with int()'s own message."""
+    string; an int or a float (not a bool) within the float range, or any
+    int for an int; a list of such numbers, nonempty, four for the matrix."""
     if isinstance(default, list):
-        kind, ok = "a list", isinstance(value, list)
+        four = type(default[0]) is int
+        kind = "a list of four integers a,b,c,d" if four else "a nonempty list"
+        ok = isinstance(value, list) and (len(value) == 4 if four else len(value) > 0)
     elif isinstance(default, str):
         kind, ok = "a string", isinstance(value, str)
     else:
         kind = "a finite number"
-        ok = (type(value) is int or type(value) is float and math.isfinite(value)
-              or type(default) is int and isinstance(value, str))
+        ok = (type(value) is int and type(default) is int
+              or type(value) in (int, float) and abs(value) <= sys.float_info.max)
     if not ok:
         raise ValueError(f"config field {where} must be {kind}, got {json.dumps(value)}")
     if isinstance(default, list):
@@ -197,7 +197,7 @@ def cmd_verify_riemann(args) -> int:
 def _certify_payload(report: CertificationReport) -> dict:
     return {
         "status": report.status,
-        "global_negative": report.global_negative,
+        "global_negative": report.status == "certified",
         "max_k": report.max_k,
         "pinched_from": report.pinched_from,
         "scale": report.scale,
@@ -247,8 +247,9 @@ def cmd_run(args) -> int:
     outdir = Path(args.output or ".")
     outdir.mkdir(parents=True, exist_ok=True)
 
-    def write(name: str, payload: dict) -> None:
-        (outdir / name).write_text(to_json_text(payload), encoding="utf-8")
+    def write(name: str, payload: dict) -> str:
+        (outdir / name).write_text(text := to_json_text(payload), encoding="utf-8")
+        return text
 
     # a config that does not merge is reported as read
     summary = {"config": file_cfg, "status": "incomplete"}
@@ -287,14 +288,13 @@ def cmd_run(args) -> int:
                 "riemann_table_matched": riemann_payload["max_residual"] <= 1e-5
                 and not riemann_payload["extra_nonzero_components"],
                 "conditions_hold": bool(np.all(report.margins > 0.0)),
-                "globally_negative": report.global_negative,
+                "globally_negative": report.status == "certified",
                 "pinched_from": report.pinched_from,
                 "scale": report.scale,
                 "total_volume": vol["total"],
             },
         }
-        write("summary.json", summary)
-        sys.stdout.write(to_json_text(summary))
+        sys.stdout.write(write("summary.json", summary))
         return _STATUS_CODES[report.status]
     except Exception as exc:
         summary["error"] = f"{type(exc).__name__}: {exc}"

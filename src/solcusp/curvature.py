@@ -11,11 +11,11 @@ arrays carry those leading axes in front of their tensor indices.  A
 scalar (t, z) is the 0-d case of the same code, so a stacked call equals
 the per-point calls exactly.
 
-g, g^-1 and each d_l g are diagonal, so a contraction against one of them
-is a broadcast product with its diagonal, plus 0.0.  The einsum sum it
-replaces has one nonzero term and starts from +0.0, so adding 0.0 gives
-its bits, signed zeros included, wherever the tensors are finite.  Only
-the Gamma.Gamma products of the Riemann tensor remain einsum contractions.
+g, its inverse and each d_l g are diagonal, so a contraction against one
+of them is a broadcast product with its diagonal, plus 0.0.  The einsum
+sum it replaces has one nonzero term and starts from +0.0, so adding 0.0
+gives its bits, signed zeros included, wherever the tensors are finite.
+Only the Gamma.Gamma products of the Riemann tensor remain einsums.
 
 Two pipelines compute the lowered Riemann tensor:
 
@@ -79,7 +79,7 @@ _STENCIL = _FD_STEP * np.array([(0.0, 0.0), (0.0, 1.0), (0.0, -1.0), (1.0, 0.0),
 
 @dataclass(frozen=True)
 class MetricPoint:
-    """Metric data at a point or a stack of points: g, g^-1 and partials.
+    """Metric data at a point or a stack of points: g and its partials.
 
     Every array carries the stack's leading axes before its tensor indices,
     none for a single point.  ``dg[..., m, :, :]`` is the matrix of d_m g
@@ -91,12 +91,11 @@ class MetricPoint:
     t: np.ndarray
     z: np.ndarray
     g: np.ndarray                # (..., 4, 4) diagonal
-    g_inv: np.ndarray            # (..., 4, 4) diagonal
     dg: np.ndarray               # (..., 4, 4, 4)
     d2g: np.ndarray | None       # (..., 4, 4, 4, 4)
 
     def __post_init__(self) -> None:
-        for arr in (self.g, self.g_inv, self.dg, self.d2g):
+        for arr in (self.g, self.dg, self.d2g):
             if arr is not None:
                 arr.setflags(write=False)
 
@@ -131,10 +130,8 @@ def _metric(warp, t, z, second: bool) -> MetricPoint:
     X, Y, Z, T = 0, 1, 2, 3
 
     g = np.zeros(t.shape + (DIM, DIM))
-    g_inv = np.zeros(t.shape + (DIM, DIM))
     for i, gii in enumerate((A, B, f * f, 1.0)):
         g[..., i, i] = gii
-        g_inv[..., i, i] = 1.0 / gii
 
     dg = np.zeros(t.shape + (DIM,) * 3)
     dg[..., Z, X, X] = -2.0 * A
@@ -154,7 +151,7 @@ def _metric(warp, t, z, second: bool) -> MetricPoint:
         d2g[..., T, Z, Y, Y] = d2g[..., Z, T, Y, Y] = -4.0 * B
         d2g[..., T, T, Z, Z] = 2.0 * (fp * fp + f * fpp)
 
-    return MetricPoint(t=t, z=z, g=g, g_inv=g_inv, dg=dg, d2g=d2g)
+    return MetricPoint(t=t, z=z, g=g, dg=dg, d2g=d2g)
 
 
 def metric_at(warp, t, z) -> MetricPoint:
@@ -177,12 +174,12 @@ def _diag(a: np.ndarray) -> np.ndarray:
 
 def christoffel(p: MetricPoint) -> np.ndarray:
     """Levi-Civita symbols Gamma^i_jk, shape (..., 4, 4, 4), symmetric in (j, k)."""
-    return 0.5 * (_diag(p.g_inv)[..., None, None] * _first_kind(p.dg) + 0.0)
+    return 0.5 * ((1.0 / _diag(p.g))[..., None, None] * _first_kind(p.dg) + 0.0)
 
 
 def christoffel_derivatives(p: MetricPoint) -> np.ndarray:
     """Analytic d_l Gamma^i_jk, shape (..., 4, 4, 4, 4) indexed [..., l, i, j, k]."""
-    gi = _diag(p.g_inv)
+    gi = 1.0 / _diag(p.g)
     # d_l g^ii = -g^ii (d_l g_ii) g^ii, shape (..., l, i)
     dginv = -(gi[..., None, :] * _diag(p.dg) * gi[..., None, :] + 0.0)
     return 0.5 * (
@@ -260,8 +257,8 @@ def riemann_fd_general(metric_fn, t, z) -> RiemannTensor:
     1e-6 level even where the metric coefficients reach e^8.
 
     ``metric_fn`` is called once, on the (..., 9) stack of ``_STENCIL``
-    points around every (t, z), and must return that stack; only g,
-    g^-1 and dg are read.
+    points around every (t, z), and must return that stack; only g and
+    dg are read.
     """
     t, z = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(z, dtype=float))
     p = metric_fn(t[..., None] + _STENCIL[:, 0], z[..., None] + _STENCIL[:, 1])

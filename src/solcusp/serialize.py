@@ -31,18 +31,16 @@ def format_float(x: float) -> str:
 
 def _encode(obj, out: list) -> None:
     # floats first, the most common item; bool is an int but never a float
-    if isinstance(obj, (float, np.floating)):
+    if isinstance(obj, float):
         out.append(format_float(obj))
     elif obj is None:
         out.append("null")
-    elif isinstance(obj, (bool, np.bool_)):
+    elif isinstance(obj, bool):
         out.append("true" if obj else "false")
     elif isinstance(obj, str):
         out.append(encode_basestring(obj))
-    elif isinstance(obj, (int, np.integer)):
+    elif isinstance(obj, int):
         out.append(str(int(obj)))
-    elif isinstance(obj, np.ndarray):
-        _encode(obj.tolist(), out)
     elif isinstance(obj, dict):
         out.append("{")
         for n, key in enumerate(sorted(obj, key=str)):

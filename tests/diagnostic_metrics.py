@@ -23,7 +23,7 @@ def flat_metric_point(shape: tuple[int, ...] = ()) -> MetricPoint:
     eye = np.broadcast_to(np.eye(DIM), shape + (DIM, DIM))
     return MetricPoint(
         t=np.zeros(shape), z=np.zeros(shape),
-        g=eye, g_inv=eye,
+        g=eye,
         dg=np.zeros(shape + (DIM,) * 3), d2g=np.zeros(shape + (DIM,) * 4),
     )
 
@@ -33,13 +33,12 @@ def hyperbolic_metric_point(t: float, z: float = 0.0) -> MetricPoint:
     t = float(t)
     e = np.exp(-2.0 * t)
     g = np.diag([e, e, e, 1.0])
-    g_inv = np.diag([1.0 / e, 1.0 / e, 1.0 / e, 1.0])
     dg = np.zeros((DIM, DIM, DIM))
     d2g = np.zeros((DIM, DIM, DIM, DIM))
     for i in range(3):
         dg[3, i, i] = -2.0 * e
         d2g[3, 3, i, i] = 4.0 * e
-    return MetricPoint(t=t, z=float(z), g=g, g_inv=g_inv, dg=dg, d2g=d2g)
+    return MetricPoint(t=t, z=float(z), g=g, dg=dg, d2g=d2g)
 
 
 def sol_product_metric_point(z: float, t: float = 0.0) -> MetricPoint:
@@ -52,14 +51,13 @@ def sol_product_metric_point(z: float, t: float = 0.0) -> MetricPoint:
     A = np.exp(-2.0 * z)
     B = np.exp(2.0 * z)
     g = np.diag([A, B, 1.0, 1.0])
-    g_inv = np.diag([1.0 / A, 1.0 / B, 1.0, 1.0])
     dg = np.zeros((DIM, DIM, DIM))
     dg[2, 0, 0] = -2.0 * A
     dg[2, 1, 1] = 2.0 * B
     d2g = np.zeros((DIM, DIM, DIM, DIM))
     d2g[2, 2, 0, 0] = 4.0 * A
     d2g[2, 2, 1, 1] = 4.0 * B
-    return MetricPoint(t=float(t), z=z, g=g, g_inv=g_inv, dg=dg, d2g=d2g)
+    return MetricPoint(t=float(t), z=z, g=g, dg=dg, d2g=d2g)
 
 
 def frame_scales(p: MetricPoint) -> np.ndarray:

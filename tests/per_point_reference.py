@@ -55,7 +55,6 @@ def metric_at(warp, t: float, z: float) -> MetricPoint:
     B = np.exp(-2.0 * t + 2.0 * z)
 
     g = np.diag([A, B, f * f, 1.0])
-    g_inv = np.diag([1.0 / A, 1.0 / B, 1.0 / (f * f), 1.0])
 
     X, Y, Z, T = 0, 1, 2, 3
     dg = np.zeros((DIM, DIM, DIM))
@@ -74,24 +73,30 @@ def metric_at(warp, t: float, z: float) -> MetricPoint:
     d2g[T, Z, Y, Y] = d2g[Z, T, Y, Y] = -4.0 * B
     d2g[T, T, Z, Z] = 2.0 * (fp * fp + f * fpp)
 
-    return MetricPoint(t=t, z=z, g=g, g_inv=g_inv, dg=dg, d2g=d2g)
+    return MetricPoint(t=t, z=z, g=g, dg=dg, d2g=d2g)
 
 
 def _first_kind(dg):
     return np.einsum("jmk->mjk", dg) + np.einsum("kmj->mjk", dg) - dg
 
 
+def _g_inv(p):
+    # the dense inverse metric, 1 / g_ii on the diagonal
+    return np.diag(1.0 / np.diag(p.g))
+
+
 def christoffel(p):
-    return 0.5 * np.einsum("im,mjk->ijk", p.g_inv, _first_kind(p.dg))
+    return 0.5 * np.einsum("im,mjk->ijk", _g_inv(p), _first_kind(p.dg))
 
 
 def christoffel_derivatives(p):
     T = _first_kind(p.dg)
     dT = np.einsum("ljmk->lmjk", p.d2g) + np.einsum("lkmj->lmjk", p.d2g) - p.d2g
-    dginv = -np.einsum("ia,lab,bm->lim", p.g_inv, p.dg, p.g_inv)
+    g_inv = _g_inv(p)
+    dginv = -np.einsum("ia,lab,bm->lim", g_inv, p.dg, g_inv)
     return 0.5 * (
         np.einsum("lim,mjk->lijk", dginv, T)
-        + np.einsum("im,lmjk->lijk", p.g_inv, dT)
+        + np.einsum("im,lmjk->lijk", g_inv, dT)
     )
 
 
@@ -255,17 +260,26 @@ def _stacked_first_kind(dg):
     return np.einsum("...jmk->...mjk", dg) + np.einsum("...kmj->...mjk", dg) - dg
 
 
+def _stacked_g_inv(p):
+    g_inv = np.zeros(p.g.shape)
+    diag = np.arange(DIM)
+    g_inv[..., diag, diag] = 1.0 / np.diagonal(p.g, axis1=-2, axis2=-1)
+    return g_inv
+
+
 def stacked_christoffel(p):
-    return 0.5 * np.einsum("...im,...mjk->...ijk", p.g_inv, _stacked_first_kind(p.dg))
+    return 0.5 * np.einsum("...im,...mjk->...ijk", _stacked_g_inv(p),
+                           _stacked_first_kind(p.dg))
 
 
 def stacked_christoffel_derivatives(p):
     T = _stacked_first_kind(p.dg)
     dT = _stacked_first_kind(p.d2g)
-    dginv = -np.einsum("...ia,...lab,...bm->...lim", p.g_inv, p.dg, p.g_inv)
+    g_inv = _stacked_g_inv(p)
+    dginv = -np.einsum("...ia,...lab,...bm->...lim", g_inv, p.dg, g_inv)
     return 0.5 * (
         np.einsum("...lim,...mjk->...lijk", dginv, T)
-        + np.einsum("...im,...lmjk->...lijk", p.g_inv, dT)
+        + np.einsum("...im,...lmjk->...lijk", g_inv, dT)
     )
 
 

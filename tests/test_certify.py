@@ -114,7 +114,6 @@ def test_extremize_is_deterministic():
 def test_certify_small_grid_is_certified():
     rep = certify(ShiftedExp(), (-2.0, 2.0), 0.5)
     assert rep.status == "certified"
-    assert rep.global_negative
     assert rep.max_k < -1e-9
     assert np.isfinite(rep.pinched_from)
     assert rep.witness is None
@@ -128,7 +127,6 @@ def test_certify_small_grid_is_certified():
 def test_certify_shifted_exp_full_range():
     rep = certify(ShiftedExp(), (-6.0, 10.0), 0.25)
     assert rep.status == "certified"
-    assert rep.global_negative
     assert np.isfinite(rep.pinched_from)
     # curvature is bounded below along the whole curve
     assert rep.bounds_curve.k_min.min() > -2.1
@@ -216,7 +214,6 @@ def test_certify_reports_positive_curvature_as_violation(monkeypatch, capsys):
     monkeypatch.setattr(certify_module, "_extremize", positive)
     rep = certify(ShiftedExp(), (-1.0, 1.0), 0.5)
     assert rep.status == "violation"
-    assert rep.global_negative is False
     assert np.isnan(rep.scale) and rep.pinched_from == np.inf
     assert rep.max_k == 1e-3
     worst = rep.bounds_curve

@@ -85,7 +85,7 @@ def test_json_text_of_any_string_is_utf8_and_parses(text):
 
 @pytest.mark.parametrize("field,value,message", [
     ("warp", {"family": "\udc80"}, "unknown warp family: '\\udc80'"),
-    ("matrix", [2, 1, 1, "\udc80"], "invalid literal for int() with base 10: '\\udc80'"),
+    ("matrix", [2, 1, 1, "\udc80"], 'config field matrix[3] must be a finite number, got "\\udc80"'),
 ])
 def test_run_with_a_lone_surrogate_writes_a_summary_that_parses(field, value, message,
                                                                 tmp_path, capsys):
@@ -113,7 +113,8 @@ def test_run_writes_a_control_character_as_valid_json(tmp_path, capsys):
     code, _ = run_cli(capsys, "--config", str(cfg), "--output", str(outdir), "run")
     assert code == 1
     summary = json.loads((outdir / "summary.json").read_text())
-    assert summary["status"] == "error" and "integers" in summary["error"]
+    assert summary["status"] == "error"
+    assert summary["error"] == 'ValueError: config field matrix[0] must be a finite number, got "2\\n"'
     assert summary["config"]["matrix"] == ["2\n", 1, 1, 1]
 
 
@@ -123,13 +124,9 @@ SPECIAL_FLOATS = st.sampled_from([float("nan"), float("inf"), float("-inf"), 0.0
                                   1.7976931348623157e308, -1.7976931348623157e308])
 ANY_FLOAT = st.one_of(SPECIAL_FLOATS, st.floats())
 UTF8_TEXT = st.text(st.characters(codec="utf-8"), max_size=8)
-JSON_LEAVES = st.one_of(
-    st.none(), st.booleans(), st.booleans().map(np.bool_), st.integers(),
-    st.integers(-2**63, 2**63 - 1).map(np.int64), ANY_FLOAT, ANY_FLOAT.map(np.float64),
-    st.floats(width=32).map(np.float32), UTF8_TEXT,
-    hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=3),
-               elements=ANY_FLOAT),
-)
+# the values reports hold; np.float64 is a float
+JSON_LEAVES = st.one_of(st.none(), st.booleans(), st.integers(), ANY_FLOAT,
+                        ANY_FLOAT.map(np.float64), UTF8_TEXT)
 JSON_VALUES = st.recursive(
     JSON_LEAVES,
     lambda inner: st.one_of(
@@ -145,6 +142,13 @@ JSON_VALUES = st.recursive(
 @given(JSON_VALUES)
 def test_json_text_equals_the_per_value_encoders(obj):
     assert to_json_text(obj) == ref.encode_json(obj)
+
+
+@pytest.mark.parametrize("value", [np.bool_(True), np.int64(1), np.float32(0.5),
+                                   np.zeros(2)])
+def test_json_text_refuses_numpy_values_other_than_float64(value):
+    with pytest.raises(TypeError, match="^cannot serialize "):
+        to_json_text({"x": [value]})
 
 
 @settings(max_examples=100, deadline=None)
@@ -350,6 +354,12 @@ VALID_RUN_CONFIGS = st.fixed_dictionaries({
 # type everywhere but in warp.family
 BAD_LEAVES = st.sampled_from([float("nan"), float("inf"), float("-inf"), True, False, None,
                               {"x": 0.0}, "0.5"])
+# an int past the float range, out of range in a float slot (an int slot
+# takes any int)
+HUGE_INTS = st.sampled_from([2**1024, -(10**400)])
+# a matrix of other than four entries; a grid is refused only empty
+BAD_MATRICES = st.one_of(st.lists(st.integers(-3, 3), max_size=3),
+                         st.lists(st.integers(-3, 3), min_size=5, max_size=6))
 
 
 @st.composite
@@ -370,8 +380,14 @@ def run_configs(draw):
             if isinstance(value, list):
                 leaves += [(value, i, f"{where}[{i}]") for i in range(len(value))]
     parent, key, where = draw(st.sampled_from(leaves))
-    parent[key] = value = draw(BAD_LEAVES.filter(lambda v: not (where == "warp.family"
-                                                                and isinstance(v, str))))
+    bad = BAD_LEAVES.filter(lambda v: not (where == "warp.family" and isinstance(v, str)))
+    if isinstance(parent[key], float):
+        bad = st.one_of(bad, HUGE_INTS)
+    elif where == "matrix":
+        bad = st.one_of(bad, BAD_MATRICES)
+    elif isinstance(parent[key], list):
+        bad = st.one_of(bad, st.just([]))
+    parent[key] = value = draw(bad)
     return config, (where, value)
 
 
@@ -384,13 +400,16 @@ RUN_CONFIGS = run_configs()
 @example(({"matrix": [1, 1, 0, 1], "certify": {"t_step": 0.5}}, None))
 @example(({"certify": {"t_min": -1.0, "t_step": 0.5}, "volume": {"t0": -5.0, "tol": 1e-6}}, None))
 @example(({"warp": {"family": "shifted-exp", "t1": float("nan")}}, ("warp.t1", float("nan"))))
+@example(({"certify": {"t_step": 2**1024}}, ("certify.t_step", 2**1024)))
+@example(({"matrix": [2, 1, 1, 1, 0]}, ("matrix", [2, 1, 1, 1, 0])))
+@example(({"riemann": {"z_grid": []}}, ("riemann.z_grid", [])))
+@example(({"matrix": [2, 1, "1", 1]}, ("matrix[2]", "1")))
 def test_any_run_config_exits_with_a_status_and_parsing_reports(drawn):
     # warnings are recorded, not raised: run would turn the exception into
     # exit 1.  Any warning fails the property; so does a report that does
     # not parse, a certified report holding "nan", or a certified volume
     # from below the pinched region.  A config with a bad leaf ends in an
-    # error that names the leaf; a string matrix entry is refused by the
-    # lattice, with int()'s message
+    # error that names the leaf
     config, bad = drawn
     with tempfile.TemporaryDirectory() as tmp:
         cfg, outdir = Path(tmp) / "config.json", Path(tmp) / "out"
@@ -411,8 +430,7 @@ def test_any_run_config_exits_with_a_status_and_parsing_reports(drawn):
     if bad is not None:
         where, value = bad
         assert code == 1 and summary["status"] == "error" and list(reports) == ["summary.json"]
-        if not (where.startswith("matrix[") and isinstance(value, str)):
-            assert stderr.getvalue().startswith(f"error: config field {where} must be ")
+        assert stderr.getvalue().startswith(f"error: config field {where} must be ")
     if summary["status"] == "certified":
         assert len(reports) == 7 and code == 0
         assert not any(b'"nan"' in text for text in reports.values())
@@ -672,11 +690,19 @@ def test_run_with_a_non_finite_config_value_is_an_error(tmp_path, capsys, sectio
     ('{"volume": {"t0": 1e999}}', "volume.t0"),
     ('{"riemann": {"t_grid": 0.0}}', "riemann.t_grid"),
     ('{"riemann": {"z_grid": [0.0, null]}}', "riemann.z_grid[1]"),
+    pytest.param('{"certify": {"t_step": 1%s}}' % ("0" * 400), "certify.t_step",
+                 id="certify.t_step-401-digit-int"),
+    ('{"matrix": [2, 1, 1]}', "matrix"),
+    ('{"matrix": [2, 1, 1, 1, 0]}', "matrix"),
+    ('{"riemann": {"t_grid": []}}', "riemann.t_grid"),
+    ('{"matrix": ["2", 1, 1, 1]}', "matrix[0]"),
 ])
 def test_run_refuses_a_config_value_without_its_defaults_type(tmp_path, capsys, text, where):
     # the first four once exited 0 with status "certified" and echoed the
-    # value ("nan", "-1" or true) in summary.json; the others already ended
-    # in exit 1, in the stage that read them
+    # value ("nan", "-1" or true) in summary.json; the next four already
+    # ended in exit 1, in the stage that read them, and the last five in a
+    # message that named no field (such as "int too large to convert to
+    # float" or "missing 1 required positional argument: 'd'")
     cfg = tmp_path / "config.json"
     cfg.write_text(text)
     outdir = tmp_path / "out"
