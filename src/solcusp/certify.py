@@ -9,29 +9,36 @@ is a unit vector, so
 
 (Thorpe's bound at mu = 0: J. A. Thorpe, "Some remarks on the Gauss-Bonnet
 integral", 1969).  A bound is attained exactly when its eigenvector is a
-simple bivector u ^ v.  For the cusp ansatz every entry of Q outside the
-blocks {xy}, {xz, xt}, {yz, yt} and {zt} is exactly 0.0; in ``PAIRS``
-order that makes Q tridiagonal with exact zeros where the blocks meet, so
-LAPACK splits it and each eigenvector lies in one block.  The 2-forms of a
-block share a vector, so each eigenvector is simple.
+simple bivector u ^ v.
 
-At every grid t (z fixed at 0 by the separately tested z-homogeneity of
-the ansatz) the extreme eigenvalues of Q are reported as k_min and k_max,
-and as witness the plane of the matching eigenvector.  The gap between
-the witness's curvature and the eigenvalue is reported per point as
-``method_agreement`` and flagged when it exceeds the fixed bound
-``_AGREEMENT_TOL`` = 1e-12: a non-simple eigenvector shows as a gap, never
-as a silent pass.
+For the cusp ansatz Q has no z and is zero outside the blocks {xy},
+{xz, xt}, {yz, yt} and {zt} (the warped-product curvature of R. L. Bishop
+and B. O'Neill, "Manifolds of negative curvature", 1969; proved in sympy
+for a symbolic f in the tests).  With a = f - 1 and
 
-The kernels take arrays: ``certify`` builds the (n, 6, 6) frame forms of
-its whole grid from one stacked ``metric_at``, and runs one batched
-``eigh`` and one batched SVD per extreme.  The result is one
-``CurvatureBounds`` whose fields carry the grid axis, and it stays in
-that form through the verdict, the rescale and the CSV rows.
-``extremize_point`` and ``extremize_k`` return the 0-d case of the same
-code, so a grid point's bounds equal theirs exactly.  A witness plane is
-a (..., 2, 4) array whose rows are a frame-orthonormal pair (u, v);
-u / sqrt(g_ii) are u's coordinates.
+    A = (f f' - 1) / f^2,   B = (f + f') / f^2
+
+its entries are K(xy) = -a (f + 1) / f^2, K(zt) = -f'' / f and the two
+2x2 blocks [[A, -B], [-B, -1]] and [[A, B], [B, -1]], which share their
+eigenvalues
+
+    lambda_- = (A - 1)/2 - hypot((A + 1)/2, B),   lambda_+ = (-A - B^2) / lambda_-
+
+(lambda_+ from the determinant, which avoids the cancellation near 0;
+lambda_- <= min(A, -1) < 0).  So k_min = min(K(xy), lambda_-, K(zt)) and
+k_max = max(K(xy), lambda_+, K(zt)).  Each extreme has an analytic witness
+plane, a simple bivector by construction: (e_x, e_y), (e_z, e_t), or
+(e_x, alpha e_z + beta e_t) for a block eigenvector (alpha, beta).
+``method_agreement`` is the gap between a block witness's K and its
+eigenvalue, 0 for a coordinate plane; gaps above ``_AGREEMENT_TOL`` are
+flagged.
+
+``certify`` evaluates the warp once on its grid (z = 0) and runs one
+closed-form kernel on it; ``extremize_k`` is that kernel's 0-d case, so a
+grid point equals it bit for bit.  ``extremize_point`` is the route for
+any ``MetricPoint``: ``riemann_closed``, ``eigh`` of its frame form and an
+SVD witness.  A witness plane is a (..., 2, 4) array whose rows are a
+frame-orthonormal pair (u, v); u / sqrt(g_ii) are u's coordinates.
 """
 
 from __future__ import annotations
@@ -40,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import PAIRS, MetricPoint, metric_at, riemann_closed
+from .curvature import PAIRS, MetricPoint, riemann_closed
 from .warp import condition_margins, regimes, window_witness, worst_margin
 
 __all__ = [
@@ -61,28 +68,25 @@ _FLOOR = 1e-9
 _MAX_GRID_POINTS = 10**5
 # first and second index of each pair, for building bivectors
 _PAIR_I, _PAIR_J = np.transpose(PAIRS)
+# witness planes (u, v) of K(xy), of a block eigenvalue before v's z and t
+# components are written in, and of K(zt)
+_PLANES = np.array([[[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]],
+                    [[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]],
+                    [[0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]]])
 
 
 def _witness(Q: np.ndarray, w: np.ndarray):
-    """Witness planes and their K for the unit eigenvectors w of Q.
+    """Witness plane and its K for a unit eigenvector w of one point's Q.
 
-    Leading axes pass through: one batched SVD turns each simple bivector
-    into a frame-orthonormal pair (u, v), returned as the rows of a
-    (..., 2, 4) plane, and K = w'^T Q w' / (w'^T w') for the
-    bivector w' = u ^ v of that pair, by stacked ``matmul``.  Q and w' must
-    be in C order, as one point's arrays are: matmul hands each point's
-    rows to BLAS, whose sums round differently for other strides.  A
-    three-operand einsum would likewise sum the four products of a 2x2
-    block in another order and move K in its last bits.
+    An SVD turns the simple bivector w into a frame-orthonormal pair
+    (u, v), the rows of a (2, 4) plane, and K = w'^T Q w' / (w'^T w') for
+    the bivector w' = u ^ v of that pair.
     """
-    W = np.zeros(w.shape[:-1] + (4, 4))
-    W[..., _PAIR_I, _PAIR_J], W[..., _PAIR_J, _PAIR_I] = w, -w
-    U = np.linalg.svd(W)[0]
-    u, v = U[..., :, 0], U[..., :, 1]
-    row = np.ascontiguousarray(u[..., _PAIR_I] * v[..., _PAIR_J]
-                               - u[..., _PAIR_J] * v[..., _PAIR_I])[..., None, :]
-    col = np.swapaxes(row, -1, -2)
-    return np.stack((u, v), axis=-2), (row @ Q @ col)[..., 0, 0] / (row @ col)[..., 0, 0]
+    W = np.zeros((4, 4))
+    W[_PAIR_I, _PAIR_J], W[_PAIR_J, _PAIR_I] = w, -w
+    u, v = np.linalg.svd(W)[0][:, :2].T
+    b = u[_PAIR_I] * v[_PAIR_J] - u[_PAIR_J] * v[_PAIR_I]
+    return np.stack((u, v)), b @ Q @ b / (b @ b)
 
 
 @dataclass(frozen=True)
@@ -102,47 +106,99 @@ class CurvatureBounds:
     method_agreement: np.ndarray    # max |K(witness) - extreme eigenvalue|
 
 
-def _extremize(p: MetricPoint) -> CurvatureBounds:
-    """Extremal K over all 2-planes at every point of the stack p.
+def extremize_point(p: MetricPoint) -> CurvatureBounds:
+    """Extremal K over all 2-planes at one MetricPoint (a 0-d stack).
 
-    One closed-form Riemann call, one batched ``eigh`` of the frame forms
-    and one batched witness per extreme.  k_min and k_max are the extreme
-    eigenvalues, each with the plane of its eigenvector as witness;
-    ``method_agreement`` is the larger gap between a witness's K and the
-    eigenvalue it stands for.
+    For any metric, not only the cusp ansatz: one closed-form Riemann
+    tensor, ``eigh`` of its frame form and an SVD witness per extreme.
+    k_min and k_max are the extreme eigenvalues, each with the plane of its
+    eigenvector as witness; ``method_agreement`` is the larger gap between
+    a witness's K and the eigenvalue it stands for.
     """
-    # C order for _witness: a stack gathered by pair_matrix is not
+    if p.shape != ():
+        raise ValueError(f"extremize_point takes one point, not a stack of shape {p.shape}")
     with np.errstate(all="ignore"):  # an overflow is refused below
-        Q = np.ascontiguousarray(riemann_closed(p).pair_matrix(frame=True))
+        Q = riemann_closed(p).pair_matrix(frame=True)
     if not np.isfinite(Q).all():
-        bad = ~np.isfinite(Q).all(axis=(-2, -1))
-        raise ValueError("the frame curvature form is not finite at "
-                         f"t={float(np.broadcast_to(p.t, p.shape)[bad].flat[0])}")
+        raise ValueError(f"the frame curvature form is not finite at t={float(p.t)}")
     vals, vecs = np.linalg.eigh(Q)
-    plane_min, k_at_min = _witness(Q, vecs[..., :, 0])
-    plane_max, k_at_max = _witness(Q, vecs[..., :, -1])
-    k_min, k_max = vals[..., 0], vals[..., -1]
+    plane_min, k_at_min = _witness(Q, vecs[:, 0])
+    plane_max, k_at_max = _witness(Q, vecs[:, -1])
+    k_min, k_max = vals[0], vals[-1]
     return CurvatureBounds(
-        t=np.broadcast_to(p.t, p.shape),
-        k_min=k_min,
-        k_max=k_max,
+        t=np.asarray(p.t),
+        k_min=np.asarray(k_min),
+        k_max=np.asarray(k_max),
         argmin_plane=plane_min,
         argmax_plane=plane_max,
-        # asarray: for 0-d operands a ufunc returns a scalar, not a 0-d array
-        method_agreement=np.asarray(np.maximum(abs(k_at_min - k_min), abs(k_at_max - k_max))),
+        method_agreement=np.asarray(max(abs(k_at_min - k_min), abs(k_at_max - k_max))),
     )
 
 
-def extremize_point(p: MetricPoint) -> CurvatureBounds:
-    """Extremal K over all 2-planes at one MetricPoint (a 0-d stack)."""
-    if p.shape != ():
-        raise ValueError(f"extremize_point takes one point, not a stack of shape {p.shape}")
-    return _extremize(p)
+def _witnesses(A, B, lam, which):
+    """Witness planes and K gaps of the extremes lam, attained where which
+    is 0 by K(xy), 1 by a block eigenvalue and 2 by K(zt).
+
+    A block's plane is (e_x, alpha e_z + beta e_t), with (alpha, beta) the
+    unit eigenvector of [[A, -B], [-B, -1]] for lam, taken orthogonal to
+    the larger of the rows (A - lam, -B) and (-B, -1 - lam); (1, 0) where
+    both vanish.  Its gap is |alpha^2 A - 2 alpha beta B - beta^2 - lam|;
+    a coordinate plane's gap is 0.
+    """
+    r1, r2 = A - lam, 1.0 + lam
+    n1, n2 = np.hypot(r1, B), np.hypot(B, r2)
+    first, n = n1 >= n2, np.maximum(n1, n2)
+    alpha = np.where(n > 0.0, np.where(first, B, r2) / n, 1.0)
+    beta = np.where(n > 0.0, np.where(first, r1, -B) / n, 0.0)
+    block = which == 1
+    plane = _PLANES[which]
+    plane[block, 1, 2], plane[block, 1, 3] = alpha[block], beta[block]
+    gap = abs(alpha * alpha * A - 2.0 * alpha * beta * B - beta * beta - lam)
+    return plane, np.where(block, gap, 0.0)
+
+
+def _closed_extremes(t, a, f, fp, fpp) -> CurvatureBounds:
+    """Extremal K over all 2-planes at every t, from the closed forms of the
+    four-block frame form (see the module docstring).
+
+    ``a`` is margin a, passed in rather than computed as f - 1.  Leading
+    axes pass through.  Raises ValueError at the first t where a value of
+    the form, an extreme or a witness gap is not finite.
+    """
+    with np.errstate(all="ignore"):  # a non-finite value is refused below
+        f2 = f * f
+        k_xy = -a * (f + 1.0) / f2
+        A = (f * fp - 1.0) / f2
+        B = (f + fp) / f2
+        k_zt = -fpp / f
+        lo = (A - 1.0) / 2.0 - np.hypot((A + 1.0) / 2.0, B)
+        hi = (-A - B * B) / lo
+        lows, highs = np.stack((k_xy, lo, k_zt)), np.stack((k_xy, hi, k_zt))
+        which = np.stack((lows.argmin(axis=0), highs.argmax(axis=0)))
+        planes, gaps = _witnesses(A, B, np.stack((lo, hi)), which)
+        agreement = gaps.max(axis=0)
+        finite = np.isfinite(np.stack((k_xy, lo, hi, k_zt, agreement))).all(axis=0)
+    if not finite.all():
+        bad = float(np.broadcast_to(t, finite.shape)[~finite].flat[0])
+        raise ValueError(f"the frame curvature form is not finite at t={bad}")
+    # asarray: a reduction to 0-d returns a scalar, not a 0-d array
+    return CurvatureBounds(
+        t=np.asarray(t),
+        k_min=np.asarray(lows.min(axis=0)),
+        k_max=np.asarray(highs.max(axis=0)),
+        argmin_plane=planes[0],
+        argmax_plane=planes[1],
+        method_agreement=np.asarray(agreement),
+    )
 
 
 def extremize_k(warp, t: float) -> CurvatureBounds:
-    """Extremal K at (t, z=0); z is a symmetry direction of the frame K."""
-    return extremize_point(metric_at(warp, float(t), 0.0))
+    """Extremal K at one t, the 0-d case of certify's kernel; z is a
+    symmetry direction of the frame form."""
+    t = np.asarray(float(t))
+    with np.errstate(all="ignore"):  # a non-finite value is refused by the margins
+        values = warp.eval(t)
+    return _closed_extremes(t, condition_margins(warp, t, values)[..., 0], *values)
 
 
 def tail_k_bound(warp, t_last: float) -> float | None:
@@ -240,7 +296,9 @@ def certify(
     grid = np.arange(t0, t1 + t_step / 2.0, t_step)
 
     config = {"t_min": t0, "t_max": t1, "t_step": float(t_step)}
-    margins = condition_margins(warp, grid)
+    with np.errstate(all="ignore"):  # a non-finite value is refused by the margins
+        values = warp.eval(grid)
+    margins = condition_margins(warp, grid, values)
     curve, max_k, flagged = None, np.nan, []
     scale, pinched_from = np.nan, np.inf
 
@@ -253,9 +311,7 @@ def certify(
         status = "refused_conditions"
         witness = {"kind": "window", **gap}
     else:
-        with np.errstate(all="ignore"):  # an overflow is refused by _extremize
-            p = metric_at(warp, grid, 0.0)
-        curve = _extremize(p)
+        curve = _closed_extremes(grid, margins[:, 0], *values)
         max_k = float(np.max(curve.k_max))
         flagged = curve.t[curve.method_agreement > _AGREEMENT_TOL].tolist()
         witness = None

@@ -243,7 +243,7 @@ def cmd_volume(args) -> int:
 
 def cmd_run(args) -> int:
     # JSON is UTF-8 whatever the locale: bytes in, and every report written as UTF-8
-    file_cfg = json.loads(Path(args.config).read_bytes()) if args.config else {}
+    raw = Path(args.config).read_bytes() if args.config else b"{}"
     outdir = Path(args.output or ".")
     outdir.mkdir(parents=True, exist_ok=True)
 
@@ -251,9 +251,13 @@ def cmd_run(args) -> int:
         (outdir / name).write_text(text := to_json_text(payload), encoding="utf-8")
         return text
 
-    # a config that does not merge is reported as read
-    summary = {"config": file_cfg, "status": "incomplete"}
+    # a config that does not parse is reported as null, one that does not merge as read
+    summary = {"config": None, "status": "incomplete"}
     try:
+        try:
+            summary["config"] = file_cfg = json.loads(raw)
+        except (ValueError, RecursionError) as exc:
+            raise ValueError(f"config {args.config}: {exc}") from None
         summary["config"] = config = _merge_config(_DEFAULT_CONFIG, file_cfg)
         A = AnosovMatrix(*config["matrix"])
         lattice_payload = _lattice_payload(A)

@@ -6,12 +6,13 @@ sectional curvatures are known in closed form.  The helpers at the end
 read the frame scales, the frame coordinate-plane curvatures and the
 algebraic symmetry residuals off any point or tensor, and
 ``sectional_curvature`` gives K of any plane from coordinate components:
-the oracle the frame-form extremes are checked against.
+the oracle the frame-form extremes are checked against, with ``eigh`` of
+the closed pipeline's frame form, by ``closed_form_gaps``.
 """
 
 import numpy as np
 
-from solcusp.curvature import DIM, PAIR_NAMES, MetricPoint, RiemannTensor, riemann_closed
+from solcusp.curvature import DIM, PAIR_NAMES, MetricPoint, RiemannTensor, metric_at, riemann_closed
 
 
 def flat_metric_point(shape: tuple[int, ...] = ()) -> MetricPoint:
@@ -109,3 +110,30 @@ def sectional_curvature(R: RiemannTensor, p: MetricPoint, u, v) -> float:
         raise DegeneratePlaneError("vectors do not span a nondegenerate 2-plane")
     num = np.einsum("ijkl,i,j,k,l->", R.full, u, v, u, v)
     return float(num / gram)
+
+
+def closed_form_gaps(warp, bounds) -> tuple[float, float]:
+    """(extreme gap, witness gap) of certify's bounds along their grid.
+
+    The extreme gap is the worst |k - lambda| / (eps max(1, |lambda|)) of
+    k_min and k_max against the extreme eigenvalues lambda of ``eigh`` of
+    ``riemann_closed(p).pair_matrix(frame=True)`` at (t, 0).  The witness
+    gap is the worst |K - k| / max(1, |k|), with K of each witness plane
+    from coordinate components by ``sectional_curvature``.
+    """
+    t = np.ravel(bounds.t)
+    k = np.stack((np.ravel(bounds.k_min), np.ravel(bounds.k_max)), axis=1)
+    planes = np.stack((bounds.argmin_plane.reshape(-1, 2, 4),
+                       bounds.argmax_plane.reshape(-1, 2, 4)), axis=1)
+    eig = np.linalg.eigvalsh(riemann_closed(metric_at(warp, t, 0.0)).pair_matrix(frame=True))
+    lam = eig[:, [0, -1]]
+    extreme = np.max(np.abs(k - lam) / np.maximum(1.0, np.abs(lam))) / np.finfo(float).eps
+    witness = 0.0
+    for i, ti in enumerate(t):
+        p = metric_at(warp, ti, 0.0)
+        R, scales = riemann_closed(p), frame_scales(p)
+        for j in (0, 1):
+            uc, vc = planes[i, j] * scales
+            gap = abs(sectional_curvature(R, p, uc, vc) - k[i, j]) / max(1.0, abs(k[i, j]))
+            witness = max(witness, gap)
+    return float(extreme), witness

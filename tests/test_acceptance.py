@@ -1,8 +1,10 @@
 """Acceptance gate: one test per criterion, each printing a verdict line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines.  Criterion 5 runs the default 321-point certification grid; every
-witness plane must attain its extreme eigenvalue to 1e-12.
+lines.  Criterion 5 runs the default 321-point certification grid from the
+closed forms; every extreme must match eigh of the tensor pipeline's frame
+form to 16 eps max(1, |K|), and every analytic witness plane must attain
+its extreme to 1e-12.
 """
 
 import filecmp
@@ -35,7 +37,7 @@ from solcusp.warp import (
     condition_margins,
 )
 
-from diagnostic_metrics import frame_plane_k, symmetry_residuals
+from diagnostic_metrics import closed_form_gaps, frame_plane_k, symmetry_residuals
 
 GRID_5X5 = [(t, z) for t in (-2.0, -1.0, 0.0, 1.0, 2.0)
             for z in (-1.0, -0.5, 0.0, 0.5, 1.0)]
@@ -129,17 +131,23 @@ def test_criterion_5_negativity_certificate():
     rep = certify(w, (-6.0, 10.0), 0.05)
     elapsed = time.monotonic() - start
     worst_agreement = rep.bounds_curve.method_agreement.max()
+    # the cross-check: eigh of riemann_closed's frame form at every grid
+    # point, and K of every witness plane from coordinate components
+    extreme_gap, witness_gap = closed_form_gaps(w, rep.bounds_curve)
     ok = (
         rep.status == "certified"
         and rep.max_k < -1e-9
         and np.isfinite(rep.pinched_from)
         and rep.flagged_points == []
         and worst_agreement <= 1e-12
+        and extreme_gap <= 16.0
+        and witness_gap <= 1e-12
         and elapsed < 10.0
     )
     report(5, "negativity certified", ok,
            f"max_k={rep.max_k:.3e}, scale={rep.scale:.6f}, "
            f"pinched_from={rep.pinched_from:g}, agreement={worst_agreement:.2e}, "
+           f"eigh gap={extreme_gap:.1f} eps, witness gap={witness_gap:.2e}, "
            f"{elapsed:.1f}s")
 
 

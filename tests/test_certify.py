@@ -13,6 +13,7 @@ from solcusp.certify import (
     rescale_to_pinching,
     tail_k_bound,
 )
+from solcusp import curvature as curvature_module
 from solcusp.cli import main as cli_main
 from solcusp.curvature import metric_at, riemann_closed
 from solcusp.warp import Interpolated, PureExp, ShiftedExp, build_interpolation
@@ -23,6 +24,8 @@ from diagnostic_metrics import (
     hyperbolic_metric_point,
     sectional_curvature,
 )
+
+EPS = np.finfo(float).eps
 
 
 class ConstantWarp:
@@ -180,16 +183,16 @@ def test_certify_inconclusive_when_margin_underflows_floor():
 def test_certify_flags_witness_gaps_above_the_fixed_bound(monkeypatch):
     # the flag bound is 1e-12: a gap of 2e-12 is flagged, 1e-12 is not,
     # and neither changes the verdict; the gaps are patched into the
-    # stacked kernel certify runs once on its whole grid
+    # closed-form kernel certify runs once on its whole grid
     certify_module = sys.modules["solcusp.certify"]
-    exact = certify_module._extremize
+    exact = certify_module._closed_extremes
 
-    def widened(p):
-        b = exact(p)
+    def widened(*args):
+        b = exact(*args)
         gaps = np.where(b.t == -1.0, 2e-12, np.where(b.t == 0.0, 1e-12, b.method_agreement))
         return dataclasses.replace(b, method_agreement=gaps)
 
-    monkeypatch.setattr(certify_module, "_extremize", widened)
+    monkeypatch.setattr(certify_module, "_closed_extremes", widened)
     rep = certify(ShiftedExp(), (-1.0, 1.0), 0.5)
     assert rep.status == "certified"
     assert rep.flagged_points == [-1.0]
@@ -200,10 +203,10 @@ def test_certify_reports_positive_curvature_as_violation(monkeypatch, capsys):
     # reports k_max = +1e-3 at t = 0.5 and the witness must name that
     # point's plane
     certify_module = sys.modules["solcusp.certify"]
-    exact = certify_module._extremize
+    exact = certify_module._closed_extremes
 
-    def positive(p):
-        b = exact(p)
+    def positive(*args):
+        b = exact(*args)
         # a different witness plane at each of the five points, so the
         # witness shows which point's plane it took
         e = np.eye(4)
@@ -211,7 +214,7 @@ def test_certify_reports_positive_curvature_as_violation(monkeypatch, capsys):
         return dataclasses.replace(b, k_max=np.where(b.t == 0.5, 1e-3, b.k_max),
                                    argmax_plane=planes)
 
-    monkeypatch.setattr(certify_module, "_extremize", positive)
+    monkeypatch.setattr(certify_module, "_closed_extremes", positive)
     rep = certify(ShiftedExp(), (-1.0, 1.0), 0.5)
     assert rep.status == "violation"
     assert np.isnan(rep.scale) and rep.pinched_from == np.inf
@@ -337,10 +340,37 @@ def test_pinching_scale_covers_the_analytic_tail(warp):
 
 
 def test_extremes_are_the_form_eigenvalues_with_exact_witnesses():
+    # the closed forms against eigh of the tensor pipeline's frame form;
+    # both witnesses are analytic planes, which attain their extremes
     for warp in (PureExp(), ShiftedExp(), Interpolated(-4.0, -1.0)):
         for t in (-3.0, -2.5, -1.5, -0.5):
             b = extremize_k(warp, t)
             Q = riemann_closed(metric_at(warp, t, 0.0)).pair_matrix(frame=True)
             eig = np.linalg.eigvalsh(Q)
-            assert b.k_min == eig[0] and b.k_max == eig[-1]
+            for k, lam in ((b.k_min, eig[0]), (b.k_max, eig[-1])):
+                assert abs(k - lam) <= 16.0 * EPS * max(1.0, abs(lam))
             assert b.method_agreement <= 1e-14
+
+
+def test_certify_runs_no_tensor_eigh_or_svd(monkeypatch):
+    # the grid is certified from the closed forms alone: the metric, the
+    # tensor pipeline, eigh and the SVD all raise here, and only the
+    # general-metric extremize_point still reaches them
+    certify_module = sys.modules["solcusp.certify"]
+    warp = build_interpolation(-4.0, -1.0)
+    expected = certify(warp, (-6.0, 10.0), 0.05)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("called on certify's path")
+
+    for owner, name in ((curvature_module, "metric_at"), (curvature_module, "riemann_closed"),
+                        (certify_module, "riemann_closed"), (np.linalg, "eigh"),
+                        (np.linalg, "svd")):
+        monkeypatch.setattr(owner, name, refuse)
+    assert not hasattr(certify_module, "metric_at")
+    rep = certify(warp, (-6.0, 10.0), 0.05)
+    assert rep.status == "certified"
+    assert np.array_equal(rep.bounds_curve.k_max, expected.bounds_curve.k_max)
+    assert extremize_k(warp, rep.grid[130]).k_max == expected.bounds_curve.k_max[130]
+    with pytest.raises(AssertionError, match="certify's path"):
+        extremize_point(hyperbolic_metric_point(0.3))

@@ -10,6 +10,8 @@
   bound ``tail_k_bound`` states past the grid, and the exact frame form
   where f = e^-t: K = -1 on the t-planes, e^2t - 1 on xy and -e^2t - 1 on
   xz and yz.
+* A symbolic proof, for any f > 0, of the four-block frame form and of the
+  eigenvalues ``certify``'s closed-form kernel computes from it.
 """
 
 import numpy as np
@@ -232,3 +234,42 @@ def test_pure_exp_regime_frame_form_is_exact(pure_exp_form):
     for warp, tv in ((PureExp(), -3.0), (PureExp(), -0.5), (Interpolated(-4.0, -1.0), -5.0)):
         got = riemann_closed(metric_at(warp, tv, 0.3)).pair_matrix(frame=True)
         assert np.max(np.abs(np.array(Qf(np.exp(-tv)), dtype=float) - got)) <= 1e-12
+
+
+@pytest.fixture(scope="module")
+def any_f_form():
+    return symbolic_frame_form(lambda t: sp.Function("f", positive=True)(t))
+
+
+def test_frame_form_has_the_kernels_four_blocks_for_any_f(any_f_form):
+    # for a symbolic f > 0 the form has no z, is zero outside {xy},
+    # {xz, xt}, {yz, yt} and {zt}, and has the entries certify's kernel
+    # reads: this licenses the kernel for any warp, duck-typed ones included
+    Q, _, t, z = any_f_form
+    f = sp.Function("f", positive=True)(t)
+    fp, fpp = f.diff(t), f.diff(t, 2)
+    a = f - 1
+    A, B = (f * fp - 1) / f**2, (f + fp) / f**2
+    assert all(sp.diff(q, z) == 0 for q in Q)
+    assert all(Q[i, j] == 0 for i in range(6) for j in range(6) if PAIR_BLOCK[i] != PAIR_BLOCK[j])
+    expected = sp.diag(-a * (f + 1) / f**2, sp.Matrix([[A, -B], [-B, -1]]),
+                       sp.Matrix([[A, B], [B, -1]]), -fpp / f)
+    assert sp.simplify(Q - expected) == sp.zeros(6, 6)
+    # K of the block witness e_x ^ (alpha e_z + beta e_t), from the form
+    alpha, beta = sp.symbols("alpha beta", real=True)
+    w = sp.Matrix([0, alpha, beta, 0, 0, 0])
+    assert sp.simplify((w.T * Q * w)[0] - (alpha**2 * A - 2 * alpha * beta * B - beta**2)) == 0
+
+
+def test_block_eigenvalues_are_the_kernels_closed_forms():
+    # lambda_-+ = (A - 1)/2 -+ hypot((A + 1)/2, B) are the eigenvalues of
+    # both blocks [[A, -+B], [-+B, -1]]: their product is the determinant
+    # -A - B^2, from which the kernel takes lambda_+, and their sum the trace
+    A, B, lam = sp.symbols("A B lambda", real=True)
+    root = sp.sqrt(((A + 1) / 2) ** 2 + B**2)
+    lo, hi = (A - 1) / 2 - root, (A - 1) / 2 + root
+    assert sp.expand(lo * hi - (-A - B**2)) == 0
+    assert sp.expand(lo + hi - (A - 1)) == 0
+    for b in (B, -B):
+        block = sp.Matrix([[A, -b], [-b, -1]])
+        assert sp.expand((lam * sp.eye(2) - block).det() - (lam - lo) * (lam - hi)) == 0

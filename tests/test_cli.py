@@ -362,11 +362,17 @@ BAD_MATRICES = st.one_of(st.lists(st.integers(-3, 3), max_size=3),
                          st.lists(st.integers(-3, 3), min_size=5, max_size=6))
 
 
+# a leaf json.dumps writes in place of the drawn one, then replaced in the text
+DIGITS_5001 = "<an integer of 5 001 digits>"
+
+
 @st.composite
 def run_configs(draw):
     """A drawn config and None, or half the time the config with one drawn
     leaf (a field or a list entry) replaced by a bad value, and (its name,
-    the value)."""
+    the value).  One bad config in five is instead a text that does not
+    parse, and (None, the reason): the drawn leaf an integer past int()'s
+    4 300-digit limit, or the config's text cut short."""
     config = draw(VALID_RUN_CONFIGS)
     if draw(st.booleans()):
         return config, None
@@ -380,6 +386,12 @@ def run_configs(draw):
             if isinstance(value, list):
                 leaves += [(value, i, f"{where}[{i}]") for i in range(len(value))]
     parent, key, where = draw(st.sampled_from(leaves))
+    if draw(st.integers(0, 4)) == 0:
+        text = json.dumps(config)
+        if draw(st.booleans()):
+            return text[:draw(st.integers(1, len(text) - 1))], (None, "cut short")
+        parent[key] = DIGITS_5001
+        return json.dumps(config).replace(f'"{DIGITS_5001}"', "1" + "0" * 5000), (None, "digits")
     bad = BAD_LEAVES.filter(lambda v: not (where == "warp.family" and isinstance(v, str)))
     if isinstance(parent[key], float):
         bad = st.one_of(bad, HUGE_INTS)
@@ -404,16 +416,19 @@ RUN_CONFIGS = run_configs()
 @example(({"matrix": [2, 1, 1, 1, 0]}, ("matrix", [2, 1, 1, 1, 0])))
 @example(({"riemann": {"z_grid": []}}, ("riemann.z_grid", [])))
 @example(({"matrix": [2, 1, "1", 1]}, ("matrix[2]", "1")))
+@example(('{"matrix": [2,1,', (None, "cut short")))
+@example(('{"volume": {"t0": 1%s}}' % ("0" * 5000), (None, "digits")))
 def test_any_run_config_exits_with_a_status_and_parsing_reports(drawn):
     # warnings are recorded, not raised: run would turn the exception into
     # exit 1.  Any warning fails the property; so does a report that does
     # not parse, a certified report holding "nan", or a certified volume
     # from below the pinched region.  A config with a bad leaf ends in an
-    # error that names the leaf
+    # error that names the leaf, and one that does not parse in an error
+    # that names the file, with a null config in summary.json
     config, bad = drawn
     with tempfile.TemporaryDirectory() as tmp:
         cfg, outdir = Path(tmp) / "config.json", Path(tmp) / "out"
-        cfg.write_text(json.dumps(config))
+        cfg.write_text(config if isinstance(config, str) else json.dumps(config))
         stderr = io.StringIO()
         with warnings.catch_warnings(record=True) as caught, \
                 contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
@@ -430,7 +445,11 @@ def test_any_run_config_exits_with_a_status_and_parsing_reports(drawn):
     if bad is not None:
         where, value = bad
         assert code == 1 and summary["status"] == "error" and list(reports) == ["summary.json"]
-        assert stderr.getvalue().startswith(f"error: config field {where} must be ")
+        if where is None:
+            assert stderr.getvalue().startswith(f"error: config {cfg}: ")
+            assert summary["config"] is None
+        else:
+            assert stderr.getvalue().startswith(f"error: config field {where} must be ")
     if summary["status"] == "certified":
         assert len(reports) == 7 and code == 0
         assert not any(b'"nan"' in text for text in reports.values())
@@ -601,9 +620,7 @@ def test_non_finite_flags_are_errors(argv, name, capsys):
     (["volume", "--warp", "pure-exp", "--t0", "-300"], "t0=-300.0"),
     (["certify", "--warp", "pure-exp", "--t-min", "-800", "--t-max", "-1", "--step", "1"],
      "t=-800.0"),
-    (["certify", "--warp", "pure-exp", "--t-min", "-200", "--t-max", "-199", "--step", "1"],
-     "t=-200.0"),
-    # e^(-2t) overflows in the metric: once a RuntimeWarning before the error
+    # f^2 = e^712 overflows in the frame form: once a RuntimeWarning before the error
     (["certify", "--warp", "pure-exp", "--t-min", "-356", "--t-max", "-355", "--step", "1"],
      "t=-356.0"),
     (["build-warp", "--t0=-800", "--t1=-1", "--csv", os.devnull], "t=-802.0"),
@@ -611,7 +628,7 @@ def test_non_finite_flags_are_errors(argv, name, capsys):
     (["certify", "--step", "1e-300"], "t_step"),
     # W^2 overflows: once an OverflowError traceback from Interpolated.eval
     (["certify", "--warp", "interpolated", "--warp-t0=-1e200", "--warp-t1=-1"], "width 1e+200"),
-], ids=["volume", "certify-margins", "certify-frame-form", "certify-metric", "build-warp",
+], ids=["volume", "certify-margins", "certify-metric", "build-warp",
         "verify-riemann", "certify-grid-size", "certify-window-width"])
 def test_overflowing_commands_are_errors(argv, where, capsys):
     # each once printed "inf" or "nan" numbers and exited 0, failed inside
@@ -620,6 +637,24 @@ def test_overflowing_commands_are_errors(argv, where, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and where in captured.err
+
+
+def test_pure_exp_certify_needs_no_metric_where_it_overflows(tmp_path, capsys):
+    # e^(-2t) overflows in the metric at t = -200 and certify once refused
+    # the grid for it; the curvature needs f = e^200 only.  The exact
+    # pure-exp extremes there are -1 - e^2t (a block) and e^2t - 1 (xy)
+    csv_path = tmp_path / "curve.csv"
+    code = main(["certify", "--warp", "pure-exp", "--t-min", "-200", "--t-max", "-199",
+                 "--step", "1", "--csv", str(csv_path)])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    assert json.loads(captured.out)["status"] == "certified"
+    rows = np.array([[float(c) for c in line.split(",")]
+                     for line in csv_path.read_text().splitlines()[1:]])
+    t, k_min, k_max = rows[:, 0], rows[:, 1], rows[:, 2]
+    assert np.array_equal(t, [-200.0, -199.0])
+    assert np.array_equal(k_min, -1.0 - np.exp(2.0 * t))
+    assert np.array_equal(k_max, np.exp(2.0 * t) - 1.0)
 
 
 @pytest.mark.parametrize("argv", [
@@ -696,22 +731,30 @@ def test_run_with_a_non_finite_config_value_is_an_error(tmp_path, capsys, sectio
     ('{"matrix": [2, 1, 1, 1, 0]}', "matrix"),
     ('{"riemann": {"t_grid": []}}', "riemann.t_grid"),
     ('{"matrix": ["2", 1, 1, 1]}', "matrix[0]"),
+    pytest.param('{"certify": {"t_step": 1%s}}' % ("0" * 5000), None,
+                 id="5001-digit-int-does-not-parse"),
+    pytest.param('{"matrix": [2,1,', None, id="malformed-json"),
 ])
 def test_run_refuses_a_config_value_without_its_defaults_type(tmp_path, capsys, text, where):
     # the first four once exited 0 with status "certified" and echoed the
     # value ("nan", "-1" or true) in summary.json; the next four already
-    # ended in exit 1, in the stage that read them, and the last five in a
+    # ended in exit 1, in the stage that read them, and the next five in a
     # message that named no field (such as "int too large to convert to
-    # float" or "missing 1 required positional argument: 'd'")
+    # float" or "missing 1 required positional argument: 'd'").  The last
+    # two do not parse (where None): they once ended in Python's raw
+    # message, naming no file, and wrote no summary.json
     cfg = tmp_path / "config.json"
     cfg.write_text(text)
     outdir = tmp_path / "out"
     assert main(["--config", str(cfg), "--output", str(outdir), "run"]) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: config field {where} must be a ") and err.count("\n") == 1
+    prefix = f"config {cfg}: " if where is None else f"config field {where} must be a "
+    assert err.startswith(f"error: {prefix}") and err.count("\n") == 1
     assert [path.name for path in outdir.iterdir()] == ["summary.json"]
     summary = json.loads((outdir / "summary.json").read_text())
-    assert summary["status"] == "error" and f"config field {where} " in summary["error"]
+    assert summary["status"] == "error" and summary["error"].startswith(f"ValueError: {prefix}")
+    if where is None:
+        assert summary["config"] is None
 
 
 def test_run_with_an_overflowing_volume_is_an_error(tmp_path, capsys):

@@ -83,8 +83,10 @@ def test_every_non_finite_argument_is_a_value_error(call):
     # NaN residuals once still claimed the index map x, y, z, t
     (lambda: match_component_table(ShiftedExp(), [(0.0, 0.0), (-400.0, 0.5)]),
      "t=-400.0, z=0.5"),
-    # the frame form had NaN entries, yet the grid read "certified"
-    (lambda: certify(PureExp(), (-200.0, -199.0), 1.0), "t=-200.0"),
+    # f^2 = e^712 overflows in the closed-form frame form; its NaN entries
+    # once read "certified" (at t = -200 only the metric overflowed, and
+    # the curvature never needs it: see below)
+    (lambda: certify(PureExp(), (-356.0, -355.0), 1.0), "t=-356.0"),
     # W^2 overflowed in Interpolated.eval with an OverflowError
     (lambda: Interpolated(-1e200, -1.0), "width 1e+200"),
     (lambda: build_interpolation(-1e200, -1.0), "width 1e+200"),
@@ -95,6 +97,20 @@ def test_every_non_finite_argument_is_a_value_error(call):
 def test_an_overflowing_result_is_a_value_error(call, where):
     with pytest.raises(ValueError, match=re.escape(where)):
         call()
+
+
+def test_pure_exp_certifies_where_only_its_metric_overflows():
+    # e^(-2t) overflows in the metric at t = -200, and certify once refused
+    # the grid for it; the frame form needs f = e^200, f^2 = e^400 only.
+    # Its exact entries are K(xy) = e^2t - 1, K(zt) = -1 and block
+    # eigenvalues -1 and -1 - e^2t, all -1.0 in floats here
+    rep = certify(PureExp(), (-200.0, -199.0), 1.0)
+    assert rep.status == "certified" and rep.pinched_from == np.inf
+    b = rep.bounds_curve
+    e2t = np.exp(2.0 * b.t)
+    assert np.array_equal(b.k_min, -1.0 - e2t) and np.array_equal(b.k_max, e2t - 1.0)
+    assert np.all(b.k_min == -1.0) and rep.max_k == -1.0
+    assert np.all(b.method_agreement == 0.0) and rep.flagged_points == []
 
 
 def test_the_widest_window_stands_with_its_bits():

@@ -1,11 +1,13 @@
 """The stacked curvature and certify kernels against their per-point bodies.
 
 ``metric_at`` takes arrays t, z, and every kernel after it carries their
-leading axes; ``certify`` runs its whole grid through one stacked call.
-The references in ``per_point_reference.py`` are the kernels as they were
-written for one point at a time.  Stacks of shape (), (n,) and (n, 9) must
-reproduce them exactly (==), element by element, for all three warp
-families.
+leading axes; ``certify`` runs its whole grid through one stacked call of
+its closed-form kernel.  The references in ``per_point_reference.py`` are
+the tensor kernels as they were written for one point at a time.  Stacks of
+shape (), (n,) and (n, 9) must reproduce them exactly (==), element by
+element, for all three warp families; the stacked closed-form kernel must
+equal its 0-d case, ``extremize_k``, exactly, and ``eigh`` of the tensor
+pipeline's frame form to 16 eps.
 """
 
 import importlib
@@ -19,18 +21,23 @@ from hypothesis import strategies as st
 import per_point_reference as ref
 from solcusp.certify import _FLOOR, certify, extremize_k, extremize_point, rescale_to_pinching
 from solcusp.curvature import (
-    PAIRS,
     christoffel,
     christoffel_derivatives,
     metric_at,
     riemann_closed,
     riemann_fd,
 )
-from solcusp.warp import PureExp, ShiftedExp, build_interpolation
+from solcusp.warp import PureExp, ShiftedExp, build_interpolation, condition_margins
+
+from diagnostic_metrics import closed_form_gaps
 
 # the module, which the package's certify function shadows as an attribute
 certify_module = importlib.import_module("solcusp.certify")
 DEFAULT_GRID = np.arange(-6.0, 10.0 + 0.025, 0.05)
+# closed-form extremes against eigh of the tensor pipeline's frame form, in
+# units of eps max(1, |K|); the witnesses' K against their extremes
+EXTREME_GAP_EPS = 16.0
+WITNESS_GAP = 1e-12
 
 
 def assert_same_bounds(b, i, r):
@@ -83,7 +90,9 @@ def test_stacked_kernels_equal_the_per_point_bodies(family, t_hi, width, shape, 
     closed = riemann_closed(p)
     fd = riemann_fd(warp, t, z)
     frame = closed.pair_matrix(frame=True)
-    bounds = certify_module._extremize(p)
+    values = warp.eval(t)
+    bounds = certify_module._closed_extremes(
+        t, condition_margins(warp, t, values)[..., 0], *values)
     assert_stack_shape(bounds, shape)
     for i in np.ndindex(shape):
         q = ref.metric_at(warp, t[i], z[i])
@@ -97,7 +106,7 @@ def test_stacked_kernels_equal_the_per_point_bodies(family, t_hi, width, shape, 
         ref_fd = ref.riemann_fd(warp, t[i], z[i])
         assert np.array_equal(fd.full[i], ref_fd.full)
         assert np.array_equal(fd.g[i], ref_fd.g)
-        assert_same_bounds(bounds, i, ref.extremize_point(q))
+        assert_same_bounds(bounds, i, extremize_k(warp, t[i]))
     if shape == ():
         b = extremize_point(p)
         assert_stack_shape(b, ())
@@ -105,33 +114,39 @@ def test_stacked_kernels_equal_the_per_point_bodies(family, t_hi, width, shape, 
 
 
 def test_certify_bounds_equal_the_per_point_bodies_on_the_default_grid():
+    # the closed-form extremes at every point of the default grid: equal to
+    # extremize_k's bits, within 16 eps of eigh of the tensor pipeline's
+    # frame form, and attained by their analytic witness planes to 1e-12
     warp = build_interpolation(-4.0, -1.0)
     rep = certify(warp, (-6.0, 10.0), 0.05)
     assert rep.grid.size == DEFAULT_GRID.size == 321
     assert np.array_equal(rep.grid, DEFAULT_GRID)
     assert_stack_shape(rep.bounds_curve, rep.grid.shape)
     for i, t in enumerate(rep.grid):
-        r = ref.extremize_point(ref.metric_at(warp, t, 0.0))
-        assert_same_bounds(rep.bounds_curve, i, r)
-        assert_same_bounds(extremize_k(warp, t), (), r)
+        assert_same_bounds(rep.bounds_curve, i, extremize_k(warp, t))
+    extreme, witness = closed_form_gaps(warp, rep.bounds_curve)
+    assert extreme <= EXTREME_GAP_EPS and witness <= WITNESS_GAP
 
 
-def test_einsum_witness_k_would_move_the_last_bits():
-    # at t = -3.55 on the default grid a three-operand einsum sums the four
-    # products of the argmax witness's 2x2 block in another order than
-    # w @ Q @ w, and lands one ulp off; the stacked matmul does not
-    warp = build_interpolation(-4.0, -1.0)
-    i = 49
-    p = ref.metric_at(warp, DEFAULT_GRID[i], 0.0)
-    Q = ref.frame_pair_matrix(ref.riemann_closed(p))
-    vecs = np.linalg.eigh(Q)[1]
-    u, v = ref.plane_from_bivector(vecs[:, -1])
-    w = np.array([u[a] * v[b] - u[b] * v[a] for a, b in PAIRS])
-    k_ref = ref.k_of_plane(Q, u, v)
-    assert np.einsum("i,ij,j->", w, Q, w) / (w @ w) != k_ref
-    assert certify_module._witness(Q, vecs[:, -1])[1] == k_ref
-    b = certify(warp, (-6.0, 10.0), 0.05).bounds_curve
-    assert b.method_agreement[i] == ref.extremize_point(p).method_agreement
+@settings(max_examples=40, deadline=None)
+@given(
+    family=st.sampled_from(["pure-exp", "shifted-exp", "interpolated"]),
+    t_hi=st.floats(min_value=-1.5, max_value=-0.1),
+    width=st.floats(min_value=0.5, max_value=4.0),
+    t_min=st.floats(min_value=-30.0, max_value=25.0),
+    n=st.integers(min_value=1, max_value=40),
+    step=st.floats(min_value=1e-3, max_value=0.25),
+)
+def test_closed_extremes_match_eigh_on_random_grids(family, t_hi, width, t_min, n, step):
+    # the default-grid check on random grids of all three families, on
+    # [-30, 35]; pure-exp is admissible only for t < 0
+    warp = make_warp(family, t_hi, width)
+    if family == "pure-exp":
+        t_min = min(t_min, -0.01) - n * step
+    rep = certify(warp, (t_min, t_min + (n - 0.5) * step), step)
+    assert rep.bounds_curve is not None
+    extreme, witness = closed_form_gaps(warp, rep.bounds_curve)
+    assert extreme <= EXTREME_GAP_EPS and witness <= WITNESS_GAP
 
 
 def test_extremize_point_takes_one_point():
