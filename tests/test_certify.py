@@ -6,6 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from solcusp import curvature as curvature_module
 from solcusp.certify import (
     certify,
     extremize_k,
@@ -13,7 +14,6 @@ from solcusp.certify import (
     rescale_to_pinching,
     tail_k_bound,
 )
-from solcusp import curvature as curvature_module
 from solcusp.cli import main as cli_main
 from solcusp.curvature import metric_at, riemann_closed
 from solcusp.warp import Interpolated, PureExp, ShiftedExp, build_interpolation
