@@ -242,8 +242,6 @@ def cmd_volume(args) -> int:
 
 
 def cmd_run(args) -> int:
-    # JSON is UTF-8 whatever the locale: bytes in, and every report written as UTF-8
-    raw = Path(args.config).read_bytes() if args.config else b"{}"
     outdir = Path(args.output or ".")
     outdir.mkdir(parents=True, exist_ok=True)
 
@@ -251,12 +249,15 @@ def cmd_run(args) -> int:
         (outdir / name).write_text(text := to_json_text(payload), encoding="utf-8")
         return text
 
-    # a config that does not parse is reported as null, one that does not merge as read
+    # a config that cannot be read or parsed is reported as null, one that does
+    # not merge as read
     summary = {"config": None, "status": "incomplete"}
     try:
         try:
+            # JSON is UTF-8 whatever the locale: bytes in, and every report written as UTF-8
+            raw = Path(args.config).read_bytes() if args.config else b"{}"
             summary["config"] = file_cfg = json.loads(raw)
-        except (ValueError, RecursionError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:
             raise ValueError(f"config {args.config}: {exc}") from None
         summary["config"] = config = _merge_config(_DEFAULT_CONFIG, file_cfg)
         A = AnosovMatrix(*config["matrix"])

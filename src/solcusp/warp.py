@@ -99,26 +99,52 @@ def _run(i: np.ndarray) -> slice | np.ndarray:
 
 def _step(u: np.ndarray) -> tuple[np.ndarray, slice | np.ndarray, tuple]:
     """On a flat u: where 0 < u < 1, the indices with s = 1, the indices j with
-    |g| < _STEP_CLIP, and (s, s', s'') at j.  s(u) = phi(u) / (phi(u) + phi(1-u)),
-    phi(u) = exp(-1/u), is a logistic in g, which keeps s, s', s'' finite."""
+    |g| < _STEP_CLIP, and (s, s', s'') at j.
+
+    s(u) = phi(u) / (phi(u) + phi(1-u)), phi(u) = exp(-1/u), is the logistic
+    sigma = 1/(e + 1), e = exp(g), of g = ru - rv with ru = 1/u, rv = 1/(1-u),
+    which keeps s, s', s'' finite.  With w = -dsigma/dg = sigma (sigma e),
+    G = ru^2 + rv^2 = -g' and H = ru^3 - rv^3 = -g''/2:
+
+        s' = w G,    s'' = w ((1 - 2 sigma) G^2 - 2 H).
+
+    w is not sigma (1 - sigma), whose 1 - sigma cancels as sigma -> 1 (u -> 1),
+    nor (sigma sigma) e, whose sigma^2 underflows to 0 for g above about 372.
+    """
     i = ((u > 0.0) & (u < 1.0)).nonzero()[0]
     u = u[_run(i)]
-    v = 1.0 - u
     with np.errstate(over="ignore"):  # 1/u is inf below 1/(float max)
-        g = 1.0 / u - 1.0 / v
+        ru, rv = 1.0 / u, 1.0 / (1.0 - u)
+        g = ru - rv
     top, k = i[g <= -_STEP_CLIP], _run((np.abs(g) < _STEP_CLIP).nonzero()[0])
-    u, v, g = u[k], v[k], g[k]
-    sig = 1.0 / (1.0 + np.exp(g))      # s = sigma(g)
-    w = sig * (1.0 - sig)               # |sigma'|
-    g1 = -1.0 / u**2 - 1.0 / v**2
-    g2 = 2.0 / u**3 - 2.0 / v**3
-    return top, _run(i[k]), (sig, -w * g1, w * (1.0 - 2.0 * sig) * g1**2 - w * g2)
+    # in place, in six buffers of k's size: ru, rv, w (g's), sig, G and s1; H is
+    # ru's and s2 rv's
+    ru, rv, w = ru[k], rv[k], g[k]
+    np.exp(w, out=w)
+    sig = w + 1.0
+    np.divide(1.0, sig, out=sig)              # s = sigma
+    w *= sig
+    w *= sig                                  # w = sigma (sigma e)
+    G, s1 = ru * ru, rv * rv
+    ru *= G
+    rv *= s1
+    G += s1
+    np.multiply(w, G, out=s1)                 # s' = w G
+    H = np.subtract(ru, rv, out=ru)
+    s2 = np.multiply(sig, 2.0, out=rv)
+    np.subtract(1.0, s2, out=s2)
+    G *= G
+    s2 *= G
+    H *= 2.0
+    s2 -= H
+    s2 *= w                                   # s'' = w ((1 - 2 sigma) G^2 - 2 H)
+    return top, _run(i[k]), (sig, s1, s2)
 
 
 def _proof_table() -> tuple[np.ndarray, np.ndarray]:
     """Cell right ends in u, and per cell bounds on s' and max(-s'', 0).
 
-    Nodes u > 1/2 mirror u < 1/2, as s(1 - u) = 1 - s(u): 1 - sigma cancels there.
+    Nodes u > 1/2 mirror u < 1/2, as s(1 - u) = 1 - s(u): the mirror halves the work.
     """
     n = _PROOF_CELLS
     s1, s2 = np.zeros((2, n // 2 + 1))
@@ -167,7 +193,13 @@ class Interpolated:
         fp = np.subtract(0.0, e, out=u)
         ei = e[i]
         fpp = e if width**2 else e + np.divide(0.0, width**2)  # e + 0.0 is e
-        f[i], fp[i], fpp[i] = ei + s, -ei + s1 / width, ei + s2 / width**2
+        # ei + s, -ei + s1 / W and ei + s2 / W^2, in the step's buffers
+        s += ei
+        s1 /= width
+        s1 -= ei
+        s2 /= width**2
+        s2 += ei
+        f[i], fp[i], fpp[i] = s, s1, s2
         return f.reshape(t.shape)[()], fp.reshape(t.shape)[()], fpp.reshape(t.shape)[()]
 
 
@@ -202,9 +234,13 @@ def condition_margins(warp, t: np.ndarray, values: tuple | None = None) -> np.nd
         np.subtract(f, 1.0, out=m[0, ...])
         np.negative(fp, out=m[1, ...])
         m[2, ...] = fpp
-        finite = np.isfinite(m[:3]).all(axis=0)  # a, b, c: exactly where f, f', f'' are
-        if not finite.all():
-            raise ValueError(f"f, f' or f'' is not finite at t={float(t.flat[np.argmin(finite)])}")
+        # a, b, c are finite exactly where f, f', f'' are.  A finite sum proves
+        # them all finite; when it is not (a term is not, or the sum
+        # overflows), the scan finds the first t to name, if any
+        if not np.isfinite(np.sum(m[:3])):
+            finite = np.isfinite(m[:3]).all(axis=0)
+            if not finite.all():
+                raise ValueError(f"f, f' or f'' is not finite at t={float(t.flat[np.argmin(finite)])}")
         if np.min(f) <= 0.0:
             bad = float(t.flat[np.argmax(f <= 0.0)])
             raise ValueError(f"f(t) <= 0 at t={bad}; margin d is undefined there")

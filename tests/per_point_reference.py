@@ -10,10 +10,12 @@ point from fresh 1-D arrays, and a loop over a list of per-point bounds
 for the pinched suffix.  The stacked kernels must reproduce them exactly
 (==).
 
-``smooth_step``, ``interpolated_eval`` and ``condition_margins`` are the
-bodies the transition step and the margins had when the step was computed
-on the whole grid (two zero arrays, a boolean gather and scatter) and the
-margins were stacked as columns; ``Interpolated.eval`` and
+``smooth_step`` computes the transition step's formulas (s' = w G and
+s'' = w ((1 - 2 sigma) G^2 - 2 H), from 1/u and 1/(1 - u)) on the whole
+grid: two zero arrays, a boolean gather and scatter, one expression per
+output.  ``interpolated_eval`` and ``condition_margins`` are the bodies
+``Interpolated.eval`` and the margins had when the step was computed that
+way and the margins were stacked as columns; ``Interpolated.eval`` and
 ``warp.condition_margins`` must reproduce their bytes.
 
 The next section holds the dense bodies the diagonal kernels replaced: the
@@ -204,19 +206,20 @@ def rescale_to_pinching(bounds_curve, tail_k_min=None):
 def smooth_step(u):
     u = np.asarray(u, dtype=float)
     with np.errstate(all="ignore"):
-        g = 1.0 / u - 1.0 / (1.0 - u)
+        ru, rv = 1.0 / u, 1.0 / (1.0 - u)
+        g = ru - rv
     inner = (u > 0.0) & (u < 1.0) & (np.abs(g) < STEP_CLIP)
     s = np.where((u >= 1.0) | ((u > 0.0) & (g <= -STEP_CLIP)), 1.0, 0.0)
     s1 = np.zeros_like(u)
     s2 = np.zeros_like(u)
-    ui, gi = u[inner], g[inner]
-    sig = 1.0 / (1.0 + np.exp(gi))
-    w = sig * (1.0 - sig)
-    g1 = -1.0 / ui**2 - 1.0 / (1.0 - ui) ** 2
-    g2 = 2.0 / ui**3 - 2.0 / (1.0 - ui) ** 3
+    ri, vi, e = ru[inner], rv[inner], np.exp(g[inner])
+    sig = 1.0 / (1.0 + e)
+    w = sig * (sig * e)
+    G = ri * ri + vi * vi
+    H = ri * (ri * ri) - vi * (vi * vi)
     s[inner] = sig
-    s1[inner] = -w * g1
-    s2[inner] = w * (1.0 - 2.0 * sig) * g1**2 - w * g2
+    s1[inner] = w * G
+    s2[inner] = w * ((1.0 - 2.0 * sig) * (G * G) - 2.0 * H)
     return s, s1, s2
 
 

@@ -734,6 +734,7 @@ def test_run_with_a_non_finite_config_value_is_an_error(tmp_path, capsys, sectio
     pytest.param('{"certify": {"t_step": 1%s}}' % ("0" * 5000), None,
                  id="5001-digit-int-does-not-parse"),
     pytest.param('{"matrix": [2,1,', None, id="malformed-json"),
+    pytest.param(None, None, id="missing-file"),
 ])
 def test_run_refuses_a_config_value_without_its_defaults_type(tmp_path, capsys, text, where):
     # the first four once exited 0 with status "certified" and echoed the
@@ -741,10 +742,11 @@ def test_run_refuses_a_config_value_without_its_defaults_type(tmp_path, capsys, 
     # ended in exit 1, in the stage that read them, and the next five in a
     # message that named no field (such as "int too large to convert to
     # float" or "missing 1 required positional argument: 'd'").  The last
-    # two do not parse (where None): they once ended in Python's raw
-    # message, naming no file, and wrote no summary.json
+    # three do not parse or cannot be read (where None): they once ended in
+    # Python's raw message, naming no file, and wrote no summary.json
     cfg = tmp_path / "config.json"
-    cfg.write_text(text)
+    if text is not None:
+        cfg.write_text(text)
     outdir = tmp_path / "out"
     assert main(["--config", str(cfg), "--output", str(outdir), "run"]) == 1
     err = capsys.readouterr().err

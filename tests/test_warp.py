@@ -136,6 +136,17 @@ def test_margin_d_overflows_with_its_sign():
     assert np.isfinite([a, b, c]).all() and d == np.inf
 
 
+def test_the_one_pass_finiteness_check_keeps_its_refusals():
+    # a, b and c are finite at t = -709 but their sum overflows: the margins
+    # still stand, d = +inf; the first t where f is not finite is named
+    ((a, b, c, d),) = condition_margins(PureExp(), [-709.0])
+    assert np.isfinite([a, b, c]).all() and d == np.inf
+    with np.errstate(over="ignore"):
+        assert a + b + c == np.inf
+    with pytest.raises(ValueError, match=r"^f, f' or f'' is not finite at t=-710\.0$"):
+        condition_margins(PureExp(), [0.0, -710.0, -711.0])
+
+
 def test_check_conditions_rejects_empty_grid():
     with pytest.raises(ValueError):
         condition_margins(ShiftedExp(), [])

@@ -16,7 +16,8 @@ with e^t at the cell's right end.  Here:
   by bisection on [1/32, 1/2], where sigma <= 1/2 keeps 1 - sigma free of
   cancellation, and by an analytic bound on the sliver (0, 1/32];
 * mpmath checks that the float table matches its exact values far inside
-  the proof's rounding allowance;
+  the proof's rounding allowance, and the float step s, s', s'' its
+  50-digit values to 16 eps of their sups;
 * any window 4 wide is proved, so the widening search ends.
 """
 
@@ -30,6 +31,8 @@ from mpmath import iv
 
 from solcusp import warp
 from solcusp.warp import Interpolated, window_witness
+
+from test_warp_bits import u_at_g
 
 # proved bound on sup s'; the table's cells need s' < 2 + M2 h/2 < 4
 M1 = 2.01
@@ -182,3 +185,31 @@ def test_table_bounds_the_step_inside_each_cell(cell, frac):
     assume(0.0 < u < 1.0)
     s1, s2, _ = step_derivatives(mpmath.mpf(u), mpmath.exp)
     assert s1 <= warp._CELL_BOUNDS[0][cell] and -s2 <= warp._CELL_BOUNDS[1][cell]
+
+
+def test_the_float_step_is_within_rounding_of_its_exact_values():
+    # 50-digit values from the formulas above on u <= 1/2, where sigma <= 1/2,
+    # and by the symmetry on u > 1/2, at both clip ends (|g| = 500), where
+    # sigma^2 underflows (g = 372), and on [0.95, 0.998]: each float s^(k)
+    # must lie within 16 eps sup |s^(k)|, the sups 1, M1 and M2.  With
+    # w = sigma (1 - sigma), which cancels as u -> 1, s'' missed this by 5e3
+    ends = [u_at_g(c) for c in (500.0, -500.0, 499.0, -499.0, 372.0, -372.0)]
+    clip_ends = [u + np.spacing(u) * np.arange(-3, 4) for u in ends]
+    u = np.unique(np.concatenate([np.linspace(0.0, 1.0, 251)[1:-1],
+                                  np.linspace(0.95, 0.998, 60), *clip_ends]))
+    assert u.size >= 300 and 0.0 < u[0] and u[-1] < 1.0
+    top, j, (s, s1, s2) = warp._step(u)
+    got = np.zeros((3, u.size))
+    got[0, top] = 1.0
+    got[:, j] = s, s1, s2
+    with mpmath.workdps(50):
+        for n, x in enumerate(u):
+            flip = x > 0.5
+            y = 1 - mpmath.mpf(x) if flip else mpmath.mpf(x)
+            e = mpmath.exp(1 / y - 1 / (1 - y))
+            exact = [1 / (1 + e), *step_derivatives(y, mpmath.exp)[:2]]
+            if flip:
+                exact = [1 - exact[0], exact[1], -exact[2]]
+            for k, sup in enumerate((1.0, M1, M2)):
+                err = abs(got[k, n] - exact[k])
+                assert err <= 16 * np.finfo(float).eps * sup, (x, k, float(err))
