@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curvature import PAIRS, MetricPoint, riemann_closed
-from .warp import condition_margins, regimes, window_witness, worst_margin
+from .warp import condition_margins, window_witness, worst_margin
 
 __all__ = [
     "CurvatureBounds",
@@ -204,12 +204,11 @@ def extremize_k(warp, t: float) -> CurvatureBounds:
 def tail_k_bound(warp, t_last: float) -> float | None:
     """A proved lower bound on K over every plane at every t > t_last.
 
-    Where f = 1 + e^-t (from the upper end of ``regimes`` on) -2 < K < 0
-    on every plane; the symbolic proof is in the tests.  None for any
-    other warp or range: nothing is known past the grid.
+    Where f = 1 + e^-t (from ``warp.t_hi`` on) -2 < K < 0 on every plane;
+    the symbolic proof is in the tests.  None for any other range: nothing
+    is known past the grid.
     """
-    ends = regimes(warp)
-    return -2.0 if ends and t_last >= ends[1] else None
+    return -2.0 if t_last >= warp.t_hi else None
 
 
 def rescale_to_pinching(bounds: CurvatureBounds,

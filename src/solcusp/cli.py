@@ -33,7 +33,7 @@ from .curvature import MAX_MATCH_POINTS, match_component_table
 from .lattice import AnosovMatrix, build_sol_lattice, cross_section_volume
 from .serialize import to_json_text, write_csv_text
 from .volume import QuadratureError, cusp_volume
-from .warp import FAMILIES, condition_margins, regimes, validation_grid, warp_from_name
+from .warp import FAMILIES, condition_margins, validation_grid, warp_from_name
 
 _STATUS_CODES = {
     "certified": 0,
@@ -129,10 +129,9 @@ def _warp_entry(warp) -> dict:
     """The warp's family and, for a finite window, the window (T0, T1) in use:
     warp.json, and the "warp" entry of the standalone reports."""
     entry = {"family": warp.family}
-    lo, hi = regimes(warp)
-    if np.isfinite(lo):
-        entry["T0"] = lo
-        entry["T1"] = hi
+    if np.isfinite(warp.t_lo):
+        entry["T0"] = warp.t_lo
+        entry["T1"] = warp.t_hi
     return entry
 
 

@@ -49,7 +49,6 @@ __all__ = [
     "RiemannTensor",
     "MatchReport",
     "metric_at",
-    "metric_diag",
     "christoffel",
     "christoffel_derivatives",
     "riemann_closed",
@@ -103,19 +102,6 @@ class MetricPoint:
     def shape(self) -> tuple[int, ...]:
         """The stack's leading shape; () for a single point."""
         return self.g.shape[:-2]
-
-
-def metric_diag(warp, t, z):
-    """Diagonal metric coefficients (g_xx, g_yy, g_zz, g_tt), vectorized."""
-    t = np.asarray(t, dtype=float)
-    z = np.asarray(z, dtype=float)
-    f, _, _ = warp.eval(t)
-    return (
-        np.exp(-2.0 * t - 2.0 * z),
-        np.exp(-2.0 * t + 2.0 * z),
-        f * f,
-        np.ones_like(t + z),
-    )
 
 
 def _metric(warp, t, z, second: bool) -> MetricPoint:

@@ -1,23 +1,25 @@
 """Warping-function families for the cusp metric.
 
-Three families are provided:
+A warp states ``eval(t)``, (f, f', f'') of t's shape for a float or an
+array t; its ``family`` name; and where its closed forms hold:
+f = e^(-t) for t <= ``t_lo`` and f = 1 + e^(-t) for t >= ``t_hi``, to the
+bit, ends included (t_lo = -inf or t_hi = +inf: nowhere).  Three families:
 
-* ``PureExp``     -- f(t) = e^(-t)
-* ``ShiftedExp``  -- f(t) = 1 + e^(-t)
-* ``Interpolated``-- equals PureExp for t <= T0 and ShiftedExp for t >= T1,
-  glued with a C-infinity bump-quotient step so that f, f', f'' are smooth
-  across both junctions.
+* ``PureExp``     -- f(t) = e^(-t); t_lo = t_hi = +inf
+* ``ShiftedExp``  -- f(t) = 1 + e^(-t); t_lo = t_hi = -inf
+* ``Interpolated``-- equals PureExp for t <= t_lo and ShiftedExp for
+  t >= t_hi, glued with a C-infinity bump-quotient step so that f, f', f''
+  are smooth across both junctions.
 
 A warp f is admissible for negative curvature when four pointwise margins
 are all positive:
 
     a = f - 1,   b = -f',   c = f'',   d = 1 - f*f' - (1 + f'/f)^2
 
-Each family's ``eval`` takes a float or an array of t and returns
-(f, f', f'') of the same shape.  ``Interpolated.eval`` computes e^-t on all
-of t and the step s only where it moves: s = 0 for u <= 0 and s = 1 for
-u >= 1, and inside (0, 1) the logistic in g = 1/u - 1/(1-u) runs only where
-|g| < _STEP_CLIP (beyond, s is 0 or 1 to far below double precision).
+``Interpolated.eval`` computes e^-t on all of t and the step s only where
+it moves: s = 0 for u <= 0 and s = 1 for u >= 1, and inside (0, 1) the
+logistic in g = 1/u - 1/(1-u) runs only where |g| < _STEP_CLIP (beyond, s
+is 0 or 1 to far below double precision).
 Everywhere else f = e^-t + s, f' = 0.0 - e^-t and f'' = e^-t + 0/W^2.
 
 ``build_interpolation`` doubles the width W of a window t_lo < t_hi <= 0
@@ -46,7 +48,6 @@ __all__ = [
     "Interpolated",
     "GRID_STEP",
     "FAMILIES",
-    "regimes",
     "condition_margins",
     "worst_margin",
     "validation_grid",
@@ -75,6 +76,8 @@ class PureExp:
     """f(t) = e^(-t); satisfies the four margin conditions for t < 0 only."""
 
     family: ClassVar[str] = "pure-exp"
+    t_lo: ClassVar[float] = np.inf
+    t_hi: ClassVar[float] = np.inf
 
     def eval(self, t: float | np.ndarray) -> tuple:
         f = np.exp(-np.asarray(t, dtype=float))
@@ -86,6 +89,8 @@ class ShiftedExp:
     """f(t) = 1 + e^(-t); satisfies the four margin conditions for all t."""
 
     family: ClassVar[str] = "shifted-exp"
+    t_lo: ClassVar[float] = -np.inf
+    t_hi: ClassVar[float] = -np.inf
 
     def eval(self, t: float | np.ndarray) -> tuple:
         e = np.exp(-np.asarray(t, dtype=float))
@@ -203,21 +208,6 @@ class Interpolated:
         return f.reshape(t.shape)[()], fp.reshape(t.shape)[()], fpp.reshape(t.shape)[()]
 
 
-def regimes(warp) -> tuple[float, float] | None:
-    """Ends (lo, hi) of the closed-form regimes of a warp family.
-
-    f = e^(-t) exactly for t <= lo and f = 1 + e^(-t) exactly for t >= hi;
-    None for a family with no such closed form.
-    """
-    if isinstance(warp, PureExp):
-        return np.inf, np.inf
-    if isinstance(warp, ShiftedExp):
-        return -np.inf, -np.inf
-    if isinstance(warp, Interpolated):
-        return warp.t_lo, warp.t_hi
-    return None
-
-
 def condition_margins(warp, t: np.ndarray, values: tuple | None = None) -> np.ndarray:
     """Margins (a, b, c, d) at t, shape np.shape(t) + (4,); ``values``: warp.eval(t) if known.
 
@@ -256,14 +246,13 @@ def worst_margin(t: np.ndarray, margins: np.ndarray) -> tuple[float, str, float]
 
 
 def validation_grid(warp) -> np.ndarray:
-    """The grid of the warp CSV (build-warp --csv): [t_lo - 2, 1] at
-    ``GRID_STEP``; t_lo = -6 without a finite window.  It reports margins
-    and decides nothing: ``window_witness`` proves the window.
+    """The grid of the warp CSV (build-warp --csv) of an interpolated warp:
+    [t_lo - 2, 1] at ``GRID_STEP``.  It reports margins and decides
+    nothing: ``window_witness`` proves the window.
 
     Refused when it would start below -log(float max), where e^-t overflows.
     """
-    ends = regimes(warp)
-    lo = (ends[0] if ends is not None and np.isfinite(ends[0]) else -6.0) - 2.0
+    lo = warp.t_lo - 2.0
     if lo < _T_OVERFLOW:
         raise ValueError(f"the report grid would start at t={lo}, below "
                          f"{_T_OVERFLOW:.2f}, where e^-t overflows")

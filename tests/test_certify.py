@@ -29,9 +29,11 @@ EPS = np.finfo(float).eps
 
 
 class ConstantWarp:
-    """Deliberately broken warp: f = 2, f' = 0 (condition b margin is 0)."""
+    """Deliberately broken warp: f = 2, f' = 0 (condition b margin is 0);
+    no closed-form regime anywhere."""
 
     family = "constant"
+    t_lo, t_hi = -np.inf, np.inf
 
     def eval(self, t):
         t = np.asarray(t, dtype=float)

@@ -7,7 +7,6 @@ from solcusp.curvature import (
     christoffel,
     match_component_table,
     metric_at,
-    metric_diag,
     component_table,
     riemann_closed,
     riemann_fd,
@@ -45,15 +44,6 @@ def test_planar_coefficients_cancel_z(warp):
     for (t, z) in [(-2.0, 0.7), (0.5, -0.3), (3.0, 1.0)]:
         p = metric_at(warp, t, z)
         assert p.g[0, 0] * p.g[1, 1] == pytest.approx(np.exp(-4.0 * t), rel=1e-13)
-
-
-@pytest.mark.parametrize("warp", FAMILIES)
-def test_metric_diag_agrees_with_metric_at(warp):
-    # the vectorized diagonal (used by the volume density) and the full
-    # MetricPoint must state the same coefficients
-    for (t, z) in [(-2.0, 0.7), (0.0, 0.0), (1.5, -1.0)]:
-        stacked = np.array([c for c in metric_diag(warp, t, z)])
-        assert np.array_equal(stacked, np.diag(metric_at(warp, t, z).g))
 
 
 @pytest.mark.parametrize("warp", FAMILIES)

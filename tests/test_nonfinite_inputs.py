@@ -74,6 +74,9 @@ def test_every_non_finite_argument_is_a_value_error(call):
     (lambda: cusp_volume(ShiftedExp(), 1.0, -250.0, 1e-10), "t0=-250.0"),
     (lambda: cusp_volume(PureExp(), 1.0, -300.0, 1e-10), "t0=-300.0"),
     (lambda: cusp_volume(ShiftedExp(), 1e300, -100.0, 1e-10), "t0=-100.0"),
+    # the window quadrature once ran on an overflowed closed-form part and
+    # refused the tol instead
+    (lambda: cusp_volume(Interpolated(-4.0, -1.0), 1.0, -300.0, 1e-10), "t0=-300.0"),
     # f = e^800 once gave NaN margins and then a LAPACK failure; margin d
     # alone may overflow, to +-inf, which keeps its sign
     (lambda: condition_margins(PureExp(), np.array([-1.0, -800.0])), "t=-800.0"),
@@ -91,7 +94,7 @@ def test_every_non_finite_argument_is_a_value_error(call):
     (lambda: Interpolated(-1e200, -1.0), "width 1e+200"),
     (lambda: build_interpolation(-1e200, -1.0), "width 1e+200"),
     (lambda: Interpolated(-2e154, 0.0), "width 2e+154"),
-], ids=["volume-shifted", "volume-pure", "volume-total", "margins",
+], ids=["volume-shifted", "volume-pure", "volume-total", "volume-window", "margins",
         "report-grid", "report-grid-wide", "riemann", "frame-form", "window-width",
         "window-width-build", "window-width-edge"])
 def test_an_overflowing_result_is_a_value_error(call, where):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from solcusp.curvature import metric_at
 from solcusp.lattice import AnosovMatrix, build_sol_lattice, cross_section_volume
 from solcusp.volume import QuadratureError, _density, adaptive_quad, cusp_volume
 from solcusp.warp import Interpolated, PureExp, ShiftedExp
@@ -17,6 +18,10 @@ def test_adaptive_quad_polynomial():
 def test_adaptive_quad_rejects_empty_interval():
     with pytest.raises(ValueError):
         adaptive_quad(lambda x: x, 1.0, 1.0, 1e-8)
+    # an infinite or NaN end once ran 2 000 NaN panels before refusing
+    for a, b in [(0.0, np.inf), (-np.inf, 0.0), (np.nan, 1.0), (0.0, np.nan)]:
+        with pytest.raises(ValueError, match="finite"):
+            adaptive_quad(lambda x: x, a, b, 1e-8)
 
 
 def test_adaptive_quad_reports_nonconvergence():
@@ -108,14 +113,16 @@ def test_rejects_bad_arguments():
 
 
 def test_rejects_family_without_tail_bound():
+    # no closed-form regime anywhere: the window is all of [t0, inf)
     class NoTail:
         family = "mystery"
+        t_lo, t_hi = -np.inf, np.inf
 
         def eval(self, t):
             t = np.asarray(t, dtype=float)
             return np.ones_like(t), np.zeros_like(t), np.zeros_like(t)
 
-    with pytest.raises(ValueError, match="tail"):
+    with pytest.raises(ValueError, match="finite"):
         cusp_volume(NoTail(), 1.0, 0.0, 1e-8)
 
 
@@ -179,11 +186,10 @@ def test_closed_form_families_are_exact(t0):
     t=st.lists(st.floats(min_value=-10.0, max_value=30.0), min_size=1, max_size=16),
 )
 def test_density_is_f_times_exp_minus_2t(family, t_hi, width, t):
-    # the integrand cusp_volume builds from the metric diagonal is
-    # sqrt(det g) = f e^(-2t), to rounding
+    # the integrand cusp_volume builds as f e^(-2t) is the metric's volume
+    # density sqrt(det g), to rounding
     warp = {"pure-exp": PureExp(), "shifted-exp": ShiftedExp()}.get(family)
     warp = warp or Interpolated(t_hi - width, t_hi)
     t = np.array(t)
-    f, _, _ = warp.eval(t)
-    expect = f * np.exp(-2.0 * t)
+    expect = np.array([np.sqrt(np.prod(np.diag(metric_at(warp, ti, 0.0).g))) for ti in t])
     assert np.all(np.abs(_density(warp)(t) - expect) <= 1e-14 * np.abs(expect))
