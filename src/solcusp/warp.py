@@ -20,7 +20,8 @@ are all positive:
 it moves: s = 0 for u <= 0 and s = 1 for u >= 1, and inside (0, 1) the
 logistic in g = 1/u - 1/(1-u) runs only where |g| < _STEP_CLIP (beyond, s
 is 0 or 1 to far below double precision).
-Everywhere else f = e^-t + s, f' = 0.0 - e^-t and f'' = e^-t + 0/W^2.
+Everywhere else f = e^-t + s, f' = 0.0 - e^-t and f'' = e^-t.  A window
+whose W^2 overflows or underflows to 0 is refused: f'' divides by W^2.
 
 ``build_interpolation`` doubles the width W of a window t_lo < t_hi <= 0
 until ``window_witness`` proves the four margins positive at every t:
@@ -81,7 +82,7 @@ class PureExp:
 
     def eval(self, t: float | np.ndarray) -> tuple:
         f = np.exp(-np.asarray(t, dtype=float))
-        return f, -f, f
+        return f, 0.0 - f, f
 
 
 @dataclass(frozen=True)
@@ -94,7 +95,7 @@ class ShiftedExp:
 
     def eval(self, t: float | np.ndarray) -> tuple:
         e = np.exp(-np.asarray(t, dtype=float))
-        return 1.0 + e, -e, e
+        return 1.0 + e, 0.0 - e, e
 
 
 def _run(i: np.ndarray) -> slice | np.ndarray:
@@ -183,8 +184,8 @@ class Interpolated:
                 f"need finite t_lo < t_hi <= 0, got ({self.t_lo}, {self.t_hi})"
             )
         width = self.t_hi - self.t_lo
-        if not np.isfinite(width * width):  # eval divides f'' by width^2
-            raise ValueError(f"the window width {width} squared overflows a float")
+        if not 0.0 < width * width < np.inf:  # eval divides f'' by width^2
+            raise ValueError(f"the window width {width} squared underflows or overflows")
 
     def eval(self, t: float | np.ndarray) -> tuple:
         t = np.asarray(t, dtype=float)
@@ -192,24 +193,36 @@ class Interpolated:
         u = (t.ravel() - self.t_lo) / width
         e = np.exp(-t.ravel())
         top, i, (s, s1, s2) = _step(u)
-        # the closed forms, then the step at i; fp takes u's buffer, fpp e's
+        # the closed forms, then the step at i; fp takes u's buffer, f'' is e
         f = e + (u >= 1.0)
         f[top] += 1.0
         fp = np.subtract(0.0, e, out=u)
         ei = e[i]
-        fpp = e if width**2 else e + np.divide(0.0, width**2)  # e + 0.0 is e
         # ei + s, -ei + s1 / W and ei + s2 / W^2, in the step's buffers
         s += ei
         s1 /= width
         s1 -= ei
         s2 /= width**2
         s2 += ei
-        f[i], fp[i], fpp[i] = s, s1, s2
-        return f.reshape(t.shape)[()], fp.reshape(t.shape)[()], fpp.reshape(t.shape)[()]
+        f[i], fp[i], e[i] = s, s1, s2
+        return f.reshape(t.shape)[()], fp.reshape(t.shape)[()], e.reshape(t.shape)[()]
+
+
+def _write_margins(m: np.ndarray, f, fp, fpp) -> None:
+    """Rows a = f - 1, b = -f', c = f'' and d = (1 - f f') - (1 + f'/f)^2 of m, d first."""
+    np.subtract(1.0, np.multiply(f, fp, out=m[3, ...]), out=m[3, ...])
+    m[3, ...] -= (1.0 + fp / f) ** 2
+    np.subtract(f, 1.0, out=m[0, ...])
+    np.negative(fp, out=m[1, ...])
+    m[2, ...] = fpp
 
 
 def condition_margins(warp, t: np.ndarray, values: tuple | None = None) -> np.ndarray:
     """Margins (a, b, c, d) at t, shape np.shape(t) + (4,); ``values``: warp.eval(t) if known.
+
+    Without ``values``, a sorted 1-D t takes (f, f', f'') = (e, 0.0 - e, e),
+    e = e^-t, below warp.t_lo, (1.0 + e, 0.0 - e, e) above warp.t_hi (eval's
+    bits) and ``warp.eval`` from t_lo to t_hi; any other t ``warp.eval(t)``.
 
     Raises ValueError if f(t) <= 0 anywhere on the grid (margin d divides
     by f), or if f, f' or f'' is not finite there.  Margin d may then still
@@ -218,12 +231,19 @@ def condition_margins(warp, t: np.ndarray, values: tuple | None = None) -> np.nd
     t = np.asarray(t, dtype=float)
     if t.size == 0:
         raise ValueError("grid must be nonempty")
+    m = np.empty((4,) + t.shape)  # one margin per row; m[k, ...] is a view, 0-d too
     with np.errstate(all="ignore"):  # an overflow is refused or keeps its sign
-        f, fp, fpp = warp.eval(t) if values is None else values
-        m = np.empty((4,) + t.shape)  # one margin per row; m[k, ...] is a view, 0-d too
-        np.subtract(f, 1.0, out=m[0, ...])
-        np.negative(fp, out=m[1, ...])
-        m[2, ...] = fpp
+        lo, t_eval, m_eval, below = 0, t, m, ()  # below: (0, f) of the t below t_lo
+        if values is None and t.ndim == 1 and (t[:-1] <= t[1:]).all():
+            # the ends themselves go to eval: an infinite end holds nowhere
+            lo, hi = np.searchsorted(t, warp.t_lo, "left"), np.searchsorted(t, warp.t_hi, "right")
+            for part, one in ((np.s_[hi:], 1.0), (np.s_[:lo], 0.0)):  # f = 1 + e, 0 + e = e
+                a, b, e = m[:3, part]  # f, f' and e = e^-t go in rows a, b, c: d is written first
+                np.exp(np.negative(t[part], out=e), out=e)
+                _write_margins(m[:, part], np.add(one, e, out=a), np.subtract(0.0, e, out=b), e)
+            t_eval, m_eval, below = t[lo:hi], m[:, lo:hi], ((0, e),)
+        values = warp.eval(t_eval) if values is None else values
+        _write_margins(m_eval, *values)
         # a, b, c are finite exactly where f, f', f'' are.  A finite sum proves
         # them all finite; when it is not (a term is not, or the sum
         # overflows), the scan finds the first t to name, if any
@@ -231,11 +251,10 @@ def condition_margins(warp, t: np.ndarray, values: tuple | None = None) -> np.nd
             finite = np.isfinite(m[:3]).all(axis=0)
             if not finite.all():
                 raise ValueError(f"f, f' or f'' is not finite at t={float(t.flat[np.argmin(finite)])}")
-        if np.min(f) <= 0.0:
-            bad = float(t.flat[np.argmax(f <= 0.0)])
-            raise ValueError(f"f(t) <= 0 at t={bad}; margin d is undefined there")
-        np.subtract(1.0, np.multiply(f, fp, out=m[3, ...]), out=m[3, ...])
-        m[3, ...] -= (1.0 + fp / f) ** 2
+        for start, f in (*below, (lo, values[0])):  # above t_hi, f >= 1
+            if np.min(f, initial=np.inf) <= 0.0:
+                bad = float(t.flat[start + np.argmax(f <= 0.0)])
+                raise ValueError(f"f(t) <= 0 at t={bad}; margin d is undefined there")
         return m.transpose(*range(1, m.ndim), 0)  # the moveaxis view: (a, b, c, d) last
 
 
@@ -278,13 +297,14 @@ def window_witness(warp) -> dict | None:
 
 
 def build_interpolation(t_lo: float, t_hi: float) -> Interpolated:
-    """The window (t_lo, t_hi), widened t_lo <- t_hi - 2 (t_hi - t_lo)
-    until ``window_witness`` proves it admissible; any W >= 4 is.
-    """
-    warp = Interpolated(float(t_lo), float(t_hi))
-    while window_witness(warp) is not None:
-        warp = Interpolated(warp.t_hi - 2.0 * (warp.t_hi - warp.t_lo), warp.t_hi)
-    return warp
+    """The window (t_lo, t_hi), widened t_lo <- t_hi - 2 (t_hi - t_lo) until
+    ``window_witness`` proves it admissible (any W >= 4 is); a W whose square
+    underflows, which ``Interpolated`` refuses, is widened unbuilt."""
+    t_lo, t_hi = float(t_lo), float(t_hi)
+    while (0.0 < t_hi - t_lo and (t_hi - t_lo) * (t_hi - t_lo) == 0.0
+           or window_witness(Interpolated(t_lo, t_hi)) is not None):
+        t_lo = t_hi - 2.0 * (t_hi - t_lo)
+    return Interpolated(t_lo, t_hi)
 
 
 FAMILIES = {cls.family: cls for cls in (PureExp, ShiftedExp, Interpolated)}

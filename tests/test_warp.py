@@ -50,23 +50,26 @@ def test_interpolated_matches_closed_forms_exactly():
        t_hi=st.floats(min_value=-50.0, max_value=0.0),
        width=st.floats(min_value=1e-6, max_value=100.0),
        u=st.lists(st.floats(min_value=-3.0, max_value=4.0), max_size=16),
-       t=st.lists(st.floats(min_value=-700.0, max_value=700.0), max_size=8))
+       t=st.lists(st.floats(min_value=-1e3, max_value=1e4), max_size=8))
 @example(family="default", t_hi=-1.0, width=3.0, u=[-1.0, 0.5, 2.0], t=[])
 def test_regime_ends_are_where_eval_is_the_closed_form(family, t_hi, width, u, t):
-    # volume, certify and the reports take f = e^-t for t <= t_lo and
-    # f = 1 + e^-t for t >= t_hi on the warp's word; both hold to the bit,
-    # the ends included
+    # volume, certify, condition_margins and the reports take (e, 0.0 - e, e)
+    # for t <= t_lo and (1 + e, 0.0 - e, e) for t >= t_hi, e = e^-t, on the
+    # warp's word; both hold to the bit, the ends included, and past
+    # t = 745.14, where e is 0 and f' is +0.0 (the closed families once gave
+    # -0.0 there, and Interpolated +0.0), and below -709.79, where e is inf
     warp = {"pure-exp": PureExp(), "shifted-exp": ShiftedExp(),
             "default": build_interpolation(-4.0, -1.0)}.get(family)
     warp = warp or Interpolated(t_hi - width, t_hi)
     ends = [end for end in (warp.t_lo, warp.t_hi) if np.isfinite(end)]
     if ends:
         t = t + [ends[0] + (ends[-1] - ends[0]) * uk for uk in u] + ends
-    t = np.array(t + [-700.0, 0.0, 700.0])
-    got = np.stack(warp.eval(t))
-    e = np.exp(-t)
+    t = np.array(t + [-1e3, -700.0, 0.0, 700.0, 745.2, 800.0, 1e4])
+    with np.errstate(over="ignore"):  # e^-t overflows below -709.79, in both
+        got = np.stack(warp.eval(t))
+        e = np.exp(-t)
     for side, f in [(t <= warp.t_lo, e), (t >= warp.t_hi, 1.0 + e)]:
-        assert got[:, side].tobytes() == np.stack([f, -e, e])[:, side].tobytes()
+        assert got[:, side].tobytes() == np.stack([f, 0.0 - e, e])[:, side].tobytes()
 
 
 @settings(max_examples=100, deadline=None)
@@ -178,6 +181,8 @@ def test_check_conditions_rejects_empty_grid():
 
 def test_check_conditions_rejects_nonpositive_f():
     class Sinking:
+        t_lo, t_hi = -np.inf, np.inf
+
         def eval(self, t):
             t = np.asarray(t, dtype=float)
             return -np.ones_like(t), np.zeros_like(t), np.zeros_like(t)

@@ -5,10 +5,14 @@
 one (4, ...) buffer.  The references in ``per_point_reference.py`` are the
 bodies that computed the step on the whole grid and stacked the margins as
 columns.  Every output must equal theirs by ``tobytes()``, with the same
-type and shape, signed zeros and NaN included.
+type and shape, signed zeros and NaN included.  ``condition_margins`` of a
+sorted t, which takes the closed forms outside the window, must equal the
+margins of ``warp.eval(t)`` the same way.
 """
 
 import re
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 import pytest
@@ -19,9 +23,15 @@ import per_point_reference as ref
 from solcusp.warp import (
     _STEP_CLIP,
     Interpolated,
+    PureExp,
+    ShiftedExp,
     build_interpolation,
     condition_margins,
 )
+
+# the narrowest window width whose square does not underflow to 0: it rounds
+# to 2^-1074, the least positive float; Interpolated refuses a narrower one
+W_MIN = 1.5717277847026288e-162
 
 
 def same_bits(x, y) -> bool:
@@ -43,11 +53,13 @@ def neighbours(x: float, k: int = 3) -> list[float]:
     return out
 
 
-# widths down to 1e-170, where W^2 underflows to 0 and f'' is NaN
+# widths down to W_MIN; a t_lo that rounds to t_hi, or a width whose square
+# underflows after rounding, is dropped
 narrow = st.tuples(
     st.sampled_from([0.0, -1e-300, -1e-12, -1.0, -3.0, -20.0]),
-    st.floats(-170.0, 1.0).map(lambda x: 10.0 ** x),
-).filter(lambda w: w[0] - w[1] < w[0]).map(lambda w: Interpolated(w[0] - w[1], w[0]))
+    st.floats(np.log10(W_MIN), 1.0).map(lambda x: max(10.0 ** x, W_MIN)),
+).map(lambda w: (w[0] - w[1], w[0])).filter(
+    lambda w: (w[1] - w[0]) * (w[1] - w[0]) > 0.0).map(lambda w: Interpolated(*w))
 widened = st.tuples(
     st.floats(-20.0, 0.0),
     st.floats(-6.0, 1.0).map(lambda x: 10.0 ** x),
@@ -69,7 +81,7 @@ def grid_for(warp, rng) -> np.ndarray:
 
 @settings(max_examples=150, deadline=None)
 @given(warp=st.one_of(narrow, widened), seed=st.integers(0, 2**32 - 1))
-@example(warp=Interpolated(-1e-165, 0.0), seed=0)  # W^2 underflows: f'' is NaN
+@example(warp=Interpolated(-W_MIN, 0.0), seed=0)  # W^2 is the least positive float
 @example(warp=Interpolated(-4.0, -1.0), seed=1)
 def test_eval_and_margins_keep_the_full_grid_bits(warp, seed):
     t = grid_for(warp, np.random.default_rng(seed))
@@ -117,3 +129,71 @@ def test_margins_have_the_shape_of_t_then_four():
         for idx in np.ndindex(np.shape(t)):
             one = condition_margins(w, [np.asarray(t)[idx]])
             assert m[idx].tobytes() == one[0].tobytes()
+
+
+def test_a_window_whose_square_underflows_is_refused_and_widened_unbuilt():
+    # such a window's eval once made f'' = e + 0/W^2 NaN at every t, in its
+    # closed regimes too, and warned outside any errstate
+    assert W_MIN * W_MIN > 0.0 and np.nextafter(W_MIN, 0.0) ** 2 == 0.0
+    assert Interpolated(-W_MIN, 0.0).eval(1.0)[2] == np.exp(-1.0)
+    for width in (float(np.nextafter(W_MIN, 0.0)), 1e-165, 1e-170, 5e-324):
+        with pytest.raises(ValueError, match=f"^the window width {re.escape(str(width))} "
+                                             "squared underflows or overflows$"):
+            Interpolated(-width, 0.0)
+    # the doublings from such a width are the ones the proof took before
+    assert build_interpolation(-1e-170, 0.0) == Interpolated(-4.830671903771573, 0.0)
+
+
+@dataclass(frozen=True)
+class Everywhere:
+    """A window everywhere: ``eval`` of ``inner``, stating no closed form."""
+
+    inner: Interpolated
+    t_lo: ClassVar[float] = -np.inf
+    t_hi: ClassVar[float] = np.inf
+
+    def eval(self, t):
+        return self.inner.eval(t)
+
+
+def margins_or_message(warp, t, values=None):
+    try:
+        return condition_margins(warp, t, values).tobytes()
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(warp=st.one_of(st.sampled_from([PureExp(), ShiftedExp()]), narrow, widened,
+                      st.one_of(narrow, widened).map(Everywhere)),
+       extras=st.sets(st.sampled_from([745.2, 800.0, -709.8, "infinite ends"])),
+       seed=st.integers(0, 2**32 - 1))
+@example(warp=ShiftedExp(), extras={745.2, 800.0}, seed=0)  # f' = 0.0 - 0.0 = +0.0
+@example(warp=PureExp(), extras={"infinite ends"}, seed=1)  # f(+inf) = 0 is refused
+@example(warp=Interpolated(-W_MIN, 0.0), extras={745.2}, seed=2)
+def test_margins_by_regime_are_the_margins_of_eval(warp, extras, seed):
+    # a sorted t takes e^-t's closed forms below t_lo and above t_hi and
+    # eval between; it must give eval's margins to the bit, or the same
+    # refusal naming the same t.  Grid: the finite ends and 3 floats on
+    # either side, points in and around the window, and some of t = 745.2
+    # and 800 (e = 0), -709.8 (e = inf) and the infinite ends (PureExp's f
+    # is 0 at t = +inf, which must not take ShiftedExp's 1).  A shuffled t
+    # goes through eval whole and permutes the rows
+    rng = np.random.default_rng(seed)
+    t = [x for end in (warp.t_lo, warp.t_hi) if np.isfinite(end) for x in neighbours(end)]
+    if "infinite ends" in extras:
+        t += [end for end in (warp.t_lo, warp.t_hi) if not np.isfinite(end)]
+    t += [x for x in extras if x != "infinite ends"] + list(rng.uniform(-30.0, 30.0, 20))
+    inner = getattr(warp, "inner", warp)
+    if np.isfinite(inner.t_lo):
+        width = inner.t_hi - inner.t_lo
+        t += list(inner.t_lo + width * rng.uniform(-0.5, 1.5, 40))
+    t = np.sort(np.array(t + t[:2]))  # a repeated t too
+    shuffled = rng.permutation(t.size)
+    with np.errstate(all="ignore"):  # e^-t overflows below -709.79, in both
+        for grid in (t, t[shuffled]):
+            assert margins_or_message(warp, grid) == margins_or_message(warp, grid, warp.eval(grid))
+    by_regime = margins_or_message(warp, t)
+    if isinstance(by_regime, bytes):
+        got = condition_margins(warp, t[shuffled])
+        assert got.tobytes() == condition_margins(warp, t)[shuffled].tobytes()
