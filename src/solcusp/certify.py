@@ -64,7 +64,8 @@ __all__ = [
 _AGREEMENT_TOL = 1e-12
 # max_k at or above -_FLOOR is inconclusive; lambda^2 carries 1 + _FLOOR
 _FLOOR = 1e-9
-# largest t-grid certify builds, about 1 GB of working memory
+# largest t-grid certify builds: a tracemalloc peak of 49 MB on the default
+# warp, about 490 B a point
 _MAX_GRID_POINTS = 10**5
 # first and second index of each pair, for building bivectors
 _PAIR_I, _PAIR_J = np.transpose(PAIRS)

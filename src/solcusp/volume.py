@@ -8,6 +8,10 @@ a = max(t0, t_lo) and b = max(t0, t_hi) the improper integral over
 window:
 
     (e^(-3 t0) - e^(-3a))/3 + e^(-2b)/2 + e^(-3b)/3 + GK15 over [a, b].
+
+The density is analytic on each (a, b), so the quadrature refines
+uniformly: GK15 on 4 equal panels of [a, b], then 8, 16, and so on, one
+density call per level, until the summed error estimate meets tol.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ __all__ = ["VolumeResult", "QuadratureError", "cusp_volume", "adaptive_quad"]
 
 
 class QuadratureError(RuntimeError):
-    """Adaptive subdivision cannot reach the requested tolerance."""
+    """No level of panels reaches the requested tolerance."""
 
 
 # 15-point Kronrod nodes with Gauss-7 and Kronrod-15 weights
@@ -47,59 +51,46 @@ _W_GAUSS = np.array([
     0.129484966168870, 0.0,
 ])
 
-# subintervals adaptive_quad may hold before it gives up
+# panels of adaptive_quad's first level, and the most it may use
+_FIRST_LEVEL = 4
 _MAX_INTERVALS = 2000
 
 
-def _gk15(fn, *ends: float) -> list[tuple[float, ...]]:
-    """(lo, hi, Kronrod sum, error estimate, Kronrod sum of |fn|) of each
-    panel [lo, hi] between consecutive ends, from one call of fn on all
-    their nodes."""
-    panels = list(zip(ends, ends[1:]))
-    y = fn(np.concatenate([0.5 * (a + b) + 0.5 * (b - a) * _GK_NODES for a, b in panels]))
-    out = []
-    for (a, b), yn in zip(panels, np.split(y, len(panels))):
-        half = 0.5 * (b - a)
-        k = half * float(_W_KRONROD @ yn)
-        g = half * float(_W_GAUSS @ yn)
-        out.append((a, b, k, (200.0 * abs(k - g)) ** 1.5, half * float(_W_KRONROD @ np.abs(yn))))
-    return out
-
-
 def adaptive_quad(fn, a: float, b: float, tol: float) -> tuple[float, float]:
-    """Adaptive Gauss-Kronrod on [a, b] to absolute tolerance tol.
+    """Gauss-Kronrod on [a, b] to absolute tolerance tol, in uniform levels.
 
-    ``fn`` must accept an array of abscissae and act on each one alone.  It
-    is called once on the 15 nodes of [a, b], then once per split on the
-    30 nodes of both halves.  Returns (integral, error_estimate).  The
-    estimate is never below the rounding level 50 eps * integral of |fn| on
-    the first panel (QUADPACK's QK15 rule); a tol below that level raises
-    QuadratureError before any subdivision, as does exhausting the budget
-    of ``_MAX_INTERVALS``.
+    Level n splits [a, b] into n equal panels, n = 4, 8, 16, ...; ``fn``
+    must accept an array of abscissae and act on each one alone, and is
+    called once per level on all 15 n Kronrod nodes.  The first level whose
+    QK15 estimates (200 |K - G|)^1.5, summed in quadrature, meet tol gives
+    (integral, error_estimate).  The estimate is never below the rounding
+    level 50 eps * integral of |fn| on the first level (QUADPACK's QK15
+    rule); a tol below that level raises QuadratureError at once, as does
+    a next level of more than ``_MAX_INTERVALS`` panels.
     """
     if not -np.inf < a < b < np.inf:
         raise ValueError(f"need finite a < b, got [{a}, {b}]")
-    intervals = _gk15(fn, a, b)
-    rounding = float(50.0 * np.finfo(float).eps * intervals[0][4])
-    if tol < rounding:
-        raise QuadratureError(
-            f"tol {tol:g} is below the rounding level {rounding:g} of the integral"
-        )
+    n = _FIRST_LEVEL
     while True:
-        total = sum(iv[2] for iv in intervals)
-        errs = [iv[3] for iv in intervals]
-        err_sum = float(np.sqrt(np.sum(np.square(errs))))
-        if err_sum <= tol:
-            return float(total), max(err_sum, rounding)
-        if len(intervals) >= _MAX_INTERVALS:
+        half = 0.5 * (b - a) / n
+        mid = a + half * (2.0 * np.arange(n) + 1.0)
+        y = fn((mid[:, None] + half * _GK_NODES).ravel()).reshape(n, _GK_NODES.size)
+        k, g = half * (y @ _W_KRONROD), half * (y @ _W_GAUSS)
+        if n == _FIRST_LEVEL:
+            rounding = float(50.0 * np.finfo(float).eps * half * np.sum(np.abs(y) @ _W_KRONROD))
+            if tol < rounding:
+                raise QuadratureError(
+                    f"tol {tol:g} is below the rounding level {rounding:g} of the integral"
+                )
+        err = float(np.linalg.norm((200.0 * np.abs(k - g)) ** 1.5))
+        if err <= tol:
+            return float(np.sum(k)), max(err, rounding)
+        if 2 * n > _MAX_INTERVALS:
             raise QuadratureError(
                 f"no convergence to {tol:g} within {_MAX_INTERVALS} intervals "
-                f"(reached {err_sum:g})"
+                f"(reached {err:g})"
             )
-        worst = int(np.argmax(errs))
-        lo, hi = intervals[worst][:2]
-        intervals[worst], right = _gk15(fn, lo, 0.5 * (lo + hi), hi)
-        intervals.append(right)
+        n *= 2
 
 
 @dataclass(frozen=True)

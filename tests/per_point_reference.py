@@ -19,9 +19,8 @@ way and the margins were stacked as columns; ``Interpolated.eval`` and
 ``warp.condition_margins`` must reproduce their bytes.
 
 The next section holds the dense bodies the diagonal kernels replaced: the
-stacked einsum Christoffel, derivative and lowering code, the SVD
-deviation of ``verify_isometry`` and the one-panel-per-call
-``adaptive_quad``.  The last holds the 48-step labelling scan of
+stacked einsum Christoffel, derivative and lowering code and the SVD
+deviation of ``verify_isometry``.  The last holds the 48-step labelling scan of
 ``match_component_table`` and the per-value JSON and CSV encoders of
 ``serialize``.
 """
@@ -255,9 +254,9 @@ def condition_margins(eval_, t):
 # ``stacked_christoffel``, ``stacked_christoffel_derivatives`` and
 # ``stacked_lowering`` contract against the full g, g^-1 and d(g^-1) by
 # einsum; ``stacked_riemann_closed`` and ``stacked_riemann_fd`` run the two
-# pipelines through them.  ``svd_isometry`` takes every pullback's spectral
-# norm by SVD, and ``one_panel_quad`` calls fn once per 15-node panel.  The
-# kernels must reproduce their bytes wherever every tensor is finite.
+# pipelines through them, and ``svd_isometry`` takes every pullback's
+# spectral norm by SVD.  The kernels must reproduce their bytes wherever
+# every tensor is finite.
 
 def _stacked_first_kind(dg):
     return np.einsum("...jmk->...mjk", dg) + np.einsum("...kmj->...mjk", dg) - dg
@@ -327,42 +326,6 @@ def svd_isometry(m, samples):
     pulled = J.T @ sol_metric_3d(mapped) @ J
     dev = np.linalg.norm(pulled - sol_metric_3d(p), 2, axis=(1, 2))
     return float(np.max(dev))
-
-
-def one_panel_quad(fn, a, b, tol):
-    from solcusp.volume import _MAX_INTERVALS, _W_GAUSS, _W_KRONROD, _GK_NODES, QuadratureError
-
-    def gk15(lo, hi):
-        half = 0.5 * (hi - lo)
-        y = fn(0.5 * (lo + hi) + half * _GK_NODES)
-        k = half * float(_W_KRONROD @ y)
-        g = half * float(_W_GAUSS @ y)
-        return k, (200.0 * abs(k - g)) ** 1.5, half * float(_W_KRONROD @ np.abs(y))
-
-    if b <= a:
-        raise ValueError("need a < b")
-    intervals = [(a, b, *gk15(a, b))]
-    rounding = float(50.0 * np.finfo(float).eps * intervals[0][4])
-    if tol < rounding:
-        raise QuadratureError(
-            f"tol {tol:g} is below the rounding level {rounding:g} of the integral"
-        )
-    while True:
-        total = sum(iv[2] for iv in intervals)
-        errs = [iv[3] for iv in intervals]
-        err_sum = float(np.sqrt(np.sum(np.square(errs))))
-        if err_sum <= tol:
-            return float(total), max(err_sum, rounding)
-        if len(intervals) >= _MAX_INTERVALS:
-            raise QuadratureError(
-                f"no convergence to {tol:g} within {_MAX_INTERVALS} intervals "
-                f"(reached {err_sum:g})"
-            )
-        worst = int(np.argmax(errs))
-        lo, hi = intervals[worst][:2]
-        mid = 0.5 * (lo + hi)
-        intervals[worst] = (lo, mid, *gk15(lo, mid))
-        intervals.append((mid, hi, *gk15(mid, hi)))
 
 
 # ---------------------------------------------------------------------------
