@@ -8,7 +8,7 @@ over a Sol mapping-torus cross section, verifies its curvature tensor by
 two independent pipelines, validates the four warping-function conditions,
 certifies pinched negative sectional curvature over all tangent 2-planes,
 and computes the cusp volume: closed forms outside the transition window,
-Gauss-Kronrod quadrature on uniform levels of panels inside it.
+the tanh-sinh rule inside it.
 """
 
 from .certify import certify

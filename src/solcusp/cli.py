@@ -7,8 +7,7 @@ Subcommands mirror the library stages:
     verify-riemann match both curvature pipelines against the component table
     certify        bound sectional curvature over all planes on a t-grid
     volume         cusp volume: closed forms outside the transition
-                   window, Gauss-Kronrod on uniform levels of panels
-                   inside it
+                   window, the tanh-sinh rule inside it
     run            full pipeline writing lattice/warp/riemann/certify/volume
                    reports plus a summary verdict
 

@@ -863,7 +863,10 @@ def test_standalone_reports_name_the_widened_window(command, tmp_path, capsys):
     warp = build_interpolation(-1e-4, -5e-5)
     assert warp.t_lo < -1.0 and warp.t_hi == -5e-5
     flags = ["--warp", "interpolated", "--warp-t0=-1e-4", "--warp-t1=-5e-5"]
-    code, out = run_cli(capsys, command, *flags, *(["--t0=-5"] if command == "volume" else []))
+    # from t0 = -5 the integral is ~1.1e6, whose rounding level (~7e-10)
+    # refuses the default tol 1e-10: this test is about the window's name
+    volume_flags = ["--t0=-5", "--tol", "1e-6"]
+    code, out = run_cli(capsys, command, *flags, *(volume_flags if command == "volume" else []))
     assert code == 0
     assert json.loads(out)["warp"] == {"family": "interpolated", "T0": warp.t_lo, "T1": warp.t_hi}
     # run names its window in warp.json; its other reports keep their schema
