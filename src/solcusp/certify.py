@@ -33,12 +33,22 @@ plane, a simple bivector by construction: (e_x, e_y), (e_z, e_t), or
 eigenvalue, 0 for a coordinate plane; gaps above ``_AGREEMENT_TOL`` are
 flagged.
 
-``certify`` evaluates the warp once on its grid (z = 0) and runs one
-closed-form kernel on it; ``extremize_k`` is that kernel's 0-d case, so a
-grid point equals it bit for bit.  ``extremize_point`` is the route for
-any ``MetricPoint``: ``riemann_closed``, ``eigh`` of its frame form and an
-SVD witness.  A witness plane is a (..., 2, 4) array whose rows are a
-frame-orthonormal pair (u, v); u / sqrt(g_ii) are u's coordinates.
+``certify`` decides from proofs, not from its grid.  The {xz, xt} block
+has determinant -A - B^2 = d / f^2 and a -1 on its diagonal, so K < 0 on
+every plane iff margins a, c and d are positive (Bishop and O'Neill).  If
+also f > 1, -f <= f' < 0 and f'' < 2f, then K > -2: K(xy) = 1/f^2 - 1,
+K(zt) = -f''/f, and with x = f'/f in [-1, 0), y = 1/f in (0, 1), A >= -2
+and A + 2 - B^2 = -x (1 + x) + (1 - y^2)(1 + (1 + x)^2) > 0 put lambda_-
+above -2 (sympy proofs in the tests).  This holds where f = e^-t, t < 0,
+where f = 1 + e^-t, and in a window ``window_witness`` proves, so a warp
+of ``FAMILIES`` is certified with lambda^2 = 2 unless its grid reaches
+t >= 0 in pure-exp's regime or the window proof fails.  The grid (z = 0)
+is evidence: one warp evaluation, the margins and one closed-form kernel,
+whose 0-d case ``extremize_k`` equals a grid point bit for bit.
+``extremize_point`` is the route for any ``MetricPoint``:
+``riemann_closed``, ``eigh`` of its frame form and an SVD witness.  A
+witness plane is a (..., 2, 4) array whose rows are a frame-orthonormal
+pair (u, v); u / sqrt(g_ii) are u's coordinates.
 """
 
 from __future__ import annotations
@@ -48,7 +58,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curvature import PAIRS, MetricPoint, riemann_closed
-from .warp import condition_margins, window_witness, worst_margin
+from .warp import FAMILIES, condition_margins, window_witness, worst_margin
 
 __all__ = [
     "CurvatureBounds",
@@ -57,13 +67,10 @@ __all__ = [
     "extremize_point",
     "certify",
     "rescale_to_pinching",
-    "tail_k_bound",
 ]
 
 # witness gaps above this are flagged; every gap observed is <= 7e-16
 _AGREEMENT_TOL = 1e-12
-# max_k at or above -_FLOOR is inconclusive; lambda^2 carries 1 + _FLOOR
-_FLOOR = 1e-9
 # largest t-grid certify builds: a tracemalloc peak of 49 MB on the default
 # warp, about 490 B a point
 _MAX_GRID_POINTS = 10**5
@@ -202,62 +209,29 @@ def extremize_k(warp, t: float) -> CurvatureBounds:
     return _closed_extremes(t, condition_margins(warp, t, values)[..., 0], *values)
 
 
-def tail_k_bound(warp, t_last: float) -> float | None:
-    """A proved lower bound on K over every plane at every t > t_last.
+def rescale_to_pinching(warp) -> tuple[float, float]:
+    """Rescale factor lambda (g -> lambda^2 g) and start of the pinched range
+    of a certified warp.
 
-    Where f = 1 + e^-t (from ``warp.t_hi`` on) -2 < K < 0 on every plane;
-    the symbolic proof is in the tests.  None for any other range: nothing
-    is known past the grid.
+    -2 < K < 0 on every plane of a certified warp (the module docstring),
+    so lambda^2 = 2 puts K / lambda^2 in (-1, 0): from -inf where the
+    shifted regime holds above a finite ``warp.t_hi``, and nowhere (+inf)
+    for pure-exp, which is certified only below t = 0.
     """
-    return -2.0 if t_last >= warp.t_hi else None
-
-
-def rescale_to_pinching(bounds: CurvatureBounds,
-                        tail_k_min: float | None = None) -> tuple[float, float]:
-    """Rescale factor lambda (g -> lambda^2 g) and start of the pinched range.
-
-    ``bounds`` is a curve along its one grid axis; only its ``t``,
-    ``k_min`` and ``k_max`` are read.  ``tail_k_min`` bounds K from below
-    past the last grid point, where K must be proved negative too; None
-    when no such bound is known.  lambda^2 is (1 + _FLOOR) times the
-    largest of 1, |k_min| at the last grid point and |tail_k_min|, so that
-    k_min / lambda^2 stays strictly above -1 there and on the tail.
-    pinched_from is then the smallest grid t from which every later grid
-    point has k_min / lambda^2 > -1 and k_max / lambda^2 < 0 (a NaN is
-    not pinched); +inf if no suffix qualifies or no tail bound is given,
-    since the claim reaches to t = inf.
-    """
-    t, k_min, k_max = bounds.t, bounds.k_min, bounds.k_max
-    if k_min.size == 0:
-        raise ValueError("the bounds curve must be nonempty")
-    if np.any(k_max >= 0.0):
-        raise ValueError("rescaling requires a globally negative curve")
-
-    tail_sup = 0.0 if tail_k_min is None else abs(tail_k_min)
-    lam2 = (1.0 + _FLOOR) * max(1.0, float(abs(k_min[-1])), tail_sup)
-    lam = float(np.sqrt(lam2))
-    if tail_k_min is None:
-        return lam, float("inf")
-
-    ok = (k_min / lam2 > -1.0) & (k_max / lam2 < 0.0)
-    # length of the run of pinched points that ends the grid
-    run = int(np.logical_and.accumulate(ok[::-1]).sum())
-    return lam, float(t[t.size - run]) if run else float("inf")
+    return float(np.sqrt(2.0)), -np.inf if warp.t_hi < np.inf else np.inf
 
 
 @dataclass(frozen=True)
 class CertificationReport:
     """Verdict and evidence of the curvature certification run."""
 
-    status: str                     # certified | violation | inconclusive |
-                                    # refused_conditions
+    status: str                     # certified | refused_conditions
     grid: np.ndarray
     bounds_curve: CurvatureBounds | None  # None when refused
     margins: np.ndarray             # (n, 4) condition margins on the grid
     max_k: float
     pinched_from: float
     scale: float
-    floor: float
     flagged_points: list[float]
     witness: dict | None
     config: dict
@@ -276,15 +250,18 @@ def certify(
     t_range: tuple[float, float],
     t_step: float,
 ) -> CertificationReport:
-    """Certify K < 0 on a t-grid and locate the pinched suffix.
+    """Certify K < 0 and the pinching of a warp of ``FAMILIES``, and bound K
+    on a t-grid as evidence.
 
-    Refuses before any curvature work when a condition margin is
-    nonpositive somewhere on the grid, or when ``window_witness`` does not
-    prove the warp's transition window; the negativity implication is only
-    claimed where all four margins hold, and the cross-check of that
-    implication is exactly this run.  The pinched suffix reaches past the
-    grid only where ``tail_k_bound`` proves a bound there.
+    The verdict comes from the proofs in the module docstring, whatever
+    the grid: refused where the grid reaches t >= 0 in pure-exp's regime
+    (the witness is the grid's worst margin) or where ``window_witness``
+    rejects the transition window, certified otherwise.  Only a certified
+    report has a bounds curve and ``max_k``.  A warp of another type has
+    no proof and is refused with a ValueError.
     """
+    if type(warp) not in FAMILIES.values():
+        raise ValueError(f"no proof covers a warp of type {type(warp).__name__}")
     t0, t1 = float(t_range[0]), float(t_range[1])
     if not (np.isfinite(t0) and np.isfinite(t1) and t0 < t1):
         raise ValueError("t_range must be a finite increasing pair")
@@ -302,37 +279,20 @@ def certify(
     curve, max_k, flagged = None, np.nan, []
     scale, pinched_from = np.nan, np.inf
 
-    t_w, cond, val = worst_margin(grid, margins)
-    if val <= 0.0:
-        status = "refused_conditions"
-        witness = {"kind": "condition", "t": t_w, "condition": cond,
-                   "margin": val}
+    if np.any((grid >= 0.0) & (grid <= warp.t_lo)):
+        t_w, cond, val = worst_margin(grid, margins)
+        witness = {"kind": "condition", "t": t_w, "condition": cond, "margin": val}
     elif (gap := window_witness(warp)) is not None:
-        status = "refused_conditions"
         witness = {"kind": "window", **gap}
     else:
+        witness = None
         curve = _closed_extremes(grid, margins[:, 0], *values)
         max_k = float(np.max(curve.k_max))
         flagged = curve.t[curve.method_agreement > _AGREEMENT_TOL].tolist()
-        witness = None
-        if max_k >= 0.0:
-            i = int(np.argmax(curve.k_max))
-            witness = {
-                "kind": "positive_curvature",
-                "t": float(curve.t[i]),
-                "k_max": float(curve.k_max[i]),
-                "plane_basis": curve.argmax_plane[i].tolist(),
-            }
-            status = "violation"
-        elif max_k >= -_FLOOR:
-            status = "inconclusive"
-        else:
-            status = "certified"
-            scale, pinched_from = rescale_to_pinching(
-                curve, tail_k_bound(warp, float(grid[-1])))
+        scale, pinched_from = rescale_to_pinching(warp)
 
     return CertificationReport(
-        status=status, grid=grid, bounds_curve=curve, margins=margins, max_k=max_k,
-        pinched_from=pinched_from, scale=scale, floor=_FLOOR,
-        flagged_points=flagged, witness=witness, config=config,
+        status="refused_conditions" if witness else "certified", grid=grid,
+        bounds_curve=curve, margins=margins, max_k=max_k, pinched_from=pinched_from,
+        scale=scale, flagged_points=flagged, witness=witness, config=config,
     )

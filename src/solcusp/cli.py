@@ -5,16 +5,17 @@ Subcommands mirror the library stages:
     lattice        build a Sol cross section and verify its deck isometries
     build-warp     construct and validate the interpolated warping function
     verify-riemann match both curvature pipelines against the component table
-    certify        bound sectional curvature over all planes on a t-grid
+    certify        certify negative, pinched curvature from the proofs, and
+                   bound it over all planes on a t-grid as evidence
     volume         cusp volume: closed forms outside the transition
                    window, the tanh-sinh rule inside it
     run            full pipeline writing lattice/warp/riemann/certify/volume
                    reports plus a summary verdict
 
 Exit codes: 0 success/certified, 1 bad input or internal error (also a
-certified run whose volume t0 lies below pinched_from), 2 violation
-witness found (including failed condition margins) or a command-line usage
-error, 3 inconclusive (negativity margin below the floor).
+certified run whose volume t0 lies below pinched_from), 2 refused (a
+pure-exp grid reaching t >= 0, or a transition window the proof does not
+cover) or a command-line usage error.
 """
 
 from __future__ import annotations
@@ -35,12 +36,7 @@ from .serialize import to_json_text, write_csv_text
 from .volume import QuadratureError, cusp_volume
 from .warp import FAMILIES, condition_margins, validation_grid, warp_from_name
 
-_STATUS_CODES = {
-    "certified": 0,
-    "violation": 2,
-    "refused_conditions": 2,
-    "inconclusive": 3,
-}
+_STATUS_CODES = {"certified": 0, "refused_conditions": 2}
 
 _DEFAULT_CONFIG = {
     "matrix": [2, 1, 1, 1],
@@ -200,7 +196,6 @@ def _certify_payload(report: CertificationReport) -> dict:
         "max_k": report.max_k,
         "pinched_from": report.pinched_from,
         "scale": report.scale,
-        "floor": report.floor,
         "flagged_points": report.flagged_points,
         "witness": report.witness,
         "config": report.config,
@@ -291,7 +286,8 @@ def cmd_run(args) -> int:
             "verdict": {
                 "riemann_table_matched": riemann_payload["max_residual"] <= 1e-5
                 and not riemann_payload["extra_nonzero_components"],
-                "conditions_hold": bool(np.all(report.margins > 0.0)),
+                # K < 0 iff margins a, c and d hold: one proved claim
+                "conditions_hold": report.status == "certified",
                 "globally_negative": report.status == "certified",
                 "pinched_from": report.pinched_from,
                 "scale": report.scale,
@@ -340,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-grid", default="-2:2:5", help="lo:hi:count")
     p.add_argument("--z-grid", default="-1:1:5", help="lo:hi:count")
 
-    p = sub.add_parser("certify", help="bound sectional curvature over a grid")
+    p = sub.add_parser("certify", help="certify negative, pinched curvature; a grid as evidence")
     _add_warp_flags(p, default="interpolated")
     p.add_argument("--t-min", type=float, default=-6.0)
     p.add_argument("--t-max", type=float, default=10.0)

@@ -29,7 +29,8 @@ until ``window_witness`` proves the four margins positive at every t:
 * below t_lo: e^-t - 1, e^-t, e^-t and 1 + e^-2t; above t_hi: ShiftedExp's;
 * inside, f = e^-t + s(u) with u = (t - t_lo)/W, so a = e^-t + s - 1 > 0,
   and d = x(f^2 + 2 - x) with x = b/f and b <= e^-t < f: d > 0 iff b > 0;
-* b > 0 iff s' e^t < W, and c > 0 iff -s'' e^t < W^2.  A table bounds both
+* b > 0 iff s' e^t < W, and |s''| e^t < W^2 gives both c > 0 and
+  f'' < 2f, which the pinching needs (``certify``).  A table bounds both
   left sides on each cell in u by the larger end value plus M h/2 (M a
   bound on the next derivative of s), times e^t at the cell's right end.
   Any W >= 4 passes (s' < 2.01, |s''| < 9.85, e^t <= 1), so the search
@@ -148,17 +149,17 @@ def _step(u: np.ndarray) -> tuple[np.ndarray, slice | np.ndarray, tuple]:
 
 
 def _proof_table() -> tuple[np.ndarray, np.ndarray]:
-    """Cell right ends in u, and per cell bounds on s' and max(-s'', 0).
+    """Cell right ends in u, and per cell bounds on s' and |s''|.
 
-    Nodes u > 1/2 mirror u < 1/2, as s(1 - u) = 1 - s(u): the mirror halves the work.
+    Nodes u > 1/2 mirror u < 1/2, as s(1 - u) = 1 - s(u) makes |s'| and |s''|
+    even about 1/2: the mirror halves the work.
     """
     n = _PROOF_CELLS
-    s1, s2 = np.zeros((2, n // 2 + 1))
-    _, i, (_, s1[i], s2[i]) = _step(np.arange(n // 2 + 1) / n)  # 0 off i, as s', s'' are
-    s1, neg_s2 = np.concatenate([s1, s1[-2::-1]]), np.concatenate([-s2, s2[-2::-1]])
-    return np.arange(1, n + 1) / n, np.stack([
-        np.maximum(s1[:-1], s1[1:]) + _S2_BOUND * 0.5 / n,
-        np.maximum(np.maximum(neg_s2[:-1], neg_s2[1:]), 0.0) + _S3_BOUND * 0.5 / n])
+    s = np.zeros((2, n // 2 + 1))
+    _, i, (_, s[0, i], s[1, i]) = _step(np.arange(n // 2 + 1) / n)  # 0 off i, as s', s'' are
+    s = np.abs(np.concatenate([s, s[:, -2::-1]], axis=1))
+    return np.arange(1, n + 1) / n, (np.maximum(s[:, :-1], s[:, 1:])
+                                     + np.array([[_S2_BOUND], [_S3_BOUND]]) * (0.5 / n))
 
 
 _CELL_END, _CELL_BOUNDS = _proof_table()
@@ -280,9 +281,9 @@ def validation_grid(warp) -> np.ndarray:
 
 def window_witness(warp) -> dict | None:
     """None when warp has no transition window or every cell's bound on
-    s' e^t / W (margin b) and on -s'' e^t / W^2 (margin c) is below
-    1 - ``_ROUNDING``; else the worst cell's right end t, its condition
-    and that bound, ``ratio``.
+    s' e^t / W (margin b) and on |s''| e^t / W^2 (margin c, and f'' < 2f)
+    is below 1 - ``_ROUNDING``; else the worst cell's right end t, its
+    condition and that bound, ``ratio``.
     """
     if not isinstance(warp, Interpolated):
         return None

@@ -2,13 +2,11 @@
 and the full-grid warp step and margins, as references for the windowed ones.
 
 These are the bodies ``metric_at``, ``christoffel``,
-``christoffel_derivatives``, ``riemann_closed``, ``riemann_fd``,
-``extremize_point`` and ``rescale_to_pinching`` had when they took one
-point at a time: scalar t and z, 4x4 matrices, einsums without leading
-axes, one ``metric_at`` per stencil point, one eigh, SVD and witness K per
-point from fresh 1-D arrays, and a loop over a list of per-point bounds
-for the pinched suffix.  The stacked kernels must reproduce them exactly
-(==).
+``christoffel_derivatives``, ``riemann_closed``, ``riemann_fd`` and
+``extremize_point`` had when they took one point at a time: scalar t and
+z, 4x4 matrices, einsums without leading axes, one ``metric_at`` per
+stencil point, and one eigh, SVD and witness K per point from fresh 1-D
+arrays.  The stacked kernels must reproduce them exactly (==).
 
 ``smooth_step`` computes the transition step's formulas (s' = w G and
 s'' = w ((1 - 2 sigma) G^2 - 2 H), from 1/u and 1/(1 - u)) on the whole
@@ -32,7 +30,7 @@ from itertools import permutations
 import numpy as np
 
 from solcusp import curvature
-from solcusp.certify import _FLOOR, CurvatureBounds
+from solcusp.certify import CurvatureBounds
 from solcusp.curvature import (
     _TABLE_LABELS,
     AXIS_NAMES,
@@ -175,31 +173,6 @@ def extremize_point(p) -> CurvatureBounds:
         argmax_plane=np.array([u_max, v_max]),
         method_agreement=max(abs(k_at_min - k_min), abs(k_at_max - k_max)),
     )
-
-
-def rescale_to_pinching(bounds_curve, tail_k_min=None):
-    """The rescale over a list of per-point bounds, suffix found by a loop."""
-    bounds = list(bounds_curve)
-    if not bounds:
-        raise ValueError("bounds_curve must be nonempty")
-    k_min = np.array([b.k_min for b in bounds])
-    k_max = np.array([b.k_max for b in bounds])
-    if np.any(k_max >= 0.0):
-        raise ValueError("rescaling requires a globally negative curve")
-
-    tail_sup = 0.0 if tail_k_min is None else abs(tail_k_min)
-    lam2 = (1.0 + _FLOOR) * max(1.0, float(abs(k_min[-1])), tail_sup)
-    lam = float(np.sqrt(lam2))
-    if tail_k_min is None:
-        return lam, float("inf")
-
-    ok = (k_min / lam2 > -1.0) & (k_max / lam2 < 0.0)
-    pinched_from = np.inf
-    for i in range(len(bounds) - 1, -1, -1):
-        if not ok[i]:
-            break
-        pinched_from = bounds[i].t
-    return lam, float(pinched_from)
 
 
 def smooth_step(u):

@@ -137,7 +137,8 @@ def test_criterion_5_negativity_certificate():
     ok = (
         rep.status == "certified"
         and rep.max_k < -1e-9
-        and np.isfinite(rep.pinched_from)
+        and rep.pinched_from == -np.inf
+        and rep.scale == np.sqrt(2.0)
         and rep.flagged_points == []
         and worst_agreement <= 1e-12
         and extreme_gap <= 16.0

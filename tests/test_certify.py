@@ -1,10 +1,11 @@
 import dataclasses
 import json
 import sys
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from solcusp import curvature as curvature_module
 from solcusp.certify import (
@@ -12,7 +13,6 @@ from solcusp.certify import (
     extremize_k,
     extremize_point,
     rescale_to_pinching,
-    tail_k_bound,
 )
 from solcusp.cli import main as cli_main
 from solcusp.curvature import metric_at, riemann_closed
@@ -26,18 +26,19 @@ from diagnostic_metrics import (
 )
 
 EPS = np.finfo(float).eps
+# lambda^2 = 2: -2 < K < 0 on every plane of a certified warp
+SQRT2 = 1.4142135623730951
 
 
 class ConstantWarp:
     """Deliberately broken warp: f = 2, f' = 0 (condition b margin is 0);
-    no closed-form regime anywhere."""
+    no closed-form regime anywhere, and no proof."""
 
     family = "constant"
     t_lo, t_hi = -np.inf, np.inf
 
     def eval(self, t):
-        t = np.asarray(t, dtype=float)
-        return 2.0 * np.ones_like(t), np.zeros_like(t), np.zeros_like(t)
+        raise AssertionError("a warp without a proof was sampled")
 
 
 def test_hyperbolic_diagnostic_is_constant_curvature():
@@ -120,7 +121,7 @@ def test_certify_small_grid_is_certified():
     rep = certify(ShiftedExp(), (-2.0, 2.0), 0.5)
     assert rep.status == "certified"
     assert rep.max_k < -1e-9
-    assert np.isfinite(rep.pinched_from)
+    assert rep.scale == SQRT2 and rep.pinched_from == -np.inf
     assert rep.witness is None
     # conditions-vs-negativity cross-check: margins positive everywhere on
     # the grid, so every point must indeed have k_max < 0
@@ -132,25 +133,28 @@ def test_certify_small_grid_is_certified():
 def test_certify_shifted_exp_full_range():
     rep = certify(ShiftedExp(), (-6.0, 10.0), 0.25)
     assert rep.status == "certified"
-    assert np.isfinite(rep.pinched_from)
-    # curvature is bounded below along the whole curve
-    assert rep.bounds_curve.k_min.min() > -2.1
+    assert rep.scale == SQRT2 and rep.pinched_from == -np.inf
+    # the evidence agrees with the proof: -2 < K < 0 along the whole curve
+    assert rep.bounds_curve.k_min.min() > -2.0 and rep.max_k < 0.0
 
 
 def test_certify_refuses_broken_warp_before_sampling():
-    rep = certify(ConstantWarp(), (-1.0, 1.0), 0.5)
-    assert rep.status == "refused_conditions"
-    assert rep.bounds_curve is None
-    assert rep.curve_rows() == []
-    assert rep.witness["kind"] == "condition"
-    assert rep.witness["condition"] == "b"
-    assert rep.witness["margin"] <= 0.0
+    # no proof covers a warp outside FAMILIES, so its grid would decide
+    # nothing; it once read refused here only because its margin b was 0
+    # on the grid, and a duck-typed warp with positive grid margins read
+    # certified
+    with pytest.raises(ValueError, match="no proof covers a warp of type ConstantWarp"):
+        certify(ConstantWarp(), (-1.0, 1.0), 0.5)
 
 
 def test_certify_refuses_pure_exp_on_positive_range():
     rep = certify(PureExp(), (0.1, 5.0), 0.5)
     assert rep.status == "refused_conditions"
-    assert rep.witness["condition"] == "a"
+    assert rep.bounds_curve is None and rep.curve_rows() == []
+    assert np.isnan(rep.max_k) and np.isnan(rep.scale) and rep.pinched_from == np.inf
+    # the grid's worst margin: a = e^-t - 1 at its last point
+    assert rep.witness == {"kind": "condition", "t": rep.grid[-1], "condition": "a",
+                           "margin": float(np.exp(-rep.grid[-1]) - 1.0)}
 
 
 def test_certify_refuses_a_window_the_proof_rejects():
@@ -173,12 +177,14 @@ def test_certify_is_deterministic():
     assert a.scale == b.scale
 
 
-def test_certify_inconclusive_when_margin_underflows_floor():
-    # far down the cusp k_max ~ -e^(-t) sinks below the certification floor
-    # while every condition margin stays positive
+def test_certify_certifies_where_max_k_is_above_the_old_floor():
+    # far down the cusp k_max ~ -e^(-t) rises above -1e-9, which once made
+    # this grid inconclusive; the verdict comes from the proof, and the
+    # evidence still reads every margin positive and K < 0
     rep = certify(ShiftedExp(), (24.0, 26.0), 0.5)
     assert np.all(rep.margins > 0.0)
-    assert rep.status == "inconclusive"
+    assert rep.status == "certified"
+    assert rep.scale == SQRT2 and rep.pinched_from == -np.inf
     assert -1e-9 <= rep.max_k < 0.0
 
 
@@ -200,40 +206,30 @@ def test_certify_flags_witness_gaps_above_the_fixed_bound(monkeypatch):
     assert rep.flagged_points == [-1.0]
 
 
-def test_certify_reports_positive_curvature_as_violation(monkeypatch, capsys):
+def test_certify_verdict_ignores_a_patched_positive_k_max(monkeypatch, capsys):
     # no admissible warp reaches K >= 0, so the patched stacked kernel
-    # reports k_max = +1e-3 at t = 0.5 and the witness must name that
-    # point's plane
+    # reports k_max = +1e-3 at t = 0.5.  That shows in the evidence, max_k
+    # and the curve, and leaves the verdict fields, which come from the
+    # proof, as they are
     certify_module = sys.modules["solcusp.certify"]
     exact = certify_module._closed_extremes
 
     def positive(*args):
         b = exact(*args)
-        # a different witness plane at each of the five points, so the
-        # witness shows which point's plane it took
-        e = np.eye(4)
-        planes = np.stack((e[[0, 1, 2, 3, 0]], e[[1, 2, 3, 0, 1]]), axis=-2)
-        return dataclasses.replace(b, k_max=np.where(b.t == 0.5, 1e-3, b.k_max),
-                                   argmax_plane=planes)
+        return dataclasses.replace(b, k_max=np.where(b.t == 0.5, 1e-3, b.k_max))
 
+    expected = certify(ShiftedExp(), (-1.0, 1.0), 0.5)
     monkeypatch.setattr(certify_module, "_closed_extremes", positive)
     rep = certify(ShiftedExp(), (-1.0, 1.0), 0.5)
-    assert rep.status == "violation"
-    assert np.isnan(rep.scale) and rep.pinched_from == np.inf
-    assert rep.max_k == 1e-3
-    worst = rep.bounds_curve
-    assert worst.t[3] == 0.5
-    assert rep.witness == {
-        "kind": "positive_curvature",
-        "t": 0.5,
-        "k_max": 1e-3,
-        "plane_basis": [[0.0, 0.0, 0.0, 1.0], [1.0, 0.0, 0.0, 0.0]],
-    }
-    assert rep.witness["plane_basis"] == worst.argmax_plane[3].tolist()
+    assert rep.max_k == 1e-3 and rep.bounds_curve.k_max[3] == 1e-3
+    verdict = ("status", "scale", "pinched_from", "witness")
+    assert [getattr(rep, k) for k in verdict] == [getattr(expected, k) for k in verdict]
+    assert (rep.status, rep.scale, rep.pinched_from) == ("certified", SQRT2, -np.inf)
     argv = ["certify", "--warp", "shifted-exp", "--t-min", "-1", "--t-max", "1",
             "--step", "0.5"]
-    assert cli_main(argv) == 2
-    assert json.loads(capsys.readouterr().out)["status"] == "violation"
+    assert cli_main(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["status"] == "certified" and payload["max_k"] == 1e-3
 
 
 def test_certify_builds_one_bounds_object_per_grid(monkeypatch):
@@ -265,68 +261,94 @@ def test_certify_validates_arguments():
             certify(ShiftedExp(), (-1.0, 1.0), step)
 
 
-def stub_curve(t, k_min, k_max):
-    """A bounds curve with the three fields rescale_to_pinching reads."""
-    t = np.asarray(t, dtype=float)
-    return SimpleNamespace(t=t, k_min=np.full(t.shape, k_min), k_max=np.full(t.shape, k_max))
-
-
 def test_rescale_boundary_curve():
-    curve = stub_curve(np.linspace(0.0, 2.0, 5), -1.0, -0.25)
-    lam, pinched = rescale_to_pinching(curve, tail_k_min=-1.0)
-    # k_min = -1 exactly sits on the open bound, so lambda^2 must exceed 1
-    assert lam**2 == pytest.approx(1.0 + 1e-9, rel=1e-12)
-    assert pinched == 0.0
-    # a steeper tail raises the scale; without a tail bound nothing past
-    # the grid is known, so no suffix reaches infinity
-    lam, pinched = rescale_to_pinching(curve, tail_k_min=-2.0)
-    assert lam**2 == pytest.approx(2.0 * (1.0 + 1e-9), rel=1e-12)
-    assert pinched == 0.0
-    lam, pinched = rescale_to_pinching(curve)
-    assert lam**2 == pytest.approx(1.0 + 1e-9, rel=1e-12)
-    assert pinched == np.inf
+    # k_min -> -2 as t -> inf where f = 1 + e^-t: the curve nears the open
+    # bound -lambda^2 of the pinched range, so lambda^2 = 2 is the least
+    # scale that pinches it, and the strict bound -2 < K needs no padding
+    lam, _ = rescale_to_pinching(ShiftedExp())
+    k_min = certify(ShiftedExp(), (10.0, 20.0), 0.5).bounds_curve.k_min
+    assert lam == SQRT2 and np.all(k_min / lam**2 > -1.0)
+    assert k_min.min() < -2.0 + 1e-8
 
 
 def test_rescale_requires_negative_curve():
-    with pytest.raises(ValueError):
-        rescale_to_pinching(stub_curve([0.0], -1.0, 0.5))
-    with pytest.raises(ValueError):
-        rescale_to_pinching(stub_curve([], -1.0, -0.5))
+    # the rescale is given only where negativity is proved: a refused
+    # report has no scale and no pinched range
+    for warp in (PureExp(), Interpolated(-1e-4, -5e-5)):
+        rep = certify(warp, (-1.0, 1.0), 0.5)
+        assert rep.status == "refused_conditions"
+        assert np.isnan(rep.scale) and rep.pinched_from == np.inf
 
 
 def test_rescale_of_certified_curve_pins_the_suffix():
     w = Interpolated(-4.0, -1.0)
     rep = certify(w, (-4.5, 4.0), 0.5)
     assert rep.status == "certified"
-    tail = tail_k_bound(w, rep.grid[-1])
-    assert tail == -2.0
-    lam, pinched = rescale_to_pinching(rep.bounds_curve, tail)
-    assert lam == rep.scale
-    assert pinched == rep.pinched_from
-    assert np.isfinite(pinched)
-    lam2 = lam * lam
+    lam, pinched = rescale_to_pinching(w)
+    assert (lam, pinched) == (rep.scale, rep.pinched_from) == (SQRT2, -np.inf)
+    # the evidence agrees: every grid point lies in the pinched range
     b = rep.bounds_curve
-    suffix = b.t >= pinched
-    assert np.all(b.k_min[suffix] / lam2 > -1.0)
-    assert np.all(b.k_max[suffix] / lam2 < 0.0)
+    assert np.all(b.k_min / 2.0 > -1.0)
+    assert np.all(b.k_max / 2.0 < 0.0)
 
 
 def test_tail_bound_only_where_the_shifted_regime_is_proved():
-    assert tail_k_bound(ShiftedExp(), -3.0) == -2.0
-    assert tail_k_bound(Interpolated(-4.0, -1.0), -1.0) == -2.0
-    assert tail_k_bound(Interpolated(-4.0, -1.0), -1.5) is None
-    assert tail_k_bound(PureExp(), -1.0) is None
-    assert tail_k_bound(ConstantWarp(), 5.0) is None
+    # the pinched range reaches t = inf only where f = 1 + e^-t from a
+    # finite t_hi on; pure-exp is pinched nowhere on a range to inf
+    assert rescale_to_pinching(ShiftedExp()) == (SQRT2, -np.inf)
+    assert rescale_to_pinching(Interpolated(-4.0, -1.0)) == (SQRT2, -np.inf)
+    assert rescale_to_pinching(PureExp()) == (SQRT2, np.inf)
 
 
 def test_certify_without_tail_bound_claims_no_suffix():
-    # the grid stops inside the transition window: nothing past it is known
-    rep = certify(Interpolated(-4.0, -1.0), (-5.0, -2.0), 0.5)
-    assert rep.status == "certified"
-    assert rep.pinched_from == np.inf
+    # pure-exp has no negatively curved tail, so it claims no pinched
+    # range, whatever the grid; a grid that stops inside a proved window
+    # still claims all of R, as the window and the regime above are proved
     rep = certify(PureExp(), (-5.0, -1.0), 0.5)
     assert rep.status == "certified"
     assert rep.pinched_from == np.inf
+    rep = certify(Interpolated(-4.0, -1.0), (-5.0, -2.0), 0.5)
+    assert rep.status == "certified"
+    assert rep.pinched_from == -np.inf
+
+
+VERDICT = ("status", "scale", "pinched_from")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    family=st.sampled_from(["shifted-exp", "interpolated"]),
+    t_hi=st.floats(min_value=-30.0, max_value=0.0),
+    width=st.floats(min_value=1e-6, max_value=30.0),
+    t_min=st.floats(min_value=-20.0, max_value=60.0),
+    span=st.floats(min_value=1e-3, max_value=60.0),
+    points=st.integers(min_value=1, max_value=2000),
+)
+def test_verdict_does_not_depend_on_the_grid(family, t_hi, width, t_min, span, points):
+    # shifted-exp and every built window are certified with lambda^2 = 2
+    # on all of R, from any grid; grids down to t = -20 stay finite
+    warp = ShiftedExp() if family == "shifted-exp" else build_interpolation(t_hi - width, t_hi)
+    rep = certify(warp, (t_min, t_min + span), span / points)
+    assert tuple(getattr(rep, k) for k in VERDICT) == ("certified", SQRT2, -np.inf)
+    assert rep.witness is None and rep.bounds_curve.t.size == rep.grid.size
+
+
+@settings(max_examples=60, deadline=None)
+@given(t_min=st.floats(min_value=-20.0, max_value=5.0),
+       span=st.floats(min_value=1e-3, max_value=20.0),
+       points=st.integers(min_value=1, max_value=2000))
+@example(t_min=-1.0, span=1.0, points=2)
+def test_pure_exp_is_certified_exactly_on_a_negative_grid(t_min, span, points):
+    # pure-exp's negativity ends at t = 0 (margin a = e^-t - 1, K(xy) = 0
+    # there); the grid may pass t_max by up to half a step, and its last
+    # point decides
+    rep = certify(PureExp(), (t_min, t_min + span), span / points)
+    if rep.grid[-1] < 0.0:
+        assert tuple(getattr(rep, k) for k in VERDICT) == ("certified", SQRT2, np.inf)
+    else:
+        assert rep.status == "refused_conditions" and rep.witness["kind"] == "condition"
+        assert np.isnan(rep.scale) and rep.pinched_from == np.inf
+        assert rep.witness["margin"] <= 0.0 and rep.witness["t"] >= 0.0
 
 
 @pytest.mark.parametrize("warp", [ShiftedExp(), Interpolated(-4.0, -1.0)])
@@ -335,7 +357,7 @@ def test_pinching_scale_covers_the_analytic_tail(warp):
     # (lambda^2 = 1.99989 on [-6, 10]) puts k_min / lambda^2 below -1
     rep = certify(warp, (-6.0, 10.0), 0.5)
     assert rep.status == "certified"
-    assert np.isfinite(rep.pinched_from)
+    assert rep.pinched_from == -np.inf
     lam2 = rep.scale**2
     for t in (12.0, 20.0, 40.0):
         assert extremize_k(warp, t).k_min / lam2 > -1.0, t

@@ -6,12 +6,13 @@
 * A hypothesis property over admissible windows: the extremes equal the
   eigenvalues of the frame form assembled from the component table, and
   both witness planes attain them.
-* A symbolic proof that -2 < K < 0 on every plane where f = 1 + e^-t, the
-  bound ``tail_k_bound`` states past the grid, and the exact frame form
-  where f = e^-t: K = -1 on the t-planes, e^2t - 1 on xy and -e^2t - 1 on
-  xz and yz.
+* A symbolic proof that -2 < K < 0 on every plane where f = 1 + e^-t, and
+  the exact frame form where f = e^-t: K = -1 on the t-planes, e^2t - 1 on
+  xy and -e^2t - 1 on xz and yz.
 * A symbolic proof, for any f > 0, of the four-block frame form and of the
-  eigenvalues ``certify``'s closed-form kernel computes from it.
+  eigenvalues ``certify``'s closed-form kernel computes from it, and of
+  the pinching lemma ``certify`` decides from: -2 < K < 0 on every plane
+  wherever f > 1, -f <= f' < 0, 0 < f'' < 2f and margin d > 0.
 """
 
 import numpy as np
@@ -20,7 +21,7 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from solcusp.certify import extremize_k, extremize_point, tail_k_bound
+from solcusp.certify import extremize_k, extremize_point
 from solcusp.curvature import (
     PAIRS,
     component_table,
@@ -217,7 +218,6 @@ def test_shifted_regime_curvature_lies_in_minus_two_to_zero(shifted_form):
                 b = blk[1]
                 assert positive_for_positive_e(
                     shift[a, a] * shift[b, b] - shift[a, b] ** 2, e)
-    assert tail_k_bound(ShiftedExp(), 0.0) == -2.0
 
 
 def test_pure_exp_regime_frame_form_is_exact(pure_exp_form):
@@ -273,3 +273,38 @@ def test_block_eigenvalues_are_the_kernels_closed_forms():
     for b in (B, -B):
         block = sp.Matrix([[A, -b], [-b, -1]])
         assert sp.expand((lam * sp.eye(2) - block).det() - (lam - lo) * (lam - hi)) == 0
+
+
+def test_pinching_lemma_puts_every_plane_in_minus_two_to_zero():
+    # with x = f'/f and y = 1/f: A = x - y^2, B = y (1 + x), the {xz, xt}
+    # determinant -A - B^2 is d/f^2, and K(xy) = -a (f + 1)/f^2 = -(1 - y^2)
+    f, fp = sp.symbols("f", positive=True), sp.symbols("fp", real=True)
+    x, y = fp / f, 1 / f
+    A, B = (f * fp - 1) / f**2, (f + fp) / f**2
+    d = 1 - f * fp - (1 + fp / f) ** 2
+    assert sp.simplify(A - (x - y**2)) == 0 and sp.simplify(B - y * (1 + x)) == 0
+    assert sp.simplify(-A - B**2 - d / f**2) == 0
+    assert sp.simplify(-(f - 1) * (f + 1) / f**2 + (1 - y**2)) == 0
+    # lambda_- = (A - 1)/2 - hypot((A + 1)/2, B) > -2 iff (A + 3)/2 exceeds
+    # the hypot: where A + 3 > 0, iff the difference of the squares,
+    # A + 2 - B^2, is positive
+    X, Y = sp.symbols("x y", real=True)
+    Ax, Bx = X - Y**2, Y * (1 + X)
+    assert sp.expand(((Ax + 3) / 2) ** 2 - ((Ax + 1) / 2) ** 2 - Bx**2 - (Ax + 2 - Bx**2)) == 0
+    assert sp.expand(Ax + 2 - Bx**2 - (-X * (1 + X) + (1 - Y**2) * (1 + (1 + X) ** 2))) == 0
+    # f > 1 and -f <= f' < 0 put x = r - 1 with r = 1 + f'/f in [0, 1) and
+    # y^2 = 1 - w with w in (0, 1); then K(xy) = -w lies in (-1, 0), and
+    r, q = sp.symbols("r q", nonnegative=True)       # q stands for 1 - r
+    w = sp.symbols("w", positive=True)
+    at = {X: r - 1, Y: sp.sqrt(1 - w)}
+    assert sp.expand((Ax + 2 - Bx**2).subs(at) - (r * (1 - r) + w * (1 + r**2))) == 0
+    assert (r * q + w * (1 + r**2)).is_positive
+    assert sp.expand((Ax + 3).subs(at) - (r + w + 1)) == 0
+    # so -2 < lambda_- <= lambda_+ = (d/f^2)/lambda_- < 0 when d > 0 (and
+    # lambda_- < 0), and -2 < K(zt) = -f''/f < 0 when 0 < f'' < 2f.  Both
+    # closed-form regimes meet the hypotheses, with f' = -E and f'' = E for
+    # E = e^-t: f = E where E = 1 + w > 1 (t < 0), f = 1 + E at every t
+    E = sp.symbols("E", positive=True)
+    for f_, E_ in ((1 + w, 1 + w), (1 + E, E)):
+        assert (f_ - 1).is_positive and (f_ - E_).is_nonnegative
+        assert (2 * f_ - E_).is_positive

@@ -273,29 +273,35 @@ def test_singular_float_eigenbasis_is_an_error_line(exponent, tmp_path, capsys):
 
 @pytest.mark.parametrize("t0", [-5.0, -1.0])
 def test_run_claims_all_three_on_one_cusp_region(t0, tmp_path, capsys):
-    # certify on [-1, 10] pinches from -1.  With a volume from t0 = -5 the
-    # run once read certified with total_volume 1.05e6: the volume of a
-    # cusp whose part [-5, -1) nothing checked
-    cfg = tmp_path / "config.json"
-    cfg.write_text(json.dumps({"certify": {"t_min": -1.0}, "volume": {"t0": t0, "tol": 1e-6}}))
-    outdir = tmp_path / "o"
-    code = main(["--config", str(cfg), "--output", str(outdir), "run"])
-    captured = capsys.readouterr()
-    # every report is written either way
-    assert len(list(outdir.iterdir())) == 7
-    assert json.loads((outdir / "certify.json").read_text())["status"] == "certified"
-    assert json.loads((outdir / "certify.json").read_text())["pinched_from"] == -1.0
-    summary = json.loads((outdir / "summary.json").read_text())
-    if t0 < -1.0:
-        assert code == 1 and captured.out == ""
-        assert summary["status"] == "error" and "verdict" not in summary
-        assert captured.err == (f"error: volume t0 {t0} lies below pinched_from -1.0, "
-                                "so no one cusp region carries all three claims\n")
-        assert summary["error"] == "ValueError: " + captured.err[len("error: "):-1]
-    else:
-        assert code == 0
-        assert summary["status"] == "certified"
-        assert summary["verdict"]["pinched_from"] == t0
+    # pure-exp is certified on t < 0 only, so no pinched range reaches to
+    # inf (pinched_from = inf) and no cusp [t0, inf) carries all three
+    # claims; a run once read certified with the volume of a cusp whose
+    # part nothing checked.  The default warp is pinched on all of R, and
+    # the same run is certified
+    for family in ("pure-exp", "interpolated"):
+        cfg = tmp_path / f"{family}.json"
+        cfg.write_text(json.dumps({"warp": {"family": family},
+                                   "certify": {"t_min": -3.0, "t_max": -1.0},
+                                   "volume": {"t0": t0, "tol": 1e-6}}))
+        outdir = tmp_path / family
+        code = main(["--config", str(cfg), "--output", str(outdir), "run"])
+        captured = capsys.readouterr()
+        # every report is written either way
+        assert len(list(outdir.iterdir())) == 7
+        cert = json.loads((outdir / "certify.json").read_text())
+        assert cert["status"] == "certified"
+        summary = json.loads((outdir / "summary.json").read_text())
+        if family == "pure-exp":
+            assert cert["pinched_from"] == "inf"
+            assert code == 1 and captured.out == ""
+            assert summary["status"] == "error" and "verdict" not in summary
+            assert captured.err == (f"error: volume t0 {t0} lies below pinched_from inf, "
+                                    "so no one cusp region carries all three claims\n")
+            assert summary["error"] == "ValueError: " + captured.err[len("error: "):-1]
+        else:
+            assert code == 0
+            assert summary["status"] == "certified"
+            assert summary["verdict"]["pinched_from"] == cert["pinched_from"] == "-inf"
 
 
 def test_run_writes_utf8_reports_under_an_ascii_locale(tmp_path):
@@ -435,7 +441,7 @@ def test_any_run_config_exits_with_a_status_and_parsing_reports(drawn):
             warnings.simplefilter("always")
             code = main(["--config", str(cfg), "--output", str(outdir), "run"])
         assert [str(w.message) for w in caught] == []
-        assert code in (0, 1, 2, 3)
+        assert code in (0, 1, 2)
         assert (code == 1) == stderr.getvalue().startswith("error: ")
         reports = {path.name: path.read_bytes() for path in outdir.iterdir()}
     for name, text in reports.items():
@@ -454,7 +460,7 @@ def test_any_run_config_exits_with_a_status_and_parsing_reports(drawn):
         assert len(reports) == 7 and code == 0
         assert not any(b'"nan"' in text for text in reports.values())
         assert b"nan" not in reports["certify.csv"]
-        assert summary["config"]["volume"]["t0"] >= summary["verdict"]["pinched_from"]
+        assert summary["config"]["volume"]["t0"] >= float(summary["verdict"]["pinched_from"])
 
 
 def test_build_warp_command(tmp_path, capsys):
@@ -545,6 +551,22 @@ def test_certify_command_certified(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ["certify", "--warp", "shifted-exp", "--t-min", "-6", "--t-max", "40", "--step", "0.01"],
+    ["certify", "--warp", "shifted-exp", "--t-min", "0", "--t-max", "60"],
+    ["certify", "--t-min", "0", "--t-max", "20.8"],
+], ids=["shifted-to-40", "shifted-to-60", "interpolated-to-20.8"])
+def test_certify_decides_from_the_proof_where_the_float_grid_could_not(argv, capsys):
+    # float margin a = f - 1 rounds to 0 past t = 36.7, which once refused
+    # the shifted grids, and max_k = -9.3e-10 once read inconclusive; every
+    # margin is proved positive and -2 < K < 0 on every plane at every t
+    code, out = run_cli(capsys, *argv)
+    payload = json.loads(out)
+    assert code == 0 and payload["status"] == "certified" and payload["witness"] is None
+    assert payload["pinched_from"] == "-inf" and payload["scale"] == 1.4142135623730951
+    assert "floor" not in payload
+
+
+@pytest.mark.parametrize("argv", [
     ["certify", "--samples", "2000"],
     ["certify", "--refine", "4"],
     ["certify", "--seed", "0"],
@@ -558,7 +580,8 @@ def test_certify_command_certified(tmp_path, capsys):
 ])
 def test_sampling_flags_are_gone(argv, capsys):
     # nothing is sampled, so there is no budget, seed or worker count; the
-    # witness-gap bound, the finite-difference step and both floors are fixed
+    # witness-gap bound and the finite-difference step are fixed, and the
+    # verdicts, which come from proofs, need no floor
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
@@ -808,7 +831,7 @@ def test_run_pipeline_rejects_removed_sampling_fields(tmp_path, capsys):
 ])
 def test_run_pipeline_rejects_removed_config_fields(tmp_path, capsys, section, field, value):
     # fixed behaviour now: a 1e-12 flag bound, a 1e-4 step, certify.csv
-    # always, the 1e-9 and 1e-6 floors, the 1e-3 validation grid; --output
+    # always, no floor, the 1e-3 validation grid; --output
     # alone places the reports, so the whole output section is unknown
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({section: {field: value}}))
@@ -894,8 +917,8 @@ def test_run_pipeline_writes_all_reports(tmp_path, capsys):
     assert verdict["riemann_table_matched"] is True
     assert verdict["conditions_hold"] is True
     assert verdict["globally_negative"] is True
-    assert np.isfinite(verdict["pinched_from"])
-    assert verdict["scale"] > 1.0
+    assert float(verdict["pinched_from"]) == -np.inf
+    assert verdict["scale"] == 1.4142135623730951
     assert verdict["total_volume"] > 0.0
     # the one volume of a run is volume.json's; certify reports none
     cert = json.loads((outdir / "certify.json").read_text())

@@ -11,7 +11,6 @@ pipeline's frame form to 16 eps.
 """
 
 import importlib
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import per_point_reference as ref
-from solcusp.certify import _FLOOR, certify, extremize_k, extremize_point, rescale_to_pinching
+from solcusp.certify import certify, extremize_k, extremize_point
 from solcusp.curvature import (
     christoffel,
     christoffel_derivatives,
@@ -153,73 +152,3 @@ def test_extremize_point_takes_one_point():
     p = metric_at(ShiftedExp(), np.array([0.0, 1.0]), 0.0)
     with pytest.raises(ValueError, match="one point"):
         extremize_point(p)
-
-
-def rescale_both(t, k_min, k_max, tail):
-    """(lambda, pinched_from) of the array rescale and of the suffix loop.
-
-    Either result is "ValueError" where that version refuses the curve.
-    """
-    stacked = SimpleNamespace(t=np.array(t, dtype=float), k_min=np.array(k_min, dtype=float),
-                              k_max=np.array(k_max, dtype=float))
-    points = [SimpleNamespace(t=float(a), k_min=float(b), k_max=float(c))
-              for a, b, c in zip(t, k_min, k_max)]
-    results = []
-    for fn, curve in ((rescale_to_pinching, stacked), (ref.rescale_to_pinching, points)):
-        try:
-            results.append(fn(curve, tail))
-        except ValueError:
-            results.append("ValueError")
-    return results
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    n=st.integers(min_value=1, max_value=8),
-    tail=st.one_of(st.none(), st.floats(min_value=-3.0, max_value=0.0)),
-    data=st.data(),
-)
-def test_rescale_equals_the_suffix_loop(n, tail, data):
-    def column(*values):
-        return data.draw(st.lists(st.one_of(*values), min_size=n, max_size=n))
-
-    t = np.cumsum(column(st.floats(min_value=0.01, max_value=1.0)))
-    nan = st.just(float("nan"))
-    k_min = column(st.floats(min_value=-3.0, max_value=0.0), nan)
-    # subnormal k_max can round to -0.0 once divided by lambda^2
-    k_max = column(st.floats(min_value=-3.0, max_value=0.0, exclude_max=True), nan,
-                   st.just(-5e-324), st.just(0.0))
-    # points that sit exactly on the open bound k_min = -lambda^2
-    tail_sup = 0.0 if tail is None else abs(tail)
-    lam2 = (1.0 + _FLOOR) * max(1.0, abs(k_min[-1]), tail_sup)
-    for i in data.draw(st.sets(st.integers(min_value=0, max_value=n - 2))) if n > 1 else ():
-        k_min[i] = -lam2
-    stacked, loop = rescale_both(t, k_min, k_max, tail)
-    assert stacked == loop
-
-
-LAM_1 = float(np.sqrt(1.0 + _FLOOR))
-LAM_2 = float(np.sqrt(2.0 * (1.0 + _FLOOR)))
-NAN = float("nan")
-
-
-@pytest.mark.parametrize("t,k_min,k_max,tail,expected", [
-    # k_min = -lambda^2 exactly is not pinched: the suffix starts after it
-    ([0.0, 1.0, 2.0, 3.0], [-0.5, -2.0 * (1.0 + _FLOOR), -0.5, -0.5], [-0.1] * 4, -2.0,
-     (LAM_2, 2.0)),
-    # a NaN in either bound is not pinched
-    ([0.0, 1.0, 2.0], [-0.5, NAN, -0.5], [-0.1] * 3, -1.0, (LAM_1, 2.0)),
-    ([0.0, 1.0, 2.0], [-0.5] * 3, [-0.1, -0.1, NAN], -1.0, (LAM_1, np.inf)),
-    # the last point unpinched: -5e-324 / lambda^2 rounds to -0.0
-    ([0.0, 1.0, 2.0], [-0.5] * 3, [-0.1, -0.1, -5e-324], -2.0, (LAM_2, np.inf)),
-    # every point pinched
-    ([0.0, 1.0, 2.0], [-0.5] * 3, [-0.1] * 3, -1.0, (LAM_1, 0.0)),
-    # one point
-    ([1.5], [-1.0], [-0.5], -1.0, (LAM_1, 1.5)),
-    # no tail bound: nothing past the grid is known
-    ([0.0, 1.0, 2.0], [-0.5] * 3, [-0.1] * 3, None, (LAM_1, np.inf)),
-], ids=["at-bound", "nan-k-min", "nan-k-max-last", "last-unpinched", "all-pinched",
-        "one-point", "no-tail"])
-def test_rescale_cases_equal_the_suffix_loop(t, k_min, k_max, tail, expected):
-    stacked, loop = rescale_both(t, k_min, k_max, tail)
-    assert stacked == loop == expected

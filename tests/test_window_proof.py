@@ -3,13 +3,14 @@
 The builder accepts a transition window t_lo < t_hi <= 0 when, on each
 cell of a fixed table in u = (t - t_lo)/W, W = t_hi - t_lo,
 
-    (max of s' at the cell ends + M2 h/2) e^t < W        (margin b)
-    (max of -s'' at the cell ends + M3 h/2) e^t < W^2    (margin c)
+    (max of s' at the cell ends + M2 h/2) e^t < W          (margin b)
+    (max of |s''| at the cell ends + M3 h/2) e^t < W^2     (margin c, f'' < 2f)
 
 with e^t at the cell's right end.  Here:
 
-* sympy shows that margins a and d need no check inside the window and
-  that the margins outside it are positive closed forms;
+* sympy shows that margins a and d need no check inside the window, that
+  the margins outside it are positive closed forms, and that the window
+  meets the pinching lemma's hypotheses f > 1, -f <= f' < 0, f'' < 2f;
 * sympy checks the formulas for s', s'', s''' used below, and the symmetry
   s(1 - u) = 1 - s(u), so sups over (0, 1) are sups over (0, 1/2];
 * ``mpmath.iv`` proves M1 >= sup s', M2 >= sup |s''| and M3 >= sup |s'''|:
@@ -18,8 +19,12 @@ with e^t at the cell's right end.  Here:
 * mpmath checks that the float table matches its exact values far inside
   the proof's rounding allowance, and the float step s, s', s'' its
   50-digit values to 16 eps of their sups;
-* any window 4 wide is proved, so the widening search ends.
+* any window 4 wide is proved, so the widening search ends;
+* the |s''| row accepts the windows, and gives the witnesses, of the
+  max(-s'', 0) row it replaced, and k_min > -2 on sampled built windows.
 """
+
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -30,7 +35,8 @@ from hypothesis import strategies as st
 from mpmath import iv
 
 from solcusp import warp
-from solcusp.warp import Interpolated, window_witness
+from solcusp.certify import _closed_extremes
+from solcusp.warp import Interpolated, build_interpolation, condition_margins, window_witness
 
 from test_warp_bits import u_at_g
 
@@ -80,6 +86,20 @@ def test_margins_a_and_d_need_no_check_inside_the_window():
     assert sp.simplify((sp.exp(-t) - s1 / W) * sp.exp(t) * W - (W - s1 * sp.exp(t))) == 0
     assert sp.simplify((sp.exp(-t) + s2 / W**2) * sp.exp(t) * W**2
                        - (W**2 + s2 * sp.exp(t))) == 0
+
+
+def test_the_window_meets_the_pinching_hypotheses():
+    # inside, f = E + s > E = e^-t > 1 (t < 0), f' = -E + s'/W < 0 by margin
+    # b and f' + f = s + s'/W >= 0 (s, s' >= 0).  f'' = E + s''/W^2, and
+    # (2f - f'') e^t W^2 = W^2 - s'' e^t + 2 s e^t W^2, positive when
+    # |s''| e^t < W^2: the row of margin c bounds |s''|, not only -s''
+    t, s2 = sp.symbols("t s2", real=True)
+    s, s1, W = sp.symbols("s s1 W", positive=True)
+    E = sp.exp(-t)
+    f, fp, fpp = E + s, -E + s1 / W, E + s2 / W**2
+    assert sp.simplify(fp + f - (s + s1 / W)) == 0 and (s + s1 / W).is_positive
+    assert sp.simplify((2 * f - fpp) * sp.exp(t) * W**2
+                       - (W**2 - s2 * sp.exp(t) + 2 * s * sp.exp(t) * W**2)) == 0
 
 
 def test_margins_outside_the_window_are_positive_closed_forms():
@@ -152,7 +172,7 @@ def test_interval_proof_of_the_derivative_bounds():
 
 
 def test_float_table_matches_its_exact_values():
-    # each cell bound is (max of the node values, or 0) + M h/2; the float
+    # each cell bound is (max of the node values' moduli) + M h/2; the float
     # table must match the exact one far inside the 1e-9 rounding allowance
     # (exact on u <= 1/2; s' is even and s'' odd about 1/2)
     n = warp._PROOF_CELLS
@@ -162,7 +182,7 @@ def test_float_table_matches_its_exact_values():
         s2 = [0] + [e[1] for e in exact] + [-e[1] for e in exact[-2::-1]] + [0]
         half = mpmath.mpf(0.5) / n
         b = [max(s1[i], s1[i + 1]) + M2 * half for i in range(n)]
-        c = [max(-s2[i], -s2[i + 1], 0) + M3 * half for i in range(n)]
+        c = [max(abs(s2[i]), abs(s2[i + 1])) + M3 * half for i in range(n)]
         rel = max(max(abs(float(b[i] / warp._CELL_BOUNDS[0][i] - 1)),
                       abs(float(c[i] / warp._CELL_BOUNDS[1][i] - 1))) for i in range(n))
     assert rel < 1e-12
@@ -184,7 +204,7 @@ def test_table_bounds_the_step_inside_each_cell(cell, frac):
     u = (cell + frac) / warp._PROOF_CELLS
     assume(0.0 < u < 1.0)
     s1, s2, _ = step_derivatives(mpmath.mpf(u), mpmath.exp)
-    assert s1 <= warp._CELL_BOUNDS[0][cell] and -s2 <= warp._CELL_BOUNDS[1][cell]
+    assert s1 <= warp._CELL_BOUNDS[0][cell] and abs(s2) <= warp._CELL_BOUNDS[1][cell]
 
 
 def test_the_float_step_is_within_rounding_of_its_exact_values():
@@ -213,3 +233,44 @@ def test_the_float_step_is_within_rounding_of_its_exact_values():
             for k, sup in enumerate((1.0, M1, M2)):
                 err = abs(got[k, n] - exact[k])
                 assert err <= 16 * np.finfo(float).eps * sup, (x, k, float(err))
+
+
+def old_row_table():
+    """The table with the row of margin c it had before: max(-s'', 0) at
+    the cell ends, plus M3 h/2."""
+    n = warp._PROOF_CELLS
+    s1, s2 = np.zeros((2, n // 2 + 1))
+    _, i, (_, s1[i], s2[i]) = warp._step(np.arange(n // 2 + 1) / n)
+    neg_s2 = np.concatenate([-s2, s2[-2::-1]])
+    row_c = np.maximum(np.maximum(neg_s2[:-1], neg_s2[1:]), 0.0) + M3 * 0.5 / n
+    return np.stack([warp._CELL_BOUNDS[0], row_c])
+
+
+OLD_TABLE = old_row_table()
+
+
+@settings(max_examples=300, deadline=None)
+@given(t_hi=st.one_of(st.just(0.0), st.floats(-1.5, 0.0).map(lambda e: -(10.0**e))),
+       width=st.floats(-12.0, 1.5).map(lambda e: 10.0**e))
+def test_the_modulus_row_gives_the_old_rows_witness(t_hi, width):
+    # each cell u < 1/2 takes its mirror cell's bound at a smaller e^t, so
+    # the |s''| row never raises the largest ratio: the same windows pass,
+    # with the same witness
+    window = Interpolated(t_hi - width, t_hi)
+    with mock.patch.object(warp, "_CELL_BOUNDS", OLD_TABLE):
+        old = window_witness(window)
+    assert window_witness(window) == old
+
+
+@pytest.mark.parametrize("t_lo,t_hi", [(-4.0, -1.0), (-0.5, 0.0), (-1.0, -0.5), (-12.0, -4.0),
+                                       (-7.22, -7.13), (-25.0, -24.999), (-1e-4, -5e-5),
+                                       (-31.0, -30.0)])
+def test_built_windows_are_pinched_where_sampled(t_lo, t_hi):
+    # the proof's facts seen in floats on 20 001 points of the built window:
+    # f'' < 2f, and -2 < k_min <= k_max < 0
+    w = build_interpolation(t_lo, t_hi)
+    t = np.linspace(w.t_lo, w.t_hi, 20_001)
+    f, fp, fpp = values = w.eval(t)
+    assert np.all(fpp < 2.0 * f) and np.all((-f <= fp) & (fp < 0.0)) and np.all(f > 1.0)
+    b = _closed_extremes(t, condition_margins(w, t, values)[:, 0], *values)
+    assert np.all(b.k_min > -2.0) and np.all(b.k_max < 0.0)
