@@ -5,8 +5,8 @@ These are the bodies ``metric_at``, ``christoffel``,
 ``christoffel_derivatives``, ``riemann_closed``, ``riemann_fd`` and
 ``extremize_point`` had when they took one point at a time: scalar t and
 z, 4x4 matrices, einsums without leading axes, one ``metric_at`` per
-stencil point, and one eigh, SVD and witness K per point from fresh 1-D
-arrays.  The stacked kernels must reproduce them exactly (==).
+stencil point, and one ``eigvalsh`` per point of a frame form filled entry
+by entry.  The stacked kernels must reproduce them exactly (==).
 
 ``smooth_step`` computes the transition step's formulas (s' = w G and
 s'' = w ((1 - 2 sigma) G^2 - 2 H), from 1/u and 1/(1 - u)) on the whole
@@ -30,7 +30,6 @@ from itertools import permutations
 import numpy as np
 
 from solcusp import curvature
-from solcusp.certify import CurvatureBounds
 from solcusp.curvature import (
     _TABLE_LABELS,
     AXIS_NAMES,
@@ -144,35 +143,9 @@ def frame_pair_matrix(R: RiemannTensor) -> np.ndarray:
     return Q
 
 
-def k_of_plane(Q, u, v) -> float:
-    """Witness K from a fresh 1-D bivector, by 1-D matmul."""
-    w = np.array([u[i] * v[j] - u[j] * v[i] for (i, j) in PAIRS])
-    return float(w @ Q @ w / (w @ w))
-
-
-def plane_from_bivector(w):
-    W = np.zeros((4, 4))
-    i, j = np.transpose(PAIRS)
-    W[i, j], W[j, i] = w, -w
-    U, _, _ = np.linalg.svd(W)
-    return U[:, 0], U[:, 1]
-
-
-def extremize_point(p) -> CurvatureBounds:
-    Q = frame_pair_matrix(riemann_closed(p))
-    vals, vecs = np.linalg.eigh(Q)
-    u_min, v_min = plane_from_bivector(vecs[:, 0])
-    u_max, v_max = plane_from_bivector(vecs[:, -1])
-    k_at_min, k_at_max = k_of_plane(Q, u_min, v_min), k_of_plane(Q, u_max, v_max)
-    k_min, k_max = float(vals[0]), float(vals[-1])
-    return CurvatureBounds(
-        t=float(p.t),
-        k_min=k_min,
-        k_max=k_max,
-        argmin_plane=np.array([u_min, v_min]),
-        argmax_plane=np.array([u_max, v_max]),
-        method_agreement=max(abs(k_at_min - k_min), abs(k_at_max - k_max)),
-    )
+def extremize_point(p) -> tuple[float, float]:
+    vals = np.linalg.eigvalsh(frame_pair_matrix(riemann_closed(p)))
+    return float(vals[0]), float(vals[-1])
 
 
 def smooth_step(u):

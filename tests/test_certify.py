@@ -42,9 +42,9 @@ class ConstantWarp:
 
 
 def test_hyperbolic_diagnostic_is_constant_curvature():
-    b = extremize_point(hyperbolic_metric_point(0.3))
-    assert b.k_min == pytest.approx(-1.0, abs=1e-6)
-    assert b.k_max == pytest.approx(-1.0, abs=1e-6)
+    k_min, k_max = extremize_point(hyperbolic_metric_point(0.3))
+    assert k_min == pytest.approx(-1.0, abs=1e-6)
+    assert k_max == pytest.approx(-1.0, abs=1e-6)
 
 
 def test_pure_exp_extremes_bracket_frame_planes():
@@ -336,13 +336,20 @@ def test_verdict_does_not_depend_on_the_grid(family, t_hi, width, t_min, span, p
 @settings(max_examples=60, deadline=None)
 @given(t_min=st.floats(min_value=-20.0, max_value=5.0),
        span=st.floats(min_value=1e-3, max_value=20.0),
-       points=st.integers(min_value=1, max_value=2000))
-@example(t_min=-1.0, span=1.0, points=2)
+       points=st.floats(min_value=1.0, max_value=2000.0))
+@example(t_min=-1.0, span=1.0, points=2.0)
+@example(t_min=-1.0, span=0.9, points=3.6)
 def test_pure_exp_is_certified_exactly_on_a_negative_grid(t_min, span, points):
     # pure-exp's negativity ends at t = 0 (margin a = e^-t - 1, K(xy) = 0
-    # there); the grid may pass t_max by up to half a step, and its last
-    # point decides
-    rep = certify(PureExp(), (t_min, t_min + span), span / points)
+    # there); no grid point lies above t_max, and the last point decides,
+    # so a range below 0 is always certified.  The examples: a last point
+    # at t = 0 exactly, and a step of 0.25 from -1 whose arange passes
+    # t_max = -0.1 to reach t = 0
+    t_max = t_min + span
+    rep = certify(PureExp(), (t_min, t_max), span / points)
+    assert np.all(rep.grid <= t_max)
+    if t_max < 0.0:
+        assert rep.status == "certified"
     if rep.grid[-1] < 0.0:
         assert tuple(getattr(rep, k) for k in VERDICT) == ("certified", SQRT2, np.inf)
     else:
@@ -378,8 +385,9 @@ def test_extremes_are_the_form_eigenvalues_with_exact_witnesses():
 
 def test_certify_runs_no_tensor_eigh_or_svd(monkeypatch):
     # the grid is certified from the closed forms alone: the metric, the
-    # tensor pipeline, eigh and the SVD all raise here, and only the
-    # general-metric extremize_point still reaches them
+    # tensor pipeline and LAPACK's eigh, eigvalsh and SVD all raise here,
+    # and only extremize_point, with riemann_closed and eigvalsh, reaches
+    # them
     certify_module = sys.modules["solcusp.certify"]
     warp = build_interpolation(-4.0, -1.0)
     expected = certify(warp, (-6.0, 10.0), 0.05)
@@ -389,7 +397,7 @@ def test_certify_runs_no_tensor_eigh_or_svd(monkeypatch):
 
     for owner, name in ((curvature_module, "metric_at"), (curvature_module, "riemann_closed"),
                         (certify_module, "riemann_closed"), (np.linalg, "eigh"),
-                        (np.linalg, "svd")):
+                        (np.linalg, "eigvalsh"), (np.linalg, "svd")):
         monkeypatch.setattr(owner, name, refuse)
     assert not hasattr(certify_module, "metric_at")
     rep = certify(warp, (-6.0, 10.0), 0.05)

@@ -71,14 +71,14 @@ ORACLE_POINTS = (
 
 @pytest.mark.parametrize("name,p", ORACLE_POINTS, ids=[n for n, _ in ORACLE_POINTS])
 def test_sampled_planes_never_beat_the_exact_extremes(name, p):
-    b = extremize_point(p)
+    k_min, k_max = extremize_point(p)
     k = sampled_curvatures(p, np.random.default_rng(20240607))
     assert k.size > 0.9 * N_PLANES
-    assert k.min() >= b.k_min - 1e-12 * max(1.0, abs(b.k_min))
-    assert k.max() <= b.k_max + 1e-12 * max(1.0, abs(b.k_max))
+    assert k.min() >= k_min - 1e-12 * max(1.0, abs(k_min))
+    assert k.max() <= k_max + 1e-12 * max(1.0, abs(k_max))
     # and the extremes are not loose: the sampler gets close to them
-    assert k.min() <= b.k_min + 0.05 * max(1.0, abs(b.k_min))
-    assert k.max() >= b.k_max - 0.05 * max(1.0, abs(b.k_max))
+    assert k.min() <= k_min + 0.05 * max(1.0, abs(k_min))
+    assert k.max() >= k_max - 0.05 * max(1.0, abs(k_max))
 
 
 def table_form(warp, t, z):
