@@ -26,12 +26,10 @@ eigenvalues
 
 (lambda_+ from the determinant, which avoids the cancellation near 0;
 lambda_- <= min(A, -1) < 0).  So k_min = min(K(xy), lambda_-, K(zt)) and
-k_max = max(K(xy), lambda_+, K(zt)).  Each extreme has an analytic witness
-plane, a simple bivector by construction: (e_x, e_y), (e_z, e_t), or
-(e_x, alpha e_z + beta e_t) for a block eigenvector (alpha, beta).
-``method_agreement`` is the gap between a block witness's K and its
-eigenvalue, 0 for a coordinate plane; gaps above ``_AGREEMENT_TOL`` are
-flagged.
+k_max = max(K(xy), lambda_+, K(zt)), each attained: every block eigenvector
+is a simple bivector, e_x ^ e_y, e_z ^ e_t or e_x ^ (alpha e_z + beta e_t).
+``block_min`` and ``block_max`` name the attaining block: 0 = xy, 1 = the
+two mixed blocks, 2 = zt, the lowest code on a tie.
 
 ``certify`` decides from proofs, not from its grid.  The {xz, xt} block
 has determinant -A - B^2 = d / f^2 and a -1 on its diagonal, so K < 0 on
@@ -44,11 +42,9 @@ where f = 1 + e^-t, and in a window ``window_witness`` proves, so a warp
 of ``FAMILIES`` is certified with lambda^2 = 2 unless its grid reaches
 t >= 0 in pure-exp's regime or the window proof fails.  The grid (z = 0)
 is evidence: one warp evaluation, the margins and one closed-form kernel,
-whose 0-d case ``extremize_k`` equals a grid point bit for bit.  A witness
-plane is a (..., 2, 4) array whose rows are a frame-orthonormal pair
-(u, v); u / sqrt(g_ii) are u's coordinates.  ``extremize_point`` bounds K
-at any ``MetricPoint``: the first and last ``eigvalsh`` eigenvalues of its
-``riemann_closed`` frame form, with no witness planes.
+whose 0-d case ``extremize_k`` equals a grid point bit for bit.
+``extremize_point`` bounds K at any ``MetricPoint``: the first and last
+``eigvalsh`` eigenvalues of its ``riemann_closed`` frame form.
 """
 
 from __future__ import annotations
@@ -69,35 +65,28 @@ __all__ = [
     "rescale_to_pinching",
 ]
 
-# witness gaps above this are flagged; every gap observed is <= 7e-16
-_AGREEMENT_TOL = 1e-12
-# largest t-grid certify builds: a tracemalloc peak of 49 MB on the default
-# warp, about 490 B a point
+# largest t-grid certify builds: a tracemalloc peak of 23 MB on the default
+# warp, about 230 B a point
 _MAX_GRID_POINTS = 10**5
-# witness planes (u, v) of K(xy), of a block eigenvalue before v's z and t
-# components are written in, and of K(zt)
-_PLANES = np.array([[[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]],
-                    [[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]],
-                    [[0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]]])
 
 
 @dataclass(frozen=True)
 class CurvatureBounds:
     """Extremal sectional curvature over all tangent 2-planes, per point.
 
-    ``t``, ``k_min``, ``k_max`` and ``method_agreement`` have the stack's
-    shape, () for one point; the witness planes carry it in front of their
-    rows u and v of 4 frame components.
+    Every field has the stack's shape, () for one point.  ``block_min`` and
+    ``block_max`` are the integer codes of the blocks that attain k_min and
+    k_max (the module docstring).
     """
 
     t: np.ndarray
     k_min: np.ndarray
     k_max: np.ndarray
-    argmin_plane: np.ndarray        # (..., 2, 4)
-    argmax_plane: np.ndarray        # (..., 2, 4)
-    method_agreement: np.ndarray    # max |K(witness) - extreme eigenvalue|
+    block_min: np.ndarray
+    block_max: np.ndarray
 
 
+# no run path calls this or extremize_k; perfbench/spans.py traces both by name
 def extremize_point(p: MetricPoint) -> tuple[float, float]:
     """(k_min, k_max) over all 2-planes at one MetricPoint (a 0-d stack).
 
@@ -115,35 +104,13 @@ def extremize_point(p: MetricPoint) -> tuple[float, float]:
     return vals[0], vals[-1]
 
 
-def _witnesses(A, B, lam, which):
-    """Witness planes and K gaps of the extremes lam, attained where which
-    is 0 by K(xy), 1 by a block eigenvalue and 2 by K(zt).
-
-    A block's plane is (e_x, alpha e_z + beta e_t), with (alpha, beta) the
-    unit eigenvector of [[A, -B], [-B, -1]] for lam, taken orthogonal to
-    the larger of the rows (A - lam, -B) and (-B, -1 - lam); (1, 0) where
-    both vanish.  Its gap is |alpha^2 A - 2 alpha beta B - beta^2 - lam|;
-    a coordinate plane's gap is 0.
-    """
-    r1, r2 = A - lam, 1.0 + lam
-    n1, n2 = np.hypot(r1, B), np.hypot(B, r2)
-    first, n = n1 >= n2, np.maximum(n1, n2)
-    alpha = np.where(n > 0.0, np.where(first, B, r2) / n, 1.0)
-    beta = np.where(n > 0.0, np.where(first, r1, -B) / n, 0.0)
-    block = which == 1
-    plane = _PLANES[which]
-    plane[block, 1, 2], plane[block, 1, 3] = alpha[block], beta[block]
-    gap = abs(alpha * alpha * A - 2.0 * alpha * beta * B - beta * beta - lam)
-    return plane, np.where(block, gap, 0.0)
-
-
 def _closed_extremes(t, a, f, fp, fpp) -> CurvatureBounds:
     """Extremal K over all 2-planes at every t, from the closed forms of the
     four-block frame form (see the module docstring).
 
     ``a`` is margin a, passed in rather than computed as f - 1.  Leading
     axes pass through.  Raises ValueError at the first t where a value of
-    the form, an extreme or a witness gap is not finite.
+    the form or an extreme is not finite.
     """
     with np.errstate(all="ignore"):  # a non-finite value is refused below
         f2 = f * f
@@ -154,10 +121,7 @@ def _closed_extremes(t, a, f, fp, fpp) -> CurvatureBounds:
         lo = (A - 1.0) / 2.0 - np.hypot((A + 1.0) / 2.0, B)
         hi = (-A - B * B) / lo
         lows, highs = np.stack((k_xy, lo, k_zt)), np.stack((k_xy, hi, k_zt))
-        which = np.stack((lows.argmin(axis=0), highs.argmax(axis=0)))
-        planes, gaps = _witnesses(A, B, np.stack((lo, hi)), which)
-        agreement = gaps.max(axis=0)
-        finite = np.isfinite(np.stack((k_xy, lo, hi, k_zt, agreement))).all(axis=0)
+        finite = np.isfinite(np.stack((k_xy, lo, hi, k_zt))).all(axis=0)
     if not finite.all():
         bad = float(np.broadcast_to(t, finite.shape)[~finite].flat[0])
         raise ValueError(f"the frame curvature form is not finite at t={bad}")
@@ -166,9 +130,8 @@ def _closed_extremes(t, a, f, fp, fpp) -> CurvatureBounds:
         t=np.asarray(t),
         k_min=np.asarray(lows.min(axis=0)),
         k_max=np.asarray(highs.max(axis=0)),
-        argmin_plane=planes[0],
-        argmax_plane=planes[1],
-        method_agreement=np.asarray(agreement),
+        block_min=np.asarray(lows.argmin(axis=0)),
+        block_max=np.asarray(highs.argmax(axis=0)),
     )
 
 
@@ -204,17 +167,19 @@ class CertificationReport:
     max_k: float
     pinched_from: float
     scale: float
-    flagged_points: list[float]
     witness: dict | None
     config: dict
+    # no longer a field, and always empty: perfbench/spans.py's certify hook
+    # takes its len, and certify.json writes it as []
+    flagged_points = ()
 
     def curve_rows(self):
-        """(t, k_min, k_max, margin_a..d, method_agreement) per grid point."""
+        """(t, k_min, k_max, margin_a..d, block_min, block_max) per grid point."""
         b = self.bounds_curve
         if b is None:
             return []
         return np.column_stack((b.t, b.k_min, b.k_max, self.margins,
-                                b.method_agreement))
+                                b.block_min, b.block_max))
 
 
 def certify(
@@ -250,7 +215,7 @@ def certify(
     with np.errstate(all="ignore"):  # a non-finite value is refused by the margins
         values = warp.eval(grid)
     margins = condition_margins(warp, grid, values)
-    curve, max_k, flagged = None, np.nan, []
+    curve, max_k = None, np.nan
     scale, pinched_from = np.nan, np.inf
 
     if np.any((grid >= 0.0) & (grid <= warp.t_lo)):
@@ -262,11 +227,10 @@ def certify(
         witness = None
         curve = _closed_extremes(grid, margins[:, 0], *values)
         max_k = float(np.max(curve.k_max))
-        flagged = curve.t[curve.method_agreement > _AGREEMENT_TOL].tolist()
         scale, pinched_from = rescale_to_pinching(warp)
 
     return CertificationReport(
         status="refused_conditions" if witness else "certified", grid=grid,
         bounds_curve=curve, margins=margins, max_k=max_k, pinched_from=pinched_from,
-        scale=scale, flagged_points=flagged, witness=witness, config=config,
+        scale=scale, witness=witness, config=config,
     )

@@ -192,6 +192,7 @@ def cmd_verify_riemann(args) -> int:
 def _certify_payload(report: CertificationReport) -> dict:
     return {
         "status": report.status,
+        # repeats status; perfbench/workloads.py reads it
         "global_negative": report.status == "certified",
         "max_k": report.max_k,
         "pinched_from": report.pinched_from,
@@ -206,7 +207,7 @@ def _certify_payload(report: CertificationReport) -> dict:
 def _certify_csv(report: CertificationReport) -> str:
     return write_csv_text(
         ["t", "k_min", "k_max", "margin_a", "margin_b", "margin_c",
-         "margin_d", "method_agreement"],
+         "margin_d", "block_min", "block_max"],
         report.curve_rows(),
     )
 

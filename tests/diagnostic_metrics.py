@@ -5,9 +5,11 @@ curvature pipelines and the certifier can be checked on metrics whose
 sectional curvatures are known in closed form.  The helpers at the end
 read the frame scales, the frame coordinate-plane curvatures and the
 algebraic symmetry residuals off any point or tensor, and
-``sectional_curvature`` gives K of any plane from coordinate components:
-the oracle the frame-form extremes are checked against, with ``eigh`` of
-the closed pipeline's frame form, by ``closed_form_gaps``.
+``sectional_curvature`` gives K of any plane from coordinate components.
+``witness_plane`` builds a plane of the cusp frame form's block from its
+code in ``certify``'s bounds; ``closed_form_gaps`` checks the extremes
+against ``eigh`` of the closed pipeline's frame form and against K of
+those planes.
 """
 
 import numpy as np
@@ -69,8 +71,7 @@ def frame_scales(p: MetricPoint) -> np.ndarray:
 def frame_plane_k(p: MetricPoint) -> dict[str, np.ndarray]:
     """K of each frame coordinate plane, keyed by pair name ("xy", ..., "zt").
 
-    The diagonal of the closed-form frame curvature form, the same bits
-    ``certify`` feeds to ``eigh``.
+    The diagonal of ``riemann_closed``'s frame curvature form.
     """
     diag = np.diagonal(riemann_closed(p).pair_matrix(frame=True), axis1=-2, axis2=-1)
     return {name: diag[..., a] for a, name in enumerate(PAIR_NAMES)}
@@ -112,19 +113,45 @@ def sectional_curvature(R: RiemannTensor, p: MetricPoint, u, v) -> float:
     return float(num / gram)
 
 
+def witness_plane(warp, t: float, code: int, lowest: bool) -> np.ndarray:
+    """A frame-orthonormal pair (u, v), a (2, 4) array, whose plane's K is
+    the lowest (or highest) eigenvalue of block ``code`` of the cusp frame
+    form at (t, 0): certify's codes 0 = xy, 1 = mixed and 2 = zt.
+
+    Code 0 gives (e_x, e_y) and code 2 gives (e_z, e_t).  Code 1 gives
+    (e_x, alpha e_z + beta e_t), with (alpha, beta) the eigenvector from
+    ``eigh`` of [[A, -B], [-B, -1]], A = (f f' - 1) / f^2 and
+    B = (f + f') / f^2.  u / sqrt(g_ii) are u's coordinates.
+    """
+    plane = np.zeros((2, 4))
+    if code == 0:
+        plane[0, 0] = plane[1, 1] = 1.0
+    elif code == 2:
+        plane[0, 2] = plane[1, 3] = 1.0
+    elif code == 1:
+        f, fp, _ = (float(v) for v in warp.eval(float(t)))
+        A, B = (f * fp - 1.0) / (f * f), (f + fp) / (f * f)
+        vecs = np.linalg.eigh(np.array([[A, -B], [-B, -1.0]]))[1]
+        plane[0, 0] = 1.0
+        plane[1, 2:] = vecs[:, 0 if lowest else 1]
+    else:
+        raise ValueError(f"no block has code {code}")
+    return plane
+
+
 def closed_form_gaps(warp, bounds) -> tuple[float, float]:
     """(extreme gap, witness gap) of certify's bounds along their grid.
 
     The extreme gap is the worst |k - lambda| / (eps max(1, |lambda|)) of
     k_min and k_max against the extreme eigenvalues lambda of ``eigh`` of
     ``riemann_closed(p).pair_matrix(frame=True)`` at (t, 0).  The witness
-    gap is the worst |K - k| / max(1, |k|), with K of each witness plane
-    from coordinate components by ``sectional_curvature``.
+    gap is the worst |K - k| / max(1, |k|), with K from coordinate
+    components by ``sectional_curvature`` of the ``witness_plane`` of each
+    extreme's block code.
     """
     t = np.ravel(bounds.t)
     k = np.stack((np.ravel(bounds.k_min), np.ravel(bounds.k_max)), axis=1)
-    planes = np.stack((bounds.argmin_plane.reshape(-1, 2, 4),
-                       bounds.argmax_plane.reshape(-1, 2, 4)), axis=1)
+    codes = np.stack((np.ravel(bounds.block_min), np.ravel(bounds.block_max)), axis=1)
     eig = np.linalg.eigvalsh(riemann_closed(metric_at(warp, t, 0.0)).pair_matrix(frame=True))
     lam = eig[:, [0, -1]]
     extreme = np.max(np.abs(k - lam) / np.maximum(1.0, np.abs(lam))) / np.finfo(float).eps
@@ -133,7 +160,7 @@ def closed_form_gaps(warp, bounds) -> tuple[float, float]:
         p = metric_at(warp, ti, 0.0)
         R, scales = riemann_closed(p), frame_scales(p)
         for j in (0, 1):
-            uc, vc = planes[i, j] * scales
+            uc, vc = witness_plane(warp, ti, codes[i, j], lowest=j == 0) * scales
             gap = abs(sectional_curvature(R, p, uc, vc) - k[i, j]) / max(1.0, abs(k[i, j]))
             witness = max(witness, gap)
     return float(extreme), witness

@@ -19,10 +19,12 @@ from solcusp.curvature import metric_at, riemann_closed
 from solcusp.warp import Interpolated, PureExp, ShiftedExp, build_interpolation
 
 from diagnostic_metrics import (
+    closed_form_gaps,
     frame_plane_k,
     frame_scales,
     hyperbolic_metric_point,
     sectional_curvature,
+    witness_plane,
 )
 
 EPS = np.finfo(float).eps
@@ -84,7 +86,8 @@ def test_plane_charts_produce_orthonormal_pairs():
     b = extremize_k(ShiftedExp(), 0.0)
     p = metric_at(ShiftedExp(), 0.0, 0.0)
     scales = frame_scales(p)
-    for chart in (b.argmin_plane, b.argmax_plane):
+    for chart in (witness_plane(ShiftedExp(), 0.0, b.block_min, lowest=True),
+                  witness_plane(ShiftedExp(), 0.0, b.block_max, lowest=False)):
         assert chart.shape == (2, 4)
         u, v = chart
         assert abs(u @ u - 1.0) <= 1e-12
@@ -101,9 +104,9 @@ def test_argmin_plane_reproduces_k_min():
     p = metric_at(ShiftedExp(), 0.0, 0.0)
     R = riemann_closed(p)
     scales = frame_scales(p)
-    uc, vc = b.argmin_plane * scales
+    uc, vc = witness_plane(ShiftedExp(), 0.0, b.block_min, lowest=True) * scales
     assert sectional_curvature(R, p, uc, vc) == pytest.approx(b.k_min, abs=1e-10)
-    uc, vc = b.argmax_plane * scales
+    uc, vc = witness_plane(ShiftedExp(), 0.0, b.block_max, lowest=False) * scales
     assert sectional_curvature(R, p, uc, vc) == pytest.approx(b.k_max, abs=1e-10)
 
 
@@ -112,9 +115,26 @@ def test_extremize_is_deterministic():
     b = extremize_k(ShiftedExp(), 1.0)
     assert a.k_min == b.k_min
     assert a.k_max == b.k_max
-    assert a.method_agreement == b.method_agreement
-    assert np.array_equal(a.argmin_plane, b.argmin_plane)
-    assert np.array_equal(a.argmax_plane, b.argmax_plane)
+    assert a.block_min.tobytes() == b.block_min.tobytes()
+    assert a.block_max.tobytes() == b.block_max.tobytes()
+
+
+@pytest.mark.parametrize("warp, t, codes", [
+    # pure-exp: lambda_- = -1 - e^2t is the least value, K(xy) = e^2t - 1 the
+    # largest; shifted-exp: lambda_- the least, K(zt) = -e^-t / f the largest
+    (PureExp(), -1.0, (1, 0)),
+    (ShiftedExp(), -3.0, (1, 2)),
+    (ShiftedExp(), 0.0, (1, 2)),
+    (ShiftedExp(), 5.0, (1, 2)),
+    # K(xy), both block eigenvalues and K(zt) all round to -1.0: a tie goes
+    # to the lowest code
+    (PureExp(), -200.0, (0, 0)),
+])
+def test_block_codes_follow_the_closed_forms(warp, t, codes):
+    b = extremize_k(warp, t)
+    assert b.block_min.shape == b.block_max.shape == ()
+    assert np.issubdtype(b.block_min.dtype, np.integer)
+    assert (int(b.block_min), int(b.block_max)) == codes
 
 
 def test_certify_small_grid_is_certified():
@@ -188,24 +208,6 @@ def test_certify_certifies_where_max_k_is_above_the_old_floor():
     assert -1e-9 <= rep.max_k < 0.0
 
 
-def test_certify_flags_witness_gaps_above_the_fixed_bound(monkeypatch):
-    # the flag bound is 1e-12: a gap of 2e-12 is flagged, 1e-12 is not,
-    # and neither changes the verdict; the gaps are patched into the
-    # closed-form kernel certify runs once on its whole grid
-    certify_module = sys.modules["solcusp.certify"]
-    exact = certify_module._closed_extremes
-
-    def widened(*args):
-        b = exact(*args)
-        gaps = np.where(b.t == -1.0, 2e-12, np.where(b.t == 0.0, 1e-12, b.method_agreement))
-        return dataclasses.replace(b, method_agreement=gaps)
-
-    monkeypatch.setattr(certify_module, "_closed_extremes", widened)
-    rep = certify(ShiftedExp(), (-1.0, 1.0), 0.5)
-    assert rep.status == "certified"
-    assert rep.flagged_points == [-1.0]
-
-
 def test_certify_verdict_ignores_a_patched_positive_k_max(monkeypatch, capsys):
     # no admissible warp reaches K >= 0, so the patched stacked kernel
     # reports k_max = +1e-3 at t = 0.5.  That shows in the evidence, max_k
@@ -233,8 +235,8 @@ def test_certify_verdict_ignores_a_patched_positive_k_max(monkeypatch, capsys):
 
 
 def test_certify_builds_one_bounds_object_per_grid(monkeypatch):
-    # the curve stays stacked: one CurvatureBounds, whose witness planes
-    # are (n, 2, 4) arrays, whatever the number of grid points
+    # the curve stays stacked: one CurvatureBounds, whose block codes are
+    # (n,) arrays, whatever the number of grid points
     certify_module = sys.modules["solcusp.certify"]
     built = []
     cls = certify_module.CurvatureBounds
@@ -247,7 +249,7 @@ def test_certify_builds_one_bounds_object_per_grid(monkeypatch):
     rep = certify(ShiftedExp(), (-6.0, 10.0), 0.05)
     assert rep.grid.size == 321
     assert len(built) == 1 and built[0] is rep.bounds_curve
-    assert built[0].argmin_plane.shape == built[0].argmax_plane.shape == (321, 2, 4)
+    assert built[0].block_min.shape == built[0].block_max.shape == (321,)
 
 
 def test_certify_validates_arguments():
@@ -372,7 +374,7 @@ def test_pinching_scale_covers_the_analytic_tail(warp):
 
 def test_extremes_are_the_form_eigenvalues_with_exact_witnesses():
     # the closed forms against eigh of the tensor pipeline's frame form;
-    # both witnesses are analytic planes, which attain their extremes
+    # the plane of each extreme's block attains it
     for warp in (PureExp(), ShiftedExp(), Interpolated(-4.0, -1.0)):
         for t in (-3.0, -2.5, -1.5, -0.5):
             b = extremize_k(warp, t)
@@ -380,7 +382,7 @@ def test_extremes_are_the_form_eigenvalues_with_exact_witnesses():
             eig = np.linalg.eigvalsh(Q)
             for k, lam in ((b.k_min, eig[0]), (b.k_max, eig[-1])):
                 assert abs(k - lam) <= 16.0 * EPS * max(1.0, abs(lam))
-            assert b.method_agreement <= 1e-14
+            assert closed_form_gaps(warp, b)[1] <= 1e-14
 
 
 def test_certify_runs_no_tensor_eigh_or_svd(monkeypatch):

@@ -5,7 +5,7 @@
   extremes.
 * A hypothesis property over admissible windows: the extremes equal the
   eigenvalues of the frame form assembled from the component table, and
-  both witness planes attain them.
+  the planes of both attaining blocks attain them.
 * A symbolic proof that -2 < K < 0 on every plane where f = 1 + e^-t, and
   the exact frame form where f = e^-t: K = -1 on the t-planes, e^2t - 1 on
   xy and -e^2t - 1 on xz and yz.
@@ -35,6 +35,7 @@ from diagnostic_metrics import (
     hyperbolic_metric_point,
     sectional_curvature,
     sol_product_metric_point,
+    witness_plane,
 )
 
 N_PLANES = 20_000
@@ -109,7 +110,6 @@ def test_extremes_match_table_form_and_witnesses(t_hi, width, t, z):
     eig = np.linalg.eigvalsh(table_form(warp, t, z))
     assert abs(b.k_min - eig[0]) <= 1e-12 * max(1.0, abs(eig[0]))
     assert abs(b.k_max - eig[-1]) <= 1e-12 * max(1.0, abs(eig[-1]))
-    assert b.method_agreement <= 1e-12
     # exact zeros between the blocks keep every eigenvector, and so every
     # witness, inside one block
     Q = riemann_closed(metric_at(warp, t, z)).pair_matrix(frame=True)
@@ -117,8 +117,8 @@ def test_extremes_match_table_form_and_witnesses(t_hi, width, t, z):
     p = metric_at(warp, t, 0.0)
     R = riemann_closed(p)
     scales = frame_scales(p)
-    for k, plane in ((b.k_min, b.argmin_plane), (b.k_max, b.argmax_plane)):
-        uc, vc = plane * scales
+    for k, code, lowest in ((b.k_min, b.block_min, True), (b.k_max, b.block_max, False)):
+        uc, vc = witness_plane(warp, t, code, lowest) * scales
         assert abs(sectional_curvature(R, p, uc, vc) - k) <= 1e-12 * max(1.0, abs(k))
 
 

@@ -546,7 +546,7 @@ def test_certify_command_certified(tmp_path, capsys):
     assert payload["status"] == "certified"
     assert payload["max_k"] < -1e-9
     lines = csv_path.read_text().splitlines()
-    assert lines[0] == "t,k_min,k_max,margin_a,margin_b,margin_c,margin_d,method_agreement"
+    assert lines[0] == "t,k_min,k_max,margin_a,margin_b,margin_c,margin_d,block_min,block_max"
     assert len(lines) == 6
 
 
@@ -943,7 +943,7 @@ def test_run_pipeline_with_pure_exp_reports_failed_conditions(tmp_path, capsys):
     assert summary["verdict"]["globally_negative"] is False
     # refused before any curvature work: the curve CSV has no rows
     assert (outdir / "certify.csv").read_text() == (
-        "t,k_min,k_max,margin_a,margin_b,margin_c,margin_d,method_agreement\n")
+        "t,k_min,k_max,margin_a,margin_b,margin_c,margin_d,block_min,block_max\n")
 
 
 def test_run_pipeline_config_round_trip(tmp_path, capsys):

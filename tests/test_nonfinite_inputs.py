@@ -113,7 +113,8 @@ def test_pure_exp_certifies_where_only_its_metric_overflows():
     e2t = np.exp(2.0 * b.t)
     assert np.array_equal(b.k_min, -1.0 - e2t) and np.array_equal(b.k_max, e2t - 1.0)
     assert np.all(b.k_min == -1.0) and rep.max_k == -1.0
-    assert np.all(b.method_agreement == 0.0) and rep.flagged_points == []
+    # a tie goes to the lowest code, K(xy)'s
+    assert np.all(b.block_min == 0) and np.all(b.block_max == 0)
 
 
 def test_the_widest_window_stands_with_its_bits():

@@ -44,17 +44,17 @@ def assert_same_bounds(b, i, r):
     assert b.t[i] == r.t
     assert b.k_min[i] == r.k_min
     assert b.k_max[i] == r.k_max
-    assert np.array_equal(b.argmin_plane[i], r.argmin_plane)
-    assert np.array_equal(b.argmax_plane[i], r.argmax_plane)
-    assert b.method_agreement[i] == r.method_agreement
+    assert b.block_min[i].tobytes() == r.block_min.tobytes()
+    assert b.block_max[i].tobytes() == r.block_max.tobytes()
 
 
 def assert_stack_shape(b, shape):
-    """Every field of the bounds b carries the stack's shape."""
-    for arr in (b.t, b.k_min, b.k_max, b.method_agreement):
+    """Every field of the bounds b carries the stack's shape; the block
+    codes are integers."""
+    for arr in (b.t, b.k_min, b.k_max, b.block_min, b.block_max):
         assert isinstance(arr, np.ndarray) and arr.shape == shape
-    for plane in (b.argmin_plane, b.argmax_plane):
-        assert plane.shape == shape + (2, 4)
+    for codes in (b.block_min, b.block_max):
+        assert np.issubdtype(codes.dtype, np.integer)
 
 
 def make_warp(family, t_hi, width):
@@ -115,7 +115,7 @@ def test_stacked_kernels_equal_the_per_point_bodies(family, t_hi, width, shape, 
 def test_certify_bounds_equal_the_per_point_bodies_on_the_default_grid():
     # the closed-form extremes at every point of the default grid: equal to
     # extremize_k's bits, within 16 eps of eigh of the tensor pipeline's
-    # frame form, and attained by their analytic witness planes to 1e-12
+    # frame form, and attained by the planes of their blocks to 1e-12
     warp = build_interpolation(-4.0, -1.0)
     rep = certify(warp, (-6.0, 10.0), 0.05)
     assert rep.grid.size == DEFAULT_GRID.size == 321
