@@ -169,8 +169,8 @@ class CertificationReport:
     scale: float
     witness: dict | None
     config: dict
-    # no longer a field, and always empty: perfbench/spans.py's certify hook
-    # takes its len, and certify.json writes it as []
+    # always empty, not a field: perfbench/spans.py's certify hook takes its
+    # len, and certify.json writes it as []
     flagged_points = ()
 
     def curve_rows(self):
