@@ -13,9 +13,9 @@ Subcommands mirror the library stages:
                    reports plus a summary verdict
 
 Exit codes: 0 success/certified, 1 bad input or internal error (also a
-certified run whose volume t0 lies below pinched_from), 2 refused (a
-pure-exp grid reaching t >= 0, or a transition window the proof does not
-cover) or a command-line usage error.
+pure-exp run, which has no cusp), 2 refused (a pure-exp grid reaching
+t >= 0, or a transition window the proof does not cover) or a command-line
+usage error.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .curvature import MAX_MATCH_POINTS, match_component_table
 from .lattice import AnosovMatrix, build_sol_lattice, cross_section_volume
 from .serialize import to_json_text, write_csv_text
 from .volume import QuadratureError, cusp_volume
-from .warp import FAMILIES, condition_margins, validation_grid, warp_from_name
+from .warp import FAMILIES, PureExp, condition_margins, validation_grid, warp_from_name
 
 _STATUS_CODES = {"certified": 0, "refused_conditions": 2}
 
@@ -255,6 +255,10 @@ def cmd_run(args) -> int:
         except (OSError, ValueError, RecursionError) as exc:
             raise ValueError(f"config {args.config}: {exc}") from None
         summary["config"] = config = _merge_config(_DEFAULT_CONFIG, file_cfg)
+        # the three claims share one cusp [t0, inf), which the pinching must cover
+        if config["warp"]["family"] == PureExp.family:
+            raise ValueError("warp pure-exp has no cusp: it is negatively curved only for "
+                             "t < 0, so no [t0, inf) carries all three claims")
         A = AnosovMatrix(*config["matrix"])
         lattice_payload = _lattice_payload(A)
         write("lattice.json", lattice_payload)
@@ -276,10 +280,6 @@ def cmd_run(args) -> int:
         vc = config["volume"]
         vol = _volume_payload(warp, vol_c, vc["t0"], vc["tol"])
         write("volume.json", vol)
-        # the three claims share one cusp [t0, inf), which the pinching must cover
-        if report.status == "certified" and vc["t0"] < report.pinched_from:
-            raise ValueError(f"volume t0 {vc['t0']} lies below pinched_from "
-                             f"{report.pinched_from}, so no one cusp region carries all three claims")
 
         summary = {
             "config": config,

@@ -17,11 +17,20 @@ are all positive:
     a = f - 1,   b = -f',   c = f'',   d = 1 - f*f' - (1 + f'/f)^2
 
 ``Interpolated.eval`` computes e^-t on all of t and the step s only where
-it moves: s = 0 for u <= 0 and s = 1 for u >= 1, and inside (0, 1) the
-logistic in g = 1/u - 1/(1-u) runs only where |g| < _STEP_CLIP (beyond, s
-is 0 or 1 to far below double precision).
-Everywhere else f = e^-t + s, f' = 0.0 - e^-t and f'' = e^-t.  A window
-whose W^2 overflows or underflows to 0 is refused: f'' divides by W^2.
+it moves: the logistic in g = 1/u - 1/(1-u) runs only where |g| <
+_STEP_CLIP, one run of u, ``_STEP_RUN``, as g is nonincreasing in floats
+too (each operation is correctly rounded and monotone); s = 0 below it and
+1 above it, to far below double precision.  Everywhere else f = e^-t + s,
+f' = 0.0 - e^-t and f'' = e^-t.  A window whose W^2 overflows or
+underflows to 0 is refused: f'' divides by W^2.
+
+``condition_margins`` writes an interpolated warp's margins on a sorted t
+in place, in one (4, n) buffer.  ``searchsorted`` splits t at t_lo and
+t_hi, then the window's u at the ends of ``_STEP_RUN``, which a bisection
+in g finds once; only that run goes to ``_step``, writing f, f', f'' in rows
+a, b, c.  Below it f = e^-t, so f'/f = -1 and d = 1 + e^-2t exactly; above
+it f = 1 + e^-t.  There a and b are finite exactly where c = e^-t is, so
+the finiteness check reads only row c there.
 
 ``build_interpolation`` doubles the width W of a window t_lo < t_hi <= 0
 until ``window_witness`` proves the four margins positive at every t:
@@ -104,9 +113,25 @@ def _run(i: np.ndarray) -> slice | np.ndarray:
     return slice(i[0], i[-1] + 1) if i.size and i[-1] - i[0] == i.size - 1 else i
 
 
-def _step(u: np.ndarray) -> tuple[np.ndarray, slice | np.ndarray, tuple]:
-    """On a flat u: where 0 < u < 1, the indices with s = 1, the indices j with
-    |g| < _STEP_CLIP, and (s, s', s'') at j.
+def _least_u(holds) -> float:
+    """The least float u in (0, 1) with holds(g), g as ``_step`` forms it, for a
+    test that holds from some u on: a bisection on the bits, which order floats."""
+    lo, hi = 0, int(np.float64(1.0).view(np.int64))
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        u = float(np.int64(mid).view(np.float64))
+        lo, hi = (lo, mid) if holds(1.0 / u - 1.0 / (1.0 - u)) else (mid, hi)
+    return float(np.int64(hi).view(np.float64))
+
+
+# |g| < _STEP_CLIP exactly on _STEP_RUN[0] <= u < _STEP_RUN[1]
+_STEP_RUN = np.array([_least_u(lambda g: g < _STEP_CLIP), _least_u(lambda g: g <= -_STEP_CLIP)])
+
+
+def _step(u: np.ndarray, et, width: float, s: np.ndarray, s1: np.ndarray, s2: np.ndarray) -> None:
+    """f = s + et, f' = s'/W - et and f'' = s''/W^2 + et, W = width, at u on
+    the step's run, into s, s1 and s2 (et = 0 and W = 1 give s, s' and
+    s''); u's buffer is used up.
 
     s(u) = phi(u) / (phi(u) + phi(1-u)), phi(u) = exp(-1/u), is the logistic
     sigma = 1/(e + 1), e = exp(g), of g = ru - rv with ru = 1/u, rv = 1/(1-u),
@@ -118,34 +143,35 @@ def _step(u: np.ndarray) -> tuple[np.ndarray, slice | np.ndarray, tuple]:
     w is not sigma (1 - sigma), whose 1 - sigma cancels as sigma -> 1 (u -> 1),
     nor (sigma sigma) e, whose sigma^2 underflows to 0 for g above about 372.
     """
-    i = ((u > 0.0) & (u < 1.0)).nonzero()[0]
-    u = u[_run(i)]
-    with np.errstate(over="ignore"):  # 1/u is inf below 1/(float max)
-        ru, rv = 1.0 / u, 1.0 / (1.0 - u)
-        g = ru - rv
-    top, k = i[g <= -_STEP_CLIP], _run((np.abs(g) < _STEP_CLIP).nonzero()[0])
-    # in place, in six buffers of k's size: ru, rv, w (g's), sig, G and s1; H is
-    # ru's and s2 rv's
-    ru, rv, w = ru[k], rv[k], g[k]
+    # in place: w takes u's buffer, rv and then H s2's; ru and G are new
+    ru = 1.0 / u
+    rv = np.subtract(1.0, u, out=s2)
+    np.divide(1.0, rv, out=rv)
+    w = np.subtract(ru, rv, out=u)            # g
     np.exp(w, out=w)
-    sig = w + 1.0
-    np.divide(1.0, sig, out=sig)              # s = sigma
-    w *= sig
-    w *= sig                                  # w = sigma (sigma e)
-    G, s1 = ru * ru, rv * rv
+    np.add(w, 1.0, out=s)
+    np.divide(1.0, s, out=s)                  # s = sigma
+    w *= s
+    w *= s                                    # w = sigma (sigma e)
+    G = ru * ru
+    np.multiply(rv, rv, out=s1)
     ru *= G
     rv *= s1
     G += s1
     np.multiply(w, G, out=s1)                 # s' = w G
     H = np.subtract(ru, rv, out=ru)
-    s2 = np.multiply(sig, 2.0, out=rv)
+    np.multiply(s, 2.0, out=s2)
     np.subtract(1.0, s2, out=s2)
     G *= G
     s2 *= G
     H *= 2.0
     s2 -= H
     s2 *= w                                   # s'' = w ((1 - 2 sigma) G^2 - 2 H)
-    return top, _run(i[k]), (sig, s1, s2)
+    s += et
+    s1 /= width
+    s1 -= et
+    s2 /= width**2
+    s2 += et
 
 
 def _proof_table() -> tuple[np.ndarray, np.ndarray]:
@@ -155,9 +181,11 @@ def _proof_table() -> tuple[np.ndarray, np.ndarray]:
     even about 1/2: the mirror halves the work.
     """
     n = _PROOF_CELLS
-    s = np.zeros((2, n // 2 + 1))
-    _, i, (_, s[0, i], s[1, i]) = _step(np.arange(n // 2 + 1) / n)  # 0 off i, as s', s'' are
-    s = np.abs(np.concatenate([s, s[:, -2::-1]], axis=1))
+    u = np.arange(n // 2 + 1) / n
+    s = np.zeros((3, n // 2 + 1))  # 0 off the run, as s', s'' are
+    lo, hi = np.searchsorted(u, _STEP_RUN)
+    _step(u[lo:hi], 0.0, 1.0, *s[:, lo:hi])
+    s = np.abs(np.concatenate([s[1:], s[1:, -2::-1]], axis=1))
     return np.arange(1, n + 1) / n, (np.maximum(s[:, :-1], s[:, 1:])
                                      + np.array([[_S2_BOUND], [_S3_BOUND]]) * (0.5 / n))
 
@@ -193,37 +221,37 @@ class Interpolated:
         width = self.t_hi - self.t_lo
         u = (t.ravel() - self.t_lo) / width
         e = np.exp(-t.ravel())
-        top, i, (s, s1, s2) = _step(u)
-        # the closed forms, then the step at i; fp takes u's buffer, f'' is e
-        f = e + (u >= 1.0)
-        f[top] += 1.0
+        # the closed forms, s = 1 above the run, then the run i; fp takes u's buffer, f'' is e
+        f = e + (u >= _STEP_RUN[1])
+        i = _run(((u >= _STEP_RUN[0]) & (u < _STEP_RUN[1])).nonzero()[0])
+        ui = u[i]
+        s = np.empty((3, ui.size))
+        _step(ui, e[i], width, *s)
         fp = np.subtract(0.0, e, out=u)
-        ei = e[i]
-        # ei + s, -ei + s1 / W and ei + s2 / W^2, in the step's buffers
-        s += ei
-        s1 /= width
-        s1 -= ei
-        s2 /= width**2
-        s2 += ei
-        f[i], fp[i], e[i] = s, s1, s2
+        f[i], fp[i], e[i] = s
         return f.reshape(t.shape)[()], fp.reshape(t.shape)[()], e.reshape(t.shape)[()]
 
 
-def _write_margins(m: np.ndarray, f, fp, fpp) -> None:
-    """Rows a = f - 1, b = -f', c = f'' and d = (1 - f f') - (1 + f'/f)^2 of m, d first."""
-    np.subtract(1.0, np.multiply(f, fp, out=m[3, ...]), out=m[3, ...])
-    m[3, ...] -= (1.0 + fp / f) ** 2
+def _write_margins(m: np.ndarray, f, fp, fpp=None) -> None:
+    """Rows a = f - 1, b = -f', c = f'' and d = (1 - f f') - (1 + f'/f)^2 of
+    m, d first, so f and f' may be rows a and b; without fpp, row c is f''."""
+    d = np.subtract(1.0, np.multiply(f, fp, out=m[3, ...]), out=m[3, ...])
+    x = fp / f
+    x += 1.0
+    x *= x
+    d -= x
     np.subtract(f, 1.0, out=m[0, ...])
     np.negative(fp, out=m[1, ...])
-    m[2, ...] = fpp
+    if fpp is not None:
+        m[2, ...] = fpp
 
 
 def condition_margins(warp, t: np.ndarray, values: tuple | None = None) -> np.ndarray:
     """Margins (a, b, c, d) at t, shape np.shape(t) + (4,); ``values``: warp.eval(t) if known.
 
-    Without ``values``, a sorted 1-D t takes (f, f', f'') = (e, 0.0 - e, e),
-    e = e^-t, below warp.t_lo, (1.0 + e, 0.0 - e, e) above warp.t_hi (eval's
-    bits) and ``warp.eval`` from t_lo to t_hi; any other t ``warp.eval(t)``.
+    Without ``values``, a sorted 1-D t of an ``Interpolated`` warp takes
+    eval's bits in place, regime by regime (the module docstring); any other
+    t takes ``warp.eval(t)``.
 
     Raises ValueError if f(t) <= 0 anywhere on the grid (margin d divides
     by f), or if f, f' or f'' is not finite there.  Margin d may then still
@@ -234,28 +262,45 @@ def condition_margins(warp, t: np.ndarray, values: tuple | None = None) -> np.nd
         raise ValueError("grid must be nonempty")
     m = np.empty((4,) + t.shape)  # one margin per row; m[k, ...] is a view, 0-d too
     with np.errstate(all="ignore"):  # an overflow is refused or keeps its sign
-        lo, t_eval, m_eval, below = 0, t, m, ()  # below: (0, f) of the t below t_lo
-        if values is None and t.ndim == 1 and (t[:-1] <= t[1:]).all():
-            # the ends themselves go to eval: an infinite end holds nowhere
-            lo, hi = np.searchsorted(t, warp.t_lo, "left"), np.searchsorted(t, warp.t_hi, "right")
-            for part, one in ((np.s_[hi:], 1.0), (np.s_[:lo], 0.0)):  # f = 1 + e, 0 + e = e
-                a, b, e = m[:3, part]  # f, f' and e = e^-t go in rows a, b, c: d is written first
-                np.exp(np.negative(t[part], out=e), out=e)
-                _write_margins(m[:, part], np.add(one, e, out=a), np.subtract(0.0, e, out=b), e)
-            t_eval, m_eval, below = t[lo:hi], m[:, lo:hi], ((0, e),)
-        values = warp.eval(t_eval) if values is None else values
-        _write_margins(m_eval, *values)
+        if (values is None and isinstance(warp, Interpolated)
+                and t.ndim == 1 and (t[:-1] <= t[1:]).all()):
+            # f >= 1 here (e >= 1 at t <= t_hi <= 0, and s >= 0): f <= 0 needs no check
+            lo, hi = t.searchsorted(warp.t_lo, "left"), t.searchsorted(warp.t_hi, "right")
+            width = warp.t_hi - warp.t_lo
+            u = np.subtract(t[lo:hi], warp.t_lo, out=m[3, lo:hi])
+            u /= width
+            lo, hi = lo + u.searchsorted(_STEP_RUN)
+            if hi > lo:
+                e = np.negative(t[lo:hi])
+                _step(m[3, lo:hi], np.exp(e, out=e), width, *m[:3, lo:hi])  # uses up u, in row d
+            if lo:
+                a, b, e, d = m[:, :lo]
+                np.exp(np.negative(t[:lo], out=e), out=e)
+                np.subtract(e, 1.0, out=a)
+                np.copyto(b, e)  # -(0.0 - e), as e > 0
+                np.add(1.0, np.multiply(e, e, out=d), out=d)
+            if hi < t.size:
+                a, b, e = m[:3, hi:]
+                np.exp(np.negative(t[hi:], out=e), out=e)
+                np.add(1.0, e, out=a)
+                np.subtract(0.0, e, out=b)
+            if lo < t.size:
+                _write_margins(m[:, lo:], m[0, lo:], m[1, lo:])
+            total = m[2].sum() + m[:2, lo:hi].sum()
+        else:
+            values = warp.eval(t) if values is None else values
+            _write_margins(m, *values)
+            total = m[:3].sum()
         # a, b, c are finite exactly where f, f', f'' are.  A finite sum proves
         # them all finite; when it is not (a term is not, or the sum
         # overflows), the scan finds the first t to name, if any
-        if not np.isfinite(np.sum(m[:3])):
+        if not np.isfinite(total):
             finite = np.isfinite(m[:3]).all(axis=0)
             if not finite.all():
                 raise ValueError(f"f, f' or f'' is not finite at t={float(t.flat[np.argmin(finite)])}")
-        for start, f in (*below, (lo, values[0])):  # above t_hi, f >= 1
-            if np.min(f, initial=np.inf) <= 0.0:
-                bad = float(t.flat[start + np.argmax(f <= 0.0)])
-                raise ValueError(f"f(t) <= 0 at t={bad}; margin d is undefined there")
+        if values is not None and np.min(values[0], initial=np.inf) <= 0.0:
+            bad = float(t.flat[np.argmax(values[0] <= 0.0)])
+            raise ValueError(f"f(t) <= 0 at t={bad}; margin d is undefined there")
         return m.transpose(*range(1, m.ndim), 0)  # the moveaxis view: (a, b, c, d) last
 
 

@@ -31,6 +31,7 @@ from solcusp.warp import (
     ShiftedExp,
     build_interpolation,
     condition_margins,
+    validation_grid,
     window_witness,
 )
 
@@ -273,11 +274,12 @@ def test_singular_float_eigenbasis_is_an_error_line(exponent, tmp_path, capsys):
 
 @pytest.mark.parametrize("t0", [-5.0, -1.0])
 def test_run_claims_all_three_on_one_cusp_region(t0, tmp_path, capsys):
-    # pure-exp is certified on t < 0 only, so no pinched range reaches to
-    # inf (pinched_from = inf) and no cusp [t0, inf) carries all three
-    # claims; a run once read certified with the volume of a cusp whose
-    # part nothing checked.  The default warp is pinched on all of R, and
-    # the same run is certified
+    # pure-exp is certified on t < 0 only, so no cusp [t0, inf) carries all
+    # three claims: run refuses it before writing any report but the error
+    # summary (it once wrote five reports, then refused at the volume's t0;
+    # before that, it read certified with the volume of a cusp whose part
+    # nothing checked).  The default warp is pinched on all of R, and the
+    # same run is certified
     for family in ("pure-exp", "interpolated"):
         cfg = tmp_path / f"{family}.json"
         cfg.write_text(json.dumps({"warp": {"family": family},
@@ -286,21 +288,19 @@ def test_run_claims_all_three_on_one_cusp_region(t0, tmp_path, capsys):
         outdir = tmp_path / family
         code = main(["--config", str(cfg), "--output", str(outdir), "run"])
         captured = capsys.readouterr()
-        # every report is written either way
-        assert len(list(outdir.iterdir())) == 7
-        cert = json.loads((outdir / "certify.json").read_text())
-        assert cert["status"] == "certified"
         summary = json.loads((outdir / "summary.json").read_text())
         if family == "pure-exp":
-            assert cert["pinched_from"] == "inf"
             assert code == 1 and captured.out == ""
+            assert captured.err == ("error: warp pure-exp has no cusp: it is negatively curved "
+                                    "only for t < 0, so no [t0, inf) carries all three claims\n")
+            assert [p.name for p in outdir.iterdir()] == ["summary.json"]
             assert summary["status"] == "error" and "verdict" not in summary
-            assert captured.err == (f"error: volume t0 {t0} lies below pinched_from inf, "
-                                    "so no one cusp region carries all three claims\n")
             assert summary["error"] == "ValueError: " + captured.err[len("error: "):-1]
+            assert summary["config"]["warp"]["family"] == "pure-exp"
         else:
-            assert code == 0
-            assert summary["status"] == "certified"
+            assert code == 0 and len(list(outdir.iterdir())) == 7
+            cert = json.loads((outdir / "certify.json").read_text())
+            assert summary["status"] == cert["status"] == "certified"
             assert summary["verdict"]["pinched_from"] == cert["pinched_from"] == "-inf"
 
 
@@ -473,6 +473,23 @@ def test_build_warp_command(tmp_path, capsys):
     assert json.loads(out) == {"family": "interpolated", "T0": -4.0, "T1": -1.0}
     margins = csv_margins(csv_path)
     assert margins.shape == (7001, 4) and margins.min() > 1e-6
+
+
+def test_build_warp_csv_margins_equal_the_sorted_grids_by_bytes(tmp_path, capsys):
+    # the CSV's margins come from warp.eval's values; condition_margins of
+    # the same sorted grid without values writes them in place, by regime:
+    # both must be the same float64 bytes (%.17g round-trips, -0 included)
+    csv_path = tmp_path / "warp.csv"
+    code, _ = run_cli(capsys, "--output", str(tmp_path), "build-warp", "--t0=-4", "--t1=-1",
+                      "--csv", str(csv_path))
+    assert code == 0
+    entry = json.loads((tmp_path / "warp.json").read_bytes())
+    warp = Interpolated(entry["T0"], entry["T1"])
+    grid = validation_grid(warp)
+    lines = csv_path.read_text().splitlines()
+    rows = np.array([[float(c) for c in line.split(",")] for line in lines[1:]])
+    assert rows[:, 0].tobytes() == grid.tobytes()
+    assert csv_margins(csv_path).tobytes() == condition_margins(warp, grid).tobytes()
 
 
 def csv_margins(path) -> np.ndarray:
@@ -928,21 +945,14 @@ def test_run_pipeline_writes_all_reports(tmp_path, capsys):
     assert summary["config"]["certify"]["t_step"] == 0.5
 
 
-def test_run_pipeline_with_pure_exp_reports_failed_conditions(tmp_path, capsys):
-    cfg = tmp_path / "config.json"
-    body = json.loads(json.dumps(REDUCED_RUN))
-    body["warp"] = {"family": "pure-exp"}
-    body["certify"] = {"t_min": 0.1, "t_max": 2.0, "t_step": 0.5}
-    cfg.write_text(json.dumps(body))
-    outdir = tmp_path / "out"
-    code, _ = run_cli(capsys, "--config", str(cfg), "--output", str(outdir), "run")
-    assert code == 2
-    summary = json.loads((outdir / "summary.json").read_text())
-    assert summary["status"] == "refused_conditions"
-    assert summary["verdict"]["conditions_hold"] is False
-    assert summary["verdict"]["globally_negative"] is False
-    # refused before any curvature work: the curve CSV has no rows
-    assert (outdir / "certify.csv").read_text() == (
+def test_certify_csv_of_a_refused_pure_exp_grid_has_no_rows(tmp_path, capsys):
+    # refused before any curvature work: the curve CSV is its header alone
+    # (run, which wrote it too, now refuses pure-exp before any report)
+    csv = tmp_path / "certify.csv"
+    code, out = run_cli(capsys, "certify", "--warp", "pure-exp", "--t-min", "0.1",
+                        "--t-max", "2.0", "--step", "0.5", "--csv", str(csv))
+    assert code == 2 and json.loads(out)["status"] == "refused_conditions"
+    assert csv.read_text() == (
         "t,k_min,k_max,margin_a,margin_b,margin_c,margin_d,block_min,block_max\n")
 
 

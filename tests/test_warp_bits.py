@@ -18,10 +18,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import per_point_reference as ref
 from solcusp.warp import (
     _STEP_CLIP,
+    _STEP_RUN,
     Interpolated,
     PureExp,
     ShiftedExp,
@@ -104,6 +106,67 @@ def test_eval_and_margins_keep_the_full_grid_bits(warp, seed):
         else:
             got = condition_margins(warp, arg)
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def assert_reference_margins(warp, t):
+    want = ref.condition_margins(lambda s: ref.interpolated_eval(warp, s), t)
+    got = condition_margins(warp, t)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(t_hi=st.floats(-1.5, -0.3), width=st.floats(0.2, 3.0), h=st.sampled_from([1e-4, 1e-3, 0.37]))
+@example(t_hi=-1.0, width=3.0, h=1e-4)
+def test_layer_scan_grids_keep_the_reference_bits(t_hi, width, h):
+    # the margin grid of layer-scan: a built window and [t_lo - 2, 1] at h,
+    # written in place by regime; then with t_lo and t_hi on the grid, a t
+    # below t_hi whose u rounds to 1.0, and t across g = +-_STEP_CLIP
+    w = build_interpolation(t_hi - width, t_hi)
+    lo, hi, width = w.t_lo, w.t_hi, w.t_hi - w.t_lo
+    t = np.arange(lo - 2.0, 1.0 + h / 2, h)
+    assert_reference_margins(w, t)
+    rounds_to_1 = [x for x in neighbours(hi, 8) if x < hi and (x - lo) / width == 1.0]
+    extra = [lo, hi] + rounds_to_1[:1]
+    for c in (_STEP_CLIP, -_STEP_CLIP):
+        extra += neighbours(lo + u_at_g(c) * width, 3)
+    assert_reference_margins(w, np.union1d(t, extra))
+
+
+def test_windows_of_few_points_keep_the_reference_bits():
+    # the window's slice holds 0, 1 or 2 t: each regime may be empty
+    w = build_interpolation(-3.3, -0.3)
+    lo, hi, width = w.t_lo, w.t_hi, w.t_hi - w.t_lo
+    rounds_to_1 = [x for x in neighbours(hi, 8) if x < hi and (x - lo) / width == 1.0]
+    assert rounds_to_1  # so that case is on a grid below
+    inside = [lo, hi, lo + 1e-9 * width, lo + 0.5 * width, lo + u_at_g(-_STEP_CLIP) * width,
+              rounds_to_1[0]]
+    for n in (0, 1, 2):
+        for picked in {tuple(sorted(inside[i:i + n])) for i in range(len(inside))}:
+            for outside in ([], [lo - 1.0], [hi + 0.5], [lo - 1.0, hi + 0.5]):
+                t = np.sort(np.array(outside + list(picked)))
+                if t.size:
+                    assert_reference_margins(w, t)
+
+
+@settings(max_examples=300, deadline=None)
+@given(hnp.arrays(float, st.integers(1, 60), elements=st.one_of(
+    st.floats(0.0, 1.0),
+    st.sampled_from(neighbours(float(_STEP_RUN[0])) + neighbours(float(_STEP_RUN[1]))))))
+def test_g_is_nonincreasing_and_below_the_clip_on_one_run(u):
+    # g = 1/u - 1/(1 - u), formed as the step forms it: each operation is
+    # correctly rounded and monotone, so g is nonincreasing on a sorted u in
+    # [0, 1], and |g| < _STEP_CLIP on one run, found by searchsorted at the
+    # ends that the bisection of g gives
+    u = np.sort(u)
+    with np.errstate(divide="ignore", over="ignore"):  # at u = 0 or 1, and 1/u past float max
+        ru, rv = 1.0 / u, 1.0 / (1.0 - u)
+    g = ru - rv
+    assert np.all(g[:-1] >= g[1:])
+    assert g.tobytes() == np.array([1.0 / x - 1.0 / (1.0 - x) if 0.0 < x < 1.0 else y
+                                    for x, y in zip(u.tolist(), g.tolist())]).tobytes()
+    start, stop = np.searchsorted(u, _STEP_RUN)
+    assert np.array_equal(np.abs(g) < _STEP_CLIP, (np.arange(u.size) >= start)
+                          & (np.arange(u.size) < stop))
 
 
 def test_the_proof_table_is_built_from_the_same_step():

@@ -65,6 +65,16 @@ def step_derivatives(u, exp):
             w * ((6 * w - 1) * g1**3 + 3 * (1 - 2 * sig) * g1 * g2 - g3))
 
 
+def float_step(u):
+    """(s, s', s'') of the float step on a sorted u: 0 below the run that
+    ``_step`` takes, s = 1 and s' = s'' = 0 above it."""
+    lo, hi = np.searchsorted(u, warp._STEP_RUN)
+    got = np.zeros((3, u.size))
+    got[0, hi:] = 1.0
+    warp._step(u[lo:hi].copy(), 0.0, 1.0, *got[:, lo:hi])
+    return got
+
+
 def test_margins_a_and_d_need_no_check_inside_the_window():
     # inside: f = E + s with E = e^-t > 1 (t < t_hi <= 0), 0 < s < 1 and
     # s' >= 0, so b = E - s'/W <= E < f; write E = 1 + p, p > 0
@@ -166,8 +176,8 @@ def prove_bounds(lo, hi, bounds):
 def test_interval_proof_of_the_derivative_bounds():
     assert prove_bounds(EPS, 0.5, (M1, M2, M3)) < 10_000
     # the bounds are tight: attained values within a fraction of a percent
-    # (s' and s'' are 0 off the indices _step returns)
-    _, _, (_, s1, s2) = warp._step(np.linspace(0.0, 1.0, 200_001))
+    # (s' and s'' are 0 off the step's run)
+    _, s1, s2 = float_step(np.linspace(0.0, 1.0, 200_001))
     assert 2.0 - 1e-9 < s1.max() and M2 - 0.01 < np.abs(s2).max() < M2
 
 
@@ -218,10 +228,7 @@ def test_the_float_step_is_within_rounding_of_its_exact_values():
     u = np.unique(np.concatenate([np.linspace(0.0, 1.0, 251)[1:-1],
                                   np.linspace(0.95, 0.998, 60), *clip_ends]))
     assert u.size >= 300 and 0.0 < u[0] and u[-1] < 1.0
-    top, j, (s, s1, s2) = warp._step(u)
-    got = np.zeros((3, u.size))
-    got[0, top] = 1.0
-    got[:, j] = s, s1, s2
+    got = float_step(u)
     with mpmath.workdps(50):
         for n, x in enumerate(u):
             flip = x > 0.5
@@ -239,8 +246,7 @@ def old_row_table():
     """The table with the row of margin c it had before: max(-s'', 0) at
     the cell ends, plus M3 h/2."""
     n = warp._PROOF_CELLS
-    s1, s2 = np.zeros((2, n // 2 + 1))
-    _, i, (_, s1[i], s2[i]) = warp._step(np.arange(n // 2 + 1) / n)
+    _, s1, s2 = float_step(np.arange(n // 2 + 1) / n)
     neg_s2 = np.concatenate([-s2, s2[-2::-1]])
     row_c = np.maximum(np.maximum(neg_s2[:-1], neg_s2[1:]), 0.0) + M3 * 0.5 / n
     return np.stack([warp._CELL_BOUNDS[0], row_c])
