@@ -15,6 +15,7 @@ Every generator must be an exact isometry of g_Sol, which
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import product
 
@@ -34,6 +35,11 @@ __all__ = [
 
 # e^x is a finite float exactly for x <= this
 _LOG_FLOAT_MAX = float(np.log(np.finfo(float).max))
+# a linear part is refused as singular when |det| is below this
+_MIN_DET = 1e-12
+_OFF_DIAGONAL = ~np.eye(3, dtype=bool)
+# g_Sol = diag(e^(-2z), e^(2z), 1) is e^(_EXPONENTS z) down its diagonal
+_EXPONENTS = np.array([[-2.0], [2.0], [0.0]])
 
 
 @dataclass(frozen=True)
@@ -96,7 +102,12 @@ class AffineMap3:
     def __post_init__(self) -> None:
         lin = np.asarray(self.linear, dtype=float).reshape(3, 3)
         off = np.asarray(self.offset, dtype=float).reshape(3)
-        if abs(np.linalg.det(lin)) < 1e-12:
+        # a diagonal part's det is the product of its diagonal.  LAPACK's det,
+        # exp of a sum of logs, lies within a relative 1e-12 of it, so LAPACK
+        # decides only near the bound or where the product over- or underflows
+        d0, d1, d2 = lin.diagonal().tolist()  # Python floats: the product warns of nothing
+        if (not (2.0 * _MIN_DET < abs(d0 * d1 * d2) < np.inf and not lin[_OFF_DIAGONAL].any())
+                and abs(np.linalg.det(lin)) < _MIN_DET):
             raise ValueError("linear part must be invertible")
         object.__setattr__(self, "linear", lin)
         object.__setattr__(self, "offset", off)
@@ -134,7 +145,6 @@ def sol_metric_3d(p) -> np.ndarray:
 
 _SAMPLES = np.array(list(product((-1.0, 0.0, 1.0), repeat=3)))
 _SAMPLES.setflags(write=False)
-_OFF_DIAGONAL = ~np.eye(3, dtype=bool)
 
 
 def default_samples() -> np.ndarray:
@@ -157,7 +167,7 @@ def build_sol_lattice(A: AnosovMatrix) -> SolLattice:
     unit-area cell can be built from it.
     """
     lam, lam_inv = A.eigenvalues()
-    L = A.stretch
+    L = float(np.log(abs(lam)))  # A.stretch, from the eigenvalue in hand
     entries = [A.a, A.b, A.c, A.d]
 
     # columns: the eigenvectors (b, mu - a) for mu = lam, 1/lam.  b != 0
@@ -205,12 +215,17 @@ def verify_isometry(m: AffineMap3, samples) -> float:
     part, compared against g(p).  For a genuine deck map the deviation is
     rounding noise (<= 1e-12); no differencing enters.
 
-    ``samples`` is an iterable of points or an (n, 3) array.  All samples
-    are mapped through m at once, the n pullbacks are formed as one
-    (n, 3, 3) stack and the deviation is the largest of their spectral
-    norms.  When every difference is exactly diagonal, as for a deck map
-    diag(lam, 1/lam, 1) or a translation, that norm is the largest |entry|;
-    otherwise it comes from an SVD of each difference.
+    ``samples`` is an iterable of points or an (n, 3) array.  When J is
+    exactly diagonal, as every deck map and every product of them is, the
+    deviation is diagonal and depends on the samples' z alone: its terms
+    are (J_ii g_ii(z')) J_ii - g_ii(z), z' = J_22 z + o_z, one 1-D array
+    each, and the deviation is the largest |term|.  These are the bits of
+    J^T g J - g: the matmul's other products are exact zeros, which change
+    no sum, as long as every factor beside a zero is finite.  So with a
+    non-finite sample or term, and for any other J, all samples are mapped
+    through m at once, the n pullbacks are formed as one (n, 3, 3) stack and
+    the deviation is the largest of their spectral norms, by an SVD of each
+    difference that is not exactly diagonal.
     """
     p = np.asarray(samples if isinstance(samples, np.ndarray) else list(samples), dtype=float)
     if p.size == 0:
@@ -218,6 +233,14 @@ def verify_isometry(m: AffineMap3, samples) -> float:
     if p.ndim != 2 or p.shape[1] != 3:
         raise ValueError(f"samples must be points of R^3, got shape {p.shape}")
     J = m.linear
+    if not J[_OFF_DIAGONAL].any() and np.isfinite(p).all():
+        j = J.diagonal()[:, None]
+        z = p[:, 2]
+        with np.errstate(all="ignore"):  # an overflow or a NaN is the stack's to report
+            terms = j * np.exp(_EXPONENTS * (j[2] * z + m.offset[2])) * j - np.exp(_EXPONENTS * z)
+            dev = np.abs(terms).max()
+        if math.isfinite(dev):
+            return float(dev)
     # one matrix-vector product per sample: the arithmetic of J @ q
     mapped = np.matmul(J, p[:, :, None])[:, :, 0] + m.offset
     diff = J.T @ sol_metric_3d(mapped) @ J - sol_metric_3d(p)

@@ -44,6 +44,11 @@ until ``window_witness`` proves the four margins positive at every t:
   bound on the next derivative of s), times e^t at the cell's right end.
   Any W >= 4 passes (s' < 2.01, |s''| < 9.85, e^t <= 1), so the search
   ends.  The tests prove each fact used.
+* a cell whose bound is below that of a cell to its right, which ends at a
+  larger t, has the smaller ratio: only each row's binding cells (its tail
+  from the last largest bound, and the cells that tie it) are evaluated,
+  and row b only where its largest bound times e^t_hi / W reaches row c's
+  largest ratio.
 """
 
 from __future__ import annotations
@@ -80,6 +85,9 @@ _S2_BOUND = 9.85
 _S3_BOUND = 111.0
 # the proof accepts ratios below 1 - _ROUNDING, for float rounding
 _ROUNDING = 1e-9
+# a bound or ratio below another by this relative gap stays below it
+# through the roundings of exp, the division and the product
+_ORDER_GAP = 2.0**-40
 
 
 @dataclass(frozen=True)
@@ -192,6 +200,28 @@ def _proof_table() -> tuple[np.ndarray, np.ndarray]:
 
 _CELL_END, _CELL_BOUNDS = _proof_table()
 _CELL_GAP = 1.0 - _CELL_END
+
+
+def _binding_cells(bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(cell gaps, bounds) of the cells of one row of the table that can
+    hold its largest ratio.
+
+    A cell further right ends at a larger t, so its e^t is no smaller.  A
+    cell whose bound is below a bound to its right by ``_ORDER_GAP`` thus
+    has the smaller ratio, and is dropped.  What is left is the row's tail
+    from its last largest bound on, plus cells before it whose bound ties
+    the largest to their right, as mirror cells do.
+    """
+    right = np.append(np.maximum.accumulate(bounds[::-1])[-2::-1], 0.0)
+    keep = bounds > right * (1.0 - _ORDER_GAP)
+    return _CELL_GAP[keep], bounds[keep]
+
+
+# (cell gaps, bounds) of each row on its binding cells, and on every cell;
+# each row's largest bound
+_BINDING_ROWS = [_binding_cells(row) for row in _CELL_BOUNDS]
+_ALL_ROWS = [(_CELL_GAP, row) for row in _CELL_BOUNDS]
+_ROW_MAX = _CELL_BOUNDS.max(axis=1)
 
 
 @dataclass(frozen=True)
@@ -324,22 +354,59 @@ def validation_grid(warp) -> np.ndarray:
     return np.arange(lo, 1.0 + GRID_STEP / 2, GRID_STEP)
 
 
+def _row_worst(warp, gaps: np.ndarray, bounds: np.ndarray, scale: float) -> tuple:
+    """(ratio, t) of the first largest ratio, bound e^t / scale, over the cells
+    of (cell gaps, bounds)."""
+    width = warp.t_hi - warp.t_lo
+    ratios = np.multiply(gaps, width)
+    np.subtract(warp.t_hi, ratios, out=ratios)  # t, the cells' right ends
+    np.exp(ratios, out=ratios)
+    ratios /= scale
+    ratios *= bounds
+    i = np.argmax(ratios)
+    return ratios[i], warp.t_hi - gaps[i] * width
+
+
+def _worst_cell(warp, rows) -> tuple:
+    """(ratio, row, t) of the largest ratio over the (cell gaps, bounds) of
+    rows b and c, row b dividing e^t by W and row c by W^2; a tie goes to
+    row b, then to the first cell.
+
+    Row c goes first.  Every ratio of row b is at most its largest bound
+    times e^t_hi / W; where that is below row c's largest ratio by
+    ``_ORDER_GAP``, row b cannot hold the worst cell and is skipped.
+    """
+    width = warp.t_hi - warp.t_lo
+    (gaps_b, bounds_b), (gaps_c, bounds_c) = rows
+    ratio, t = _row_worst(warp, gaps_c, bounds_c, width * width)
+    if _ROW_MAX[0] * (np.exp(warp.t_hi) / width) < ratio * (1.0 - _ORDER_GAP):
+        return ratio, 1, t
+    ratio_b, t_b = _row_worst(warp, gaps_b, bounds_b, width)
+    return (ratio_b, 0, t_b) if ratio_b >= ratio else (ratio, 1, t)
+
+
 def window_witness(warp) -> dict | None:
     """None when warp has no transition window or every cell's bound on
     s' e^t / W (margin b) and on |s''| e^t / W^2 (margin c, and f'' < 2f)
     is below 1 - ``_ROUNDING``; else the worst cell's right end t, its
     condition and that bound, ``ratio``.
+
+    Only each row's binding cells are evaluated (``_binding_cells``): a
+    cell with a smaller bound than a cell to its right has a smaller e^t
+    too, so a smaller ratio; and row b only where it can hold the worst
+    cell (``_worst_cell``).  The largest ratio, its row and its first cell
+    are those of the whole table.  A ratio that overflows to inf ties cells
+    that no bound orders, so then the whole table is evaluated.
     """
     if not isinstance(warp, Interpolated):
         return None
-    width = warp.t_hi - warp.t_lo
-    t = warp.t_hi - _CELL_GAP * width
     with np.errstate(over="ignore", divide="ignore"):  # an infinite ratio fails
-        ratios = _CELL_BOUNDS * (np.exp(t) / [[width], [width * width]])
-    k, i = np.unravel_index(np.argmax(ratios), ratios.shape)
-    if ratios[k, i] < 1.0 - _ROUNDING:
+        ratio, k, t = _worst_cell(warp, _BINDING_ROWS)
+        if ratio == np.inf:
+            ratio, k, t = _worst_cell(warp, _ALL_ROWS)
+    if ratio < 1.0 - _ROUNDING:
         return None
-    return {"t": float(t[i]), "condition": "bc"[k], "ratio": float(ratios[k, i])}
+    return {"t": float(t), "condition": "bc"[k], "ratio": float(ratio)}
 
 
 def build_interpolation(t_lo: float, t_hi: float) -> Interpolated:

@@ -15,6 +15,8 @@ output.  ``interpolated_eval`` and ``condition_margins`` are the bodies
 ``Interpolated.eval`` and the margins had when the step was computed that
 way and the margins were stacked as columns; ``Interpolated.eval`` and
 ``warp.condition_margins`` must reproduce their bytes.
+``full_table_witness`` is ``window_witness`` as it was when it evaluated
+every cell of the proof table, here of a table passed in.
 
 The next section holds the dense bodies the diagonal kernels replaced: the
 stacked einsum Christoffel, derivative and lowering code and the SVD
@@ -30,6 +32,7 @@ from itertools import permutations
 import numpy as np
 
 from solcusp import curvature
+from solcusp import warp as warp_module
 from solcusp.curvature import (
     _TABLE_LABELS,
     AXIS_NAMES,
@@ -193,6 +196,20 @@ def condition_margins(eval_, t):
         return np.stack([f - 1.0, -fp, fpp, 1.0 - f * fp - (1.0 + fp / f) ** 2], axis=1)
 
 
+def full_table_witness(warp, bounds):
+    """The window proof's witness over every cell, with the table ``bounds``."""
+    if not isinstance(warp, warp_module.Interpolated):
+        return None
+    width = warp.t_hi - warp.t_lo
+    t = warp.t_hi - warp_module._CELL_GAP * width
+    with np.errstate(over="ignore", divide="ignore"):
+        ratios = bounds * (np.exp(t) / [[width], [width * width]])
+    k, i = np.unravel_index(np.argmax(ratios), ratios.shape)
+    if ratios[k, i] < 1.0 - warp_module._ROUNDING:
+        return None
+    return {"t": float(t[i]), "condition": "bc"[k], "ratio": float(ratios[k, i])}
+
+
 # ---------------------------------------------------------------------------
 # the dense bodies the diagonal kernels replaced
 # ---------------------------------------------------------------------------
@@ -202,7 +219,8 @@ def condition_margins(eval_, t):
 # einsum; ``stacked_riemann_closed`` and ``stacked_riemann_fd`` run the two
 # pipelines through them, and ``svd_isometry`` takes every pullback's
 # spectral norm by SVD.  The kernels must reproduce their bytes wherever
-# every tensor is finite.
+# every tensor is finite.  ``stack_isometry`` is ``verify_isometry`` before
+# its z-only path, whose value or exception it must keep everywhere.
 
 def _stacked_first_kind(dg):
     return np.einsum("...jmk->...mjk", dg) + np.einsum("...kmj->...mjk", dg) - dg
@@ -262,6 +280,24 @@ def stacked_riemann_fd(warp, t, z):
 
     dGam = (4.0 * dgamma(5, FD_STEP / 2.0) - dgamma(1, FD_STEP)) / 3.0
     return stacked_lowering(Gam[..., 0, :, :, :], dGam, p.g[..., 0, :, :])
+
+
+def stack_isometry(m, samples):
+    """``verify_isometry`` as it was before its z-only path: every map's
+    pullbacks as one (n, 3, 3) stack, the largest |entry| where each
+    difference is exactly diagonal and an SVD of each otherwise."""
+    from solcusp.lattice import sol_metric_3d
+    p = np.asarray(samples if isinstance(samples, np.ndarray) else list(samples), dtype=float)
+    if p.size == 0:
+        raise ValueError("samples must be nonempty")
+    if p.ndim != 2 or p.shape[1] != 3:
+        raise ValueError(f"samples must be points of R^3, got shape {p.shape}")
+    J = m.linear
+    mapped = np.matmul(J, p[:, :, None])[:, :, 0] + m.offset
+    diff = J.T @ sol_metric_3d(mapped) @ J - sol_metric_3d(p)
+    if not diff[:, ~np.eye(3, dtype=bool)].any():
+        return float(np.max(np.abs(np.diagonal(diff, axis1=1, axis2=2))))
+    return float(np.max(np.linalg.norm(diff, 2, axis=(1, 2))))
 
 
 def svd_isometry(m, samples):

@@ -4,11 +4,14 @@ The cusp metric g, its inverse and every d_l g are diagonal, and so is the
 linear part diag(lam, 1/lam, 1) of a deck map.  ``christoffel``,
 ``christoffel_derivatives`` and the lowering of the Riemann tensor contract
 against them by broadcast products, and ``verify_isometry`` takes the
-largest |entry| of an exactly diagonal deviation instead of its SVD.  The
-references in ``per_point_reference.py`` are the einsum and SVD bodies.
-Where every tensor is finite the outputs must equal theirs by
-``tobytes()``; where one is not, ``match_component_table`` and ``certify``
-must refuse with the same message.
+largest |entry| of an exactly diagonal deviation instead of its SVD,
+computed for a diagonal map from the samples' z alone.  The references in
+``per_point_reference.py`` are the einsum and SVD bodies and the (n, 3, 3)
+stack of the deck check.  Where every tensor is finite the outputs must
+equal theirs by ``tobytes()``; where one is not, ``match_component_table``
+and ``certify`` must refuse with the same message, and ``verify_isometry``
+must give the stack's value or exception.  ``AffineMap3`` must refuse a
+diagonal linear part exactly where LAPACK's det refused it.
 
 ``adaptive_quad`` evaluates each level of the tanh-sinh rule in one call;
 it is held to independent integrals instead of bits.
@@ -179,6 +182,111 @@ def test_deck_maps_and_their_products_keep_the_svd_bits(entries):
         assert svds == 0
         assert np.float64(dev).tobytes() == np.float64(ref.svd_isometry(m, samples)).tobytes()
     assert lat.isometry_deviation == max(ref.svd_isometry(m, samples) for m in lat.generators)
+
+
+def counted_calls(owner, name, call) -> tuple:
+    """call()'s value and the calls it made to owner.name."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(owner, name, counted)
+        value = call()
+    return value, len(calls)
+
+
+def isometry_outcome(call):
+    """call()'s float as bytes, or its exception (an FP warning is one) as text."""
+    try:
+        return np.float64(call()).tobytes()
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+# e^(2z) overflows above 354.89 and e^(-2z) below -354.89
+Z_EDGES = [354.8, 354.85, 354.88, 354.9, 355.0]
+edge_z = st.one_of(st.floats(-2.0, 2.0), st.floats(-360.0, 360.0),
+                   st.sampled_from(Z_EDGES + [-z for z in Z_EDGES]))
+
+
+@st.composite
+def deck_checks(draw):
+    """(map, samples): a deck generator or a product of two, its offset's z
+    moved, and samples out to the overflow of g_Sol, as an array or a list."""
+    gens = build_sol_lattice(AnosovMatrix(*draw(hyperbolic_sl2z()))).generators
+    m = draw(st.sampled_from(gens + [product(g1, g2) for g1 in gens for g2 in gens]))
+    dz = draw(st.one_of(st.just(0.0), st.floats(-5.0, 5.0), edge_z))
+    m = AffineMap3(m.linear, m.offset + np.array([0.0, 0.0, dz]))
+    n = draw(st.integers(1, 6))
+    z = draw(st.lists(edge_z, min_size=n, max_size=n))
+    xy = draw(st.lists(st.floats(-3.0, 3.0), min_size=2 * n, max_size=2 * n))
+    samples = np.column_stack([np.reshape(xy, (n, 2)), z])
+    return m, [tuple(q) for q in samples] if draw(st.booleans()) else samples
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=deck_checks())
+@example(case=(AffineMap3(np.diag([2.0, 0.5, 1.0]), np.array([0.0, 0.0, 1.0])),
+               [(0.0, 0.0, 354.0), (1.0, -1.0, -1.0)]))
+@example(case=(AffineMap3(np.eye(3), np.array([0.5, 0.0, 0.0])),
+               np.array([[np.inf, 0.0, 0.0], [0.0, 0.0, 1.0]])))
+@example(case=(AffineMap3(np.eye(3), np.zeros(3)), np.array([[0.0, np.nan, 0.0]])))
+@example(case=(AffineMap3(np.diag([1e6, 1e-6, 1.0]), np.zeros(3)), np.array([[0.0, 0.0, -345.0]])))
+def test_deck_maps_keep_the_stacks_value_or_exception_from_z_alone(case):
+    # the z-only path calls no sol_metric_3d; a non-finite sample or term
+    # takes the stack, whose value or exception (FP warnings are errors
+    # here) it keeps.  Far from z = 0 the stack's largest |entry| can miss
+    # the SVD's norm by an ulp, so the stack, not the SVD, is the reference
+    m, samples = case
+    got, metrics = counted_calls(lattice, "sol_metric_3d",
+                                 lambda: isometry_outcome(lambda: verify_isometry(m, samples)))
+    assert got == isometry_outcome(lambda: ref.stack_isometry(m, samples))
+    if isinstance(got, bytes) and np.isfinite(np.frombuffer(got)[0]):
+        assert metrics == 0
+
+
+def raised(call) -> str | None:
+    """The exception call() raises (an FP warning is one), as text."""
+    try:
+        call()
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return None
+
+
+# dets a few ulps, or far, from the bound 1e-12, on both sides
+near_bound = st.one_of(st.integers(-6, 6).map(lambda k: k * 2.0**-52),
+                       st.floats(-0.9, 3.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(d0=st.floats(1e-8, 1e8), d1=st.floats(1e-8, 1e8), rel=near_bound,
+       signs=st.tuples(*[st.sampled_from([1.0, -1.0])] * 3))
+@example(d0=2e-12, d1=0.5, rel=0.0, signs=(1.0, 1.0, 1.0))
+@example(d0=1e200, d1=1e200, rel=0.0, signs=(1.0, 1.0, 1.0))
+@example(d0=np.inf, d1=0.0, rel=0.0, signs=(1.0, 1.0, 1.0))
+@example(d0=np.nan, d1=1.0, rel=0.0, signs=(1.0, 1.0, 1.0))
+def test_diagonal_maps_are_refused_where_lapacks_det_refused_them(d0, d1, rel, signs):
+    # the product of the diagonal decides, with no LAPACK call, where it lies
+    # above twice the bound: LAPACK's det, exp of a sum of logs, is within a
+    # relative 1e-12 of it.  Nearer the bound, or where the product is not
+    # finite, LAPACK decides as before, with the same ValueError or warning
+    with np.errstate(all="ignore"):
+        d2 = 1.0 if not np.isfinite(d0 * d1) else 1e-12 * (1.0 + rel) / (d0 * d1)
+    linear = np.diag(np.multiply(signs, [d0, d1, d2]))
+    got, dets = counted_calls(np.linalg, "det", lambda: raised(lambda: AffineMap3(linear, np.zeros(3))))
+
+    def parent_check():
+        if abs(np.linalg.det(linear)) < 1e-12:
+            raise ValueError("linear part must be invertible")
+
+    assert got == raised(parent_check)
+    with np.errstate(all="ignore"):
+        assert dets == (0 if 2e-12 < abs(d0 * d1 * d2) < np.inf else 1)
 
 
 @pytest.mark.parametrize("linear", NON_DIAGONAL)

@@ -21,7 +21,10 @@ with e^t at the cell's right end.  Here:
   50-digit values to 16 eps of their sups;
 * any window 4 wide is proved, so the widening search ends;
 * the |s''| row accepts the windows, and gives the witnesses, of the
-  max(-s'', 0) row it replaced, and k_min > -2 on sampled built windows.
+  max(-s'', 0) row it replaced, and k_min > -2 on sampled built windows;
+* the binding cells, the only ones ``window_witness`` evaluates, give the
+  whole table's witness, ties and overflows included, and a ratio equal to
+  the bound is refused.
 """
 
 from unittest import mock
@@ -34,6 +37,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from mpmath import iv
 
+import per_point_reference as ref
 from solcusp import warp
 from solcusp.certify import _closed_extremes
 from solcusp.warp import Interpolated, build_interpolation, condition_margins, window_witness
@@ -259,13 +263,61 @@ OLD_TABLE = old_row_table()
 @given(t_hi=st.one_of(st.just(0.0), st.floats(-1.5, 0.0).map(lambda e: -(10.0**e))),
        width=st.floats(-12.0, 1.5).map(lambda e: 10.0**e))
 def test_the_modulus_row_gives_the_old_rows_witness(t_hi, width):
-    # each cell u < 1/2 takes its mirror cell's bound at a smaller e^t, so
-    # the |s''| row never raises the largest ratio: the same windows pass,
-    # with the same witness
+    # window_witness evaluates only the binding cells, so it is held to the
+    # whole table's witness; each cell u < 1/2 takes its mirror cell's bound
+    # at a smaller e^t, so the |s''| row never raises the largest ratio: the
+    # same windows pass, with the same witness.  Down to W = 1e-12 the cell
+    # ends collapse onto fewer floats t
     window = Interpolated(t_hi - width, t_hi)
-    with mock.patch.object(warp, "_CELL_BOUNDS", OLD_TABLE):
-        old = window_witness(window)
-    assert window_witness(window) == old
+    witness = ref.full_table_witness(window, warp._CELL_BOUNDS)
+    assert window_witness(window) == witness
+    assert ref.full_table_witness(window, OLD_TABLE) == witness
+
+
+@pytest.mark.parametrize("t_lo,t_hi", [
+    (-1e-20 - 1e-17, -1e-20),      # e^t rounds to 1 on every cell: mirror cells tie
+    (-1e-15, 0.0), (-3e-16, 0.0),  # e^t takes a few floats: equal bounds side by side tie
+    (-2.3e-162, 0.0),              # W^2 is subnormal and e^t / W^2 overflows on most cells
+    (np.nextafter(-1.0, -2.0), -1.0),  # the cells' right ends are two floats t
+])
+def test_the_binding_cells_keep_the_whole_tables_first_tie(t_lo, t_hi):
+    # where ratios tie, the witness is the first cell of the first row to
+    # reach the largest, as over the whole table
+    window = Interpolated(t_lo, t_hi)
+    witness = window_witness(window)
+    assert witness is not None and witness == ref.full_table_witness(window, warp._CELL_BOUNDS)
+
+
+def test_the_binding_cells_are_derived_from_the_table():
+    # each row keeps every cell from its last largest bound on, and the cells
+    # before it whose bound ties the largest to their right
+    for (gaps, bounds), row in zip(warp._BINDING_ROWS, warp._CELL_BOUNDS):
+        cells = np.flatnonzero(np.isin(warp._CELL_GAP, gaps))
+        assert np.array_equal(warp._CELL_GAP[cells], gaps) and np.array_equal(row[cells], bounds)
+        last = np.flatnonzero(row == row.max())[-1]
+        assert np.array_equal(cells[cells >= last], np.arange(last, row.size))
+        for i in cells[cells < last]:
+            assert row[i] == row[i + 1:].max()
+        dropped = np.setdiff1d(np.arange(row.size), cells)
+        assert all(row[i] < row[i + 1:].max() * (1.0 - warp._ORDER_GAP) for i in dropped[::97])
+    # 8 193 of row b's 16 384 cells and 3 579 of row c's
+    assert [gaps.size for gaps, _ in warp._BINDING_ROWS] == [8193, 3579]
+
+
+def test_a_ratio_equal_to_the_bound_is_refused():
+    # with r in [1/2, 2], 1 - r and 1 - (1 - r) are exact (Sterbenz), so
+    # _ROUNDING = 1 - r puts the bound exactly at r: the proof needs
+    # ratio < bound, and refuses.  A bound one ulp of r higher accepts
+    window = Interpolated(-2.0, 0.0)
+    witness = window_witness(window)
+    r = witness["ratio"]
+    assert 0.5 <= r <= 2.0
+    with mock.patch.object(warp, "_ROUNDING", 1.0 - r):
+        assert 1.0 - warp._ROUNDING == r
+        assert window_witness(window) == witness
+    with mock.patch.object(warp, "_ROUNDING", 1.0 - np.nextafter(r, np.inf)):
+        assert 1.0 - warp._ROUNDING == np.nextafter(r, np.inf)
+        assert window_witness(window) is None
 
 
 @pytest.mark.parametrize("t_lo,t_hi", [(-4.0, -1.0), (-0.5, 0.0), (-1.0, -0.5), (-12.0, -4.0),
