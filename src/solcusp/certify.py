@@ -40,7 +40,11 @@ and A + 2 - B^2 = -x (1 + x) + (1 - y^2)(1 + (1 + x)^2) > 0 put lambda_-
 above -2 (sympy proofs in the tests).  This holds where f = e^-t, t < 0,
 where f = 1 + e^-t, and in a window ``window_witness`` proves, so a warp
 of ``FAMILIES`` is certified with lambda^2 = 2 unless its grid reaches
-t >= 0 in pure-exp's regime or the window proof fails.  The grid (z = 0)
+t >= 0 in pure-exp's regime or the window proof fails.  The range (-2, 0)
+is exact: as f -> 1 and f', f'' -> 0, on the shifted tail t -> oo, lambda_-
+tends to -2 and K(xy) to 0 (sympy limits in the tests), and so do
+pure-exp's -1 - e^2t and e^2t - 1 as t -> 0-.  So lambda^2 = 2 is the
+least scale: any smaller one leaves planes with K / lambda^2 < -1.  The grid (z = 0)
 is evidence: one warp evaluation, the margins and one closed-form kernel,
 whose 0-d case ``extremize_k`` equals a grid point bit for bit.
 ``extremize_point`` bounds K at any ``MetricPoint``: the first and last

@@ -14,8 +14,10 @@ Subcommands mirror the library stages:
 
 Exit codes: 0 success/certified, 1 bad input or internal error (also a
 pure-exp run, which has no cusp), 2 refused (a pure-exp grid reaching
-t >= 0, or a transition window the proof does not cover) or a command-line
-usage error.
+t >= 0) or a command-line usage error.  Every interpolated window is built
+through ``build_interpolation``, which widens it until the window proof
+covers it, so no command refuses a window; only the library's ``certify``
+does, on an ``Interpolated`` built directly.
 """
 
 from __future__ import annotations

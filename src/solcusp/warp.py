@@ -39,16 +39,16 @@ until ``window_witness`` proves the four margins positive at every t:
 * inside, f = e^-t + s(u) with u = (t - t_lo)/W, so a = e^-t + s - 1 > 0,
   and d = x(f^2 + 2 - x) with x = b/f and b <= e^-t < f: d > 0 iff b > 0;
 * b > 0 iff s' e^t < W, and |s''| e^t < W^2 gives both c > 0 and
-  f'' < 2f, which the pinching needs (``certify``).  A table bounds both
-  left sides on each cell in u by the larger end value plus M h/2 (M a
-  bound on the next derivative of s), times e^t at the cell's right end.
-  Any W >= 4 passes (s' < 2.01, |s''| < 9.85, e^t <= 1), so the search
-  ends.  The tests prove each fact used.
+  f'' < 2f, which the pinching needs (``certify``).  One row decides: a
+  table bounds |s''| on each cell in u by the larger end value plus
+  M3 h/2 (M3 a bound on |s'''|), times e^t at the cell's right end.
+  Margin b follows: s' < M1 = 2.01, so b holds where W >= M1 e^t_hi /
+  (1 - _ROUNDING); on a narrower window row c's ratio reaches 1.59 on
+  one cell, so the row refuses it anyway.  Any W >= 4 passes (|s''| <
+  9.85, e^t <= 1), so the search ends.  The tests prove each fact used.
 * a cell whose bound is below that of a cell to its right, which ends at a
-  larger t, has the smaller ratio: only each row's binding cells (its tail
-  from the last largest bound, and the cells that tie it) are evaluated,
-  and row b only where its largest bound times e^t_hi / W reaches row c's
-  largest ratio.
+  larger t, has the smaller ratio: only the row's binding cells (its tail
+  from the last largest bound, and the cells that tie it) are evaluated.
 """
 
 from __future__ import annotations
@@ -80,8 +80,7 @@ GRID_STEP = 1e-3
 _T_OVERFLOW = -float(np.log(np.finfo(float).max))
 # cells in u of the window proof; with 1 024 some valid windows widen once more
 _PROOF_CELLS = 16384
-# proved bounds on sup |s''| (about 9.8410) and sup |s'''| (about 110.6)
-_S2_BOUND = 9.85
+# proved bound on sup |s'''| (about 110.6)
 _S3_BOUND = 111.0
 # the proof accepts ratios below 1 - _ROUNDING, for float rounding
 _ROUNDING = 1e-9
@@ -183,19 +182,18 @@ def _step(u: np.ndarray, et, width: float, s: np.ndarray, s1: np.ndarray, s2: np
 
 
 def _proof_table() -> tuple[np.ndarray, np.ndarray]:
-    """Cell right ends in u, and per cell bounds on s' and |s''|.
+    """Cell right ends in u, and per cell bounds on |s''|.
 
-    Nodes u > 1/2 mirror u < 1/2, as s(1 - u) = 1 - s(u) makes |s'| and |s''|
-    even about 1/2: the mirror halves the work.
+    Nodes u > 1/2 mirror u < 1/2, as s(1 - u) = 1 - s(u) makes |s''| even
+    about 1/2: the mirror halves the work.
     """
     n = _PROOF_CELLS
     u = np.arange(n // 2 + 1) / n
-    s = np.zeros((3, n // 2 + 1))  # 0 off the run, as s', s'' are
+    s = np.zeros((3, n // 2 + 1))  # 0 off the run, as s'' is
     lo, hi = np.searchsorted(u, _STEP_RUN)
     _step(u[lo:hi], 0.0, 1.0, *s[:, lo:hi])
-    s = np.abs(np.concatenate([s[1:], s[1:, -2::-1]], axis=1))
-    return np.arange(1, n + 1) / n, (np.maximum(s[:, :-1], s[:, 1:])
-                                     + np.array([[_S2_BOUND], [_S3_BOUND]]) * (0.5 / n))
+    s2 = np.abs(np.concatenate([s[2], s[2, -2::-1]]))
+    return np.arange(1, n + 1) / n, np.maximum(s2[:-1], s2[1:]) + _S3_BOUND * (0.5 / n)
 
 
 _CELL_END, _CELL_BOUNDS = _proof_table()
@@ -203,12 +201,12 @@ _CELL_GAP = 1.0 - _CELL_END
 
 
 def _binding_cells(bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(cell gaps, bounds) of the cells of one row of the table that can
-    hold its largest ratio.
+    """(cell gaps, bounds) of the cells of the table that can hold its
+    largest ratio.
 
     A cell further right ends at a larger t, so its e^t is no smaller.  A
     cell whose bound is below a bound to its right by ``_ORDER_GAP`` thus
-    has the smaller ratio, and is dropped.  What is left is the row's tail
+    has the smaller ratio, and is dropped.  What is left is the table's tail
     from its last largest bound on, plus cells before it whose bound ties
     the largest to their right, as mirror cells do.
     """
@@ -217,11 +215,8 @@ def _binding_cells(bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _CELL_GAP[keep], bounds[keep]
 
 
-# (cell gaps, bounds) of each row on its binding cells, and on every cell;
-# each row's largest bound
-_BINDING_ROWS = [_binding_cells(row) for row in _CELL_BOUNDS]
-_ALL_ROWS = [(_CELL_GAP, row) for row in _CELL_BOUNDS]
-_ROW_MAX = _CELL_BOUNDS.max(axis=1)
+# (cell gaps, bounds) of the binding cells
+_BINDING_CELLS = _binding_cells(_CELL_BOUNDS)
 
 
 @dataclass(frozen=True)
@@ -354,59 +349,46 @@ def validation_grid(warp) -> np.ndarray:
     return np.arange(lo, 1.0 + GRID_STEP / 2, GRID_STEP)
 
 
-def _row_worst(warp, gaps: np.ndarray, bounds: np.ndarray, scale: float) -> tuple:
-    """(ratio, t) of the first largest ratio, bound e^t / scale, over the cells
+def _row_worst(warp, gaps: np.ndarray, bounds: np.ndarray) -> tuple:
+    """(ratio, t) of the first largest ratio, bound e^t / W^2, over the cells
     of (cell gaps, bounds)."""
     width = warp.t_hi - warp.t_lo
     ratios = np.multiply(gaps, width)
     np.subtract(warp.t_hi, ratios, out=ratios)  # t, the cells' right ends
     np.exp(ratios, out=ratios)
-    ratios /= scale
+    ratios /= width * width
     ratios *= bounds
     i = np.argmax(ratios)
     return ratios[i], warp.t_hi - gaps[i] * width
 
 
-def _worst_cell(warp, rows) -> tuple:
-    """(ratio, row, t) of the largest ratio over the (cell gaps, bounds) of
-    rows b and c, row b dividing e^t by W and row c by W^2; a tie goes to
-    row b, then to the first cell.
-
-    Row c goes first.  Every ratio of row b is at most its largest bound
-    times e^t_hi / W; where that is below row c's largest ratio by
-    ``_ORDER_GAP``, row b cannot hold the worst cell and is skipped.
-    """
-    width = warp.t_hi - warp.t_lo
-    (gaps_b, bounds_b), (gaps_c, bounds_c) = rows
-    ratio, t = _row_worst(warp, gaps_c, bounds_c, width * width)
-    if _ROW_MAX[0] * (np.exp(warp.t_hi) / width) < ratio * (1.0 - _ORDER_GAP):
-        return ratio, 1, t
-    ratio_b, t_b = _row_worst(warp, gaps_b, bounds_b, width)
-    return (ratio_b, 0, t_b) if ratio_b >= ratio else (ratio, 1, t)
-
-
 def window_witness(warp) -> dict | None:
     """None when warp has no transition window or every cell's bound on
-    s' e^t / W (margin b) and on |s''| e^t / W^2 (margin c, and f'' < 2f)
-    is below 1 - ``_ROUNDING``; else the worst cell's right end t, its
-    condition and that bound, ``ratio``.
+    |s''| e^t / W^2 (margin c, and f'' < 2f) is below 1 - ``_ROUNDING``;
+    else the worst cell's right end t, condition "c" and that bound,
+    ``ratio``.
 
-    Only each row's binding cells are evaluated (``_binding_cells``): a
-    cell with a smaller bound than a cell to its right has a smaller e^t
-    too, so a smaller ratio; and row b only where it can hold the worst
-    cell (``_worst_cell``).  The largest ratio, its row and its first cell
-    are those of the whole table.  A ratio that overflows to inf ties cells
-    that no bound orders, so then the whole table is evaluated.
+    Margin b (s' e^t < W) is a corollary, proved in the tests: it holds
+    where W >= 2.01 e^t_hi / (1 - ``_ROUNDING``), and on a narrower window
+    one cell's ratio is at least 1.59, and at least 1.59 times every ratio
+    that a second row, bounding s' e^t / W, would hold; so that row would
+    change no verdict and no witness.
+
+    Only the binding cells are evaluated (``_binding_cells``): a cell with
+    a smaller bound than a cell to its right has a smaller e^t too, so a
+    smaller ratio.  The largest ratio and its first cell are those of the
+    whole table.  A ratio that overflows to inf ties cells that no bound
+    orders, so then the whole table is evaluated.
     """
     if not isinstance(warp, Interpolated):
         return None
     with np.errstate(over="ignore", divide="ignore"):  # an infinite ratio fails
-        ratio, k, t = _worst_cell(warp, _BINDING_ROWS)
+        ratio, t = _row_worst(warp, *_BINDING_CELLS)
         if ratio == np.inf:
-            ratio, k, t = _worst_cell(warp, _ALL_ROWS)
+            ratio, t = _row_worst(warp, _CELL_GAP, _CELL_BOUNDS)
     if ratio < 1.0 - _ROUNDING:
         return None
-    return {"t": float(t), "condition": "bc"[k], "ratio": float(ratio)}
+    return {"t": float(t), "condition": "c", "ratio": float(ratio)}
 
 
 def build_interpolation(t_lo: float, t_hi: float) -> Interpolated:

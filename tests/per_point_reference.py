@@ -16,7 +16,8 @@ output.  ``interpolated_eval`` and ``condition_margins`` are the bodies
 way and the margins were stacked as columns; ``Interpolated.eval`` and
 ``warp.condition_margins`` must reproduce their bytes.
 ``full_table_witness`` is ``window_witness`` as it was when it evaluated
-every cell of the proof table, here of a table passed in.
+every cell of a two-row table, margins b (over W) and c (over W^2), here
+of a table passed in; a tie goes to row b.
 
 The next section holds the dense bodies the diagonal kernels replaced: the
 stacked einsum Christoffel, derivative and lowering code and the SVD

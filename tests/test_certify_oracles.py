@@ -13,6 +13,9 @@
   eigenvalues ``certify``'s closed-form kernel computes from it, and of
   the pinching lemma ``certify`` decides from: -2 < K < 0 on every plane
   wherever f > 1, -f <= f' < 0, 0 < f'' < 2f and margin d > 0.
+* Symbolic limits that make that range exact: K tends to -2 and to 0 as
+  (f, f', f'') -> (1, 0, 0), on the shifted tail t -> oo, and on pure-exp
+  as t -> 0-, so lambda^2 = 2 is the least scale.
 """
 
 import numpy as np
@@ -308,3 +311,33 @@ def test_pinching_lemma_puts_every_plane_in_minus_two_to_zero():
     for f_, E_ in ((1 + w, 1 + w), (1 + E, E)):
         assert (f_ - 1).is_positive and (f_ - E_).is_nonnegative
         assert (2 * f_ - E_).is_positive
+
+
+def test_the_curvature_range_is_exactly_minus_two_to_zero():
+    # the lemma above gives -2 < K < 0 strictly; these limits show that
+    # neither end can move in, so lambda^2 = 2 is the least scale that puts
+    # K / lambda^2 in (-1, 0).  As (f, f', f'') -> (1, 0, 0) the extremes
+    # are continuous (f > 0, the root's argument tends to 1): lambda_- -> -2
+    # and K(xy) -> 0, with lambda_+ and K(zt) -> 0 too
+    f, fp, fpp = sp.symbols("f fp fpp", real=True)
+    A, B = (f * fp - 1) / f**2, (f + fp) / f**2
+    radicand = ((A + 1) / 2) ** 2 + B**2
+    lam_lo = (A - 1) / 2 - sp.sqrt(radicand)
+    lam_hi = (-A - B**2) / lam_lo
+    k_xy, k_zt = -(f - 1) * (f + 1) / f**2, -fpp / f
+    at = {f: 1, fp: 0, fpp: 0}
+    assert radicand.subs(at) == 1
+    assert [e.subs(at) for e in (lam_lo, lam_hi, k_xy, k_zt)] == [-2, 0, 0, 0]
+    # shifted-exp, and an interpolated warp above t_hi: f = 1 + E with
+    # E = e^-t -> 0+ as t -> oo, where the infimum (in the mixed blocks) and
+    # the supremum are approached
+    E = sp.symbols("E", positive=True)
+    tail = {f: 1 + E, fp: -E, fpp: E}
+    assert [sp.limit(e.subs(tail), E, 0, "+") for e in (lam_lo, lam_hi, k_xy, k_zt)] == [-2, 0, 0, 0]
+    # pure-exp: lambda_- = -1 - e^2t and K(xy) = e^2t - 1, which tend to -2
+    # and 0 as t -> 0-, the end of its range t < 0
+    t = sp.symbols("t", real=True)
+    pure = {f: sp.exp(-t), fp: -sp.exp(-t), fpp: sp.exp(-t)}
+    assert sp.simplify(lam_lo.subs(pure) + 1 + sp.exp(2 * t)) == 0
+    assert sp.simplify(k_xy.subs(pure) - (sp.exp(2 * t) - 1)) == 0
+    assert [sp.limit(e.subs(pure), t, 0, "-") for e in (lam_lo, k_xy)] == [-2, 0]

@@ -884,6 +884,19 @@ def test_certify_command_refuses_pure_exp_on_positive_range(capsys):
     assert payload["witness"]["condition"] == "a"
 
 
+def test_a_window_refusal_is_the_librarys_and_never_an_exit_code(capsys):
+    # the CLI widens the steep window (-0.2, -0.1) until the proof covers it,
+    # so certify exits 0 on it; only certify on the Interpolated built
+    # directly refuses it, and exit 2 stays the pure-exp grid's and usage's
+    code, out = run_cli(capsys, "certify", "--warp-t0=-0.2", "--warp-t1=-0.1")
+    payload = json.loads(out)
+    assert code == 0 and payload["status"] == "certified"
+    assert payload["warp"]["T1"] == -0.1 and payload["warp"]["T0"] < -0.2
+    report = certify(Interpolated(-0.2, -0.1), (-6.0, 10.0), 0.05)
+    assert report.status == "refused_conditions"
+    assert report.witness["kind"] == "window" and report.witness["condition"] == "c"
+
+
 def test_volume_command(capsys):
     code, out = run_cli(
         capsys, "volume", "--warp", "shifted-exp",

@@ -208,9 +208,12 @@ def test_build_interpolation_monotone_and_convex():
 
 
 def test_build_interpolation_widens_steep_window():
-    # a 0.1-wide transition violates f' < 0; the builder must widen it,
-    # by doublings, until the proof passes
-    assert window_witness(Interpolated(-0.2, -0.1))["condition"] in "bc"
+    # a 0.1-wide transition violates f' < 0 (margin b fails at its middle),
+    # but row c's ratio dominates, so the witness names c; the builder must
+    # widen the window, by doublings, until the proof passes
+    steep = Interpolated(-0.2, -0.1)
+    assert steep.eval(-0.15)[1] > 0.0
+    assert window_witness(steep)["condition"] == "c"
     w = build_interpolation(-0.2, -0.1)
     assert w.t_hi == -0.1 and w.t_lo < -0.2
     assert window_witness(w) is None

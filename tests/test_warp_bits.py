@@ -174,12 +174,10 @@ def test_the_proof_table_is_built_from_the_same_step():
     from solcusp import warp
 
     n = warp._PROOF_CELLS
-    _, s1, s2 = ref.smooth_step(np.arange(n // 2 + 1) / n)
-    # |s'| and |s''| are even about u = 1/2
-    s1, s2 = (np.abs(np.concatenate([s, s[-2::-1]])) for s in (s1, s2))
-    bounds = np.stack([
-        np.maximum(s1[:-1], s1[1:]) + warp._S2_BOUND * 0.5 / n,
-        np.maximum(s2[:-1], s2[1:]) + warp._S3_BOUND * 0.5 / n])
+    _, _, s2 = ref.smooth_step(np.arange(n // 2 + 1) / n)
+    # |s''| is even about u = 1/2
+    s2 = np.abs(np.concatenate([s2, s2[-2::-1]]))
+    bounds = np.maximum(s2[:-1], s2[1:]) + warp._S3_BOUND * 0.5 / n
     assert warp._CELL_BOUNDS.tobytes() == bounds.tobytes()
 
 
