@@ -221,7 +221,8 @@ def full_table_witness(warp, bounds):
 # pipelines through them, and ``svd_isometry`` takes every pullback's
 # spectral norm by SVD.  The kernels must reproduce their bytes wherever
 # every tensor is finite.  ``stack_isometry`` is ``verify_isometry`` before
-# its z-only path, whose value or exception it must keep everywhere.
+# its z-only path, whose finite values it must keep.  Both build g_Sol at
+# every sample as one (n, 3, 3) stack, by ``sol_metric_3d`` below.
 
 def _stacked_first_kind(dg):
     return np.einsum("...jmk->...mjk", dg) + np.einsum("...kmj->...mjk", dg) - dg
@@ -283,11 +284,20 @@ def stacked_riemann_fd(warp, t, z):
     return stacked_lowering(Gam[..., 0, :, :, :], dGam, p.g[..., 0, :, :])
 
 
+def sol_metric_3d(p):
+    """g_Sol = diag(e^(-2z), e^(2z), 1) at each of the (n, 3) points."""
+    z = np.asarray(p, dtype=float)[..., 2]
+    g = np.zeros(z.shape + (3, 3))
+    g[..., 0, 0] = np.exp(-2.0 * z)
+    g[..., 1, 1] = np.exp(2.0 * z)
+    g[..., 2, 2] = 1.0
+    return g
+
+
 def stack_isometry(m, samples):
     """``verify_isometry`` as it was before its z-only path: every map's
     pullbacks as one (n, 3, 3) stack, the largest |entry| where each
     difference is exactly diagonal and an SVD of each otherwise."""
-    from solcusp.lattice import sol_metric_3d
     p = np.asarray(samples if isinstance(samples, np.ndarray) else list(samples), dtype=float)
     if p.size == 0:
         raise ValueError("samples must be nonempty")
@@ -302,7 +312,6 @@ def stack_isometry(m, samples):
 
 
 def svd_isometry(m, samples):
-    from solcusp.lattice import sol_metric_3d
     p = np.asarray(samples if isinstance(samples, np.ndarray) else list(samples), dtype=float)
     J = m.linear
     mapped = np.matmul(J, p[:, :, None])[:, :, 0] + m.offset

@@ -470,7 +470,10 @@ def test_build_warp_command(tmp_path, capsys):
     )
     assert code == 0
     # warp.json names the proved window and nothing else
-    assert json.loads(out) == {"family": "interpolated", "T0": -4.0, "T1": -1.0}
+    warp = json.loads(out)
+    assert warp == {"family": "interpolated", "T0": -4.0, "T1": -1.0}
+    # a standalone certify at the default window names the same one
+    assert json.loads(run_cli(capsys, "certify")[1])["warp"] == warp
     margins = csv_margins(csv_path)
     assert margins.shape == (7001, 4) and margins.min() > 1e-6
 
@@ -552,19 +555,25 @@ def test_verify_riemann_command(capsys):
 
 
 def test_certify_command_certified(tmp_path, capsys):
+    # pure-exp's grid from -1 by 0.25 stops at t_max = -0.1, on 4 points,
+    # short of t = 0, where margin a is 0
     csv_path = tmp_path / "curve.csv"
-    code, out = run_cli(
-        capsys, "certify", "--warp", "shifted-exp",
-        "--t-min", "-1", "--t-max", "1", "--step", "0.5",
-        "--csv", str(csv_path),
-    )
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["status"] == "certified"
-    assert payload["max_k"] < -1e-9
-    lines = csv_path.read_text().splitlines()
-    assert lines[0] == "t,k_min,k_max,margin_a,margin_b,margin_c,margin_d,block_min,block_max"
-    assert len(lines) == 6
+    for family, t_range, step, n_grid in (("shifted-exp", ("-1", "1"), "0.5", 5),
+                                          ("pure-exp", ("-1", "-0.1"), "0.25", 4)):
+        code, out = run_cli(
+            capsys, "certify", "--warp", family,
+            "--t-min", t_range[0], "--t-max", t_range[1], "--step", step,
+            "--csv", str(csv_path),
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["status"] == "certified"
+        assert payload["warp"] == {"family": family}
+        assert payload["n_grid"] == n_grid
+        assert payload["max_k"] < -1e-9
+        lines = csv_path.read_text().splitlines()
+        assert lines[0] == "t,k_min,k_max,margin_a,margin_b,margin_c,margin_d,block_min,block_max"
+        assert len(lines) == n_grid + 1
 
 
 @pytest.mark.parametrize("argv", [
@@ -898,15 +907,18 @@ def test_a_window_refusal_is_the_librarys_and_never_an_exit_code(capsys):
 
 
 def test_volume_command(capsys):
-    code, out = run_cli(
-        capsys, "volume", "--warp", "shifted-exp",
-        "--vol-c", "1.0", "--t0", "0.0", "--tol", "1e-10",
-    )
-    assert code == 0
-    payload = json.loads(out)
-    assert set(payload) == {"integral", "total", "warp"}
-    assert payload["warp"] == {"family": "shifted-exp"}
-    assert abs(payload["integral"] - 5.0 / 6.0) <= 1e-15
+    # the closed forms: 5/6 for shifted-exp and, at the default flags, 1/3
+    # for pure-exp; neither report names a window
+    for family, flags, integral in (
+        ("shifted-exp", ["--vol-c", "1.0", "--t0", "0.0", "--tol", "1e-10"], 5.0 / 6.0),
+        ("pure-exp", [], 1.0 / 3.0),
+    ):
+        code, out = run_cli(capsys, "volume", "--warp", family, *flags)
+        assert code == 0
+        payload = json.loads(out)
+        assert set(payload) == {"integral", "total", "warp"}
+        assert payload["warp"] == {"family": family}
+        assert abs(payload["integral"] - integral) <= 1e-15 * integral, family
 
 
 @pytest.mark.parametrize("command", ["volume", "verify-riemann", "certify"])
@@ -934,28 +946,29 @@ def test_standalone_reports_name_the_widened_window(command, tmp_path, capsys):
 def test_run_pipeline_writes_all_reports(tmp_path, capsys):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(REDUCED_RUN))
-    outdir = tmp_path / "out"
-    code, out = run_cli(
-        capsys, "--config", str(cfg), "--output", str(outdir), "run",
-    )
-    assert code == 0
-    for name in ("lattice.json", "warp.json", "riemann.json",
-                 "certify.json", "certify.csv", "volume.json", "summary.json"):
-        assert (outdir / name).exists(), name
-    summary = json.loads((outdir / "summary.json").read_text())
-    verdict = summary["verdict"]
-    assert verdict["riemann_table_matched"] is True
-    assert verdict["conditions_hold"] is True
-    assert verdict["globally_negative"] is True
-    assert float(verdict["pinched_from"]) == -np.inf
-    assert verdict["scale"] == 1.4142135623730951
-    assert verdict["total_volume"] > 0.0
-    # the one volume of a run is volume.json's; certify reports none
-    cert = json.loads((outdir / "certify.json").read_text())
-    assert "volume" not in cert and "vol_c" not in cert["config"]
-    assert verdict["total_volume"] == json.loads((outdir / "volume.json").read_text())["total"]
-    # the embedded config reproduces the run
-    assert summary["config"]["certify"]["t_step"] == 0.5
+    # the reduced config, and the default one
+    for config, outdir, t_step in ((["--config", str(cfg)], tmp_path / "out", 0.5),
+                                   ([], tmp_path / "default", 0.05)):
+        code, out = run_cli(capsys, *config, "--output", str(outdir), "run")
+        assert code == 0
+        for name in ("lattice.json", "warp.json", "riemann.json",
+                     "certify.json", "certify.csv", "volume.json", "summary.json"):
+            assert (outdir / name).exists(), name
+        summary = json.loads((outdir / "summary.json").read_text())
+        assert summary["status"] == "certified"
+        verdict = summary["verdict"]
+        assert verdict["riemann_table_matched"] is True
+        assert verdict["conditions_hold"] is True
+        assert verdict["globally_negative"] is True
+        assert verdict["pinched_from"] == "-inf"
+        assert verdict["scale"] == 1.4142135623730951
+        assert np.isfinite(verdict["total_volume"]) and verdict["total_volume"] > 0.0
+        # the one volume of a run is volume.json's; certify reports none
+        cert = json.loads((outdir / "certify.json").read_text())
+        assert "volume" not in cert and "vol_c" not in cert["config"]
+        assert verdict["total_volume"] == json.loads((outdir / "volume.json").read_text())["total"]
+        # the embedded config reproduces the run
+        assert summary["config"]["certify"]["t_step"] == t_step
 
 
 def test_certify_csv_of_a_refused_pure_exp_grid_has_no_rows(tmp_path, capsys):

@@ -147,6 +147,54 @@ def test_affine_map_requires_invertible_linear_part():
         AffineMap3(np.zeros((3, 3)), np.zeros(3))
 
 
+NOT_FINITE = "^linear part and offset must be finite$"
+
+
+@pytest.mark.parametrize("offset", [[np.nan, 0.0, 0.0], [0.0, np.nan, 0.0]], ids=["x", "y"])
+def test_a_nan_planar_offset_is_refused(offset):
+    # the deviation reads no x or y offset, so only the map itself can refuse it
+    with pytest.raises(ValueError, match=NOT_FINITE):
+        verify_isometry(AffineMap3(np.eye(3), offset), default_samples())
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("axis", [0, 1, 2])
+def test_a_non_finite_diagonal_entry_is_refused(entry, axis):
+    diagonal = [2.0, 0.5, 1.0]
+    diagonal[axis] = entry
+    with pytest.raises(ValueError, match=NOT_FINITE):
+        verify_isometry(AffineMap3(np.diag(diagonal), np.zeros(3)), default_samples())
+
+
+@pytest.mark.parametrize("dz", [np.inf, -np.inf])
+def test_an_infinite_z_offset_is_refused(dz):
+    with pytest.raises(ValueError, match=NOT_FINITE):
+        verify_isometry(AffineMap3(np.eye(3), [0.0, 0.0, dz]), default_samples())
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("axis", [0, 1, 2])
+def test_non_finite_samples_are_refused(entry, axis):
+    sample = [0.5, -0.5, 1.0]
+    sample[axis] = entry
+    with pytest.raises(ValueError, match="^samples must be finite$"):
+        verify_isometry(AffineMap3(np.eye(3), np.zeros(3)), [np.zeros(3), sample])
+
+
+@pytest.mark.parametrize("m, z", [
+    (AffineMap3(np.eye(3), np.zeros(3)), 355.0),
+    (AffineMap3(np.eye(3), np.zeros(3)), -355.0),
+    # z' = 2 z + 1 leaves the float range of e^(2z) while z does not
+    (AffineMap3(np.diag([2.0, 0.5, 2.0]), np.array([0.0, 0.0, 1.0])), 177.0),
+    # e^(-2z') is finite, but times lam^2 = 1e100 it is not
+    (AffineMap3(np.diag([1e50, 1e-50, 1.0]), np.zeros(3)), -300.0),
+], ids=["z", "minus-z", "image-z", "lam-squared"])
+def test_an_overflowing_deviation_is_refused(m, z):
+    with pytest.raises(ValueError, match="^the pullback deviation overflows a float at these "
+                                         "samples' z$"):
+        verify_isometry(m, [np.zeros(3), np.array([0.0, 0.0, z])])
+
+
 ENTRY_MAX = 10**6
 
 
@@ -218,7 +266,7 @@ def test_trace_bound_refuses_exactly_the_matrices_whose_deck_check_overflows(off
     else:
         with pytest.raises(ValueError, match=f"^trace {trace} is too large"):
             AnosovMatrix(*entries)
-        with np.errstate(all="ignore"), pytest.raises(np.linalg.LinAlgError):
+        with pytest.raises(ValueError, match="^the pullback deviation overflows a float"):
             build_sol_lattice(unchecked(entries))
 
 
