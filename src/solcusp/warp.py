@@ -39,16 +39,14 @@ until ``window_witness`` proves the four margins positive at every t:
 * inside, f = e^-t + s(u) with u = (t - t_lo)/W, so a = e^-t + s - 1 > 0,
   and d = x(f^2 + 2 - x) with x = b/f and b <= e^-t < f: d > 0 iff b > 0;
 * b > 0 iff s' e^t < W, and |s''| e^t < W^2 gives both c > 0 and
-  f'' < 2f, which the pinching needs (``certify``).  One row decides: a
-  table bounds |s''| on each cell in u by the larger end value plus
-  M3 h/2 (M3 a bound on |s'''|), times e^t at the cell's right end.
-  Margin b follows: s' < M1 = 2.01, so b holds where W >= M1 e^t_hi /
-  (1 - _ROUNDING); on a narrower window row c's ratio reaches 1.59 on
-  one cell, so the row refuses it anyway.  Any W >= 4 passes (|s''| <
-  9.85, e^t <= 1), so the search ends.  The tests prove each fact used.
-* a cell whose bound is below that of a cell to its right, which ends at a
-  larger t, has the smaller ratio: only the row's binding cells (its tail
-  from the last largest bound, and the cells that tie it) are evaluated.
+  f'' < 2f, which the pinching needs (``certify``).  As e^t <= e^t_hi
+  and |s''| < M2 = ``_S2_BOUND``, one inequality decides:
+
+      M2 e^t_hi / W^2 < 1 - R,   R = ``_ROUNDING``.
+
+  Margin b follows: s' < M1 = 2.01, and M2 (1 - R) >= M1^2 e^t_hi for
+  t_hi <= 0, so W > M1 e^t_hi / (1 - R) > s' e^t.  Any W >= 4 passes
+  (M2 < 16 (1 - R)), so the search ends.  The tests prove each fact used.
 """
 
 from __future__ import annotations
@@ -78,15 +76,10 @@ _STEP_CLIP = 500.0
 GRID_STEP = 1e-3
 # e^-t overflows a float below this t
 _T_OVERFLOW = -float(np.log(np.finfo(float).max))
-# cells in u of the window proof; with 1 024 some valid windows widen once more
-_PROOF_CELLS = 16384
-# proved bound on sup |s'''| (about 110.6)
-_S3_BOUND = 111.0
+# proved bound on sup |s''| (about 9.8444)
+_S2_BOUND = 9.85
 # the proof accepts ratios below 1 - _ROUNDING, for float rounding
 _ROUNDING = 1e-9
-# a bound or ratio below another by this relative gap stays below it
-# through the roundings of exp, the division and the product
-_ORDER_GAP = 2.0**-40
 
 
 @dataclass(frozen=True)
@@ -179,44 +172,6 @@ def _step(u: np.ndarray, et, width: float, s: np.ndarray, s1: np.ndarray, s2: np
     s1 -= et
     s2 /= width**2
     s2 += et
-
-
-def _proof_table() -> tuple[np.ndarray, np.ndarray]:
-    """Cell right ends in u, and per cell bounds on |s''|.
-
-    Nodes u > 1/2 mirror u < 1/2, as s(1 - u) = 1 - s(u) makes |s''| even
-    about 1/2: the mirror halves the work.
-    """
-    n = _PROOF_CELLS
-    u = np.arange(n // 2 + 1) / n
-    s = np.zeros((3, n // 2 + 1))  # 0 off the run, as s'' is
-    lo, hi = np.searchsorted(u, _STEP_RUN)
-    _step(u[lo:hi], 0.0, 1.0, *s[:, lo:hi])
-    s2 = np.abs(np.concatenate([s[2], s[2, -2::-1]]))
-    return np.arange(1, n + 1) / n, np.maximum(s2[:-1], s2[1:]) + _S3_BOUND * (0.5 / n)
-
-
-_CELL_END, _CELL_BOUNDS = _proof_table()
-_CELL_GAP = 1.0 - _CELL_END
-
-
-def _binding_cells(bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(cell gaps, bounds) of the cells of the table that can hold its
-    largest ratio.
-
-    A cell further right ends at a larger t, so its e^t is no smaller.  A
-    cell whose bound is below a bound to its right by ``_ORDER_GAP`` thus
-    has the smaller ratio, and is dropped.  What is left is the table's tail
-    from its last largest bound on, plus cells before it whose bound ties
-    the largest to their right, as mirror cells do.
-    """
-    right = np.append(np.maximum.accumulate(bounds[::-1])[-2::-1], 0.0)
-    keep = bounds > right * (1.0 - _ORDER_GAP)
-    return _CELL_GAP[keep], bounds[keep]
-
-
-# (cell gaps, bounds) of the binding cells
-_BINDING_CELLS = _binding_cells(_CELL_BOUNDS)
 
 
 @dataclass(frozen=True)
@@ -349,56 +304,35 @@ def validation_grid(warp) -> np.ndarray:
     return np.arange(lo, 1.0 + GRID_STEP / 2, GRID_STEP)
 
 
-def _row_worst(warp, gaps: np.ndarray, bounds: np.ndarray) -> tuple:
-    """(ratio, t) of the first largest ratio, bound e^t / W^2, over the cells
-    of (cell gaps, bounds)."""
-    width = warp.t_hi - warp.t_lo
-    ratios = np.multiply(gaps, width)
-    np.subtract(warp.t_hi, ratios, out=ratios)  # t, the cells' right ends
-    np.exp(ratios, out=ratios)
-    ratios /= width * width
-    ratios *= bounds
-    i = np.argmax(ratios)
-    return ratios[i], warp.t_hi - gaps[i] * width
+def _window_ratio(t_lo: float, t_hi: float) -> float:
+    """M2 e^t_hi / W^2, W = t_hi - t_lo: inf or NaN where W^2 underflows to 0."""
+    width = t_hi - t_lo
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        return float(np.float64(_S2_BOUND * np.exp(t_hi)) / (width * width))
 
 
 def window_witness(warp) -> dict | None:
-    """None when warp has no transition window or every cell's bound on
-    |s''| e^t / W^2 (margin c, and f'' < 2f) is below 1 - ``_ROUNDING``;
-    else the worst cell's right end t, condition "c" and that bound,
-    ``ratio``.
-
-    Margin b (s' e^t < W) is a corollary, proved in the tests: it holds
-    where W >= 2.01 e^t_hi / (1 - ``_ROUNDING``), and on a narrower window
-    one cell's ratio is at least 1.59, and at least 1.59 times every ratio
-    that a second row, bounding s' e^t / W, would hold; so that row would
-    change no verdict and no witness.
-
-    Only the binding cells are evaluated (``_binding_cells``): a cell with
-    a smaller bound than a cell to its right has a smaller e^t too, so a
-    smaller ratio.  The largest ratio and its first cell are those of the
-    whole table.  A ratio that overflows to inf ties cells that no bound
-    orders, so then the whole table is evaluated.
-    """
+    """None when warp has no transition window or M2 e^t_hi / W^2, a bound
+    on |s''| e^t / W^2 (margin c, and f'' < 2f) at every t inside, is below
+    1 - ``_ROUNDING``; else t = t_hi, condition "c" and that bound,
+    ``ratio``.  Margin b is its corollary (the module docstring)."""
     if not isinstance(warp, Interpolated):
         return None
-    with np.errstate(over="ignore", divide="ignore"):  # an infinite ratio fails
-        ratio, t = _row_worst(warp, *_BINDING_CELLS)
-        if ratio == np.inf:
-            ratio, t = _row_worst(warp, _CELL_GAP, _CELL_BOUNDS)
+    ratio = _window_ratio(warp.t_lo, warp.t_hi)
     if ratio < 1.0 - _ROUNDING:
         return None
-    return {"t": float(t), "condition": "c", "ratio": float(ratio)}
+    return {"t": float(warp.t_hi), "condition": "c", "ratio": ratio}
 
 
 def build_interpolation(t_lo: float, t_hi: float) -> Interpolated:
     """The window (t_lo, t_hi), widened t_lo <- t_hi - 2 (t_hi - t_lo) until
     ``window_witness`` proves it admissible (any W >= 4 is); a W whose square
-    underflows, which ``Interpolated`` refuses, is widened unbuilt."""
+    underflows has no finite ratio and is widened too.  Arguments that are
+    no window are left to ``Interpolated`` to refuse."""
     t_lo, t_hi = float(t_lo), float(t_hi)
-    while (0.0 < t_hi - t_lo and (t_hi - t_lo) * (t_hi - t_lo) == 0.0
-           or window_witness(Interpolated(t_lo, t_hi)) is not None):
-        t_lo = t_hi - 2.0 * (t_hi - t_lo)
+    if -np.inf < t_lo < t_hi <= 0.0:
+        while not _window_ratio(t_lo, t_hi) < 1.0 - _ROUNDING:
+            t_lo = t_hi - 2.0 * (t_hi - t_lo)
     return Interpolated(t_lo, t_hi)
 
 

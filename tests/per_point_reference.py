@@ -15,9 +15,6 @@ output.  ``interpolated_eval`` and ``condition_margins`` are the bodies
 ``Interpolated.eval`` and the margins had when the step was computed that
 way and the margins were stacked as columns; ``Interpolated.eval`` and
 ``warp.condition_margins`` must reproduce their bytes.
-``full_table_witness`` is ``window_witness`` as it was when it evaluated
-every cell of a two-row table, margins b (over W) and c (over W^2), here
-of a table passed in; a tie goes to row b.
 
 The next section holds the dense bodies the diagonal kernels replaced: the
 stacked einsum Christoffel, derivative and lowering code and the SVD
@@ -33,7 +30,6 @@ from itertools import permutations
 import numpy as np
 
 from solcusp import curvature
-from solcusp import warp as warp_module
 from solcusp.curvature import (
     _TABLE_LABELS,
     AXIS_NAMES,
@@ -195,20 +191,6 @@ def condition_margins(eval_, t):
             bad = float(t[np.argmax(f <= 0.0)])
             raise ValueError(f"f(t) <= 0 at t={bad}; margin d is undefined there")
         return np.stack([f - 1.0, -fp, fpp, 1.0 - f * fp - (1.0 + fp / f) ** 2], axis=1)
-
-
-def full_table_witness(warp, bounds):
-    """The window proof's witness over every cell, with the table ``bounds``."""
-    if not isinstance(warp, warp_module.Interpolated):
-        return None
-    width = warp.t_hi - warp.t_lo
-    t = warp.t_hi - warp_module._CELL_GAP * width
-    with np.errstate(over="ignore", divide="ignore"):
-        ratios = bounds * (np.exp(t) / [[width], [width * width]])
-    k, i = np.unravel_index(np.argmax(ratios), ratios.shape)
-    if ratios[k, i] < 1.0 - warp_module._ROUNDING:
-        return None
-    return {"t": float(t[i]), "condition": "bc"[k], "ratio": float(ratios[k, i])}
 
 
 # ---------------------------------------------------------------------------

@@ -184,7 +184,7 @@ def test_certify_refuses_a_window_the_proof_rejects():
     assert np.all(rep.margins > 0.0)
     assert rep.status == "refused_conditions" and rep.bounds_curve is None
     assert rep.witness["kind"] == "window" and rep.witness["condition"] == "c"
-    assert -1e-4 < rep.witness["t"] < -5e-5 and rep.witness["ratio"] > 1e9
+    assert rep.witness["t"] == -5e-5 and rep.witness["ratio"] > 1e9
     # the window the builder proves is certified
     assert certify(build_interpolation(-1e-4, -5e-5), (-6.0, 10.0), 0.05).status == "certified"
 
@@ -408,3 +408,16 @@ def test_certify_runs_no_tensor_eigh_or_svd(monkeypatch):
     assert extremize_k(warp, rep.grid[130]).k_max == expected.bounds_curve.k_max[130]
     with pytest.raises(AssertionError, match="certify's path"):
         extremize_point(hyperbolic_metric_point(0.3))
+
+
+@pytest.mark.parametrize("warp", [PureExp(), ShiftedExp(), build_interpolation(-4.0, -1.0)],
+                         ids=lambda w: w.family)
+def test_the_metric_dominates_dt_squared_so_it_is_complete(warp):
+    # g - dt^2 is positive semidefinite, so every curve from p to q is at
+    # least |t(p) - t(q)| long: a closed bounded set lies in some slab
+    # [t0, T] x C, compact as C is, and Hopf-Rinow makes g complete
+    t, z = np.meshgrid(np.linspace(-6.0, 6.0, 49), np.linspace(-3.0, 3.0, 25))
+    g = metric_at(warp, t, z).g.copy()
+    assert np.all(g[..., 3, 3] == 1.0)
+    g[..., 3, 3] -= 1.0
+    assert np.linalg.eigvalsh(g).min() >= 0.0

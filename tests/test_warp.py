@@ -208,9 +208,9 @@ def test_build_interpolation_monotone_and_convex():
 
 
 def test_build_interpolation_widens_steep_window():
-    # a 0.1-wide transition violates f' < 0 (margin b fails at its middle),
-    # but row c's ratio dominates, so the witness names c; the builder must
-    # widen the window, by doublings, until the proof passes
+    # a 0.1-wide transition violates f' < 0 (margin b fails at its middle);
+    # the proof's one inequality, margin c's, refuses it, and the builder
+    # must widen the window, by doublings, until the proof passes
     steep = Interpolated(-0.2, -0.1)
     assert steep.eval(-0.15)[1] > 0.0
     assert window_witness(steep)["condition"] == "c"
@@ -222,7 +222,8 @@ def test_build_interpolation_widens_steep_window():
 
 
 def test_build_interpolation_still_widens_a_fixable_window():
-    assert build_interpolation(-1.0, -0.5) == Interpolated(-2.5, -0.5)
+    # W = 2 leaves 9.85 e^-0.5 / 4 = 1.49 and W = 4 leaves 0.37
+    assert build_interpolation(-1.0, -0.5) == Interpolated(-4.5, -0.5)
 
 
 # the 1e-3 grid once widened t_hi - 10**GAP_LOG_WIDTH, t_hi = GAP_T_HI, to
@@ -258,6 +259,32 @@ def test_build_interpolation_accepts_only_windows_valid_inside(t_hi, log_width):
     assert warp_from_name("interpolated", lo, t_hi) == w
     t = np.linspace(w.t_lo, w.t_hi, 20001)
     assert condition_margins(w, t).min() > 1e-6
+
+
+def doublings(t_lo: float, t_hi: float):
+    """The windows the builder tries from (t_lo, t_hi): t_lo <- t_hi - 2 (t_hi - t_lo)."""
+    while True:
+        yield t_lo
+        t_lo = t_hi - 2.0 * (t_hi - t_lo)
+
+
+@settings(max_examples=150, deadline=None)
+@given(t_hi=st.one_of(st.just(0.0), st.floats(-3.0, np.log10(800.0)).map(lambda e: -(10.0**e))),
+       log_width=st.floats(min_value=-162.0, max_value=1.0))
+@example(t_hi=0.0, log_width=float(np.log10(2.3e-162)))  # W^2 is subnormal
+@example(t_hi=-800.0, log_width=-9.0)                    # e^t_hi underflows to 0
+def test_build_interpolation_returns_the_least_accepted_doubling(t_hi, log_width):
+    # every window the builder tried before the one it returns is refused by
+    # window_witness, or has a W^2 that underflows to 0 and is no window; a
+    # width below t_hi's ulp starts one ulp wide
+    lo = min(t_hi - 10.0**log_width, float(np.nextafter(t_hi, -np.inf)))
+    w = build_interpolation(lo, t_hi)
+    for t_lo in doublings(lo, t_hi):
+        if t_lo == w.t_lo:
+            break
+        width = t_hi - t_lo
+        assert width * width == 0.0 or window_witness(Interpolated(t_lo, t_hi)) is not None
+    assert window_witness(w) is None
 
 
 def test_build_interpolation_rejects_bad_arguments():

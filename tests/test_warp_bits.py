@@ -169,18 +169,6 @@ def test_g_is_nonincreasing_and_below_the_clip_on_one_run(u):
                           & (np.arange(u.size) < stop))
 
 
-def test_the_proof_table_is_built_from_the_same_step():
-    # the table's nodes run through the full-grid step of the reference too
-    from solcusp import warp
-
-    n = warp._PROOF_CELLS
-    _, _, s2 = ref.smooth_step(np.arange(n // 2 + 1) / n)
-    # |s''| is even about u = 1/2
-    s2 = np.abs(np.concatenate([s2, s2[-2::-1]]))
-    bounds = np.maximum(s2[:-1], s2[1:]) + warp._S3_BOUND * 0.5 / n
-    assert warp._CELL_BOUNDS.tobytes() == bounds.tobytes()
-
-
 def test_margins_have_the_shape_of_t_then_four():
     # 0-d once raised numpy's AxisError and a (3, 5) grid came back (3, 4, 5)
     w = build_interpolation(-4.0, -1.0)

@@ -1,12 +1,12 @@
 """Proofs of every fact ``warp.window_witness`` rests on.
 
-The builder accepts a transition window t_lo < t_hi <= 0 when, on each
-cell of a fixed table in u = (t - t_lo)/W, W = t_hi - t_lo,
+The builder accepts a transition window t_lo < t_hi <= 0 when, with
+W = t_hi - t_lo, M2 the proved bound on |s''| and R the rounding allowance,
 
-    (max of |s''| at the cell ends + M3 h/2) e^t < W^2     (margin c, f'' < 2f)
+    M2 e^t_hi / W^2 < 1 - R                         (margin c, f'' < 2f)
 
-with e^t at the cell's right end.  Margin b, s' e^t < W, is a corollary of
-this one row.  Here:
+as e^t <= e^t_hi at every t inside.  Margin b, s' e^t < W, is a corollary
+of this one inequality.  Here:
 
 * sympy shows that margins a and d need no check inside the window, that
   the margins outside it are positive closed forms, and that the window
@@ -16,21 +16,16 @@ this one row.  Here:
 * ``mpmath.iv`` proves M1 >= sup s', M2 >= sup |s''| and M3 >= sup |s'''|:
   by bisection on [1/32, 1/2], where sigma <= 1/2 keeps 1 - sigma free of
   cancellation, and by an analytic bound on the sliver (0, 1/32];
-* ``mpmath.iv`` proves margin b from row c: where W >= M1 e^t_hi / (1 - R)
-  (R the rounding allowance) b holds at every u, and on any narrower
-  window row c's ratio on one cell is at least 1.59, and at least 1.59
-  times every ratio of a row b (the larger s' at the cell ends + M2 h/2);
-  so row c alone accepts the windows, and gives the witnesses, of the
-  two-row table;
-* mpmath checks that the float table matches its exact values far inside
-  the proof's rounding allowance, and the float step s, s', s'' its
-  50-digit values to 16 eps of their sups;
-* any window 4 wide is proved, so the widening search ends;
-* the |s''| row accepts the windows, and gives the witnesses, of the
-  max(-s'', 0) row it replaced, and k_min > -2 on sampled built windows;
-* the binding cells, the only ones ``window_witness`` evaluates, give the
-  whole table's witness, ties and overflows included, and a ratio equal to
-  the bound is refused.
+* ``mpmath.iv`` proves that the inequality gives |s''| e^t < W^2 at every
+  t inside, so margin c and f'' < 2f, and that margin b is its corollary,
+  as M2 (1 - R) >= M1^2 e^t_hi for t_hi <= 0; mpmath checks that the
+  float ratio is within a relative 2^-40 of its exact value, which R
+  covers, wherever it could change the verdict;
+* mpmath checks the float step s, s', s'' against its 50-digit values, to
+  16 eps of their sups;
+* any window 4 wide is proved (M2 < 16 (1 - R)), so the widening search
+  ends, and k_min > -2 on sampled built windows;
+* a ratio equal to the bound is refused.
 """
 
 from unittest import mock
@@ -43,15 +38,16 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from mpmath import iv
 
-import per_point_reference as ref
 from solcusp import warp
 from solcusp.certify import _closed_extremes
 from solcusp.warp import Interpolated, build_interpolation, condition_margins, window_witness
 
 from test_warp_bits import u_at_g
 
-# proved bounds on sup s', sup |s''| and sup |s'''|; M3 enters the table
-M1, M2, M3 = 2.01, 9.85, warp._S3_BOUND
+# proved bounds on sup s', sup |s''| and sup |s'''|; the window proof reads M2
+M1, M2, M3 = 2.01, warp._S2_BOUND, 111.0
+# a relative error of the float ratio that the rounding allowance R covers
+ORDER_GAP = 2.0**-40
 # the sliver (0, EPS] is bounded analytically, [EPS, 1/2] by bisection
 EPS = 1.0 / 32
 
@@ -82,20 +78,6 @@ def float_step(u):
     got[0, hi:] = 1.0
     warp._step(u[lo:hi].copy(), 0.0, 1.0, *got[:, lo:hi])
     return got
-
-
-def row_b():
-    """A row for margin b, from the reference step: the larger s' at the
-    cell ends (s' is even about 1/2), plus M2 h/2."""
-    n = warp._PROOF_CELLS
-    _, s1, _ = ref.smooth_step(np.arange(n // 2 + 1) / n)
-    s1 = np.concatenate([s1, s1[-2::-1]])
-    return np.maximum(s1[:-1], s1[1:]) + M2 * 0.5 / n
-
-
-ROW_B = row_b()
-# the two-row table of margins b and c, which ``ref.full_table_witness`` reads
-TWO_ROWS = np.stack([ROW_B, warp._CELL_BOUNDS])
 
 
 def test_margins_a_and_d_need_no_check_inside_the_window():
@@ -204,81 +186,72 @@ def test_interval_proof_of_the_derivative_bounds():
     assert 2.0 - 1e-9 < s1.max() and M2 - 0.01 < np.abs(s2).max() < M2
 
 
-def corollary_cell():
-    """The row c cell k whose ratio bounds every narrow window's from below:
-    the largest c_k e^(-g_k M1 / (1 - R)), g_k its gap 1 - u."""
-    w_top = M1 / (1.0 - warp._ROUNDING)
-    return int(np.argmax(warp._CELL_BOUNDS * np.exp(-warp._CELL_GAP * w_top)))
-
-
-def test_margin_b_is_a_corollary_of_row_c():
-    # Let R = _ROUNDING and W* = M1 e^t_hi / (1 - R).  If W >= W*, then
-    # s' e^t <= M1 e^t_hi < W at every u: margin b holds.  If W < W*, row
-    # c's ratio at cell k, c_k e^(t_hi - g_k W) / W^2, falls as W grows, so
-    # it is at least its value at W*, c_k (1 - R)^2 e^(-t_hi - g_k W*) / M1^2,
-    # which falls as t_hi grows: at least L, its value at t_hi = 0.  Row b's
-    # ratios are at most B e^t_hi / W, B its largest bound; row c's at cell k
-    # over that is (c_k / B) e^(-g_k W) / W, which falls as W grows: at least
-    # Q, its value at M1 / (1 - R) >= W*.  L > 1 - R, so row c refuses every
-    # window that margin b might not cover; Q > 1 puts the worst cell of the
-    # two rows in row c, untied; so row c alone gives the two-row witness
-    k = corollary_cell()
-    c, g = iv.mpf(float(warp._CELL_BOUNDS[k])), iv.mpf(float(warp._CELL_GAP[k]))
+def test_the_inequality_gives_margin_c_and_the_pinching():
+    # inside the window t <= t_hi, so e^t = e^t_hi q with q in [0, 1], and
+    # s'' = M2 v with v in [-1, 1].  An accepted window has an exact ratio
+    # rho = M2 e^t_hi / W^2 below (1 - R)(1 + ORDER_GAP) (the float ratio's
+    # error, checked below), so x = s'' e^t / W^2 = v q rho lies in (-1, 1):
+    # c e^t W^2 = W^2 + s'' e^t = W^2 (1 + x) > 0 and
+    # (2f - f'') e^t W^2 >= W^2 - s'' e^t = W^2 (1 - x) > 0, the identities
+    # of test_the_window_meets_the_pinching_hypotheses
     R = iv.mpf(warp._ROUNDING)
-    w_top = M1 / (1 - R)
-    L = c * (1 - R) ** 2 * iv.exp(-g * w_top) / M1**2
-    Q = c / iv.mpf(float(ROW_B.max())) * iv.exp(-g * w_top) / w_top
-    assert L.a > 1.59 and Q.a > 1.59
-    # row b's float bounds stay below M1 far above rounding: on W >= W* its
-    # ratios stay below 1 - R
-    assert ROW_B.max() < M1 * (1.0 - 1e-3)
-    # the bounds are near tight: L and Q are about 1.5924 and 1.600
-    assert L.b < 1.593 and Q.b < 1.601
-    # in floats, on either side of W*: a window just narrower is refused by
-    # row c on a ratio above 1.59, and on one just wider row b passes
+    rho = iv.mpf([0, 1]) * ((1 - R) * (1 + iv.mpf(ORDER_GAP)))
+    x = iv.mpf([-1, 1]) * iv.mpf([0, 1]) * rho
+    assert (1 + x).a > 0 and (1 - x).a > 0
+
+
+def test_margin_b_is_a_corollary_of_the_inequality():
+    # an accepted window has W^2 > M2 e^t_hi / B, B = (1 - R)(1 + ORDER_GAP)
+    # < 1.  For t_hi <= 0, M2 >= B M1^2 >= B M1^2 e^t_hi, so W^2 > M1^2
+    # e^(2 t_hi) and W > M1 e^t_hi >= s' e^t at every t inside: b = e^-t -
+    # s'/W > 0.  The slack is wide: M2 / M1^2 is about 2.44
+    R = iv.mpf(warp._ROUNDING)
+    B = (1 - R) * (1 + iv.mpf(ORDER_GAP))
+    assert B.b < 1
+    assert (M2 - B * iv.mpf(M1)**2).a > 0 and (M2 * (1 - R) - iv.mpf(M1)**2).a > 0
+    # in floats: the windows at the bound, and twice as narrow, keep b
+    # positive on 2 001 points, as f' < 0 there
     for t_hi in (0.0, -1.0, -20.0):
-        w_star = M1 * np.exp(t_hi) / (1.0 - warp._ROUNDING)
-        narrow, wide = (Interpolated(t_hi - w_star * (1.0 + x), t_hi) for x in (-1e-5, 1e-5))
-        assert narrow.t_hi - narrow.t_lo < w_star < wide.t_hi - wide.t_lo
-        witness = window_witness(narrow)
-        assert witness["condition"] == "c" and witness["ratio"] > 1.59
-        width = wide.t_hi - wide.t_lo
-        t = wide.t_hi - warp._CELL_GAP * width
-        assert (ROW_B * np.exp(t) / width).max() < 1.0 - warp._ROUNDING
+        width = np.sqrt(M2 * np.exp(t_hi) / (1.0 - warp._ROUNDING)) * (1.0 + 1e-9)
+        w = Interpolated(t_hi - width, t_hi)
+        assert window_witness(w) is None
+        t = np.linspace(w.t_lo, w.t_hi, 2001)
+        assert condition_margins(w, t)[:, 1].min() > 0.0
+        assert window_witness(Interpolated(t_hi - width / 2.0, t_hi))["condition"] == "c"
 
 
-def test_float_table_matches_its_exact_values():
-    # each cell bound is (max of the node values' moduli) + M3 h/2; the float
-    # table must match the exact one far inside the 1e-9 rounding allowance
-    # (exact on u <= 1/2; s'' is odd about 1/2)
-    n = warp._PROOF_CELLS
-    with mpmath.workdps(30):
-        exact = [step_derivatives(mpmath.mpf(i) / n, mpmath.exp)[1] for i in range(1, n // 2 + 1)]
-        s2 = [0] + exact + [-e for e in exact[-2::-1]] + [0]
-        half = mpmath.mpf(0.5) / n
-        c = [max(abs(s2[i]), abs(s2[i + 1])) + M3 * half for i in range(n)]
-        rel = max(abs(float(c[i] / warp._CELL_BOUNDS[i] - 1)) for i in range(n))
-    assert rel < 1e-12
-    assert np.array_equal(warp._CELL_END, np.arange(1, n + 1) / n)
+@settings(max_examples=300, deadline=None)
+@given(t_hi=st.one_of(st.just(0.0), st.floats(-1.5, np.log10(80.0)).map(lambda e: -(10.0**e))),
+       scale=st.floats(-8.0, 8.0), jitter=st.floats(-1e-6, 1e-6))
+@example(t_hi=0.0, scale=0.0, jitter=0.0)
+def test_the_float_ratio_is_within_the_rounding_allowance(t_hi, scale, jitter):
+    # the float ratio is within a relative ORDER_GAP of its 50-digit value
+    # wherever it lies in [1/4, 4], the only place the rounding could change
+    # the verdict.  There e^t_hi and W^2 >= M2 e^t_hi / 4 are normal floats:
+    # the float t_lo < t_hi has W >= 2^-53 |t_hi|, so a subnormal e^t_hi
+    # (t_hi < -708) gives a ratio below 1e-200.  Elsewhere the verdict is the
+    # exact one.  Windows are drawn about the bound, W^2 = M2 e^t_hi 2^scale
+    exact_width = mpmath.sqrt(M2 * mpmath.exp(t_hi) * mpmath.mpf(2) ** scale) * (1 + jitter)
+    t_lo = float(t_hi - exact_width)
+    assume(t_lo < t_hi)
+    ratio = warp._window_ratio(t_lo, t_hi)
+    with mpmath.workdps(50):
+        width = mpmath.mpf(t_hi) - mpmath.mpf(t_lo)
+        width = mpmath.mpf(float(width))  # the float W the warp divides by
+        exact = mpmath.mpf(M2) * mpmath.exp(t_hi) / width**2
+        if 0.25 <= ratio <= 4.0:
+            assert abs(ratio / exact - 1) < ORDER_GAP
+        else:
+            assert (ratio < 0.25) == (exact < 0.5) and (exact < 1) == (ratio < 1.0 - warp._ROUNDING)
 
 
 def test_any_window_four_wide_is_proved():
-    # e^t <= 1 in every window, and the table stays below 16; margin b
-    # follows, as 4 >= M1 / (1 - R) >= W*
-    assert warp._CELL_BOUNDS.max() < 16.0 * (1.0 - warp._ROUNDING)
-    assert M1 < 4.0 * (1.0 - warp._ROUNDING)
+    # e^t_hi <= 1 in every window and M2 < 16 (1 - R): a window 4 wide is
+    # accepted, so the doubling search ends
+    R = iv.mpf(warp._ROUNDING)
+    assert (16 * (1 - R) - M2).a > 0
     for t_hi in (0.0, -1e-300, -3.0, -700.0, -1e7):
         assert window_witness(Interpolated(t_hi - 4.0, t_hi)) is None
-
-
-@settings(max_examples=200, deadline=None)
-@given(cell=st.integers(0, warp._PROOF_CELLS - 1), frac=st.floats(0.0, 1.0))
-def test_table_bounds_the_step_inside_each_cell(cell, frac):
-    # a float spot check of the cell bounds, which the proofs above make exact
-    u = (cell + frac) / warp._PROOF_CELLS
-    assume(0.0 < u < 1.0)
-    _, s2, _ = step_derivatives(mpmath.mpf(u), mpmath.exp)
-    assert abs(s2) <= warp._CELL_BOUNDS[cell]
 
 
 def test_the_float_step_is_within_rounding_of_its_exact_values():
@@ -306,83 +279,14 @@ def test_the_float_step_is_within_rounding_of_its_exact_values():
                 assert err <= 16 * np.finfo(float).eps * sup, (x, k, float(err))
 
 
-def old_row_table():
-    """The table with the row of margin c it had before: max(-s'', 0) at
-    the cell ends, plus M3 h/2."""
-    n = warp._PROOF_CELLS
-    _, s1, s2 = float_step(np.arange(n // 2 + 1) / n)
-    neg_s2 = np.concatenate([-s2, s2[-2::-1]])
-    row_c = np.maximum(np.maximum(neg_s2[:-1], neg_s2[1:]), 0.0) + M3 * 0.5 / n
-    return np.stack([ROW_B, row_c])
-
-
-OLD_TABLE = old_row_table()
-
-
-@settings(max_examples=300, deadline=None)
-@given(t_hi=st.one_of(st.just(0.0), st.floats(-1.5, np.log10(400.0)).map(lambda e: -(10.0**e))),
-       width=st.floats(np.log10(1.6e-162), 2.5).map(lambda e: 10.0**e))
-@example(t_hi=0.0, width=1.6e-162)  # about the least W whose square is not 0
-@example(t_hi=-400.0, width=1e-9)   # W a few ulps of t_hi
-def test_the_modulus_row_gives_the_old_rows_witness(t_hi, width):
-    # window_witness evaluates only the binding cells and row c only, so it
-    # is held to the whole two-row table's witness (margin b is row c's
-    # corollary); each cell u < 1/2 takes its mirror cell's bound at a
-    # smaller e^t, so the |s''| row never raises the largest ratio: the same
-    # windows pass, with the same witness.  As W falls the cell ends
-    # collapse onto fewer floats t, and below about 1e-154 ratios overflow
-    assume(t_hi - width < t_hi)
-    window = Interpolated(t_hi - width, t_hi)
-    witness = ref.full_table_witness(window, TWO_ROWS)
-    assert window_witness(window) == witness
-    old = ref.full_table_witness(window, OLD_TABLE)
-    if width >= 1e-12:
-        assert old == witness
-    else:
-        # ties among cells whose e^t rounds alike may put the old row's first
-        # worst cell on another t, with the same verdict and ratio
-        assert (old is None) == (witness is None)
-        assert old is None or {**old, "t": 0.0} == {**witness, "t": 0.0}
-
-
-@pytest.mark.parametrize("t_lo,t_hi", [
-    (-1e-20 - 1e-17, -1e-20),      # e^t rounds to 1 on every cell: mirror cells tie
-    (-1e-15, 0.0), (-3e-16, 0.0),  # e^t takes a few floats: equal bounds side by side tie
-    (-2.3e-162, 0.0),              # W^2 is subnormal and e^t / W^2 overflows on most cells
-    (np.nextafter(-1.0, -2.0), -1.0),  # the cells' right ends are two floats t
-])
-def test_the_binding_cells_keep_the_whole_tables_first_tie(t_lo, t_hi):
-    # where ratios tie, the witness is the first cell to reach the largest,
-    # as over the whole two-row table, whose row b never ties row c
-    window = Interpolated(t_lo, t_hi)
-    witness = window_witness(window)
-    assert witness is not None and witness == ref.full_table_witness(window, TWO_ROWS)
-
-
-def test_the_binding_cells_are_derived_from_the_table():
-    # the row keeps every cell from its last largest bound on, and the cells
-    # before it whose bound ties the largest to their right
-    gaps, bounds = warp._BINDING_CELLS
-    row = warp._CELL_BOUNDS
-    cells = np.flatnonzero(np.isin(warp._CELL_GAP, gaps))
-    assert np.array_equal(warp._CELL_GAP[cells], gaps) and np.array_equal(row[cells], bounds)
-    last = np.flatnonzero(row == row.max())[-1]
-    assert np.array_equal(cells[cells >= last], np.arange(last, row.size))
-    for i in cells[cells < last]:
-        assert row[i] == row[i + 1:].max()
-    dropped = np.setdiff1d(np.arange(row.size), cells)
-    assert all(row[i] < row[i + 1:].max() * (1.0 - warp._ORDER_GAP) for i in dropped[::97])
-    # 3 579 of the 16 384 cells
-    assert gaps.size == 3579
-
-
 def test_a_ratio_equal_to_the_bound_is_refused():
     # with r in [1/2, 2], 1 - r and 1 - (1 - r) are exact (Sterbenz), so
     # _ROUNDING = 1 - r puts the bound exactly at r: the proof needs
     # ratio < bound, and refuses.  A bound one ulp of r higher accepts
-    window = Interpolated(-2.0, 0.0)
+    window = Interpolated(-3.0, 0.0)
     witness = window_witness(window)
     r = witness["ratio"]
+    assert witness == {"t": 0.0, "condition": "c", "ratio": M2 / 9.0}
     assert 0.5 <= r <= 2.0
     with mock.patch.object(warp, "_ROUNDING", 1.0 - r):
         assert 1.0 - warp._ROUNDING == r
@@ -390,6 +294,26 @@ def test_a_ratio_equal_to_the_bound_is_refused():
     with mock.patch.object(warp, "_ROUNDING", 1.0 - np.nextafter(r, np.inf)):
         assert 1.0 - warp._ROUNDING == np.nextafter(r, np.inf)
         assert window_witness(window) is None
+
+
+@pytest.mark.parametrize("t_lo,t_hi", [
+    (-1e-20 - 1e-17, -1e-20),          # e^t_hi rounds to 1
+    (-1e-15, 0.0), (-3e-16, 0.0),      # W a few ulps of 1e-15
+    (-2.3e-162, 0.0),                  # W^2 is subnormal: the ratio overflows to inf
+    (np.nextafter(-1.0, -2.0), -1.0),  # W is one ulp of t_hi
+])
+def test_the_witness_is_t_hi_and_the_ratio(t_lo, t_hi):
+    # the witness names t_hi, where e^t is largest, and the ratio is within
+    # a relative ORDER_GAP of its 50-digit value with the float W
+    window = Interpolated(t_lo, t_hi)
+    witness = window_witness(window)
+    assert witness["t"] == t_hi and witness["condition"] == "c"
+    with mpmath.workdps(50):
+        exact = mpmath.mpf(M2) * mpmath.exp(t_hi) / mpmath.mpf(window.t_hi - window.t_lo) ** 2
+        if exact > np.finfo(float).max:
+            assert witness["ratio"] == np.inf
+        else:
+            assert abs(witness["ratio"] / exact - 1) < ORDER_GAP
 
 
 @pytest.mark.parametrize("t_lo,t_hi", [(-4.0, -1.0), (-0.5, 0.0), (-1.0, -0.5), (-12.0, -4.0),
