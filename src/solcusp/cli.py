@@ -106,7 +106,8 @@ def _lattice_payload(A: AnosovMatrix) -> dict:
         "stretch": lat.stretch,
         "basis": lat.basis.tolist(),
         "generators": [
-            {"linear": m.linear.tolist(), "offset": m.offset.tolist()}
+            # lattice.json keeps each deck map's linear part as 3x3 rows
+            {"linear": np.diag(m.diagonal).tolist(), "offset": m.offset.tolist()}
             for m in lat.generators
         ],
         "volume": cross_section_volume(lat),

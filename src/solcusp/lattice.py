@@ -9,9 +9,10 @@ once the (x, y) plane is written in the eigenbasis of A.  The deck group
 of the quotient is generated by two planar translations (the images of
 the standard Z^2 basis in eigen-coordinates) and the monodromy
 (x, y, z) |-> (lam x, y/lam, z + L) with L = log|lam| the stretch.
-Every deck map is thus finite with a diagonal linear part (``AffineMap3``
-refuses any other), and every generator must be an exact isometry of
-g_Sol, which ``verify_isometry`` checks from the samples' z alone.
+Every deck map is thus finite with a diagonal linear part J, which
+``AffineMap3`` stores as its diagonal, and every generator must be an
+exact isometry of g_Sol, which ``verify_isometry`` checks from the
+samples' z alone.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ __all__ = [
 _LOG_FLOAT_MAX = float(np.log(np.finfo(float).max))
 # a linear part is refused as singular when |det| is below this
 _MIN_DET = 1e-12
-_OFF_DIAGONAL = ~np.eye(3, dtype=bool)
 # g_Sol = diag(e^(-2z), e^(2z), 1) is e^(_EXPONENTS z) down its diagonal
 _EXPONENTS = np.array([[-2.0], [2.0], [0.0]])
 
@@ -94,28 +94,24 @@ class AnosovMatrix:
 
 @dataclass(frozen=True)
 class AffineMap3:
-    """p |-> linear @ p + offset on (x, y, z): a deck map, so finite, with
-    an invertible diagonal linear part; any other map is a ValueError."""
+    """p |-> diagonal * p + offset on (x, y, z): a deck map, whose linear
+    part J = diag(diagonal) is stored as its diagonal.  A non-finite entry
+    or |det J| below _MIN_DET is a ValueError."""
 
-    linear: np.ndarray
+    diagonal: np.ndarray
     offset: np.ndarray
 
     def __post_init__(self) -> None:
-        lin = np.asarray(self.linear, dtype=float).reshape(3, 3)
+        diag = np.asarray(self.diagonal, dtype=float).reshape(3)
         off = np.asarray(self.offset, dtype=float).reshape(3)
-        if lin[_OFF_DIAGONAL].any():  # a NaN is nonzero too
-            raise ValueError("linear part must be diagonal")
-        d0, d1, d2 = lin.diagonal().tolist()  # Python floats: the product warns of nothing
+        d0, d1, d2 = diag.tolist()  # Python floats: the product warns of nothing
         if not all(map(math.isfinite, [d0, d1, d2, *off.tolist()])):
             raise ValueError("linear part and offset must be finite")
-        # the det is the product of the diagonal.  LAPACK's det, exp of a sum
-        # of logs, lies within a relative 1e-12 of it, so LAPACK decides only
-        # near the bound or where the product over- or underflows
-        if not 2.0 * _MIN_DET < abs(d0 * d1 * d2) < np.inf and abs(np.linalg.det(lin)) < _MIN_DET:
+        if abs(d0 * d1 * d2) < _MIN_DET:  # det J; a product that overflows is invertible
             raise ValueError("linear part must be invertible")
-        object.__setattr__(self, "linear", lin)
+        object.__setattr__(self, "diagonal", diag)
         object.__setattr__(self, "offset", off)
-        lin.setflags(write=False)
+        diag.setflags(write=False)
         off.setflags(write=False)
 
 
@@ -173,19 +169,10 @@ def build_sol_lattice(A: AnosovMatrix) -> SolLattice:
         raise ValueError(f"matrix {entries}: its float eigenbasis has determinant {det}, "
                          "not a finite nonzero number")
     P /= np.sqrt(abs(det))
-    P_inv = np.linalg.inv(P)
+    basis = np.linalg.inv(P).T + 0.0  # rows: P^-1 e1, P^-1 e2; a zero entry is +0.0
 
-    b1 = P_inv @ np.array([1.0, 0.0])
-    b2 = P_inv @ np.array([0.0, 1.0])
-
-    def translation(v: np.ndarray) -> AffineMap3:
-        return AffineMap3(np.eye(3), np.array([v[0], v[1], 0.0]))
-
-    monodromy = AffineMap3(
-        np.diag([lam, lam_inv, 1.0]),
-        np.array([0.0, 0.0, L]),
-    )
-    generators = [translation(b1), translation(b2), monodromy]
+    generators = [AffineMap3((1.0, 1.0, 1.0), (x, y, 0.0)) for x, y in basis.tolist()]
+    generators.append(AffineMap3((lam, lam_inv, 1.0), (0.0, 0.0, L)))
     dev = max(verify_isometry(m, default_samples()) for m in generators)
     if dev > 1e-12:
         raise AssertionError(
@@ -193,7 +180,7 @@ def build_sol_lattice(A: AnosovMatrix) -> SolLattice:
         )
     return SolLattice(
         stretch=L,
-        basis=np.vstack([b1, b2]),
+        basis=basis,
         generators=generators,
         isometry_deviation=dev,
     )
@@ -202,10 +189,11 @@ def build_sol_lattice(A: AnosovMatrix) -> SolLattice:
 def verify_isometry(m: AffineMap3, samples) -> float:
     """Max operator-norm deviation of the g_Sol pullback over the samples.
 
-    Pure algebra: (m* g)(p) = J^T g(m(p)) J with J the constant diagonal
-    linear part, compared against g(p).  The difference is diagonal and
-    depends on the samples' z alone: its terms are (J_ii g_ii(z')) J_ii -
-    g_ii(z), z' = J_22 z + o_z, and its norm is the largest |term|.  For a
+    Pure algebra: (m* g)(p) = J^T g(m(p)) J with J = diag(m.diagonal),
+    the stored diagonal, compared against g(p).  The difference is
+    diagonal and depends on the samples' z alone: its terms are
+    (J_ii g_ii(z')) J_ii - g_ii(z), z' = J_22 z + o_z, and its norm is the
+    largest |term|.  For a
     genuine deck map that is rounding noise (<= 1e-12); no differencing
     enters.  ``samples`` is an iterable of points or an (n, 3) array; a
     non-finite sample, or a deviation that overflows a float (e^(2|z|)
@@ -218,7 +206,7 @@ def verify_isometry(m: AffineMap3, samples) -> float:
         raise ValueError(f"samples must be points of R^3, got shape {p.shape}")
     if not np.isfinite(p).all():
         raise ValueError("samples must be finite")
-    j = m.linear.diagonal()[:, None]
+    j = m.diagonal[:, None]
     z = p[:, 2]
     with np.errstate(all="ignore"):  # an overflow is refused below
         terms = j * np.exp(_EXPONENTS * (j[2] * z + m.offset[2])) * j - np.exp(_EXPONENTS * z)

@@ -285,7 +285,7 @@ def stack_isometry(m, samples):
         raise ValueError("samples must be nonempty")
     if p.ndim != 2 or p.shape[1] != 3:
         raise ValueError(f"samples must be points of R^3, got shape {p.shape}")
-    J = m.linear
+    J = np.diag(m.diagonal)
     mapped = np.matmul(J, p[:, :, None])[:, :, 0] + m.offset
     diff = J.T @ sol_metric_3d(mapped) @ J - sol_metric_3d(p)
     if not diff[:, ~np.eye(3, dtype=bool)].any():
@@ -295,7 +295,7 @@ def stack_isometry(m, samples):
 
 def svd_isometry(m, samples):
     p = np.asarray(samples if isinstance(samples, np.ndarray) else list(samples), dtype=float)
-    J = m.linear
+    J = np.diag(m.diagonal)
     mapped = np.matmul(J, p[:, :, None])[:, :, 0] + m.offset
     pulled = J.T @ sol_metric_3d(mapped) @ J
     dev = np.linalg.norm(pulled - sol_metric_3d(p), 2, axis=(1, 2))
